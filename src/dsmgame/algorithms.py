@@ -9,7 +9,6 @@ from the round-t snapshot, never from freshly updated peers.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -199,20 +198,42 @@ class RunTrace:
         )
 
     def to_csv(self, path) -> None:
-        """Write the long-form trace: t,n,cost,residual,q1..qH (1-based ids)."""
+        """Write the long-form trace: t,n,cost,residual,q1..qH (1-based ids).
+
+        Lines end in ``\\r\\n``; `t` and `n` are integers and every float
+        field is Python's shortest round-trip ``repr``. A consumer's
+        ``q1..qH`` segment is formatted once and reused while its row stays
+        bitwise unchanged, so a gossip trace costs what its events change.
+        """
         horizon = self.profiles[0].shape[1]
-        header = ["t", "n", "cost", "residual"] + [f"q{h}" for h in range(1, horizon + 1)]
+        header = ",".join(
+            ["t", "n", "cost", "residual"] + [f"q{h}" for h in range(1, horizon + 1)]
+        )
+        prev_bits = None
+        # per consumer: ",n," and the cached "q1,...,qH\r\n" line tail
+        ids: list[str] = []
+        tails: list[str] = []
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
+            fh.write(header + "\r\n")
             for t_idx, (q, bills, res) in enumerate(
                 zip(self.profiles, self.bills, self.residuals), start=1
             ):
-                for n in range(q.shape[0]):
-                    writer.writerow(
-                        [t_idx, n + 1, repr(float(bills[n])), repr(float(res))]
-                        + [repr(float(x)) for x in q[n]]
-                    )
+                q = np.ascontiguousarray(q, dtype=np.float64)
+                # compare bits, not values: -0.0 == 0.0 but their reprs differ
+                bits = q.view(np.uint64)
+                if prev_bits is None or bits.shape != prev_bits.shape:
+                    ids = [f",{n}," for n in range(1, q.shape[0] + 1)]
+                    tails = [",".join(map(repr, row)) + "\r\n" for row in q.tolist()]
+                else:
+                    for n in np.flatnonzero((bits != prev_bits).any(axis=1)).tolist():
+                        tails[n] = ",".join(map(repr, q[n].tolist())) + "\r\n"
+                prev_bits = bits
+                t_s, res_s = str(t_idx), f",{float(res)!r},"
+                costs = np.asarray(bills, dtype=np.float64).tolist()
+                fh.write("".join([
+                    f"{t_s}{n_s}{cost!r}{res_s}{tail}"
+                    for n_s, cost, tail in zip(ids, costs, tails)
+                ]))
 
 
 @dataclass(frozen=True)

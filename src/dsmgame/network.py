@@ -138,18 +138,28 @@ def generate_topology(
     `target_degree` (or the graph completes)."""
     if n < 2:
         raise ValueError("need at least two nodes")
-    order = rng.permutation(n)
+    order = rng.permutation(n).tolist()
     edges = set()
     for idx in range(1, n):
         attach = order[int(rng.integers(idx))]
         node = order[idx]
         edges.add((min(node, attach), max(node, attach)))
-    non_edges = [
-        (a, b) for a in range(n) for b in range(a + 1, n) if (a, b) not in edges
-    ]
+    # non-edges as positions in the lexicographic (a < b) pair order; row a
+    # starts at row_start[a]. Shuffling this index array draws exactly what
+    # shuffling the list of pair tuples would, and leaves rng in the same state.
+    row_start = np.arange(n) * (2 * n - np.arange(n) - 1) // 2
+    is_free = np.ones(n * (n - 1) // 2, dtype=bool)
+    a, b = np.array(list(edges)).T
+    is_free[row_start[a] + (b - a - 1)] = False
+    non_edges = np.flatnonzero(is_free)
     rng.shuffle(non_edges)
-    while non_edges and 2.0 * len(edges) / n < target_degree:
-        edges.add(non_edges.pop())
+    extra = 0
+    while extra < non_edges.size and 2.0 * (len(edges) + extra) / n < target_degree:
+        extra += 1
+    picked = non_edges[non_edges.size - extra:]
+    rows = np.searchsorted(row_start, picked, side="right") - 1
+    cols = picked - row_start[rows] + rows + 1
+    edges.update(zip(rows.tolist(), cols.tolist()))
     return CommGraph(n, frozenset(edges))
 
 

@@ -1,10 +1,12 @@
 """Independent reference computations used only by the tests: an active-set
-QP projection oracle, a grid-search best response, and finite differences.
+QP projection oracle, a grid-search best response, finite differences, and
+plain reference versions of the topology generator and the trace writer.
 
 These deliberately re-derive results from first principles rather than
 calling the library's own solution paths.
 """
 
+import csv
 import itertools
 
 import numpy as np
@@ -67,3 +69,40 @@ def mapping_finite_difference(q_n, q_sigma, curve, eps_scale=1e-6):
         down = bill_instantaneous(q_n - e, q_sigma - e, curve)
         out[k] = (up - down) / (2.0 * eps)
     return out
+
+
+def reference_topology_edges(n, target_degree, rng):
+    """Edge set of the random connected graph built the direct way: a random
+    attachment tree, then a shuffled list of every non-edge tuple popped
+    until the mean degree reaches `target_degree`."""
+    order = rng.permutation(n)
+    edges = set()
+    for idx in range(1, n):
+        attach = order[int(rng.integers(idx))]
+        node = order[idx]
+        edges.add((min(node, attach), max(node, attach)))
+    non_edges = [
+        (a, b) for a in range(n) for b in range(a + 1, n) if (a, b) not in edges
+    ]
+    rng.shuffle(non_edges)
+    while non_edges and 2.0 * len(edges) / n < target_degree:
+        edges.add(non_edges.pop())
+    return frozenset((int(a), int(b)) for a, b in edges)
+
+
+def reference_trace_csv(trace, path):
+    """Write a run trace field by field through `csv.writer`: the byte
+    format the trace CSV is pinned to."""
+    horizon = trace.profiles[0].shape[1]
+    header = ["t", "n", "cost", "residual"] + [f"q{h}" for h in range(1, horizon + 1)]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for t_idx, (q, bills, res) in enumerate(
+            zip(trace.profiles, trace.bills, trace.residuals), start=1
+        ):
+            for n in range(q.shape[0]):
+                writer.writerow(
+                    [t_idx, n + 1, repr(float(bills[n])), repr(float(res))]
+                    + [repr(float(x)) for x in q[n]]
+                )

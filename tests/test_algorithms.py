@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dsmgame.algorithms import (
+    RunTrace,
     Scenario,
     StepSchedule,
     fixed_point_residual,
@@ -17,6 +18,7 @@ from dsmgame.model import PriceCurve
 from dsmgame.network import CommGraph, build_weights, generate_topology, gossip_stream
 from dsmgame.oracle import nash_best_response_iteration
 from conftest import make_toy_game
+from oracles import reference_trace_csv
 
 COMPLETE_2 = CommGraph(2, frozenset({(0, 1)}))
 
@@ -352,6 +354,54 @@ def test_trace_csv_format(tmp_path):
     assert len(lines) == 1 + trace.iterations * scenario.n_consumers
     first = lines[1].split(",")
     assert first[0] == "1" and first[1] == "1"
+
+
+def _assert_same_csv_bytes(trace, tmp_path):
+    ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+    trace.to_csv(ours)
+    reference_trace_csv(trace, ref)
+    assert ours.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("alg", [1, 2, 3])
+def test_trace_csv_bytes_match_reference_writer(tmp_path, alg):
+    scenario, init = make_toy_game(555)
+    graph = toy_graph(scenario)
+    if alg == 1:
+        _, trace = run_algorithm1(scenario, init=init, tol=1e-6, max_iter=60)
+    elif alg == 2:
+        _, trace = run_algorithm2(
+            scenario, graph, build_weights(graph, 0.5), init=init, tol=1e-6,
+            max_iter=60,
+        )
+    else:
+        events = gossip_stream(graph, np.random.default_rng(3), 300)
+        _, trace = run_algorithm3(
+            scenario, graph, events, init=init, tol=1e-6, max_events=300
+        )
+    assert trace.iterations > 2
+    _assert_same_csv_bytes(trace, tmp_path)
+
+
+def test_trace_csv_bytes_match_reference_on_edge_cases(tmp_path):
+    # a repeated state, a 0.0 -> -0.0 flip (equal under ==, not in bytes),
+    # a change in only the last slot, and a NaN that stays put
+    q1 = np.array([[0.0, 1.5, 2.25], [3.0, np.nan, 1e-300]])
+    q2 = q1.copy()
+    q3 = q1.copy()
+    q3[0, 0] = -0.0
+    q4 = q3.copy()
+    q4[1, 2] = 0.1 + 0.2
+    trace = RunTrace(
+        profiles=[q1, q2, q3, q4],
+        bills=[np.array([1.0, -2.5]), np.array([1.0, -2.5]),
+               np.array([0.3, 1e20]), np.array([-0.0, np.inf])],
+        residuals=[np.float64(0.5), 0.5, float("nan"), 1e-17],
+    )
+    _assert_same_csv_bytes(trace, tmp_path)
+    lines = (tmp_path / "ours.csv").read_bytes().split(b"\r\n")
+    assert lines[5] == b"3,1,0.3,nan,-0.0,1.5,2.25"
+    assert lines[8] == b"4,2,inf,1e-17,3.0,nan,0.30000000000000004"
 
 
 def test_alg3_two_nodes_agrees_with_alg2():

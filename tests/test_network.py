@@ -15,6 +15,7 @@ from dsmgame.network import (
     load_edge_list,
     save_edge_list,
 )
+from oracles import reference_topology_edges
 
 STAR_5 = CommGraph(5, frozenset({(0, 1), (0, 2), (0, 3), (0, 4)}))
 
@@ -155,6 +156,18 @@ def test_topology_deterministic_per_seed():
     a = generate_topology(30, 3.0, np.random.default_rng(99))
     b = generate_topology(30, 3.0, np.random.default_rng(99))
     assert a.edges == b.edges
+
+
+@pytest.mark.parametrize(
+    "n,degree,seed",
+    [(2, 3.0, 0), (3, 1.0, 4), (5, 2.5, 1), (6, 10.0, 2), (17, 3.0, 7),
+     (50, 3.0, 0), (50, 4.0, 13), (120, 1.0, 5), (300, 3.0, 99)],
+)
+def test_topology_matches_reference_and_leaves_rng_in_same_state(n, degree, seed):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    graph = generate_topology(n, degree, rng)
+    assert graph.edges == reference_topology_edges(n, degree, ref_rng)
+    assert rng.integers(2**62) == ref_rng.integers(2**62)
 
 
 # --- edge-list format -------------------------------------------------------
