@@ -10,7 +10,7 @@ from the round-t snapshot, never from freshly updated peers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -89,15 +89,15 @@ class Scenario:
 
 @dataclass(frozen=True)
 class StepSchedule:
-    """Step-size rule: power-decay t^-p, a constant, or the gossip
-    frequency-based 1/(update count) rule (a marker; the gossip runner
-    derives those step sizes from its own counters)."""
+    """Step-size rule of the synchronous runners: power-decay t^-p or a
+    constant. The gossip runner derives its 1/(update count) steps from its
+    own counters."""
 
     kind: str
     exponent: float | None = None
     value: float | None = None
 
-    _KINDS = ("power-decay", "constant", "frequency-based")
+    _KINDS = ("power-decay", "constant")
 
     def __post_init__(self):
         if self.kind not in self._KINDS:
@@ -105,9 +105,8 @@ class StepSchedule:
         if self.kind == "power-decay":
             if self.exponent is None or self.exponent <= 0:
                 raise ValueError("power-decay needs a positive exponent")
-        elif self.kind == "constant":
-            if self.value is None or self.value <= 0:
-                raise ValueError("constant schedule needs a positive value")
+        elif self.value is None or self.value <= 0:
+            raise ValueError("constant schedule needs a positive value")
 
     @classmethod
     def power_decay(cls, exponent: float = DEFAULT_EXPONENT) -> "StepSchedule":
@@ -117,27 +116,17 @@ class StepSchedule:
     def constant(cls, value: float) -> "StepSchedule":
         return cls("constant", value=value)
 
-    @classmethod
-    def frequency_based(cls) -> "StepSchedule":
-        return cls("frequency-based")
-
     def __call__(self, t: int) -> float:
         if t < 1:
             raise ValueError("iteration index starts at 1")
         if self.kind == "power-decay":
             return float(t) ** -self.exponent
-        if self.kind == "constant":
-            return self.value
-        raise TypeError("frequency-based step sizes come from per-consumer counters")
+        return self.value
 
     @property
     def satisfies_diminishing_conditions(self) -> bool:
         """Divergent sum with summable squares: t^-p with 0.5 < p <= 1."""
         return self.kind == "power-decay" and 0.5 < self.exponent <= 1.0
-
-    @property
-    def monotone_decreasing(self) -> bool:
-        return self.kind == "power-decay"
 
 
 @dataclass
@@ -154,7 +143,6 @@ class RunTrace:
     bills: list[np.ndarray] = field(default_factory=list)
     aggregates: list[np.ndarray] = field(default_factory=list)
     residuals: list[float] = field(default_factory=list)
-    events: list[GossipEvent] | None = None
 
     @property
     def iterations(self) -> int:
@@ -173,13 +161,12 @@ class RunTrace:
 
     def max_feasibility_violation(self, scenario: Scenario) -> float:
         """Worst bound/budget violation over every recorded profile."""
-        worst = 0.0
+        worst = self.max_budget_gap(scenario)
         for q in self.profiles:
             below = np.max(scenario.q_min_matrix - q, initial=0.0)
             above = np.max(q - scenario.q_max_matrix, initial=0.0)
-            budget = np.max(np.abs(q.sum(axis=1) - scenario.budgets))
-            worst = max(worst, below, above, budget)
-        return worst
+            worst = max(worst, below, above)
+        return float(worst)
 
     def max_budget_gap(self, scenario: Scenario) -> float:
         return max(
@@ -259,6 +246,8 @@ def fixed_point_residual(profiles, scenario: Scenario, probe_step: float = 1.0) 
 
 
 def _check_init(scenario: Scenario, init) -> np.ndarray:
+    if init is None:
+        raise ValueError("initial profiles are required")
     q = np.atleast_2d(np.asarray(init, dtype=float))
     if q.shape != (scenario.n_consumers, scenario.horizon):
         raise ValueError(
@@ -269,6 +258,63 @@ def _check_init(scenario: Scenario, init) -> np.ndarray:
         if not is_feasible(q[n], spec, tol=1e-9):
             raise ValueError(f"initial profile of consumer {n} is infeasible")
     return q.copy()
+
+
+def _check_graph(scenario: Scenario, graph: CommGraph) -> None:
+    if graph.n != scenario.n_consumers:
+        raise ValueError(
+            f"graph has {graph.n} nodes for {scenario.n_consumers} consumers"
+        )
+
+
+def _synchronous(
+    scenario: Scenario,
+    init,
+    schedule: StepSchedule | None,
+    update: Callable,
+    tol: float,
+    max_iter: int,
+    estimates: bool,
+) -> tuple[SolveResult, RunTrace]:
+    """Projected Jacobi loop shared by the synchronous runners.
+
+    Round t calls ``update(gamma(t), q(t), q(t-1), est(t))`` for
+    ``(q(t+1), est(t+1))``, with q(0) := q(1); `est` starts as a copy of
+    the initial profiles when `estimates` is set and is None otherwise.
+    Terminates when max_n ||q(t+1) - q(t)||_inf <= tol.
+    """
+    schedule = schedule or StepSchedule.power_decay()
+    if not schedule.satisfies_diminishing_conditions:
+        raise ValueError(
+            "step schedule must have divergent sum and summable squares "
+            "(power-decay with exponent in (0.5, 1])"
+        )
+    q = _check_init(scenario, init)
+    est = q.copy() if estimates else None
+    trace = RunTrace()
+    trace.record(q, scenario.curve, fixed_point_residual(q, scenario), estimates=est)
+
+    q_prev = q
+    converged = False
+    change = np.inf
+    t = 0
+    for t in range(1, max_iter + 1):
+        q_next, est = update(schedule(t), q, q_prev, est)
+        change = float(np.max(np.abs(q_next - q)))
+        q_prev, q = q, q_next
+        trace.record(q, scenario.curve, fixed_point_residual(q, scenario), estimates=est)
+        if change <= tol:
+            converged = True
+            break
+
+    return SolveResult(
+        final_profiles=q,
+        iterations=t,
+        converged=converged,
+        residual=change,
+        fixed_point_residual=trace.residuals[-1],
+        uniqueness_verified=scenario.uniqueness_verified,
+    ), trace
 
 
 def run_algorithm1(
@@ -287,52 +333,19 @@ def run_algorithm1(
     q(0) := q(1), so the first proximal term vanishes. Terminates when
     max_n ||q(t+1) - q(t)||_inf <= tol.
     """
-    schedule = schedule or StepSchedule.power_decay()
     if theta <= 0:
         raise ValueError("theta must be positive")
-    if not schedule.satisfies_diminishing_conditions:
-        raise ValueError(
-            "step schedule must have divergent sum and summable squares "
-            "(power-decay with exponent in (0.5, 1])"
-        )
-    if init is None:
-        raise ValueError("initial profiles are required")
-    q = _check_init(scenario, init)
-    q_prev = q.copy()
-    trace = RunTrace()
-    trace.record(q, scenario.curve, fixed_point_residual(q, scenario))
 
-    converged = False
-    change = np.inf
-    t = 0
-    for t in range(1, max_iter + 1):
+    def update(step, q, q_prev, est):
         grad = mapping_profiles(q, q.sum(axis=0), scenario.curve)
-        step = schedule(t)
-        q_next = scenario.project(q - step * (grad + theta * (q - q_prev)))
-        change = float(np.max(np.abs(q_next - q)))
-        q_prev, q = q, q_next
-        trace.record(q, scenario.curve, fixed_point_residual(q, scenario))
-        if change <= tol:
-            converged = True
-            break
+        return scenario.project(q - step * (grad + theta * (q - q_prev))), est
 
-    result = SolveResult(
-        final_profiles=q,
-        iterations=t,
-        converged=converged,
-        residual=change,
-        fixed_point_residual=trace.residuals[-1],
-        uniqueness_verified=scenario.uniqueness_verified,
-    )
-    return result, trace
+    return _synchronous(scenario, init, schedule, update, tol, max_iter, False)
 
 
 def _check_weights(scenario: Scenario, graph: CommGraph, weights) -> np.ndarray:
+    _check_graph(scenario, graph)
     w = np.asarray(weights, dtype=float)
-    if graph.n != scenario.n_consumers:
-        raise ValueError(
-            f"graph has {graph.n} nodes for {scenario.n_consumers} consumers"
-        )
     if w.shape != (graph.n, graph.n):
         raise ValueError(f"weight matrix must be {graph.n} x {graph.n}")
     if not is_doubly_stochastic(w):
@@ -362,45 +375,16 @@ def run_algorithm2(
     then applies the dynamic-average tracking correction. Same termination
     rule as the central runner.
     """
-    schedule = schedule or StepSchedule.power_decay()
-    if not (schedule.satisfies_diminishing_conditions and schedule.monotone_decreasing):
-        raise ValueError(
-            "step schedule must be monotone decreasing with divergent sum and "
-            "summable squares (power-decay with exponent in (0.5, 1])"
-        )
     w = _check_weights(scenario, graph, weights)
-    if init is None:
-        raise ValueError("initial profiles are required")
-    q = _check_init(scenario, init)
-    est = q.copy()
     n_consumers = scenario.n_consumers
-    trace = RunTrace()
-    trace.record(q, scenario.curve, fixed_point_residual(q, scenario), estimates=est)
 
-    converged = False
-    change = np.inf
-    t = 0
-    for t in range(1, max_iter + 1):
+    def update(step, q, q_prev, est):
         mixed = w @ est
         grad = mapping_profiles(q, n_consumers * mixed, scenario.curve)
-        q_next = scenario.project(q - schedule(t) * grad)
-        est = mixed + q_next - q
-        change = float(np.max(np.abs(q_next - q)))
-        q = q_next
-        trace.record(q, scenario.curve, fixed_point_residual(q, scenario), estimates=est)
-        if change <= tol:
-            converged = True
-            break
+        q_next = scenario.project(q - step * grad)
+        return q_next, mixed + q_next - q
 
-    result = SolveResult(
-        final_profiles=q,
-        iterations=t,
-        converged=converged,
-        residual=change,
-        fixed_point_residual=trace.residuals[-1],
-        uniqueness_verified=scenario.uniqueness_verified,
-    )
-    return result, trace
+    return _synchronous(scenario, init, schedule, update, tol, max_iter, True)
 
 
 def run_algorithm3(
@@ -418,18 +402,13 @@ def run_algorithm3(
     far), project, and track. Convergence is declared after GOSSIP_WINDOW
     consecutive sub-tolerance residual readings, sampled every N events.
     """
-    if graph.n != scenario.n_consumers:
-        raise ValueError(
-            f"graph has {graph.n} nodes for {scenario.n_consumers} consumers"
-        )
-    if init is None:
-        raise ValueError("initial profiles are required")
+    _check_graph(scenario, graph)
     q = _check_init(scenario, init)
     est = q.copy()
     n_consumers = scenario.n_consumers
     counters = np.zeros(n_consumers, dtype=int)
     residual = fixed_point_residual(q, scenario)
-    trace = RunTrace(events=[])
+    trace = RunTrace()
     trace.record(q, scenario.curve, residual, estimates=est)
 
     converged = False
@@ -442,7 +421,6 @@ def run_algorithm3(
         if i == j or j not in graph.neighbors(i):
             raise ValueError(f"event {event} is not an edge of the graph")
         events_used += 1
-        trace.events.append(event)
         rows = np.array((i, j))
         avg = 0.5 * (est[i] + est[j])
         counters[rows] += 1

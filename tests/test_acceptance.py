@@ -299,35 +299,41 @@ def test_criterion_9_conservation_invariants(canonical_runs):
     report(9, "estimate-sum and budget identities hold at every iterate")
 
 
-def _trace_digests(tmp_path, tag):
-    """Re-run criteria 4-6 workloads and hash every trace file."""
-    digests = {}
-    for seed in range(1, N_TOY_GAMES + 1):
-        game = run_toy_game(seed)
+def _named_traces(games, runs, par_entries):
+    """Every trace of the criteria 4-6 workloads, keyed by a file tag."""
+    for seed, game in enumerate(games, start=1):
         for k, trace in enumerate(game["traces"], start=1):
-            path = tmp_path / f"{tag}-toy{seed}-alg{k}.csv"
-            trace.to_csv(path)
-            digests[f"toy{seed}-alg{k}"] = hashlib.sha256(
-                path.read_bytes()
-            ).hexdigest()
-            path.unlink()
-    runs = run_canonical()
+            yield f"toy{seed}-alg{k}", trace
     for k, trace in enumerate(runs["traces"], start=1):
-        path = tmp_path / f"{tag}-canon-alg{k}.csv"
+        yield f"canon-alg{k}", trace
+    for seed, entry in zip(PAR_SEEDS, par_entries):
+        yield f"par{seed}", entry["trace"]
+
+
+def _trace_digests(tmp_path, named_traces):
+    """Write each trace file and hash its bytes."""
+    digests = {}
+    for tag, trace in named_traces:
+        path = tmp_path / f"{tag}.csv"
         trace.to_csv(path)
-        digests[f"canon-alg{k}"] = hashlib.sha256(path.read_bytes()).hexdigest()
-        path.unlink()
-    for seed in PAR_SEEDS:
-        entry = run_par_seed(seed)
-        path = tmp_path / f"{tag}-par{seed}.csv"
-        entry["trace"].to_csv(path)
-        digests[f"par{seed}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+        digests[tag] = hashlib.sha256(path.read_bytes()).hexdigest()
         path.unlink()
     return digests
 
 
-def test_criterion_10_determinism(tmp_path):
-    first = _trace_digests(tmp_path, "a")
-    second = _trace_digests(tmp_path, "b")
+def test_criterion_10_determinism(tmp_path, toy_suite, canonical_runs, par_runs):
+    # the fixtures of criteria 4-6 are the first run; re-run them all once
+    first = _trace_digests(
+        tmp_path, _named_traces(toy_suite[0], canonical_runs[0], par_runs[0])
+    )
+    second = _trace_digests(
+        tmp_path,
+        _named_traces(
+            [run_toy_game(seed) for seed in range(1, N_TOY_GAMES + 1)],
+            run_canonical(),
+            [run_par_seed(seed) for seed in PAR_SEEDS],
+        ),
+    )
+    assert len(first) == 3 * N_TOY_GAMES + 3 + len(PAR_SEEDS)
     assert first == second
     report(10, f"byte-identical traces across re-runs ({len(first)} files)")

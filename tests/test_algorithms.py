@@ -14,7 +14,7 @@ from dsmgame.algorithms import (
     run_algorithm3,
 )
 from dsmgame.feasible import ConsumerSpec, sample_feasible
-from dsmgame.model import PriceCurve
+from dsmgame.model import PriceCurve, mapping_profiles
 from dsmgame.network import CommGraph, build_weights, generate_topology, gossip_stream
 from dsmgame.oracle import nash_best_response_iteration
 from conftest import make_toy_game
@@ -76,7 +76,6 @@ def test_power_decay_values_and_conditions():
     assert sched(1) == 1.0
     assert sched(16) == pytest.approx(16.0 ** -0.51)
     assert sched.satisfies_diminishing_conditions
-    assert sched.monotone_decreasing
     assert not StepSchedule.power_decay(0.4).satisfies_diminishing_conditions
     assert not StepSchedule.power_decay(1.3).satisfies_diminishing_conditions
 
@@ -85,12 +84,6 @@ def test_constant_schedule_not_square_summable():
     sched = StepSchedule.constant(0.1)
     assert sched(7) == 0.1
     assert not sched.satisfies_diminishing_conditions
-
-
-def test_frequency_based_is_a_marker():
-    sched = StepSchedule.frequency_based()
-    with pytest.raises(TypeError):
-        sched(1)
 
 
 def test_schedule_rejects_bad_parameters():
@@ -225,6 +218,37 @@ def test_alg2_conservation_identity():
     assert trace.max_conservation_gap() <= 1e-9
 
 
+def test_synchronous_rounds_replay_exactly_by_hand():
+    # rebuild every round of both synchronous runners from the recorded
+    # states; round 1's proximal term is exactly 0 and round 3 is the first
+    # to need an advanced q(t-1). This game's projections leave room in
+    # rounds 1 and 3, so a nonzero first term or a stale q(t-1) shows.
+    scenario, init = make_toy_game(17)
+    graph = toy_graph(scenario)
+    w = build_weights(graph, 0.5)
+    gamma = StepSchedule.power_decay()
+    curve = scenario.curve
+    _, t1 = run_algorithm1(scenario, theta=0.2, init=init, tol=0.0, max_iter=3)
+    _, t2 = run_algorithm2(scenario, graph, w, init=init, tol=0.0, max_iter=3)
+    assert t1.iterations == t2.iterations == 4
+
+    q = t1.profiles
+    for t in (1, 2, 3):
+        q_prev = q[max(t - 2, 0)]
+        grad = mapping_profiles(q[t - 1], q[t - 1].sum(axis=0), curve)
+        prox = 0.2 * (q[t - 1] - q_prev)
+        expected = scenario.project(q[t - 1] - gamma(t) * (grad + prox))
+        np.testing.assert_array_equal(q[t], expected)
+
+    q, est = t2.profiles, t2.estimates
+    for t in (1, 2, 3):
+        mixed = w @ est[t - 1]
+        grad = mapping_profiles(q[t - 1], scenario.n_consumers * mixed, curve)
+        expected = scenario.project(q[t - 1] - gamma(t) * grad)
+        np.testing.assert_array_equal(q[t], expected)
+        np.testing.assert_array_equal(est[t], mixed + expected - q[t - 1])
+
+
 # --- asynchronous gossip ------------------------------------------------------
 
 
@@ -255,7 +279,6 @@ def test_alg3_frequency_step_size_rule():
     est3 = trace.estimates[3]
     avg = 0.5 * (est3[0] + est3[1])
     from dsmgame.feasible import project
-    from dsmgame.model import mapping_profiles
 
     for n in range(2):
         grad = mapping_profiles(q3[n], 2 * avg, scenario.curve)
