@@ -10,6 +10,7 @@ from dsmgame.feasible import (
     ConsumerSpec,
     is_feasible,
     project,
+    project_rows,
     sample_feasible,
     validate,
 )
@@ -116,6 +117,79 @@ def test_project_idempotent_and_nonexpansive(v, w):
 def test_project_budget_conservation(v):
     spec = ConsumerSpec(np.full(4, 0.25), np.full(4, 3.0), 7.0)
     assert abs(project(v, spec).sum() - 7.0) <= 1e-10
+
+
+@st.composite
+def projection_batches(draw):
+    # 1-3 rows take the plain-float form of project_rows, 8+ rows its numpy
+    # form. Values sit on a grid of 1 or 1/8, so kinks tie, zero widths give
+    # q_min == q_max, and distinct active sets lie far enough apart for the
+    # enumeration oracle's objective comparison to pick the right one
+    h = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 3) | st.integers(8, 10))
+    step = draw(st.sampled_from([1.0, 0.125]))
+
+    def grid(lo, hi, shape):
+        cells = st.integers(int(lo / step), int(hi / step))
+        return step * draw(arrays(np.int64, shape, elements=cells))
+
+    q_min = grid(0.0, 5.0, (n, h))
+    q_max = q_min + grid(0.0, 5.0, (n, h))
+    v = grid(-10.0, 10.0, (n, h))
+    # eighths of the way from sum(q_min) (k = 0) to sum(q_max) (k = 8)
+    k = draw(arrays(np.int64, n, elements=st.integers(0, 8)))
+    lo, hi = q_min.sum(axis=1), q_max.sum(axis=1)
+    return v, q_min, q_max, lo + k / 8 * (hi - lo)
+
+
+@settings(max_examples=400, deadline=None)
+@given(batch=projection_batches())
+def test_project_rows_matches_qp_oracle_row_by_row(batch):
+    v, q_min, q_max, budgets = batch
+    got = project_rows(v, q_min, q_max, budgets)
+    for r in range(v.shape[0]):
+        expected = project_qp_oracle(v[r], q_min[r], q_max[r], budgets[r])
+        np.testing.assert_allclose(got[r], expected, rtol=0.0, atol=1e-12)
+        assert np.all(got[r] >= q_min[r]) and np.all(got[r] <= q_max[r])
+        assert abs(got[r].sum() - budgets[r]) <= 1e-12 * max(1.0, abs(budgets[r]))
+    # both forms run the same steps in the same order (numpy sums fewer
+    # than 8 values left to right, as Python's sum does), so a small batch
+    # comes out bit for bit as it does inside a batch big enough for numpy
+    n = v.shape[0]
+    if n <= 3:
+        big = project_rows(*(np.concatenate([a] * 8) for a in batch))
+        np.testing.assert_array_equal(big[:n], got)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 3) | st.integers(8, 10), h=st.integers(1, 24), data=st.data())
+def test_project_rows_pins_edge_budgets_off_the_grid(n, h, data):
+    # off the grid the sums of kink steps round, so s at the last kink can
+    # end a hair above E = sum(q_min); that budget must still give q_min
+    def draw(lo, hi):
+        return data.draw(arrays(np.float64, (n, h), elements=st.floats(lo, hi)))
+
+    q_min = draw(0.0, 5.0)
+    q_max = q_min + draw(0.0, 5.0)
+    v = draw(-10.0, 10.0)
+    for bound in (q_min, q_max):
+        got = project_rows(v, q_min, q_max, bound.sum(axis=1))
+        np.testing.assert_allclose(got, bound, rtol=0.0, atol=1e-12)
+
+
+def test_project_rows_row_does_not_depend_on_its_batch():
+    rng = np.random.default_rng(5)
+    n, h = 40, 24
+    q_min = rng.uniform(0.0, 1.0, (n, h))
+    q_max = q_min + rng.uniform(0.0, 3.0, (n, h))
+    budgets = q_min.sum(axis=1) + rng.uniform(0.0, 1.0, n) * (
+        q_max.sum(axis=1) - q_min.sum(axis=1)
+    )
+    v = rng.uniform(-4.0, 6.0, (n, h)) * rng.choice([1.0, 1e3], (n, 1))
+    batch = project_rows(v, q_min, q_max, budgets)
+    for r in range(n):
+        alone = project_rows(v[r], q_min[r], q_max[r], budgets[r])
+        np.testing.assert_array_equal(alone[0], batch[r])
 
 
 # --- sample_feasible --------------------------------------------------------
