@@ -162,4 +162,4 @@ def sample_feasible(spec: ConsumerSpec, rng: np.random.Generator) -> np.ndarray:
     if report is not None:
         raise ValueError(f"invalid consumer spec: {report}")
     draw = rng.uniform(spec.q_min, spec.q_max)
-    return project(draw, spec)
+    return project_rows(draw, spec.q_min, spec.q_max, spec.energy)[0]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algorithms import Scenario
-from .feasible import ConsumerSpec, project, validate
+from .feasible import ConsumerSpec, project, project_rows
 from .model import PriceCurve, grid_cost, mapping_profiles, par
 
 _BACKTRACK_LIMIT = 60
@@ -27,6 +27,47 @@ class ConvergenceError(RuntimeError):
 
 def _bill(q: np.ndarray, others: np.ndarray, curve: PriceCurve) -> float:
     return float(curve.price_vector(q + others) @ q)
+
+
+def _descend(objective, gradient, proj, q, tol, max_iter, what):
+    """Projected gradient with backtracking line search on a convex objective.
+
+    Stops at the probe-step-1 first-order certificate
+    max|q - proj(q - grad)| <= tol and returns (q, objective(q)); raises
+    ConvergenceError naming `what` after `max_iter` iterations.
+    """
+    fval = objective(q)
+    step = 1.0
+    move = np.inf
+    for it in range(max_iter):
+        grad = gradient(q)
+        # near the optimum the line search accepts float-noise-scale moves,
+        # so once steps are small the first-order certificate is checked
+        # every iteration to catch the sub-tolerance dips
+        if move <= 100.0 * tol or it % 10 == 9:
+            probe = proj(q - grad)
+            if float(np.max(np.abs(q - probe))) <= tol:
+                return q, fval
+        for _ in range(_BACKTRACK_LIMIT):
+            cand = proj(q - step * grad)
+            delta = cand - q
+            cand_val = objective(cand)
+            bound = fval + np.vdot(grad, delta) + np.vdot(delta, delta) / (2.0 * step)
+            if cand_val <= bound + 1e-15 * (1.0 + abs(fval)):
+                break
+            step *= 0.5
+        move = float(np.max(np.abs(delta)))
+        q, fval = cand, cand_val
+        step *= _STEP_GROWTH
+    raise ConvergenceError(f"{what} not within {tol:g} after {max_iter} iterations")
+
+
+def _start(scenario: Scenario, init) -> np.ndarray:
+    """Joint starting profiles: a copy of `init`, else each consumer's box
+    midpoint projected onto its set."""
+    if init is None:
+        return scenario.project(0.5 * (scenario.q_min_matrix + scenario.q_max_matrix))
+    return np.atleast_2d(np.asarray(init, dtype=float)).copy()
 
 
 def best_response(
@@ -42,40 +83,18 @@ def best_response(
     Projected gradient with backtracking line search on the convex objective;
     stops at probe-step-1 first-order optimality ||q - proj(q - grad)|| <= tol.
     """
-    report = validate(spec)
-    if report is not None:
-        raise ValueError(f"invalid consumer spec: {report}")
+    # project validates the spec and the length of x0
+    q = project(0.5 * (spec.q_min + spec.q_max) if x0 is None else x0, spec)
     others = np.asarray(others_aggregate, dtype=float)
     if others.shape != (spec.horizon,) or np.any(others < 0):
         raise ValueError("others_aggregate must be a nonnegative length-H vector")
-
-    q = project(0.5 * (spec.q_min + spec.q_max) if x0 is None else x0, spec)
-    fval = _bill(q, others, curve)
-    step = 1.0
-    move = np.inf
-    for it in range(max_iter):
-        grad = mapping_profiles(q, q + others, curve)
-        # near the optimum the line search accepts float-noise-scale moves,
-        # so once steps are small the first-order certificate is checked
-        # every iteration to catch the sub-tolerance dips
-        if move <= 100.0 * tol or it % 10 == 9:
-            probe = project(q - grad, spec)
-            if float(np.max(np.abs(q - probe))) <= tol:
-                return q
-        for _ in range(_BACKTRACK_LIMIT):
-            cand = project(q - step * grad, spec)
-            delta = cand - q
-            cand_val = _bill(cand, others, curve)
-            bound = fval + grad @ delta + (delta @ delta) / (2.0 * step)
-            if cand_val <= bound + 1e-15 * (1.0 + abs(fval)):
-                break
-            step *= 0.5
-        move = float(np.max(np.abs(delta)))
-        q, fval = cand, cand_val
-        step *= _STEP_GROWTH
-    raise ConvergenceError(
-        f"best response not within {tol:g} after {max_iter} iterations"
+    q, _ = _descend(
+        lambda v: _bill(v, others, curve),
+        lambda v: mapping_profiles(v, v + others, curve),
+        lambda v: project_rows(v, spec.q_min, spec.q_max, spec.energy)[0],
+        q, tol, max_iter, "best response",
     )
+    return q
 
 
 def nash_best_response_iteration(
@@ -91,12 +110,7 @@ def nash_best_response_iteration(
     """
     if scenario.certificate is not None and not scenario.certificate.holds:
         raise ValueError("scenario fails the uniqueness certificate")
-    if init is None:
-        q = np.vstack(
-            [project(0.5 * (s.q_min + s.q_max), s) for s in scenario.specs]
-        )
-    else:
-        q = np.atleast_2d(np.asarray(init, dtype=float)).copy()
+    q = _start(scenario, init)
     # inner solves to the fixed 1e-8 target; tighter is not certifiable
     # through the probe projection once bill differences hit float noise
     inner_tol = max(min(1e-8, tol / 10.0), 1e-8)
@@ -130,12 +144,6 @@ def social_welfare_optimum(
     depends on the aggregate only, so the optimal cost is unique even though
     the optimal split between consumers need not be.
     """
-    if init is None:
-        q = np.vstack(
-            [project(0.5 * (s.q_min + s.q_max), s) for s in scenario.specs]
-        )
-    else:
-        q = np.atleast_2d(np.asarray(init, dtype=float)).copy()
     curve = scenario.curve
 
     def joint_grad(profiles: np.ndarray) -> np.ndarray:
@@ -143,27 +151,11 @@ def social_welfare_optimum(
         row = curve.price_derivative_vector(sigma) * sigma + curve.price_vector(sigma)
         return np.broadcast_to(row, profiles.shape)
 
-    fval = grid_cost(q.sum(axis=0), curve)
-    step = 1.0
-    for _ in range(max_iter):
-        grad = joint_grad(q)
-        probe = scenario.project(q - grad)
-        if float(np.max(np.abs(q - probe))) <= tol:
-            return q, fval
-        for _ in range(_BACKTRACK_LIMIT):
-            cand = probe if step == 1.0 else scenario.project(q - step * grad)
-            delta = cand - q
-            cand_val = grid_cost(cand.sum(axis=0), curve)
-            bound = fval + float(np.sum(grad * delta)) + float(
-                np.sum(delta * delta)
-            ) / (2.0 * step)
-            if cand_val <= bound + 1e-15 * (1.0 + abs(fval)):
-                break
-            step *= 0.5
-        q, fval = cand, cand_val
-        step *= _STEP_GROWTH
-    raise ConvergenceError(
-        f"welfare optimum not within {tol:g} after {max_iter} iterations"
+    return _descend(
+        lambda p: grid_cost(p.sum(axis=0), curve),
+        joint_grad,
+        scenario.project,
+        _start(scenario, init), tol, max_iter, "welfare optimum",
     )
 
 

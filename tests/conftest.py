@@ -1,6 +1,9 @@
 """Shared fixtures: deterministic toy games and the canonical desk-scale
 scenario, built once per session where they are expensive."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,16 @@ from dsmgame.algorithms import Scenario
 from dsmgame.feasible import ConsumerSpec, sample_feasible
 from dsmgame.model import PriceCurve
 from dsmgame.scenario import GenerationRecipe, generate
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def src_env() -> dict:
+    """Environment for a child Python process that imports dsmgame from this
+    checkout's `src`, installed or not."""
+    path = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
 
 
 def make_toy_game(seed: int) -> tuple[Scenario, np.ndarray]:

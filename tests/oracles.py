@@ -16,26 +16,41 @@ from dsmgame.model import bill_instantaneous
 
 def project_qp_oracle(v, q_min, q_max, energy, tol=1e-9):
     """Exact projection onto {q : q_min <= q <= q_max, sum q = energy} by
-    enumerating every lower/upper/free active-set pattern (H <= 4)."""
-    v = np.asarray(v, dtype=float)
+    enumerating every lower/upper/free active-set pattern (H <= 4) and
+    keeping the one whose KKT conditions hold: some multiplier lam with free
+    slots at v - lam inside their box, v - lam <= q_min on lower-bound slots
+    and v - lam >= q_max on upper-bound slots, and the budget met.
+
+    The projection meets them up to rounding while every other pattern
+    misses by a real margin, so the least violation wins; comparing
+    distances instead cannot separate candidates closer than the rounding
+    of the objective."""
+    v, q_min, q_max = (np.asarray(a, dtype=float) for a in (v, q_min, q_max))
     h = v.shape[0]
-    best, best_val = None, np.inf
+    best, best_viol = None, np.inf
     for pattern in itertools.product((-1, 0, 1), repeat=h):
         pattern = np.array(pattern)
-        cand = np.where(pattern == -1, q_min, 0.0) + np.where(pattern == 1, q_max, 0.0)
-        free = pattern == 0
-        n_free = int(free.sum())
-        if n_free:
-            lam = (v[free].sum() - (energy - cand.sum())) / n_free
+        lower, free, upper = pattern == -1, pattern == 0, pattern == 1
+        cand = np.where(lower, q_min, 0.0) + np.where(upper, q_max, 0.0)
+        if free.any():
+            lam = (v[free].sum() - (energy - cand.sum())) / free.sum()
             cand = cand + np.where(free, v - lam, 0.0)
-        elif abs(cand.sum() - energy) > tol:
-            continue
-        if np.any(cand < q_min - tol) or np.any(cand > q_max + tol):
-            continue
-        val = float(np.sum((cand - v) ** 2))
-        if val < best_val:
-            best, best_val = np.clip(cand, q_min, q_max), val
-    assert best is not None, "no feasible active-set pattern (invalid spec?)"
+            lam_lo = lam_hi = lam
+        else:
+            # any lam in [max over lower of v - q_min, min over upper of
+            # v - q_max] will do; the interval must not be empty
+            lam_lo = np.max((v - q_min)[lower], initial=-np.inf)
+            lam_hi = np.min((v - q_max)[upper], initial=np.inf)
+        viol = max(
+            abs(cand.sum() - energy),
+            np.max(q_min - cand, initial=0.0),
+            np.max(cand - q_max, initial=0.0),
+            np.max((v - q_min)[lower] - lam_hi, initial=0.0),
+            np.max(lam_lo - (v - q_max)[upper], initial=0.0),
+        )
+        if viol < best_viol:
+            best, best_viol = np.clip(cand, q_min, q_max), viol
+    assert best_viol <= tol, "no active-set pattern meets the KKT conditions"
     return best
 
 

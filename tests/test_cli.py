@@ -9,7 +9,7 @@ import pytest
 
 from dsmgame.cli import main
 from dsmgame.scenario import load_scenario, save_scenario
-from conftest import make_toy_game
+from conftest import REPO, make_toy_game, src_env
 
 
 @pytest.fixture()
@@ -246,6 +246,31 @@ def test_module_invocation(tmp_path):
         [sys.executable, "-m", "dsmgame", "generate", "--n", "3", "-o", str(out)],
         capture_output=True,
         text=True,
+        env=src_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
+
+
+# --- experiment script -----------------------------------------------------------
+
+
+def test_run_experiments_script_smoke(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "run_experiments.py"),
+         "--n", "8", "--events", "300", "--outdir", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=src_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert set(summary) == {
+        "seed", "par_before", "cost_before", "alg1", "alg2", "alg3", "welfare"
+    }
+    for name in ("alg1", "alg2", "alg3"):
+        assert set(summary[name]) == {
+            "converged", "iterations", "residual", "final_par", "final_cost"
+        }
+    assert set(summary["welfare"]) == {"ne_cost", "optimal_cost", "relative_gap"}
+    assert summary["welfare"]["relative_gap"] >= -1e-9

@@ -122,9 +122,8 @@ def test_project_budget_conservation(v):
 @st.composite
 def projection_batches(draw):
     # 1-3 rows take the plain-float form of project_rows, 8+ rows its numpy
-    # form. Values sit on a grid of 1 or 1/8, so kinks tie, zero widths give
-    # q_min == q_max, and distinct active sets lie far enough apart for the
-    # enumeration oracle's objective comparison to pick the right one
+    # form. Values sit on a grid of 1 or 1/8, so kinks tie and zero widths
+    # give q_min == q_max
     h = draw(st.integers(1, 4))
     n = draw(st.integers(1, 3) | st.integers(8, 10))
     step = draw(st.sampled_from([1.0, 0.125]))
@@ -159,6 +158,33 @@ def test_project_rows_matches_qp_oracle_row_by_row(batch):
     if n <= 3:
         big = project_rows(*(np.concatenate([a] * 8) for a in batch))
         np.testing.assert_array_equal(big[:n], got)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 3) | st.integers(8, 10), h=st.integers(1, 4), data=st.data())
+def test_project_rows_matches_qp_oracle_on_raw_floats(n, h, data):
+    def draw(lo, hi, shape):
+        return data.draw(arrays(np.float64, shape, elements=st.floats(lo, hi)))
+
+    q_min = draw(0.0, 5.0, (n, h))
+    q_max = q_min + draw(0.0, 5.0, (n, h))
+    v = draw(-10.0, 10.0, (n, h))
+    lo, hi = q_min.sum(axis=1), q_max.sum(axis=1)
+    budgets = lo + draw(0.0, 1.0, n) * (hi - lo)
+    got = project_rows(v, q_min, q_max, budgets)
+    for r in range(n):
+        expected = project_qp_oracle(v[r], q_min[r], q_max[r], budgets[r])
+        np.testing.assert_allclose(got[r], expected, rtol=0.0, atol=1e-12)
+        assert np.all(got[r] >= q_min[r]) and np.all(got[r] <= q_max[r])
+
+
+def test_qp_oracle_separates_active_sets_closer_than_rounding():
+    # [0, 1e-8] is feasible and only 5e-17 farther from v in squared
+    # distance than the projection, so a distance comparison cannot tell
+    # them apart; its multiplier signs are wrong, which rules it out
+    args = (np.ones(2), np.zeros(2), np.full(2, 1e-8), 1e-8)
+    np.testing.assert_allclose(project_qp_oracle(*args), [5e-9, 5e-9], rtol=1e-6)
+    np.testing.assert_allclose(project_rows(*args)[0], [5e-9, 5e-9], rtol=1e-6)
 
 
 @settings(max_examples=200, deadline=None)

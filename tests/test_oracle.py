@@ -149,7 +149,13 @@ def test_welfare_cost_dominates_equilibrium_and_feasible_points():
     rng = np.random.default_rng(77)
     for seed in (11, 22, 33):
         scenario, init = make_toy_game(seed)
-        _, opt_cost = social_welfare_optimum(scenario, tol=1e-8)
+        opt, opt_cost = social_welfare_optimum(scenario, tol=1e-8)
+        # the solver's own stop rule holds at what it returns
+        sigma = opt.sum(axis=0)
+        curve = scenario.curve
+        joint_grad = curve.price_derivative_vector(sigma) * sigma + curve.price_vector(sigma)
+        assert np.max(np.abs(opt - scenario.project(opt - joint_grad))) <= 1e-8
+        assert opt_cost == grid_cost(sigma, curve)
         ne = nash_best_response_iteration(scenario, tol=1e-7)
         ne_cost = grid_cost(ne.sum(axis=0), scenario.curve)
         init_cost = grid_cost(init.sum(axis=0), scenario.curve)
@@ -159,6 +165,15 @@ def test_welfare_cost_dominates_equilibrium_and_feasible_points():
             [sample_feasible(s, rng) for s in scenario.specs]
         )
         assert opt_cost <= grid_cost(random_point.sum(axis=0), scenario.curve) + 1e-9
+
+
+def test_solvers_raise_naming_themselves_when_out_of_iterations():
+    scenario, init = make_toy_game(11)
+    others = init[1:].sum(axis=0)
+    with pytest.raises(ConvergenceError, match="best response not within"):
+        best_response(others, scenario.specs[0], scenario.curve, max_iter=1)
+    with pytest.raises(ConvergenceError, match="welfare optimum not within"):
+        social_welfare_optimum(scenario, max_iter=1)
 
 
 # --- fairness ---------------------------------------------------------------
