@@ -14,7 +14,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .feasible import ConsumerSpec, is_feasible, project_rows, validate
+from .feasible import ConsumerSpec, project_rows, validate
 from .model import Certificate, PriceCurve, mapping_profiles, uniqueness_certificate
 from .network import CommGraph, GossipEvent, is_doubly_stochastic
 
@@ -149,10 +149,11 @@ class RunTrace:
         return len(self.profiles)
 
     def record(self, profiles, curve: PriceCurve, residual: float, estimates=None):
+        # the runners record feasible (so nonnegative) profiles only
         q_sigma = profiles.sum(axis=0)
         self.profiles.append(profiles.copy())
         self.aggregates.append(q_sigma)
-        self.bills.append(profiles @ curve.price_vector(q_sigma))
+        self.bills.append(profiles @ curve._price(q_sigma))
         self.residuals.append(residual)
         if estimates is not None:
             if self.estimates is None:
@@ -254,9 +255,18 @@ def _check_init(scenario: Scenario, init) -> np.ndarray:
             f"initial profiles must have shape ({scenario.n_consumers}, "
             f"{scenario.horizon}), got {q.shape}"
         )
-    for n, spec in enumerate(scenario.specs):
-        if not is_feasible(q[n], spec, tol=1e-9):
-            raise ValueError(f"initial profile of consumer {n} is infeasible")
+    if not np.isfinite(q).all():
+        raise ValueError("profile contains non-finite entries")
+    # the row-wise form of feasible.is_feasible, tolerance 1e-9
+    tol = 1e-9
+    infeasible = (
+        (q < scenario.q_min_matrix - tol).any(axis=1)
+        | (q > scenario.q_max_matrix + tol).any(axis=1)
+        | (abs(q.sum(axis=1) - scenario.budgets) > tol)
+    )
+    if infeasible.any():
+        n = int(infeasible.argmax())
+        raise ValueError(f"initial profile of consumer {n} is infeasible")
     return q.copy()
 
 

@@ -112,11 +112,20 @@ def project_rows(points, q_min, q_max, budgets) -> np.ndarray:
     All arguments broadcast row-wise: q_min/q_max are (N, H), budgets (N,).
     Each row's kinks are sorted on their own and every step works along the
     row, so a row's result does not depend on the other rows in the call.
+    The inputs are trusted: callers validate the sets where they enter.
     """
-    v = np.atleast_2d(np.asarray(points, dtype=float))
-    q_min = np.broadcast_to(q_min, v.shape)
-    q_max = np.broadcast_to(q_max, v.shape)
-    budgets = np.broadcast_to(budgets, v.shape[:1])
+    v = np.asarray(points, dtype=float)
+    if v.ndim < 2:
+        v = v.reshape(1, -1)
+    q_min, q_max, budgets = np.asarray(q_min), np.asarray(q_max), np.asarray(budgets)
+    # broadcasting costs more than the projection of a tiny row, so it runs
+    # only when a shape differs
+    if q_min.shape != v.shape:
+        q_min = np.broadcast_to(q_min, v.shape)
+    if q_max.shape != v.shape:
+        q_max = np.broadcast_to(q_max, v.shape)
+    if budgets.shape != v.shape[:1]:
+        budgets = np.broadcast_to(budgets, v.shape[:1])
     if v.shape[0] <= 6 and v.shape[1] <= 6:
         return _project_rows_small(v, q_min, q_max, budgets)
     n_slots = v.shape[1]

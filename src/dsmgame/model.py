@@ -68,7 +68,13 @@ class PriceCurve:
             raise ValueError("price exponents b_h must be >= 1")
         if np.any(c < 0):
             raise ValueError("price offsets c_h must be nonnegative")
-        for arr, name in ((a, "a"), (b, "b"), (c, "c")):
+        # derived constants of the kernels; the b_h = 1 slots use exponent 0
+        # so the derivative never evaluates 0**0 on its discarded branch
+        linear = b == 1.0
+        for arr, name in (
+            (a, "a"), (b, "b"), (c, "c"), (linear, "_linear"),
+            (np.where(linear, 0.0, b - 1.0), "_powers"), (a * b, "_ab"),
+        ):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -80,15 +86,21 @@ class PriceCurve:
         """p_h(L_h) for an array of loads; last axis must have length H."""
         loads = np.asarray(loads, dtype=float)
         self._check_loads(loads)
-        return self.a * loads**self.b + self.c
+        return self._price(loads)
 
     def price_derivative_vector(self, loads) -> np.ndarray:
         """p_h'(L_h) = a_h b_h L^(b_h - 1); the b_h = 1 branch avoids 0**0."""
         loads = np.asarray(loads, dtype=float)
         self._check_loads(loads)
-        linear = self.b == 1.0
-        powers = np.where(linear, 0.0, self.b - 1.0)
-        return np.where(linear, self.a, self.a * self.b * loads**powers)
+        return self._slope(loads)
+
+    # unchecked kernels for float arrays whose last axis has length H and
+    # whose entries are nonnegative; callers check loads where they enter
+    def _price(self, loads: np.ndarray) -> np.ndarray:
+        return self.a * loads**self.b + self.c
+
+    def _slope(self, loads: np.ndarray) -> np.ndarray:
+        return np.where(self._linear, self.a, self._ab * loads**self._powers)
 
     def price_second_derivative_vector(self, loads) -> np.ndarray:
         """p_h''(L_h) = a_h b_h (b_h - 1) L^(b_h - 2).
@@ -98,7 +110,7 @@ class PriceCurve:
         """
         loads = np.asarray(loads, dtype=float)
         self._check_loads(loads)
-        linear = self.b == 1.0
+        linear = self._linear
         singular = (loads == 0) & (self.b < 2) & ~linear
         if np.any(singular):
             slot = int(np.argmax(singular) % self.horizon) + 1
@@ -116,7 +128,7 @@ class PriceCurve:
             raise ValueError(
                 f"load array has last dimension {loads.shape[-1:]}, expected {self.horizon}"
             )
-        if np.any(loads < 0):
+        if (loads < 0).any():
             raise ValueError("loads must be nonnegative")
 
     def _slot(self, h: int) -> int:
@@ -178,11 +190,13 @@ def mapping_profiles(profiles, aggregates, curve: PriceCurve) -> np.ndarray:
 
     `aggregates` is either one shared aggregate (H,) or one per row (N, H),
     which is how the consensus solvers feed per-consumer estimates through.
+    The aggregates are checked once, here: the consensus solvers' pricing
+    proxies are not guaranteed nonnegative.
     """
     profiles = np.asarray(profiles, dtype=float)
-    return profiles * curve.price_derivative_vector(aggregates) + curve.price_vector(
-        aggregates
-    )
+    aggregates = np.asarray(aggregates, dtype=float)
+    curve._check_loads(aggregates)
+    return profiles * curve._slope(aggregates) + curve._price(aggregates)
 
 
 def mapping_component(q_n, q_sigma, curve: PriceCurve) -> np.ndarray:

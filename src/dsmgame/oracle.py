@@ -15,7 +15,7 @@ import numpy as np
 
 from .algorithms import Scenario
 from .feasible import ConsumerSpec, project, project_rows
-from .model import PriceCurve, grid_cost, mapping_profiles, par
+from .model import PriceCurve, as_profile, mapping_profiles, par
 
 _BACKTRACK_LIMIT = 60
 _STEP_GROWTH = 1.25
@@ -25,8 +25,14 @@ class ConvergenceError(RuntimeError):
     """An oracle solver ran out of iterations before meeting its tolerance."""
 
 
+# the oracles price loads that are sums of feasible profiles, or `others`
+# that best_response checked on entry, so they call the unchecked kernels
 def _bill(q: np.ndarray, others: np.ndarray, curve: PriceCurve) -> float:
-    return float(curve.price_vector(q + others) @ q)
+    return float(curve._price(q + others) @ q)
+
+
+def _grid_cost(sigma: np.ndarray, curve: PriceCurve) -> float:
+    return float(curve._price(sigma) @ sigma)
 
 
 def _descend(objective, gradient, proj, q, tol, max_iter, what):
@@ -46,7 +52,7 @@ def _descend(objective, gradient, proj, q, tol, max_iter, what):
         # every iteration to catch the sub-tolerance dips
         if move <= 100.0 * tol or it % 10 == 9:
             probe = proj(q - grad)
-            if float(np.max(np.abs(q - probe))) <= tol:
+            if float(abs(q - probe).max()) <= tol:
                 return q, fval
         for _ in range(_BACKTRACK_LIMIT):
             cand = proj(q - step * grad)
@@ -56,7 +62,7 @@ def _descend(objective, gradient, proj, q, tol, max_iter, what):
             if cand_val <= bound + 1e-15 * (1.0 + abs(fval)):
                 break
             step *= 0.5
-        move = float(np.max(np.abs(delta)))
+        move = float(abs(delta).max())
         q, fval = cand, cand_val
         step *= _STEP_GROWTH
     raise ConvergenceError(f"{what} not within {tol:g} after {max_iter} iterations")
@@ -88,10 +94,12 @@ def best_response(
     others = np.asarray(others_aggregate, dtype=float)
     if others.shape != (spec.horizon,) or np.any(others < 0):
         raise ValueError("others_aggregate must be a nonnegative length-H vector")
+    # the set as one row, shaped once so no projection broadcasts
+    q_min, q_max, energy = spec.q_min[None, :], spec.q_max[None, :], np.array([spec.energy])
     q, _ = _descend(
         lambda v: _bill(v, others, curve),
         lambda v: mapping_profiles(v, v + others, curve),
-        lambda v: project_rows(v, spec.q_min, spec.q_max, spec.energy)[0],
+        lambda v: project_rows(v, q_min, q_max, energy)[0],
         q, tol, max_iter, "best response",
     )
     return q
@@ -122,7 +130,7 @@ def nash_best_response_iteration(
             updated = best_response(
                 others, spec, scenario.curve, tol=inner_tol, x0=q[n]
             )
-            sweep_change = max(sweep_change, float(np.max(np.abs(updated - q[n]))))
+            sweep_change = max(sweep_change, float(abs(updated - q[n]).max()))
             total += updated - q[n]
             q[n] = updated
         if sweep_change <= tol:
@@ -148,14 +156,18 @@ def social_welfare_optimum(
 
     def joint_grad(profiles: np.ndarray) -> np.ndarray:
         sigma = profiles.sum(axis=0)
-        row = curve.price_derivative_vector(sigma) * sigma + curve.price_vector(sigma)
+        row = curve._slope(sigma) * sigma + curve._price(sigma)
         return np.broadcast_to(row, profiles.shape)
 
+    q = _start(scenario, init)
+    # every later iterate is projected, so the start's aggregate is the one
+    # load the unchecked kernels could see unvalidated
+    as_profile(q.sum(axis=0), scenario.horizon)
     return _descend(
-        lambda p: grid_cost(p.sum(axis=0), curve),
+        lambda p: _grid_cost(p.sum(axis=0), curve),
         joint_grad,
         scenario.project,
-        _start(scenario, init), tol, max_iter, "welfare optimum",
+        q, tol, max_iter, "welfare optimum",
     )
 
 
@@ -177,13 +189,15 @@ def fairness_comparison(profiles, scenario: Scenario) -> FairnessReport:
         raise ValueError(
             f"profiles must have shape ({scenario.n_consumers}, {scenario.horizon})"
         )
+    # par checks every row for finite, nonnegative entries before pricing
+    consumer_par = np.array([par(row) for row in q])
     sigma = q.sum(axis=0)
-    prices = scenario.curve.price_vector(sigma)
+    prices = scenario.curve._price(sigma)
     cost = float(prices @ sigma)
     budgets = scenario.budgets
     return FairnessReport(
         budgets=budgets.copy(),
         instantaneous_bills=q @ prices,
         total_load_bills=budgets / budgets.sum() * cost,
-        consumer_par=np.array([par(row) for row in q]),
+        consumer_par=consumer_par,
     )

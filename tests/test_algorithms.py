@@ -13,7 +13,7 @@ from dsmgame.algorithms import (
     run_algorithm2,
     run_algorithm3,
 )
-from dsmgame.feasible import ConsumerSpec, sample_feasible
+from dsmgame.feasible import ConsumerSpec, is_feasible, sample_feasible
 from dsmgame.model import PriceCurve, mapping_profiles
 from dsmgame.network import CommGraph, build_weights, generate_topology, gossip_stream
 from dsmgame.oracle import nash_best_response_iteration
@@ -120,6 +120,44 @@ def test_alg1_rejects_infeasible_init():
     scenario = singleton_scenario()
     with pytest.raises(ValueError, match="infeasible"):
         run_algorithm1(scenario, init=np.array([[5.0], [2.0], [3.0]]))
+
+
+def box_scenario(energies):
+    """Consumers on the box [0, 1]^2 with the given budgets."""
+    specs = tuple(ConsumerSpec(np.zeros(2), np.ones(2), e) for e in energies)
+    curve = PriceCurve(np.ones(2), np.full(2, 1.2), np.zeros(2))
+    return Scenario(specs, curve)
+
+
+@pytest.mark.parametrize("bad_row", [
+    [1.0 + 2e-9, -2e-9],  # both bounds broken by twice the tolerance
+    [0.5, 0.5 + 2e-9],  # budget missed by twice the tolerance
+])
+def test_init_check_names_the_first_infeasible_row(bad_row):
+    scenario = box_scenario([1.0] * 4)
+    init = np.full((4, 2), 0.5)
+    init[1] = init[3] = bad_row
+    assert not is_feasible(init[1], scenario.specs[1])
+    with pytest.raises(ValueError, match="initial profile of consumer 1 is infeasible"):
+        run_algorithm1(scenario, init=init, max_iter=1)
+
+
+def test_init_check_accepts_rows_at_the_tolerance():
+    # row 1 sits 1e-9 outside both bounds; row 2's sum misses its budget
+    # by exactly 1e-9 (2e-9 - 1e-9 is exact in floats)
+    scenario = box_scenario([1.0, 1.0, 1e-9])
+    init = np.array([[0.5, 0.5], [1.0 + 1e-9, -1e-9], [1e-9, 1e-9]])
+    assert abs(init[2].sum() - 1e-9) == 1e-9
+    for row, spec in zip(init, scenario.specs):
+        assert is_feasible(row, spec)
+    result, _ = run_algorithm1(scenario, init=init, max_iter=1)
+    assert result.iterations == 1
+
+
+def test_init_check_rejects_non_finite_rows():
+    scenario = box_scenario([1.0, 1.0])
+    with pytest.raises(ValueError, match="non-finite"):
+        run_algorithm1(scenario, init=np.array([[0.5, 0.5], [np.nan, 1.0]]))
 
 
 def test_alg1_rejects_bad_theta_and_schedule():

@@ -274,3 +274,22 @@ def test_run_experiments_script_smoke(tmp_path):
         }
     assert set(summary["welfare"]) == {"ne_cost", "optimal_cost", "relative_gap"}
     assert summary["welfare"]["relative_gap"] >= -1e-9
+
+
+def test_artifact_digests_script_is_reproducible(tmp_path):
+    digests = []
+    for run in ("first", "second"):
+        proc = subprocess.run(
+            [sys.executable, str(REPO / "scripts" / "artifact_digests.py"),
+             "--outdir", str(tmp_path / run), "--n", "8", "--max-events", "300"],
+            capture_output=True,
+            text=True,
+            env=src_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.append(json.loads(proc.stdout))
+    assert list(digests[0]) == [
+        "scenario.json", "trace1.csv", "summary1.json", "trace2.csv",
+        "summary2.json", "trace3.csv", "summary3.json", "welfare.json",
+    ]
+    assert digests[0] == digests[1]

@@ -218,6 +218,23 @@ def test_project_rows_row_does_not_depend_on_its_batch():
         np.testing.assert_array_equal(alone[0], batch[r])
 
 
+@pytest.mark.parametrize("n, h", [(3, 4), (12, 24)])  # plain-float, numpy form
+def test_project_rows_shared_bounds_match_explicit_rows_bit_for_bit(n, h):
+    rng = np.random.default_rng(n * h)
+    q_min = rng.uniform(0.0, 1.0, h)
+    q_max = q_min + rng.uniform(0.5, 2.0, h)
+    energy = float(q_min.sum() + 0.4 * (q_max - q_min).sum())
+    v = rng.uniform(-3.0, 5.0, (n, h))
+    shared = project_rows(v, q_min, q_max, energy)
+    explicit = project_rows(
+        v, np.tile(q_min, (n, 1)), np.tile(q_max, (n, 1)), np.full(n, energy)
+    )
+    np.testing.assert_array_equal(shared, explicit)
+    np.testing.assert_array_equal(
+        project_rows(v[0], q_min, q_max, energy), explicit[:1]
+    )
+
+
 # --- sample_feasible --------------------------------------------------------
 
 

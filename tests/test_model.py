@@ -17,6 +17,7 @@ from dsmgame.model import (
     jacobian_slot_matrix,
     kappa_margin,
     mapping_component,
+    mapping_profiles,
     monotonicity_certificate,
     par,
     price,
@@ -239,6 +240,54 @@ def test_mapping_matches_finite_differences():
 def test_mapping_length_mismatch():
     with pytest.raises(ValueError):
         mapping_component(np.ones(2), np.ones(3), curve1(1.0, 1.2))
+
+
+def test_mapping_rejects_negative_per_row_proxy():
+    # the consensus solvers price against per-row proxies that can go
+    # negative; the mapping's one load check turns that into a typed error
+    curve = PriceCurve(np.ones(3), np.full(3, 1.2), np.zeros(3))
+    proxies = np.ones((4, 3))
+    proxies[2, 1] = -1e-12
+    with pytest.raises(ValueError, match="loads must be nonnegative"):
+        mapping_profiles(np.ones((4, 3)), proxies, curve)
+
+
+def test_public_price_methods_reject_negative_and_misshaped_loads():
+    curve = PriceCurve(np.ones(3), np.array([1.0, 1.2, 2.0]), np.zeros(3))
+    for method in (curve.price_vector, curve.price_derivative_vector):
+        with pytest.raises(ValueError, match="loads must be nonnegative"):
+            method(np.array([1.0, -0.5, 1.0]))
+        with pytest.raises(ValueError, match="loads must be nonnegative"):
+            method(np.array([[1.0, 1.0, 1.0], [1.0, 1.0, -1e-300]]))
+        for shape in ((2,), (2, 4), (0,)):
+            with pytest.raises(ValueError, match="last dimension"):
+                method(np.ones(shape))
+    with pytest.raises(ValueError, match="last dimension"):
+        mapping_profiles(np.ones(3), np.ones(4), curve)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_price_kernels_match_the_formulas_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    h = int(rng.integers(1, 30))
+    a = rng.uniform(1e-3, 3.0, h)
+    b = np.where(rng.random(h) < 0.4, 1.0, rng.uniform(1.0, 4.0, h))
+    b[0] = 1.0
+    c = rng.uniform(0.0, 1.0, h)
+    curve = PriceCurve(a, b, c)
+    for shape in ((h,), (7, h)):
+        x = rng.uniform(0.0, 100.0, shape) * (rng.random(shape) < 0.7)
+        x[..., -1] = 0.0
+        price_ref = a * x**b + c
+        slope_ref = np.where(b == 1, a, a * b * x ** (b - 1))
+        np.testing.assert_array_equal(curve._price(x), price_ref)
+        np.testing.assert_array_equal(curve._slope(x), slope_ref)
+        np.testing.assert_array_equal(curve.price_vector(x), price_ref)
+        np.testing.assert_array_equal(curve.price_derivative_vector(x), slope_ref)
+        own = rng.uniform(0.0, 5.0, shape)
+        np.testing.assert_array_equal(
+            mapping_profiles(own, x, curve), own * slope_ref + price_ref
+        )
 
 
 # --- Hessian diagonal -------------------------------------------------------

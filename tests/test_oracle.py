@@ -206,3 +206,22 @@ def test_bill_sums_agree_between_schemes():
     assert report.instantaneous_bills.sum() == pytest.approx(
         report.total_load_bills.sum(), abs=1e-10
     )
+
+
+def test_oracles_reject_negative_loads_where_they_enter():
+    # the oracles' inner loops price through unchecked kernels, so the
+    # loads that reach them from outside are checked on entry
+    scenario, init = make_toy_game(505)
+    spec, curve = scenario.specs[0], scenario.curve
+    with pytest.raises(ValueError, match="nonnegative"):
+        best_response(-np.ones(scenario.horizon), spec, curve)
+    negative_start = init.copy()
+    negative_start[:, 0] = -1.0
+    with pytest.raises(ValueError, match="nonnegative"):
+        social_welfare_optimum(scenario, init=negative_start)
+    with pytest.raises(ValueError, match="nonnegative"):
+        fairness_comparison(negative_start, scenario)
+    nan_profiles = init.copy()
+    nan_profiles[1, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        fairness_comparison(nan_profiles, scenario)
