@@ -6,13 +6,12 @@ from .algorithms import (
     RunTrace,
     Scenario,
     SolveResult,
-    StepSchedule,
     fixed_point_residual,
     run_algorithm1,
     run_algorithm2,
     run_algorithm3,
 )
-from .feasible import ConsumerSpec, is_feasible, project, sample_feasible, validate
+from .feasible import ConsumerSpec, is_feasible, project, sample_feasible
 from .model import (
     Certificate,
     PriceCurve,

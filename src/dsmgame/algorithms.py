@@ -14,7 +14,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .feasible import ConsumerSpec, project_rows, validate
+from .feasible import ConsumerSpec, project_rows
 from .model import Certificate, PriceCurve, mapping_profiles, uniqueness_certificate
 from .network import CommGraph, GossipEvent, is_doubly_stochastic
 
@@ -54,9 +54,6 @@ class Scenario:
                     f"consumer {idx}: horizon {spec.horizon} != price horizon "
                     f"{self.curve.horizon}"
                 )
-            report = validate(spec)
-            if report is not None:
-                raise ValueError(f"consumer {idx}: {report}")
         object.__setattr__(self, "specs", specs)
         cert = (
             uniqueness_certificate(len(specs), self.curve) if len(specs) >= 2 else None
@@ -85,48 +82,6 @@ class Scenario:
     def project(self, points: np.ndarray) -> np.ndarray:
         """Row-wise projection of an N x H array onto the consumers' sets."""
         return project_rows(points, self.q_min_matrix, self.q_max_matrix, self.budgets)
-
-
-@dataclass(frozen=True)
-class StepSchedule:
-    """Step-size rule of the synchronous runners: power-decay t^-p or a
-    constant. The gossip runner derives its 1/(update count) steps from its
-    own counters."""
-
-    kind: str
-    exponent: float | None = None
-    value: float | None = None
-
-    _KINDS = ("power-decay", "constant")
-
-    def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if self.kind == "power-decay":
-            if self.exponent is None or self.exponent <= 0:
-                raise ValueError("power-decay needs a positive exponent")
-        elif self.value is None or self.value <= 0:
-            raise ValueError("constant schedule needs a positive value")
-
-    @classmethod
-    def power_decay(cls, exponent: float = DEFAULT_EXPONENT) -> "StepSchedule":
-        return cls("power-decay", exponent=exponent)
-
-    @classmethod
-    def constant(cls, value: float) -> "StepSchedule":
-        return cls("constant", value=value)
-
-    def __call__(self, t: int) -> float:
-        if t < 1:
-            raise ValueError("iteration index starts at 1")
-        if self.kind == "power-decay":
-            return float(t) ** -self.exponent
-        return self.value
-
-    @property
-    def satisfies_diminishing_conditions(self) -> bool:
-        """Divergent sum with summable squares: t^-p with 0.5 < p <= 1."""
-        return self.kind == "power-decay" and 0.5 < self.exponent <= 1.0
 
 
 @dataclass
@@ -237,12 +192,12 @@ class SolveResult:
     uniqueness_verified: bool
 
 
-def fixed_point_residual(profiles, scenario: Scenario, probe_step: float = 1.0) -> float:
-    """Natural-map residual max_n ||q_n - proj(q_n - s F_n)||_inf; zero
-    exactly at the equilibrium for any positive probe step."""
+def fixed_point_residual(profiles, scenario: Scenario) -> float:
+    """Natural-map residual max_n ||q_n - proj(q_n - F_n)||_inf at probe
+    step 1; zero exactly at the equilibrium."""
     q = np.atleast_2d(np.asarray(profiles, dtype=float))
     grad = mapping_profiles(q, q.sum(axis=0), scenario.curve)
-    probe = scenario.project(q - probe_step * grad)
+    probe = scenario.project(q - grad)
     return float(np.max(np.abs(q - probe)))
 
 
@@ -280,7 +235,7 @@ def _check_graph(scenario: Scenario, graph: CommGraph) -> None:
 def _synchronous(
     scenario: Scenario,
     init,
-    schedule: StepSchedule | None,
+    step_exponent: float,
     update: Callable,
     tol: float,
     max_iter: int,
@@ -288,17 +243,14 @@ def _synchronous(
 ) -> tuple[SolveResult, RunTrace]:
     """Projected Jacobi loop shared by the synchronous runners.
 
-    Round t calls ``update(gamma(t), q(t), q(t-1), est(t))`` for
-    ``(q(t+1), est(t+1))``, with q(0) := q(1); `est` starts as a copy of
-    the initial profiles when `estimates` is set and is None otherwise.
-    Terminates when max_n ||q(t+1) - q(t)||_inf <= tol.
+    Round t calls ``update(t**-p, q(t), q(t-1), est(t))`` for
+    ``(q(t+1), est(t+1))``, with q(0) := q(1) and p = `step_exponent`;
+    `est` starts as a copy of the initial profiles when `estimates` is set
+    and is None otherwise. Terminates when max_n ||q(t+1) - q(t)||_inf <= tol.
     """
-    schedule = schedule or StepSchedule.power_decay()
-    if not schedule.satisfies_diminishing_conditions:
-        raise ValueError(
-            "step schedule must have divergent sum and summable squares "
-            "(power-decay with exponent in (0.5, 1])"
-        )
+    # the steps t^-p have a divergent sum and summable squares iff 0.5 < p <= 1
+    if not 0.5 < step_exponent <= 1.0:
+        raise ValueError(f"step exponent must lie in (0.5, 1], got {step_exponent:g}")
     q = _check_init(scenario, init)
     est = q.copy() if estimates else None
     trace = RunTrace()
@@ -309,7 +261,7 @@ def _synchronous(
     change = np.inf
     t = 0
     for t in range(1, max_iter + 1):
-        q_next, est = update(schedule(t), q, q_prev, est)
+        q_next, est = update(float(t) ** -step_exponent, q, q_prev, est)
         change = float(np.max(np.abs(q_next - q)))
         q_prev, q = q, q_next
         trace.record(q, scenario.curve, fixed_point_residual(q, scenario), estimates=est)
@@ -330,7 +282,7 @@ def _synchronous(
 def run_algorithm1(
     scenario: Scenario,
     theta: float = DEFAULT_THETA,
-    schedule: StepSchedule | None = None,
+    step_exponent: float = DEFAULT_EXPONENT,
     init=None,
     tol: float = DEFAULT_TOL,
     max_iter: int = 1000,
@@ -338,8 +290,8 @@ def run_algorithm1(
     """Central iterative proximal-point run.
 
     Each round the aggregator broadcasts the true aggregate; every consumer
-    applies the projected update with step gamma(t) on its mapping plus the
-    proximal term theta * (q(t) - q(t-1)). The t = 1 round uses
+    applies the projected update with step t^-step_exponent on its mapping
+    plus the proximal term theta * (q(t) - q(t-1)). The t = 1 round uses
     q(0) := q(1), so the first proximal term vanishes. Terminates when
     max_n ||q(t+1) - q(t)||_inf <= tol.
     """
@@ -350,7 +302,7 @@ def run_algorithm1(
         grad = mapping_profiles(q, q.sum(axis=0), scenario.curve)
         return scenario.project(q - step * (grad + theta * (q - q_prev))), est
 
-    return _synchronous(scenario, init, schedule, update, tol, max_iter, False)
+    return _synchronous(scenario, init, step_exponent, update, tol, max_iter, False)
 
 
 def _check_weights(scenario: Scenario, graph: CommGraph, weights) -> np.ndarray:
@@ -373,7 +325,7 @@ def run_algorithm2(
     scenario: Scenario,
     graph: CommGraph,
     weights,
-    schedule: StepSchedule | None = None,
+    step_exponent: float = DEFAULT_EXPONENT,
     init=None,
     tol: float = DEFAULT_TOL,
     max_iter: int = 1000,
@@ -394,7 +346,7 @@ def run_algorithm2(
         q_next = scenario.project(q - step * grad)
         return q_next, mixed + q_next - q
 
-    return _synchronous(scenario, init, schedule, update, tol, max_iter, True)
+    return _synchronous(scenario, init, step_exponent, update, tol, max_iter, True)
 
 
 def run_algorithm3(

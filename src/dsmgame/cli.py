@@ -57,11 +57,13 @@ def cmd_generate(args) -> int:
         else scen.default_base_interval()
     )
     recipe = scen.GenerationRecipe(
-        n_consumers=args.n, horizon=args.horizon, seed=args.seed, jitter=args.jitter
+        n_consumers=args.n, seed=args.seed, jitter=args.jitter
     )
     scenario, initials = scen.generate(recipe, base)
     sha = scen.save_scenario(args.out, scenario, initials)
-    print(f"wrote scenario {args.out} (N={args.n}, H={args.horizon}, hash {sha[:12]})")
+    print(
+        f"wrote scenario {args.out} (N={args.n}, H={scenario.horizon}, hash {sha[:12]})"
+    )
     return 0
 
 
@@ -85,13 +87,12 @@ def cmd_run(args) -> int:
         init = loaded.initial_profiles
     else:
         init = np.vstack([sample_feasible(spec, rng) for spec in scenario.specs])
-    schedule = algorithms.StepSchedule.power_decay(args.step_exponent)
 
     if args.alg == 1:
         result, trace = algorithms.run_algorithm1(
             scenario,
             theta=args.theta,
-            schedule=schedule,
+            step_exponent=args.step_exponent,
             init=init,
             tol=args.tol,
             max_iter=args.max_iter,
@@ -103,7 +104,7 @@ def cmd_run(args) -> int:
             scenario,
             graph,
             weights,
-            schedule=schedule,
+            step_exponent=args.step_exponent,
             init=init,
             tol=args.tol,
             max_iter=args.max_iter,
@@ -289,9 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="dsmgame", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", help="generate a scenario file")
+    # exact option names only, so `--h` is refused instead of read as `--help`
+    p = sub.add_parser("generate", help="generate a scenario file", allow_abbrev=False)
     p.add_argument("--n", type=int, default=50, help="number of consumers")
-    p.add_argument("--h", dest="horizon", type=int, default=24, help="time slots")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--jitter", type=float, default=0.1)
     p.add_argument("--base", help="base-interval CSV (default: packaged curve)")

@@ -24,7 +24,11 @@ from .model import _as_1d
 
 @dataclass(frozen=True)
 class ConsumerSpec:
-    """Box bounds and total energy budget defining one consumer's set Q_n."""
+    """Box bounds and total energy budget defining one consumer's set Q_n.
+
+    Construction rejects an empty set, naming the first crossed slot,
+    negative lower bound or budget mismatch, so every spec is valid.
+    """
 
     q_min: np.ndarray
     q_max: np.ndarray
@@ -35,37 +39,31 @@ class ConsumerSpec:
         q_max = _as_1d(self.q_max, "q_max")
         if q_min.shape != q_max.shape:
             raise ValueError("q_min and q_max must have equal length")
+        energy = float(self.energy)
+        crossed = q_min > q_max
+        if crossed.any():
+            h = int(crossed.argmax())
+            raise ValueError(
+                f"slot {h + 1}: q_min={q_min[h]:g} exceeds q_max={q_max[h]:g}"
+            )
+        if (q_min < 0).any():
+            h = int((q_min < 0).argmax())
+            raise ValueError(f"slot {h + 1}: q_min={q_min[h]:g} is negative")
+        if energy <= 0:
+            raise ValueError(f"energy budget E={energy:g} must be positive")
+        lo, hi = q_min.sum(), q_max.sum()
+        if not lo <= energy <= hi:
+            raise ValueError(
+                f"energy budget E={energy:g} outside feasible range [{lo:g}, {hi:g}]"
+            )
         for arr, name in ((q_min, "q_min"), (q_max, "q_max")):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "energy", float(self.energy))
+        object.__setattr__(self, "energy", energy)
 
     @property
     def horizon(self) -> int:
         return self.q_min.shape[0]
-
-
-def validate(spec: ConsumerSpec) -> str | None:
-    """Check nonemptiness of Q_n; returns None when valid, else a report
-    naming the first violated slot or the budget mismatch."""
-    crossed = spec.q_min > spec.q_max
-    if np.any(crossed):
-        h = int(np.argmax(crossed)) + 1
-        return (
-            f"slot {h}: q_min={spec.q_min[h - 1]:g} exceeds q_max={spec.q_max[h - 1]:g}"
-        )
-    if np.any(spec.q_min < 0):
-        h = int(np.argmax(spec.q_min < 0)) + 1
-        return f"slot {h}: q_min={spec.q_min[h - 1]:g} is negative"
-    if spec.energy <= 0:
-        return f"energy budget E={spec.energy:g} must be positive"
-    lo, hi = spec.q_min.sum(), spec.q_max.sum()
-    if not lo <= spec.energy <= hi:
-        return (
-            f"energy budget E={spec.energy:g} outside feasible range "
-            f"[{lo:g}, {hi:g}]"
-        )
-    return None
 
 
 def is_feasible(q, spec: ConsumerSpec, tol: float = 1e-9) -> bool:
@@ -112,7 +110,7 @@ def project_rows(points, q_min, q_max, budgets) -> np.ndarray:
     All arguments broadcast row-wise: q_min/q_max are (N, H), budgets (N,).
     Each row's kinks are sorted on their own and every step works along the
     row, so a row's result does not depend on the other rows in the call.
-    The inputs are trusted: callers validate the sets where they enter.
+    The inputs are trusted: ConsumerSpec and Scenario check the sets.
     """
     v = np.asarray(points, dtype=float)
     if v.ndim < 2:
@@ -156,9 +154,6 @@ def project_rows(points, q_min, q_max, budgets) -> np.ndarray:
 
 def project(v, spec: ConsumerSpec) -> np.ndarray:
     """Euclidean projection of v onto Q_n; idempotent and nonexpansive."""
-    report = validate(spec)
-    if report is not None:
-        raise ValueError(f"invalid consumer spec: {report}")
     v = _as_1d(v, "point")
     if v.shape[0] != spec.horizon:
         raise ValueError(f"point has length {v.shape[0]}, expected {spec.horizon}")
@@ -167,8 +162,5 @@ def project(v, spec: ConsumerSpec) -> np.ndarray:
 
 def sample_feasible(spec: ConsumerSpec, rng: np.random.Generator) -> np.ndarray:
     """Random point of Q_n: uniform draw inside the box, then projected."""
-    report = validate(spec)
-    if report is not None:
-        raise ValueError(f"invalid consumer spec: {report}")
     draw = rng.uniform(spec.q_min, spec.q_max)
     return project_rows(draw, spec.q_min, spec.q_max, spec.energy)[0]

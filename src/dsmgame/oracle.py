@@ -19,6 +19,10 @@ from .model import PriceCurve, as_profile, mapping_profiles, par
 
 _BACKTRACK_LIMIT = 60
 _STEP_GROWTH = 1.25
+# tolerance of the best responses inside the Nash sweeps, whatever the outer
+# tolerance: tighter is not certifiable through the probe projection once
+# bill differences hit float noise
+_INNER_TOL = 1e-8
 
 
 class ConvergenceError(RuntimeError):
@@ -89,7 +93,7 @@ def best_response(
     Projected gradient with backtracking line search on the convex objective;
     stops at probe-step-1 first-order optimality ||q - proj(q - grad)|| <= tol.
     """
-    # project validates the spec and the length of x0
+    # project checks the length of x0; the spec is valid by construction
     q = project(0.5 * (spec.q_min + spec.q_max) if x0 is None else x0, spec)
     others = np.asarray(others_aggregate, dtype=float)
     if others.shape != (spec.horizon,) or np.any(others < 0):
@@ -119,16 +123,13 @@ def nash_best_response_iteration(
     if scenario.certificate is not None and not scenario.certificate.holds:
         raise ValueError("scenario fails the uniqueness certificate")
     q = _start(scenario, init)
-    # inner solves to the fixed 1e-8 target; tighter is not certifiable
-    # through the probe projection once bill differences hit float noise
-    inner_tol = max(min(1e-8, tol / 10.0), 1e-8)
     for _ in range(max_sweeps):
         sweep_change = 0.0
         total = q.sum(axis=0)
         for n, spec in enumerate(scenario.specs):
             others = total - q[n]
             updated = best_response(
-                others, spec, scenario.curve, tol=inner_tol, x0=q[n]
+                others, spec, scenario.curve, tol=_INNER_TOL, x0=q[n]
             )
             sweep_change = max(sweep_change, float(abs(updated - q[n]).max()))
             total += updated - q[n]

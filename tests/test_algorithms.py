@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from dsmgame.algorithms import (
+    DEFAULT_EXPONENT,
     RunTrace,
     Scenario,
-    StepSchedule,
     fixed_point_residual,
     run_algorithm1,
     run_algorithm2,
@@ -44,10 +44,12 @@ def toy_graph(scenario, seed=0):
 
 
 def test_scenario_rejects_invalid_spec():
-    bad = ConsumerSpec(np.array([0.0]), np.array([1.0]), 5.0)
     curve = PriceCurve(np.array([1.0]), np.array([1.2]), np.array([0.0]))
-    with pytest.raises(ValueError, match="consumer 0"):
-        Scenario((bad,), curve)
+    # an empty set cannot be built, so it never reaches a scenario
+    with pytest.raises(ValueError, match="outside feasible range"):
+        Scenario((ConsumerSpec(np.array([0.0]), np.array([1.0]), 5.0),), curve)
+    with pytest.raises(ValueError, match="at least one consumer"):
+        Scenario((), curve)
 
 
 def test_scenario_rejects_horizon_mismatch():
@@ -68,31 +70,50 @@ def test_scenario_certificate_warning_flag():
     assert not result.uniqueness_verified
 
 
-# --- StepSchedule -------------------------------------------------------------
+# --- step exponent -----------------------------------------------------------
+
+
+def synchronous_runs(scenario, init):
+    """Both synchronous runners as functions of the step exponent."""
+    graph = toy_graph(scenario)
+    w = build_weights(graph, 0.5)
+    return (
+        lambda p: run_algorithm1(scenario, step_exponent=p, init=init, max_iter=2),
+        lambda p: run_algorithm2(
+            scenario, graph, w, step_exponent=p, init=init, max_iter=2
+        ),
+    )
 
 
 def test_power_decay_values_and_conditions():
-    sched = StepSchedule.power_decay(0.51)
-    assert sched(1) == 1.0
-    assert sched(16) == pytest.approx(16.0 ** -0.51)
-    assert sched.satisfies_diminishing_conditions
-    assert not StepSchedule.power_decay(0.4).satisfies_diminishing_conditions
-    assert not StepSchedule.power_decay(1.3).satisfies_diminishing_conditions
+    # t^-p has a divergent sum and summable squares iff 0.5 < p <= 1
+    scenario, init = make_toy_game(17)
+    for run in synchronous_runs(scenario, init):
+        result, _ = run(1.0)
+        assert result.iterations == 2
+        for p in (0.5, 1.3):
+            with pytest.raises(ValueError, match=rf"step exponent .*got {p:g}"):
+                run(p)
+    # round 2 steps 2^-1 = 0.5, so the exponent given is the one used
+    _, trace = synchronous_runs(scenario, init)[0](1.0)
+    q0, q1, q2 = trace.profiles
+    grad = mapping_profiles(q1, q1.sum(axis=0), scenario.curve)
+    expected = scenario.project(q1 - 0.5 * (grad + 0.2 * (q1 - q0)))
+    np.testing.assert_array_equal(q2, expected)
 
 
 def test_constant_schedule_not_square_summable():
-    sched = StepSchedule.constant(0.1)
-    assert sched(7) == 0.1
-    assert not sched.satisfies_diminishing_conditions
+    # exponent 0 is the constant step 1, whose squares do not sum
+    scenario, init = make_toy_game(17)
+    with pytest.raises(ValueError, match="got 0"):
+        run_algorithm1(scenario, step_exponent=0.0, init=init)
 
 
 def test_schedule_rejects_bad_parameters():
-    with pytest.raises(ValueError):
-        StepSchedule.power_decay(0.0)
-    with pytest.raises(ValueError):
-        StepSchedule.constant(-1.0)
-    with pytest.raises(ValueError):
-        StepSchedule("bogus")
+    scenario, init = make_toy_game(17)
+    for p in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="step exponent"):
+            run_algorithm1(scenario, step_exponent=p, init=init)
 
 
 # --- central proximal-point ---------------------------------------------------
@@ -165,8 +186,8 @@ def test_alg1_rejects_bad_theta_and_schedule():
     init = np.array([[1.0], [2.0], [3.0]])
     with pytest.raises(ValueError, match="theta"):
         run_algorithm1(scenario, theta=0.0, init=init)
-    with pytest.raises(ValueError, match="schedule"):
-        run_algorithm1(scenario, schedule=StepSchedule.constant(0.1), init=init)
+    with pytest.raises(ValueError, match="step exponent"):
+        run_algorithm1(scenario, step_exponent=0.4, init=init)
 
 
 def test_alg1_trace_profiles_stay_feasible():
@@ -263,7 +284,6 @@ def test_synchronous_rounds_replay_exactly_by_hand():
     # rounds 1 and 3, so a nonzero first term or a stale q(t-1) shows.
     scenario, init = make_toy_game(17)
     graph = toy_graph(scenario)
-    gamma = StepSchedule.power_decay()
     curve = scenario.curve
     _, t1 = run_algorithm1(scenario, theta=0.2, init=init, tol=0.0, max_iter=3)
     assert t1.iterations == 4
@@ -273,7 +293,8 @@ def test_synchronous_rounds_replay_exactly_by_hand():
         q_prev = q[max(t - 2, 0)]
         grad = mapping_profiles(q[t - 1], q[t - 1].sum(axis=0), curve)
         prox = 0.2 * (q[t - 1] - q_prev)
-        expected = scenario.project(q[t - 1] - gamma(t) * (grad + prox))
+        step = float(t) ** -DEFAULT_EXPONENT
+        expected = scenario.project(q[t - 1] - step * (grad + prox))
         np.testing.assert_array_equal(q[t], expected)
 
     # build_weights is symmetric, so it cannot tell w @ est from w.T @ est;
@@ -288,7 +309,8 @@ def test_synchronous_rounds_replay_exactly_by_hand():
         for t in (1, 2, 3):
             mixed = w @ est[t - 1]
             grad = mapping_profiles(q[t - 1], scenario.n_consumers * mixed, curve)
-            expected = scenario.project(q[t - 1] - gamma(t) * grad)
+            step = float(t) ** -DEFAULT_EXPONENT
+            expected = scenario.project(q[t - 1] - step * grad)
             np.testing.assert_array_equal(q[t], expected)
             np.testing.assert_array_equal(est[t], mixed + expected - q[t - 1])
 

@@ -43,6 +43,14 @@ def test_generate_writes_loadable_scenario(tmp_path):
     assert loaded.initial_profiles is not None
 
 
+def test_generate_reports_the_base_horizon(tmp_path, capsys):
+    out = tmp_path / "s.json"
+    assert run_cli("generate", "--n", "3", "-o", out) == 0
+    assert "(N=3, H=24, hash" in capsys.readouterr().out
+    # the horizon comes from the base interval; there is no flag for it
+    assert run_cli("generate", "--n", "3", "--h", "24", "-o", out) == 1
+
+
 def test_generate_missing_base_file(tmp_path, capsys):
     code = run_cli(
         "generate", "--n", "4", "--base", tmp_path / "absent.csv", "-o",
@@ -125,6 +133,37 @@ def test_run_strict_flags_nonconvergence(toy_file, tmp_path):
         "--strict", "--trace", tmp_path / "t.csv", "--summary", tmp_path / "s.json",
     )
     assert code == 2
+
+
+def test_run_rejects_step_exponent_outside_range(toy_file, tmp_path, capsys):
+    trace, summary = tmp_path / "t.csv", tmp_path / "s.json"
+    code = run_cli(
+        "run", toy_file, "--alg", "1", "--step-exponent", "0.5",
+        "--trace", trace, "--summary", summary,
+    )
+    assert code == 1
+    assert "step exponent must lie in (0.5, 1], got 0.5" in capsys.readouterr().err
+    assert not trace.exists() and not summary.exists()
+    # the gossip runner derives its own steps and ignores the flag
+    code = run_cli(
+        "run", toy_file, "--alg", "3", "--step-exponent", "0", "--topology",
+        "random", "--degree", "2", "--max-events", "50",
+        "--trace", trace, "--summary", summary,
+    )
+    assert code == 0
+
+
+def test_run_rejects_scenario_with_unreachable_budget(toy_file, tmp_path, capsys):
+    payload = json.loads(toy_file.read_text())
+    payload["consumers"][0]["energy"] = sum(payload["consumers"][0]["q_max"]) + 1.0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    code = run_cli(
+        "run", bad, "--alg", "1", "--trace", tmp_path / "t.csv",
+        "--summary", tmp_path / "s.json",
+    )
+    assert code == 1
+    assert "consumers[0]: energy budget" in capsys.readouterr().err
 
 
 def test_usage_error_exit_code(tmp_path):

@@ -12,7 +12,6 @@ from dsmgame.feasible import (
     project,
     project_rows,
     sample_feasible,
-    validate,
 )
 from oracles import project_qp_oracle
 
@@ -21,21 +20,38 @@ def spec_2d(e=6.0):
     return ConsumerSpec(np.zeros(2), np.full(2, 5.0), e)
 
 
-# --- validate ---------------------------------------------------------------
+# --- construction -----------------------------------------------------------
 
 
-def test_validate_ok():
-    assert validate(spec_2d(6.0)) is None
+def test_spec_accepts_nonempty_set():
+    spec = spec_2d(6.0)
+    assert spec.horizon == 2 and spec.energy == 6.0
+    # the budget may sit on either end of [sum q_min, sum q_max]
+    ConsumerSpec(np.array([1.0, 2.0]), np.array([4.0, 4.0]), 3.0)
+    ConsumerSpec(np.array([1.0, 2.0]), np.array([4.0, 4.0]), 8.0)
 
 
-def test_validate_budget_exceeds_box():
-    report = validate(ConsumerSpec(np.zeros(2), np.full(2, 2.0), 6.0))
-    assert report is not None and "budget" in report
+def test_spec_rejects_budget_outside_box():
+    with pytest.raises(ValueError, match=r"E=6 outside feasible range \[0, 4\]"):
+        ConsumerSpec(np.zeros(2), np.full(2, 2.0), 6.0)
+    with pytest.raises(ValueError, match=r"E=1 outside feasible range \[2, 5\]"):
+        ConsumerSpec(np.array([1.0, 1.0]), np.array([2.0, 3.0]), 1.0)
 
 
-def test_validate_crossed_bounds_names_slot():
-    report = validate(ConsumerSpec(np.array([3.0]), np.array([2.0]), 2.0))
-    assert report is not None and "slot 1" in report
+def test_spec_rejects_crossed_bounds_naming_slot():
+    with pytest.raises(ValueError, match="slot 2: q_min=3 exceeds q_max=2"):
+        ConsumerSpec(np.array([0.0, 3.0, 5.0]), np.array([1.0, 2.0, 4.0]), 2.0)
+
+
+def test_spec_rejects_negative_lower_bound_naming_slot():
+    with pytest.raises(ValueError, match="slot 3: q_min=-0.5 is negative"):
+        ConsumerSpec(np.array([0.0, 1.0, -0.5]), np.full(3, 2.0), 2.0)
+
+
+def test_spec_rejects_nonpositive_budget():
+    for energy in (0.0, -1.0):
+        with pytest.raises(ValueError, match=f"E={energy:g} must be positive"):
+            ConsumerSpec(np.zeros(2), np.ones(2), energy)
 
 
 # --- is_feasible ------------------------------------------------------------
@@ -81,7 +97,8 @@ def test_project_worked_dual_example():
 
 
 def test_project_rejects_invalid_spec():
-    with pytest.raises(ValueError):
+    # the set is rejected where it is built, before project could see it
+    with pytest.raises(ValueError, match="budget"):
         project(np.ones(2), ConsumerSpec(np.zeros(2), np.ones(2), 9.0))
 
 

@@ -69,7 +69,8 @@ def test_best_response_first_order_optimality():
 
 
 def test_best_response_rejects_invalid_spec():
-    with pytest.raises(ValueError):
+    # the set is rejected where it is built, before best_response could see it
+    with pytest.raises(ValueError, match="budget"):
         best_response(
             np.zeros(1), ConsumerSpec(np.zeros(1), np.ones(1), 5.0), flat_curve(1)
         )

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dsmgame.feasible import is_feasible, validate
+from dsmgame.feasible import is_feasible
 from dsmgame.scenario import (
     MID_PEAK,
     OFF_PEAK,
@@ -97,9 +97,10 @@ def test_generation_is_deterministic():
 
 
 def test_generated_specs_valid_and_witnessed_by_initials():
+    # generate builds every spec, so each set is nonempty by construction;
+    # its initial profile witnesses that
     scenario, init = generate(GenerationRecipe(n_consumers=20, seed=9))
     for n, spec in enumerate(scenario.specs):
-        assert validate(spec) is None
         assert is_feasible(init[n], spec, tol=1e-9)
 
 
@@ -213,6 +214,18 @@ def test_missing_field_is_rejected(tmp_path):
     path = tmp_path / "s.json"
     path.write_text(json.dumps(payload))
     with pytest.raises(ScenarioFormatError, match="price"):
+        load_scenario(path)
+
+
+def test_budget_above_box_is_a_format_error_naming_the_consumer(tmp_path):
+    import json
+
+    scenario, init = generate(GenerationRecipe(n_consumers=3, seed=16))
+    payload = scenario_payload(scenario, init)
+    payload["consumers"][0]["energy"] = sum(payload["consumers"][0]["q_max"]) + 1.0
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ScenarioFormatError, match=r"consumers\[0\]: energy budget"):
         load_scenario(path)
 
 
