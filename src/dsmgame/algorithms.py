@@ -144,17 +144,22 @@ class RunTrace:
         """Write the long-form trace: t,n,cost,residual,q1..qH (1-based ids).
 
         Lines end in ``\\r\\n``; `t` and `n` are integers and every float
-        field is Python's shortest round-trip ``repr``. A consumer's
-        ``q1..qH`` segment is formatted once and reused while its row stays
-        bitwise unchanged, so a gossip trace costs what its events change.
+        field is Python's shortest round-trip ``repr``. Each profile value is
+        formatted once and its string reused while its bits stay unchanged,
+        and a consumer's ``q1..qH`` segment is re-joined only when one of its
+        values changed; so a synchronous round costs the values it moved
+        (slots pinned at a bound cost nothing) and a gossip event the rows
+        it changed.
         """
         horizon = self.profiles[0].shape[1]
         header = ",".join(
             ["t", "n", "cost", "residual"] + [f"q{h}" for h in range(1, horizon + 1)]
         )
         prev_bits = None
-        # per consumer: ",n," and the cached "q1,...,qH\r\n" line tail
+        # per consumer: ",n," and the "q1,...,qH\r\n" line tail joined from
+        # `cells`, the repr of every profile value in row-major order
         ids: list[str] = []
+        cells: list[str] = []
         tails: list[str] = []
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(header + "\r\n")
@@ -162,14 +167,22 @@ class RunTrace:
                 zip(self.profiles, self.bills, self.residuals), start=1
             ):
                 q = np.ascontiguousarray(q, dtype=np.float64)
+                n_rows, width = q.shape
                 # compare bits, not values: -0.0 == 0.0 but their reprs differ
                 bits = q.view(np.uint64)
                 if prev_bits is None or bits.shape != prev_bits.shape:
-                    ids = [f",{n}," for n in range(1, q.shape[0] + 1)]
-                    tails = [",".join(map(repr, row)) + "\r\n" for row in q.tolist()]
+                    ids = [f",{n}," for n in range(1, n_rows + 1)]
+                    cells = list(map(repr, q.ravel().tolist()))
+                    tails = [""] * n_rows
+                    rows = range(n_rows)
                 else:
-                    for n in np.flatnonzero((bits != prev_bits).any(axis=1)).tolist():
-                        tails[n] = ",".join(map(repr, q[n].tolist())) + "\r\n"
+                    moved = bits != prev_bits
+                    changed = np.flatnonzero(moved)
+                    for k, value in zip(changed.tolist(), q.ravel()[changed].tolist()):
+                        cells[k] = repr(value)
+                    rows = np.flatnonzero(moved.any(axis=1)).tolist()
+                for n in rows:
+                    tails[n] = ",".join(cells[n * width : (n + 1) * width]) + "\r\n"
                 prev_bits = bits
                 t_s, res_s = str(t_idx), f",{float(res)!r},"
                 costs = np.asarray(bills, dtype=np.float64).tolist()

@@ -27,6 +27,12 @@ class CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    # exact option names only, so a prefix such as `--h` or `--ki` is refused
+    # instead of read as `--help` or `--kind`; subparsers are _Parsers too
+    def __init__(self, *args, **kwargs):
+        kwargs.setdefault("allow_abbrev", False)
+        super().__init__(*args, **kwargs)
+
     # argparse exits with status 2 on usage errors; the artifact reserves 2
     # for runtime failures, so remap.
     def error(self, message):
@@ -290,8 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="dsmgame", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # exact option names only, so `--h` is refused instead of read as `--help`
-    p = sub.add_parser("generate", help="generate a scenario file", allow_abbrev=False)
+    p = sub.add_parser("generate", help="generate a scenario file")
     p.add_argument("--n", type=int, default=50, help="number of consumers")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--jitter", type=float, default=0.1)
@@ -352,7 +357,11 @@ _REQUIRED_INPUTS = {
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            # -h/--help printed the help; return argparse's status
+            return exc.code
         if args.command == "report":
             missing = [
                 f"--{name}"

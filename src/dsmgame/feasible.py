@@ -35,8 +35,10 @@ class ConsumerSpec:
     energy: float
 
     def __post_init__(self):
-        q_min = _as_1d(self.q_min, "q_min")
-        q_max = _as_1d(self.q_max, "q_max")
+        # own copies: the caller's arrays stay writable, and a view of them
+        # cannot change the spec after its checks ran
+        q_min = _as_1d(self.q_min, "q_min").copy()
+        q_max = _as_1d(self.q_max, "q_max").copy()
         if q_min.shape != q_max.shape:
             raise ValueError("q_min and q_max must have equal length")
         energy = float(self.energy)

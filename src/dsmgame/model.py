@@ -55,9 +55,10 @@ class PriceCurve:
     c: np.ndarray
 
     def __post_init__(self):
-        a = _as_1d(self.a, "a")
-        b = _as_1d(self.b, "b")
-        c = _as_1d(self.c, "c")
+        # own copies, so no view of the caller's arrays can change the curve
+        a = _as_1d(self.a, "a").copy()
+        b = _as_1d(self.b, "b").copy()
+        c = _as_1d(self.c, "c").copy()
         if not (a.shape == b.shape == c.shape):
             raise ValueError("price parameters a, b, c must have equal length")
         if a.shape[0] == 0:

@@ -46,8 +46,9 @@ class BaseInterval:
     high: np.ndarray
 
     def __post_init__(self):
-        low = _as_1d(self.low, "low")
-        high = _as_1d(self.high, "high")
+        # own copies, so no view of the caller's arrays can change the limits
+        low = _as_1d(self.low, "low").copy()
+        high = _as_1d(self.high, "high").copy()
         if low.shape != high.shape:
             raise ValueError("low and high curves must have equal length")
         if np.any(low < 0):

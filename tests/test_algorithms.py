@@ -3,6 +3,9 @@ error handling, and trace output."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dsmgame.algorithms import (
     DEFAULT_EXPONENT,
@@ -17,6 +20,7 @@ from dsmgame.feasible import ConsumerSpec, is_feasible, sample_feasible
 from dsmgame.model import PriceCurve, mapping_profiles
 from dsmgame.network import CommGraph, build_weights, generate_topology, gossip_stream
 from dsmgame.oracle import nash_best_response_iteration
+from dsmgame.scenario import GenerationRecipe, generate
 from conftest import make_toy_game
 from oracles import reference_trace_csv
 
@@ -454,22 +458,27 @@ def _assert_same_csv_bytes(trace, tmp_path):
 
 @pytest.mark.parametrize("alg", [1, 2, 3])
 def test_trace_csv_bytes_match_reference_writer(tmp_path, alg):
-    scenario, init = make_toy_game(555)
-    graph = toy_graph(scenario)
-    if alg == 1:
-        _, trace = run_algorithm1(scenario, init=init, tol=1e-6, max_iter=60)
-    elif alg == 2:
-        _, trace = run_algorithm2(
-            scenario, graph, build_weights(graph, 0.5), init=init, tol=1e-6,
-            max_iter=60,
-        )
-    else:
-        events = gossip_stream(graph, np.random.default_rng(3), 300)
-        _, trace = run_algorithm3(
-            scenario, graph, events, init=init, tol=1e-6, max_events=300
-        )
-    assert trace.iterations > 2
-    _assert_same_csv_bytes(trace, tmp_path)
+    # the toy game mostly moves whole rows; in the generated 24-slot game
+    # some slots of a row sit at a bound while the others move
+    for scenario, init in (
+        make_toy_game(555),
+        generate(GenerationRecipe(n_consumers=8, seed=7)),
+    ):
+        graph = toy_graph(scenario)
+        if alg == 1:
+            _, trace = run_algorithm1(scenario, init=init, tol=1e-6, max_iter=60)
+        elif alg == 2:
+            _, trace = run_algorithm2(
+                scenario, graph, build_weights(graph, 0.5), init=init, tol=1e-6,
+                max_iter=60,
+            )
+        else:
+            events = gossip_stream(graph, np.random.default_rng(3), 300)
+            _, trace = run_algorithm3(
+                scenario, graph, events, init=init, tol=1e-6, max_events=300
+            )
+        assert trace.iterations > 2
+        _assert_same_csv_bytes(trace, tmp_path)
 
 
 def test_trace_csv_bytes_match_reference_on_edge_cases(tmp_path):
@@ -491,6 +500,43 @@ def test_trace_csv_bytes_match_reference_on_edge_cases(tmp_path):
     lines = (tmp_path / "ours.csv").read_bytes().split(b"\r\n")
     assert lines[5] == b"3,1,0.3,nan,-0.0,1.5,2.25"
     assert lines[8] == b"4,2,inf,1e-17,3.0,nan,0.30000000000000004"
+
+
+# values whose reprs are easy to get wrong: signed zeros, NaNs of either
+# sign, infinities, subnormals and a sum that does not round to its terms
+_TRACE_FLOATS = st.sampled_from(
+    [0.0, -0.0, float("nan"), -float("nan"), float("inf"), -float("inf"),
+     5e-324, 1e-300, 0.1 + 0.2, 1.0]
+) | st.floats(width=64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 4), h=st.integers(1, 5), steps=st.integers(0, 6), data=st.data()
+)
+def test_trace_csv_bytes_match_reference_under_value_changes(
+    tmp_path_factory, n, h, steps, data
+):
+    # each state changes a random subset of single values of the one before:
+    # none (a repeated state), part of a row, or a sign flip (0.0 -> -0.0)
+    values = arrays(np.float64, (n, h), elements=_TRACE_FLOATS)
+    mask = arrays(np.bool_, (n, h))
+    q = data.draw(values)
+    profiles = [q]
+    for _ in range(steps):
+        q = q.copy()
+        moved = data.draw(mask)
+        q[moved] = data.draw(values)[moved]
+        flipped = data.draw(mask)
+        q[flipped] = -q[flipped]
+        profiles.append(q)
+    trace = RunTrace(
+        profiles=profiles,
+        bills=[data.draw(arrays(np.float64, (n,), elements=_TRACE_FLOATS))
+               for _ in profiles],
+        residuals=[data.draw(_TRACE_FLOATS) for _ in profiles],
+    )
+    _assert_same_csv_bytes(trace, tmp_path_factory.mktemp("trace"))
 
 
 def test_alg3_two_nodes_agrees_with_alg2():

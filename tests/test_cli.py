@@ -170,6 +170,22 @@ def test_usage_error_exit_code(tmp_path):
     assert run_cli("run", "missing.json", "--alg", "9", "--trace", "t", "--summary", "s") == 1
 
 
+def test_help_returns_its_status(capsys):
+    assert run_cli("--help") == 0
+    assert run_cli("run", "--help") == 0
+    assert "--step-exponent" in capsys.readouterr().out
+
+
+def test_option_prefixes_are_refused(toy_file, tmp_path, capsys):
+    # `--h` is not `--help` and `--ki` is not `--kind`, in every subcommand
+    assert run_cli("run", "--h") == 1
+    out = tmp_path / "o.json"
+    assert run_cli("oracle", toy_file, "--ki", "nash", "-o", out) == 1
+    assert "required: --kind" in capsys.readouterr().err
+    assert not out.exists()
+    assert run_cli("report", "--ki", "par", "--summary", "s.json", "-o", out) == 1
+
+
 def test_run_alg2_with_graph_file(small_canonical, tmp_path):
     from dsmgame.network import generate_topology, save_edge_list
     import numpy as np

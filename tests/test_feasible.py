@@ -54,6 +54,18 @@ def test_spec_rejects_nonpositive_budget():
             ConsumerSpec(np.zeros(2), np.ones(2), energy)
 
 
+def test_spec_owns_its_bounds():
+    # a view taken before construction cannot empty the set afterwards, and
+    # the caller's arrays stay writable
+    lo, hi = np.zeros(2), np.ones(2)
+    view = hi[:]
+    spec = ConsumerSpec(lo, hi, 1.5)
+    view[:] = 0.0
+    lo[:] = 9.0
+    assert spec.q_max.tolist() == [1.0, 1.0] and spec.q_min.tolist() == [0.0, 0.0]
+    assert not spec.q_min.flags.writeable and not spec.q_max.flags.writeable
+
+
 # --- is_feasible ------------------------------------------------------------
 
 

@@ -74,6 +74,16 @@ def test_price_curve_construction_rejects_bad_parameters():
         PriceCurve(np.array([0.003, 0.004]), np.array([1.2]), np.array([0.0]))
 
 
+def test_price_curve_owns_its_parameters():
+    a, b, c = np.array([0.003]), np.array([1.2]), np.array([0.0])
+    view = a[:]
+    curve = PriceCurve(a, b, c)
+    view[:] = -1.0  # would make the price coefficient nonpositive
+    b[:] = 0.5
+    assert curve.a.tolist() == [0.003] and curve.b.tolist() == [1.2]
+    assert not curve.a.flags.writeable
+
+
 @settings(max_examples=100)
 @given(
     a=st.floats(1e-4, 10.0),

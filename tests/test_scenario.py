@@ -72,6 +72,16 @@ def test_base_interval_rejects_crossed_limits():
         BaseInterval(np.array([1.0, 2.0]), np.array([2.0, 1.0]))
 
 
+def test_base_interval_owns_its_limits():
+    low, high = np.zeros(2), np.ones(2)
+    view = low[:]
+    base = BaseInterval(low, high)
+    view[:] = 5.0  # would cross the limits
+    high[:] = -1.0
+    assert base.low.tolist() == [0.0, 0.0] and base.high.tolist() == [1.0, 1.0]
+    assert not base.low.flags.writeable
+
+
 def test_base_interval_csv_errors(tmp_path):
     bad_header = tmp_path / "a.csv"
     bad_header.write_text("low,high\n1,0.2,0.3\n")
