@@ -17,7 +17,7 @@ from dsmgame.algorithms import run_algorithm1, run_algorithm2, run_algorithm3
 from dsmgame.model import aggregate, grid_cost, par
 from dsmgame.network import build_weights, generate_topology, gossip_stream, save_edge_list
 from dsmgame.oracle import fairness_comparison, social_welfare_optimum
-from dsmgame.scenario import GenerationRecipe, generate, save_scenario
+from dsmgame.scenario import generate, save_scenario
 
 
 def main():
@@ -29,7 +29,7 @@ def main():
     args = ap.parse_args()
     args.outdir.mkdir(parents=True, exist_ok=True)
 
-    scenario, init = generate(GenerationRecipe(n_consumers=args.n, seed=args.seed))
+    scenario, init = generate(n_consumers=args.n, seed=args.seed)
     save_scenario(args.outdir / "scenario.json", scenario, init)
     graph = generate_topology(scenario.n_consumers, 3.0, np.random.default_rng(0))
     save_edge_list(graph, args.outdir / "graph.edges")

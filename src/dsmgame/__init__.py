@@ -48,9 +48,7 @@ from .oracle import (
 )
 from .scenario import (
     BaseInterval,
-    GenerationRecipe,
     ScenarioFormatError,
-    classify_segments,
     default_base_interval,
     generate,
     load_base_interval,

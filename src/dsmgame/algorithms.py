@@ -264,6 +264,8 @@ def _synchronous(
     # the steps t^-p have a divergent sum and summable squares iff 0.5 < p <= 1
     if not 0.5 < step_exponent <= 1.0:
         raise ValueError(f"step exponent must lie in (0.5, 1], got {step_exponent:g}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     q = _check_init(scenario, init)
     est = q.copy() if estimates else None
     trace = RunTrace()

@@ -51,9 +51,17 @@ def _write_json(path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _read_json(path) -> dict:
+def _read_artifact(path, flag: str, key: str, value: str, what: str) -> dict:
+    """A JSON input of a report, refused unless its `key` field is `value`."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        payload = json.load(fh)
+    if not isinstance(payload, dict) or payload.get(key) != value:
+        raise CliError(f"{flag} {path} is not {what}", 1)
+    return payload
+
+
+def _read_summary(path) -> dict:
+    return _read_artifact(path, "--summary", "command", "run", "a run summary")
 
 
 def cmd_generate(args) -> int:
@@ -62,10 +70,7 @@ def cmd_generate(args) -> int:
         if args.base
         else scen.default_base_interval()
     )
-    recipe = scen.GenerationRecipe(
-        n_consumers=args.n, seed=args.seed, jitter=args.jitter
-    )
-    scenario, initials = scen.generate(recipe, base)
+    scenario, initials = scen.generate(args.n, args.seed, args.jitter, base)
     sha = scen.save_scenario(args.out, scenario, initials)
     print(
         f"wrote scenario {args.out} (N={args.n}, H={scenario.horizon}, hash {sha[:12]})"
@@ -210,7 +215,7 @@ def _require_matching_hashes(*payloads) -> str:
 
 def cmd_report(args) -> int:
     if args.kind == "par":
-        summary = _read_json(args.summary)
+        summary = _read_summary(args.summary)
         initial, final = summary["initial_par"], summary["final_par"]
         _write_json(
             args.out,
@@ -227,7 +232,7 @@ def cmd_report(args) -> int:
         print(f"PAR {initial:.4f} -> {final:.4f} ({(initial - final) / initial:.2%})")
     elif args.kind == "fairness":
         loaded = scen.load_scenario(args.scenario)
-        summary = _read_json(args.summary)
+        summary = _read_summary(args.summary)
         if summary["scenario_hash"] != loaded.content_hash:
             raise CliError(
                 "run summary was produced from a different scenario file", 1
@@ -250,8 +255,10 @@ def cmd_report(args) -> int:
         )
         print(f"fairness table for {loaded.scenario.n_consumers} consumers written")
     elif args.kind == "welfare-gap":
-        summary = _read_json(args.summary)
-        optimum = _read_json(args.oracle)
+        summary = _read_summary(args.summary)
+        optimum = _read_artifact(
+            args.oracle, "--oracle", "kind", "welfare", "a welfare oracle output"
+        )
         sha = _require_matching_hashes(summary, optimum)
         ne_cost, opt_cost = summary["total_cost"], optimum["total_cost"]
         _write_json(

@@ -1,9 +1,14 @@
 """Residential scenario generation (base consumption interval, randomized
 per-consumer bounds, peak-segmented prices) and versioned persistence.
 
-The canonical recipe: 24 hourly slots starting at 8 AM, off-peak hours
-12 AM-7 AM, mid-peak 7 AM-4 PM and 10 PM-12 AM, on-peak 4 PM-10 PM, with
-price coefficients 0.003/0.004/0.005 per segment, exponent 1.2, offset 0.
+The generator draws on one fixed day, held in module constants: `SEGMENTS`
+labels 24 hourly slots starting at 8 AM (off-peak 12 AM-7 AM, mid-peak
+7 AM-4 PM and 10 PM-12 AM, on-peak 4 PM-10 PM); `PRICE_CURVE` prices them
+with the `SEGMENT_PRICES` coefficients 0.003/0.004/0.005, exponent
+`CANONICAL_EXPONENT` 1.2 and offset 0; `OFFPEAK_QMAX_RANGE` bounds the
+off-peak upper limits. Only the number of consumers, the seed and the jitter
+are settable.
+
 Initial consumption is drawn between each consumer's jittered low and upper
 limit curves, and the energy budget is the sum of that initial draw, so every
 generated spec is feasible by construction.
@@ -13,7 +18,7 @@ from __future__ import annotations
 
 import json
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from typing import NamedTuple
 
@@ -27,9 +32,25 @@ OFF_PEAK = "off-peak"
 MID_PEAK = "mid-peak"
 ON_PEAK = "on-peak"
 
+#: the canonical day, one label per hourly slot; slot 1 is 8-9 AM
+SEGMENTS = (
+    (MID_PEAK,) * 8      # 8 AM-4 PM
+    + (ON_PEAK,) * 6     # 4 PM-10 PM
+    + (MID_PEAK,) * 2    # 10 PM-12 AM
+    + (OFF_PEAK,) * 7    # 12 AM-7 AM
+    + (MID_PEAK,)        # 7 AM-8 AM
+)
 #: canonical per-segment price coefficients a_h
 SEGMENT_PRICES = {OFF_PEAK: 0.003, MID_PEAK: 0.004, ON_PEAK: 0.005}
 CANONICAL_EXPONENT = 1.2
+#: p_h(L) = a_h * L^1.2 with a_h by segment and no offset
+PRICE_CURVE = PriceCurve(
+    np.array([SEGMENT_PRICES[label] for label in SEGMENTS]),
+    np.full(len(SEGMENTS), CANONICAL_EXPONENT),
+    np.zeros(len(SEGMENTS)),
+)
+#: off-peak upper limits are drawn uniformly from this range
+OFFPEAK_QMAX_RANGE = (0.4, 0.6)
 
 SCHEMA_VERSION = 1
 
@@ -103,108 +124,49 @@ def load_base_interval(path) -> BaseInterval:
         raise ScenarioFormatError(f"{path}: {exc}") from exc
 
 
-def classify_segments(horizon: int, clock_offset: int = 8) -> tuple[str, ...]:
-    """Per-slot segment labels for the canonical 24-hour day.
-
-    Slot 1 starts at `clock_offset` o'clock. Horizons other than 24 need an
-    explicit segment map on the recipe instead.
-    """
-    if horizon != 24:
-        raise ValueError(
-            f"no canonical segment map for horizon {horizon}; pass explicit segments"
-        )
-    labels = []
-    for slot in range(horizon):
-        hour = (clock_offset + slot) % 24
-        if 0 <= hour < 7:
-            labels.append(OFF_PEAK)
-        elif 16 <= hour < 22:
-            labels.append(ON_PEAK)
-        else:
-            labels.append(MID_PEAK)
-    return tuple(labels)
-
-
-@dataclass(frozen=True)
-class GenerationRecipe:
-    """Knobs of the scenario generator; defaults reproduce the canonical
-    residential setup at desk scale."""
-
-    n_consumers: int = 50
-    horizon: int = 24
-    seed: int = 7
-    jitter: float = 0.1
-    offpeak_qmax_range: tuple[float, float] = (0.4, 0.6)
-    clock_offset: int = 8
-    segments: tuple[str, ...] | None = None
-    segment_prices: dict[str, float] = field(
-        default_factory=lambda: dict(SEGMENT_PRICES)
-    )
-    price_exponent: float = CANONICAL_EXPONENT
-    price_offset: float = 0.0
-
-    def __post_init__(self):
-        if self.n_consumers < 1:
-            raise ValueError("need at least one consumer")
-        if self.jitter < 0:
-            raise ValueError("jitter must be nonnegative")
-        lo, hi = self.offpeak_qmax_range
-        if not 0 <= lo <= hi:
-            raise ValueError("off-peak q_max range must satisfy 0 <= lo <= hi")
-        if self.segments is not None:
-            if len(self.segments) != self.horizon:
-                raise ValueError("segment map length must equal the horizon")
-            unknown = set(self.segments) - set(self.segment_prices)
-            if unknown:
-                raise ValueError(f"segments without a price coefficient: {unknown}")
-
-    def segment_labels(self) -> tuple[str, ...]:
-        if self.segments is not None:
-            return self.segments
-        return classify_segments(self.horizon, self.clock_offset)
-
-    def price_curve(self) -> PriceCurve:
-        labels = self.segment_labels()
-        a = np.array([self.segment_prices[lab] for lab in labels])
-        b = np.full(self.horizon, self.price_exponent)
-        c = np.full(self.horizon, self.price_offset)
-        return PriceCurve(a, b, c)
-
-
 def generate(
-    recipe: GenerationRecipe, base: BaseInterval | None = None
+    n_consumers: int = 50,
+    seed: int = 7,
+    jitter: float = 0.1,
+    base: BaseInterval | None = None,
 ) -> tuple[Scenario, np.ndarray]:
-    """Draw a scenario plus its initial profiles, deterministically per seed.
+    """Draw a scenario on the canonical day plus its initial profiles,
+    deterministically per seed.
 
     Per consumer: a uniform [0, jitter] offset is added independently to the
     low and upper limit curves; q_min is the jittered low curve; q_max is the
     maximum of the jittered upper curve on mid/on-peak slots and a uniform
-    off-peak draw elsewhere; the initial point is drawn between the jittered
-    limit curves (clipped into the bounds), and its sum becomes the budget.
+    `OFFPEAK_QMAX_RANGE` draw elsewhere; the initial point is drawn between the
+    jittered limit curves (clipped into the bounds), and its sum becomes the
+    budget. The price curve is `PRICE_CURVE`.
     """
+    if n_consumers < 1:
+        raise ValueError("need at least one consumer")
+    if not 0 <= jitter < np.inf:
+        raise ValueError(f"jitter must be finite and nonnegative, got {jitter}")
     if base is None:
         base = default_base_interval()
-    if base.horizon != recipe.horizon:
+    horizon = len(SEGMENTS)
+    if base.horizon != horizon:
         raise ValueError(
-            f"base interval has {base.horizon} slots, recipe expects {recipe.horizon}"
+            f"base interval has {base.horizon} slots, the day has {horizon}"
         )
-    labels = np.array(recipe.segment_labels())
-    off_mask = labels == OFF_PEAK
-    rng = np.random.default_rng(recipe.seed)
+    off_mask = np.array(SEGMENTS) == OFF_PEAK
+    rng = np.random.default_rng(seed)
     specs = []
-    initials = np.empty((recipe.n_consumers, recipe.horizon))
-    lo_off, hi_off = recipe.offpeak_qmax_range
-    for n in range(recipe.n_consumers):
-        low = base.low + rng.uniform(0.0, recipe.jitter, recipe.horizon)
-        high = base.high + rng.uniform(0.0, recipe.jitter, recipe.horizon)
+    initials = np.empty((n_consumers, horizon))
+    lo_off, hi_off = OFFPEAK_QMAX_RANGE
+    for n in range(n_consumers):
+        low = base.low + rng.uniform(0.0, jitter, horizon)
+        high = base.high + rng.uniform(0.0, jitter, horizon)
         high = np.maximum(high, low)
-        q_max = np.full(recipe.horizon, high.max())
+        q_max = np.full(horizon, high.max())
         q_max[off_mask] = rng.uniform(lo_off, hi_off, int(off_mask.sum()))
         q_min = np.minimum(low, q_max)
         init = np.clip(rng.uniform(low, high), q_min, q_max)
         specs.append(ConsumerSpec(q_min, q_max, float(init.sum())))
         initials[n] = init
-    return Scenario(tuple(specs), recipe.price_curve()), initials
+    return Scenario(tuple(specs), PRICE_CURVE), initials
 
 
 # --- persistence -----------------------------------------------------------
@@ -284,12 +246,17 @@ def load_scenario(path) -> LoadedScenario:
         raise ScenarioFormatError(
             f"{path}: unsupported schema_version {payload['schema_version']!r}"
         )
-    _reject_unknown(payload["price"], _PRICE_FIELDS, f"{path}: price")
+    price, consumers = payload["price"], payload["consumers"]
+    if not isinstance(price, dict):
+        raise ScenarioFormatError(f"{path}: price must be an object")
+    if not isinstance(consumers, list):
+        raise ScenarioFormatError(f"{path}: consumers must be a list")
+    _reject_unknown(price, _PRICE_FIELDS, f"{path}: price")
     try:
         curve = PriceCurve(
-            np.array(payload["price"]["a"], dtype=float),
-            np.array(payload["price"]["b"], dtype=float),
-            np.array(payload["price"]["c"], dtype=float),
+            np.array(price["a"], dtype=float),
+            np.array(price["b"], dtype=float),
+            np.array(price["c"], dtype=float),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioFormatError(f"{path}: price: {exc}") from exc
@@ -299,7 +266,7 @@ def load_scenario(path) -> LoadedScenario:
             f"{path}: price arrays have length {curve.horizon}, horizon says {horizon}"
         )
     specs = []
-    for idx, entry in enumerate(payload["consumers"]):
+    for idx, entry in enumerate(consumers):
         if not isinstance(entry, dict):
             raise ScenarioFormatError(f"{path}: consumers[{idx}] must be an object")
         _reject_unknown(entry, _CONSUMER_FIELDS, f"{path}: consumers[{idx}]")

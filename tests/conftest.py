@@ -10,7 +10,7 @@ import pytest
 from dsmgame.algorithms import Scenario
 from dsmgame.feasible import ConsumerSpec, sample_feasible
 from dsmgame.model import PriceCurve
-from dsmgame.scenario import GenerationRecipe, generate
+from dsmgame.scenario import generate
 
 
 REPO = Path(__file__).resolve().parents[1]
@@ -58,5 +58,5 @@ REVERSAL_SPECS = (
 @pytest.fixture(scope="session")
 def canonical():
     """Seeded section-VII style scenario (N=50, H=24) plus initial profiles."""
-    scenario, init = generate(GenerationRecipe(seed=7))
+    scenario, init = generate(seed=7)
     return scenario, init

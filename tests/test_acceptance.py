@@ -33,7 +33,7 @@ from dsmgame.oracle import (
     nash_best_response_iteration,
     social_welfare_optimum,
 )
-from dsmgame.scenario import GenerationRecipe, generate
+from dsmgame.scenario import generate
 from conftest import REVERSAL_CURVE, REVERSAL_SPECS, make_toy_game
 from oracles import mapping_finite_difference, project_qp_oracle
 
@@ -74,7 +74,7 @@ def run_toy_game(seed):
 
 
 def run_canonical(seed=CANONICAL_SEED, events=5000):
-    scenario, init = generate(GenerationRecipe(seed=seed))
+    scenario, init = generate(seed=seed)
     graph = generate_topology(scenario.n_consumers, 3.0, np.random.default_rng(0))
     weights = build_weights(graph, 0.5)
     r1, t1 = run_algorithm1(scenario, init=init, tol=1e-4, max_iter=500)
@@ -94,7 +94,7 @@ def run_canonical(seed=CANONICAL_SEED, events=5000):
 
 
 def run_par_seed(seed):
-    scenario, init = generate(GenerationRecipe(seed=seed))
+    scenario, init = generate(seed=seed)
     result, trace = run_algorithm1(scenario, init=init, tol=1e-4, max_iter=500)
     return {"scenario": scenario, "init": init, "result": result, "trace": trace}
 

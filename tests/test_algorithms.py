@@ -20,7 +20,7 @@ from dsmgame.feasible import ConsumerSpec, is_feasible, sample_feasible
 from dsmgame.model import PriceCurve, mapping_profiles
 from dsmgame.network import CommGraph, build_weights, generate_topology, gossip_stream
 from dsmgame.oracle import nash_best_response_iteration
-from dsmgame.scenario import GenerationRecipe, generate
+from dsmgame.scenario import generate
 from conftest import make_toy_game
 from oracles import reference_trace_csv
 
@@ -462,7 +462,7 @@ def test_trace_csv_bytes_match_reference_writer(tmp_path, alg):
     # some slots of a row sit at a bound while the others move
     for scenario, init in (
         make_toy_game(555),
-        generate(GenerationRecipe(n_consumers=8, seed=7)),
+        generate(n_consumers=8, seed=7),
     ):
         graph = toy_graph(scenario)
         if alg == 1:

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: artifacts, determinism, exit codes, reports."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -47,7 +48,7 @@ def test_generate_reports_the_base_horizon(tmp_path, capsys):
     out = tmp_path / "s.json"
     assert run_cli("generate", "--n", "3", "-o", out) == 0
     assert "(N=3, H=24, hash" in capsys.readouterr().out
-    # the horizon comes from the base interval; there is no flag for it
+    # the day has 24 slots; there is no flag for the horizon
     assert run_cli("generate", "--n", "3", "--h", "24", "-o", out) == 1
 
 
@@ -58,6 +59,14 @@ def test_generate_missing_base_file(tmp_path, capsys):
     )
     assert code == 1
     assert "absent.csv" in capsys.readouterr().err
+
+
+def test_generate_canonical_scenario_bytes(tmp_path):
+    out = tmp_path / "scenario.json"
+    assert run_cli("generate", "--n", "50", "--seed", "7", "-o", out) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "4a2ca9ff177ff5b0b6200aa3d11370b331c3ebc85e7c405cf6c8d56ba023383f"
+    )
 
 
 def test_generate_deterministic(tmp_path):
@@ -166,6 +175,45 @@ def test_run_rejects_scenario_with_unreachable_budget(toy_file, tmp_path, capsys
     assert "consumers[0]: energy budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("max_iter", ["0", "-5"])
+def test_run_rejects_max_iter_below_one(toy_file, tmp_path, capsys, max_iter):
+    trace, summary = tmp_path / "t.csv", tmp_path / "s.json"
+    for alg, extra in (("1", ()), ("2", ("--topology", "random", "--degree", "1"))):
+        code = run_cli(
+            "run", toy_file, "--alg", alg, "--max-iter", max_iter, *extra,
+            "--trace", trace, "--summary", summary,
+        )
+        assert code == 1
+        assert f"max_iter must be at least 1, got {max_iter}" in capsys.readouterr().err
+        assert not trace.exists() and not summary.exists()
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("price", 5, "price must be an object"),
+        ("price", [1, 2], "price must be an object"),
+        ("consumers", 5, "consumers must be a list"),
+        ("consumers", {"q_min": [1]}, "consumers must be a list"),
+    ],
+)
+def test_run_rejects_malformed_scenario_fields(
+    toy_file, tmp_path, capsys, field, value, message
+):
+    payload = json.loads(toy_file.read_text())
+    payload[field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    code = run_cli(
+        "run", bad, "--alg", "1", "--trace", tmp_path / "t.csv",
+        "--summary", tmp_path / "s.json",
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
+
+
 def test_usage_error_exit_code(tmp_path):
     assert run_cli("run", "missing.json", "--alg", "9", "--trace", "t", "--summary", "s") == 1
 
@@ -271,6 +319,38 @@ def test_welfare_gap_report(toy_file, tmp_path):
     ) == 0
     gap = json.loads(out.read_text())["relative_gap"]
     assert -1e-9 <= gap <= 0.05
+
+
+def test_reports_refuse_the_wrong_kind_of_input(tmp_path, capsys):
+    # two consumers, two slots: every command below runs in milliseconds
+    scenario = tmp_path / "two.json"
+    scenario.write_text(json.dumps({
+        "schema_version": 1,
+        "horizon": 2,
+        "price": {"a": [1.0, 2.0], "b": [1.0, 1.0], "c": [0.0, 0.0]},
+        "consumers": [
+            {"q_min": [0.0, 0.0], "q_max": [2.0, 2.0], "energy": 2.0},
+            {"q_min": [0.5, 0.0], "q_max": [1.5, 1.5], "energy": 1.5},
+        ],
+    }))
+    summary, nash, welfare = (tmp_path / f"{n}.json" for n in ("s", "nash", "w"))
+    assert run_cli("run", scenario, "--alg", "1", "--trace", tmp_path / "t.csv",
+                   "--summary", summary) == 0
+    assert run_cli("oracle", scenario, "--kind", "nash", "-o", nash) == 0
+    assert run_cli("oracle", scenario, "--kind", "welfare", "-o", welfare) == 0
+    capsys.readouterr()
+    out = tmp_path / "r.json"
+    for argv, named in (
+        (("--kind", "welfare-gap", "--summary", summary, "--oracle", nash), nash),
+        (("--kind", "welfare-gap", "--summary", welfare, "--oracle", welfare), welfare),
+        (("--kind", "par", "--summary", nash), nash),
+        (("--kind", "fairness", "--scenario", scenario, "--summary", welfare), welfare),
+    ):
+        assert run_cli("report", *argv, "-o", out) == 1
+        assert str(named) in capsys.readouterr().err
+        assert not out.exists()
+    assert run_cli("report", "--kind", "welfare-gap", "--summary", summary,
+                   "--oracle", welfare, "-o", out) == 0
 
 
 def test_convergence_report_filters_consumers(toy_file, tmp_path):

@@ -1,4 +1,4 @@
-"""Scenario generation, segment classification, and persistence tests."""
+"""Scenario generation, the canonical day's segments, and persistence tests."""
 
 import numpy as np
 import pytest
@@ -8,10 +8,9 @@ from dsmgame.scenario import (
     MID_PEAK,
     OFF_PEAK,
     ON_PEAK,
+    SEGMENTS,
     BaseInterval,
-    GenerationRecipe,
     ScenarioFormatError,
-    classify_segments,
     default_base_interval,
     generate,
     load_base_interval,
@@ -25,36 +24,18 @@ from dsmgame.scenario import (
 
 
 def test_segment_examples_for_canonical_clock():
-    labels = classify_segments(24, clock_offset=8)
-    assert labels[0] == MID_PEAK      # 8-9 AM
-    assert labels[8] == ON_PEAK       # 4-5 PM
-    assert labels[16] == OFF_PEAK     # 12-1 AM
-    assert len(labels) == 24
+    assert SEGMENTS[0] == MID_PEAK      # 8-9 AM
+    assert SEGMENTS[8] == ON_PEAK       # 4-5 PM
+    assert SEGMENTS[16] == OFF_PEAK     # 12-1 AM
+    assert len(SEGMENTS) == 24
 
 
 def test_segment_boundaries():
-    labels = classify_segments(24, clock_offset=8)
-    hours = {(8 + i) % 24: lab for i, lab in enumerate(labels)}
+    hours = {(8 + i) % 24: lab for i, lab in enumerate(SEGMENTS)}
     # off-peak 12 AM-7 AM, on-peak 4 PM-10 PM, mid-peak elsewhere
     assert all(hours[h] == OFF_PEAK for h in range(0, 7))
     assert all(hours[h] == ON_PEAK for h in range(16, 22))
     assert all(hours[h] == MID_PEAK for h in list(range(7, 16)) + [22, 23])
-
-
-def test_segments_require_canonical_horizon():
-    with pytest.raises(ValueError, match="horizon"):
-        classify_segments(12)
-
-
-def test_recipe_accepts_explicit_segments_for_other_horizons():
-    recipe = GenerationRecipe(
-        n_consumers=3,
-        horizon=4,
-        seed=1,
-        segments=(OFF_PEAK, MID_PEAK, ON_PEAK, MID_PEAK),
-    )
-    curve = recipe.price_curve()
-    np.testing.assert_allclose(curve.a, [0.003, 0.004, 0.005, 0.004])
 
 
 # --- base interval -----------------------------------------------------------
@@ -97,8 +78,8 @@ def test_base_interval_csv_errors(tmp_path):
 
 
 def test_generation_is_deterministic():
-    a_scen, a_init = generate(GenerationRecipe(seed=5))
-    b_scen, b_init = generate(GenerationRecipe(seed=5))
+    a_scen, a_init = generate(seed=5)
+    b_scen, b_init = generate(seed=5)
     np.testing.assert_array_equal(a_init, b_init)
     for sa, sb in zip(a_scen.specs, b_scen.specs):
         np.testing.assert_array_equal(sa.q_min, sb.q_min)
@@ -109,29 +90,27 @@ def test_generation_is_deterministic():
 def test_generated_specs_valid_and_witnessed_by_initials():
     # generate builds every spec, so each set is nonempty by construction;
     # its initial profile witnesses that
-    scenario, init = generate(GenerationRecipe(n_consumers=20, seed=9))
+    scenario, init = generate(n_consumers=20, seed=9)
     for n, spec in enumerate(scenario.specs):
         assert is_feasible(init[n], spec, tol=1e-9)
 
 
 def test_generated_budgets_in_residential_range():
-    scenario, _ = generate(GenerationRecipe(seed=2))
+    scenario, _ = generate(seed=2)
     assert np.all(scenario.budgets >= 10.0)
     assert np.all(scenario.budgets <= 30.0)
 
 
 def test_canonical_price_parameters():
-    scenario, _ = generate(GenerationRecipe(seed=4))
+    scenario, _ = generate(seed=4)
     assert set(np.round(scenario.curve.a, 3)) == {0.003, 0.004, 0.005}
     np.testing.assert_array_equal(scenario.curve.b, np.full(24, 1.2))
     np.testing.assert_array_equal(scenario.curve.c, np.zeros(24))
 
 
 def test_offpeak_bounds_follow_recipe():
-    recipe = GenerationRecipe(seed=6)
-    scenario, _ = generate(recipe)
-    labels = np.array(recipe.segment_labels())
-    off = labels == OFF_PEAK
+    scenario, _ = generate(seed=6)
+    off = np.array(SEGMENTS) == OFF_PEAK
     for spec in scenario.specs:
         assert np.all(spec.q_max[off] >= 0.4 - 1e-12)
         assert np.all(spec.q_max[off] <= 0.6 + 1e-12)
@@ -141,34 +120,41 @@ def test_offpeak_bounds_follow_recipe():
 
 
 def test_degenerate_base_with_zero_jitter_pins_everything():
-    level = 0.45
-    base = BaseInterval(np.full(4, level), np.full(4, level))
-    recipe = GenerationRecipe(
-        n_consumers=3,
-        horizon=4,
-        seed=3,
-        jitter=0.0,
-        offpeak_qmax_range=(level, level),
-        segments=(OFF_PEAK, MID_PEAK, MID_PEAK, ON_PEAK),
-    )
-    scenario, init = generate(recipe, base)
+    # at or below the off-peak q_max range, every slot's limits meet
+    level = 0.35
+    base = BaseInterval(np.full(24, level), np.full(24, level))
+    scenario, init = generate(n_consumers=3, seed=3, jitter=0.0, base=base)
     for n, spec in enumerate(scenario.specs):
-        np.testing.assert_array_equal(spec.q_min, np.full(4, level))
-        np.testing.assert_array_equal(init[n], np.full(4, level))
-        assert spec.energy == pytest.approx(4 * level)
+        np.testing.assert_array_equal(spec.q_min, np.full(24, level))
+        np.testing.assert_array_equal(init[n], np.full(24, level))
+        assert spec.energy == pytest.approx(24 * level)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"n_consumers": 0}, "at least one consumer"),
+        ({"jitter": -0.1}, "jitter"),
+        ({"jitter": float("nan")}, "jitter"),
+        ({"jitter": float("inf")}, "jitter"),
+    ],
+)
+def test_generate_rejects_bad_settings(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        generate(**kwargs)
 
 
 def test_generate_rejects_horizon_mismatch():
     base = BaseInterval(np.zeros(3), np.ones(3))
     with pytest.raises(ValueError, match="slots"):
-        generate(GenerationRecipe(seed=1), base)
+        generate(seed=1, base=base)
 
 
 # --- persistence ---------------------------------------------------------------
 
 
 def test_scenario_round_trip_is_exact(tmp_path):
-    scenario, init = generate(GenerationRecipe(n_consumers=5, seed=11))
+    scenario, init = generate(n_consumers=5, seed=11)
     path = tmp_path / "s.json"
     sha = save_scenario(path, scenario, init)
     loaded = load_scenario(path)
@@ -182,7 +168,7 @@ def test_scenario_round_trip_is_exact(tmp_path):
 
 
 def test_truncated_file_is_a_parse_error(tmp_path):
-    scenario, init = generate(GenerationRecipe(n_consumers=3, seed=12))
+    scenario, init = generate(n_consumers=3, seed=12)
     path = tmp_path / "s.json"
     save_scenario(path, scenario, init)
     clipped = tmp_path / "clipped.json"
@@ -194,7 +180,7 @@ def test_truncated_file_is_a_parse_error(tmp_path):
 def test_unknown_field_is_rejected_by_name(tmp_path):
     import json
 
-    scenario, _ = generate(GenerationRecipe(n_consumers=3, seed=13))
+    scenario, _ = generate(n_consumers=3, seed=13)
     payload = scenario_payload(scenario)
     payload["surprise"] = 1
     path = tmp_path / "s.json"
@@ -206,7 +192,7 @@ def test_unknown_field_is_rejected_by_name(tmp_path):
 def test_unknown_consumer_field_is_rejected(tmp_path):
     import json
 
-    scenario, _ = generate(GenerationRecipe(n_consumers=3, seed=14))
+    scenario, _ = generate(n_consumers=3, seed=14)
     payload = scenario_payload(scenario)
     payload["consumers"][1]["comment"] = "hi"
     path = tmp_path / "s.json"
@@ -218,7 +204,7 @@ def test_unknown_consumer_field_is_rejected(tmp_path):
 def test_missing_field_is_rejected(tmp_path):
     import json
 
-    scenario, _ = generate(GenerationRecipe(n_consumers=3, seed=15))
+    scenario, _ = generate(n_consumers=3, seed=15)
     payload = scenario_payload(scenario)
     del payload["price"]
     path = tmp_path / "s.json"
@@ -230,7 +216,7 @@ def test_missing_field_is_rejected(tmp_path):
 def test_budget_above_box_is_a_format_error_naming_the_consumer(tmp_path):
     import json
 
-    scenario, init = generate(GenerationRecipe(n_consumers=3, seed=16))
+    scenario, init = generate(n_consumers=3, seed=16)
     payload = scenario_payload(scenario, init)
     payload["consumers"][0]["energy"] = sum(payload["consumers"][0]["q_max"]) + 1.0
     path = tmp_path / "s.json"
@@ -245,5 +231,5 @@ def test_initial_par_in_documented_range():
     for seed in (1, 2, 3, 4, 5, 7):
         from dsmgame.model import aggregate, par
 
-        _, init = generate(GenerationRecipe(seed=seed))
+        _, init = generate(seed=seed)
         assert 1.8 <= par(aggregate(init)) <= 2.8
