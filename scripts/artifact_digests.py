@@ -26,7 +26,9 @@ import os
 import sys
 from pathlib import Path
 
-from dsmgame import cli
+# this checkout's package, installed or not
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+from dsmgame import cli  # noqa: E402
 
 
 def run_cli(argv: list[str]) -> None:

@@ -1,6 +1,6 @@
 """Equilibrium-seeking algorithm runners over the model/feasible/network
 layers: a central proximal-point iteration, a synchronous agreement-based
-iteration, and an asynchronous gossip-based iteration, all recording full
+iteration, and an asynchronous gossip-based iteration, all recording
 per-iteration traces.
 
 Synchronous rounds have Jacobi semantics: every consumer's update is computed
@@ -10,7 +10,7 @@ from the round-t snapshot, never from freshly updated peers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -88,9 +88,17 @@ class Scenario:
 class RunTrace:
     """Per-iteration snapshots of a solver run.
 
-    Index 0 is the initial state (t = 1). `residuals` holds the natural-map
-    fixed-point residual at each recorded state; the gossip runner refreshes
-    it only at its periodic checks and carries the last reading in between.
+    Entry t of `profiles` (and of `estimates`, when the run tracks them)
+    holds state t + 1; entry 0 is the initial state. An entry is the full
+    N x H array, except where `changed_rows` maps t to the indices of the
+    rows that changed since entry t - 1: the entry then holds just those
+    rows, in that order. Every synchronous round is full; a gossip event
+    keeps the two rows of its pair. `states()` rebuilds the full states in
+    turn. `bills`, `aggregates` and `residuals` hold one full value per
+    state: every consumer's bill moves with the aggregate. `residuals`
+    holds the natural-map fixed-point residual at each recorded state; the
+    gossip runner refreshes it only at its periodic checks and carries the
+    last reading in between.
     """
 
     profiles: list[np.ndarray] = field(default_factory=list)
@@ -98,27 +106,56 @@ class RunTrace:
     bills: list[np.ndarray] = field(default_factory=list)
     aggregates: list[np.ndarray] = field(default_factory=list)
     residuals: list[float] = field(default_factory=list)
+    changed_rows: dict[int, np.ndarray] = field(default_factory=dict)
 
     @property
     def iterations(self) -> int:
         return len(self.profiles)
 
-    def record(self, profiles, curve: PriceCurve, residual: float, estimates=None):
+    def record(
+        self, profiles, curve: PriceCurve, residual: float, estimates=None, rows=None
+    ):
+        """Append the full state `profiles` (and `estimates`); with `rows`,
+        an index array of the only rows that changed since the last entry,
+        keep just those rows of each."""
         # the runners record feasible (so nonnegative) profiles only
         q_sigma = profiles.sum(axis=0)
-        self.profiles.append(profiles.copy())
+        if rows is None:
+            self.profiles.append(profiles.copy())
+        else:
+            self.changed_rows[len(self.profiles)] = rows
+            self.profiles.append(profiles.take(rows, axis=0))
         self.aggregates.append(q_sigma)
         self.bills.append(profiles @ curve._price(q_sigma))
         self.residuals.append(residual)
         if estimates is not None:
             if self.estimates is None:
                 self.estimates = []
-            self.estimates.append(estimates.copy())
+            self.estimates.append(
+                estimates.copy() if rows is None else estimates.take(rows, axis=0)
+            )
+
+    def states(self) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
+        """Yield each recorded state as fresh full `(profiles, estimates)`
+        arrays, built from one working copy; `estimates` is None for a run
+        that does not track them."""
+        q = est = None
+        for t, entry in enumerate(self.profiles):
+            est_entry = None if self.estimates is None else self.estimates[t]
+            rows = self.changed_rows.get(t)
+            if rows is None:
+                q = np.array(entry, dtype=float)
+                est = None if est_entry is None else np.array(est_entry, dtype=float)
+            else:
+                q[rows] = entry
+                if est is not None:
+                    est[rows] = est_entry
+            yield q.copy(), None if est is None else est.copy()
 
     def max_feasibility_violation(self, scenario: Scenario) -> float:
         """Worst bound/budget violation over every recorded profile."""
         worst = self.max_budget_gap(scenario)
-        for q in self.profiles:
+        for q, _ in self.states():
             below = np.max(scenario.q_min_matrix - q, initial=0.0)
             above = np.max(q - scenario.q_max_matrix, initial=0.0)
             worst = max(worst, below, above)
@@ -127,7 +164,7 @@ class RunTrace:
     def max_budget_gap(self, scenario: Scenario) -> float:
         return max(
             float(np.max(np.abs(q.sum(axis=1) - scenario.budgets)))
-            for q in self.profiles
+            for q, _ in self.states()
         )
 
     def max_conservation_gap(self) -> float:
@@ -137,7 +174,7 @@ class RunTrace:
             return 0.0
         return max(
             float(np.max(np.abs(est.sum(axis=0) - q.sum(axis=0))))
-            for q, est in zip(self.profiles, self.estimates)
+            for q, est in self.states()
         )
 
     def to_csv(self, path) -> None:
@@ -147,44 +184,54 @@ class RunTrace:
         field is Python's shortest round-trip ``repr``. Each profile value is
         formatted once and its string reused while its bits stay unchanged,
         and a consumer's ``q1..qH`` segment is re-joined only when one of its
-        values changed; so a synchronous round costs the values it moved
-        (slots pinned at a bound cost nothing) and a gossip event the rows
-        it changed.
+        values changed. Only the rows an entry stores are compared (a full
+        entry stores all rows), so a synchronous round costs the values it
+        moved (slots pinned at a bound cost nothing) and a gossip event the
+        two rows of its pair.
         """
         horizon = self.profiles[0].shape[1]
         header = ",".join(
             ["t", "n", "cost", "residual"] + [f"q{h}" for h in range(1, horizon + 1)]
         )
-        prev_bits = None
-        # per consumer: ",n," and the "q1,...,qH\r\n" line tail joined from
-        # `cells`, the repr of every profile value in row-major order
+        # a working copy of the current state's bits, and per consumer: ",n,"
+        # and the "q1,...,qH\r\n" line tail joined from `cells`, the repr of
+        # every profile value in row-major order (`flat` maps a value to its
+        # index in `cells`)
+        bits = None
         ids: list[str] = []
         cells: list[str] = []
         tails: list[str] = []
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(header + "\r\n")
-            for t_idx, (q, bills, res) in enumerate(
-                zip(self.profiles, self.bills, self.residuals), start=1
+            for t, (entry, bills, res) in enumerate(
+                zip(self.profiles, self.bills, self.residuals)
             ):
-                q = np.ascontiguousarray(q, dtype=np.float64)
-                n_rows, width = q.shape
+                values = np.ascontiguousarray(entry, dtype=np.float64)
                 # compare bits, not values: -0.0 == 0.0 but their reprs differ
-                bits = q.view(np.uint64)
-                if prev_bits is None or bits.shape != prev_bits.shape:
+                entry_bits = values.view(np.uint64)
+                rows = self.changed_rows.get(t)
+                if rows is None and (bits is None or entry_bits.shape != bits.shape):
+                    # a full state of a new shape: format every value
+                    n_rows, width = values.shape
+                    all_rows = np.arange(n_rows)
+                    flat = np.arange(values.size).reshape(values.shape)
+                    bits = entry_bits.copy()
                     ids = [f",{n}," for n in range(1, n_rows + 1)]
-                    cells = list(map(repr, q.ravel().tolist()))
+                    cells = list(map(repr, values.ravel().tolist()))
                     tails = [""] * n_rows
-                    rows = range(n_rows)
+                    stale = all_rows
                 else:
-                    moved = bits != prev_bits
-                    changed = np.flatnonzero(moved)
-                    for k, value in zip(changed.tolist(), q.ravel()[changed].tolist()):
+                    # a full entry indexes its rows by a slice, so no copies
+                    index = slice(None) if rows is None else rows
+                    moved = entry_bits != bits[index]
+                    bits[index] = entry_bits
+                    changed = zip(flat[index][moved].tolist(), values[moved].tolist())
+                    for k, value in changed:
                         cells[k] = repr(value)
-                    rows = np.flatnonzero(moved.any(axis=1)).tolist()
-                for n in rows:
+                    stale = all_rows[index][moved.any(axis=1)]
+                for n in stale.tolist():
                     tails[n] = ",".join(cells[n * width : (n + 1) * width]) + "\r\n"
-                prev_bits = bits
-                t_s, res_s = str(t_idx), f",{float(res)!r},"
+                t_s, res_s = str(t + 1), f",{float(res)!r},"
                 costs = np.asarray(bills, dtype=np.float64).tolist()
                 fh.write("".join([
                     f"{t_s}{n_s}{cost!r}{res_s}{tail}"
@@ -348,16 +395,21 @@ def run_algorithm2(
     """Synchronous agreement-based run.
 
     Per round every consumer mixes neighbor estimates of the average
-    profile, projects its own update against N times the mixed estimate,
-    then applies the dynamic-average tracking correction. Same termination
-    rule as the central runner.
+    profile, projects its own update against N times the mixed estimate
+    (clamped at zero, a deviation from the paper: the tracked estimate can
+    dip below zero for a while, where the price curve is undefined), then
+    applies the dynamic-average tracking correction. Same termination rule
+    as the central runner.
     """
     w = _check_weights(scenario, graph, weights)
     n_consumers = scenario.n_consumers
 
     def update(step, q, q_prev, est):
         mixed = w @ est
-        grad = mapping_profiles(q, n_consumers * mixed, scenario.curve)
+        # price against the proxy N * mixed clamped at zero; the estimates
+        # themselves stay unclamped, so sum_n est_n = sum_n q_n holds exactly
+        proxy = np.maximum(n_consumers * mixed, 0.0)
+        grad = mapping_profiles(q, proxy, scenario.curve)
         q_next = scenario.project(q - step * grad)
         return q_next, mixed + q_next - q
 
@@ -376,8 +428,10 @@ def run_algorithm3(
 
     Per event only the initiator/contact pair acts: they average their two
     estimates, step with their own frequency-based step size 1/(updates so
-    far), project, and track. Convergence is declared after GOSSIP_WINDOW
-    consecutive sub-tolerance residual readings, sampled every N events.
+    far) against N times the average clamped at zero (as in
+    `run_algorithm2`), project, and track. Convergence is declared after
+    GOSSIP_WINDOW consecutive sub-tolerance residual readings, sampled every
+    N events. Each event's trace entry keeps only the pair's two rows.
     """
     _check_graph(scenario, graph)
     q = _check_init(scenario, init)
@@ -401,12 +455,14 @@ def run_algorithm3(
         rows = np.array((i, j))
         avg = 0.5 * (est[i] + est[j])
         counters[rows] += 1
-        q_pair = q[rows]
-        grads = mapping_profiles(q_pair, n_consumers * avg, scenario.curve)
+        # take() copies the pair's rows at a third of the cost of q[rows]
+        q_pair = q.take(rows, axis=0)
+        proxy = np.maximum(n_consumers * avg, 0.0)
+        grads = mapping_profiles(q_pair, proxy, scenario.curve)
         q_next = project_rows(
             q_pair - grads / counters[rows, None],
-            scenario.q_min_matrix[rows],
-            scenario.q_max_matrix[rows],
+            scenario.q_min_matrix.take(rows, axis=0),
+            scenario.q_max_matrix.take(rows, axis=0),
             scenario.budgets[rows],
         )
         est[rows] = avg + q_next - q_pair
@@ -414,7 +470,7 @@ def run_algorithm3(
         if events_used % n_consumers == 0:
             residual = fixed_point_residual(q, scenario)
             streak = streak + 1 if residual <= tol else 0
-        trace.record(q, scenario.curve, residual, estimates=est)
+        trace.record(q, scenario.curve, residual, estimates=est, rows=rows)
         if streak >= GOSSIP_WINDOW:
             converged = True
             break

@@ -90,7 +90,15 @@ def _load_graph(args, loaded: scen.LoadedScenario, rng) -> network.CommGraph:
     )
 
 
+def _check_tol(args) -> None:
+    # a NaN or negative tolerance is never met, so the command would spend
+    # its whole iteration budget
+    if not 0 < args.tol < np.inf:
+        raise CliError(f"--tol must be positive and finite, got {args.tol}", 1)
+
+
 def cmd_run(args) -> int:
+    _check_tol(args)
     loaded = scen.load_scenario(args.scenario)
     scenario = loaded.scenario
     rng = np.random.default_rng(args.seed)
@@ -164,6 +172,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    _check_tol(args)
     loaded = scen.load_scenario(args.scenario)
     scenario = loaded.scenario
     if args.kind == "nash":

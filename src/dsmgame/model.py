@@ -191,8 +191,8 @@ def mapping_profiles(profiles, aggregates, curve: PriceCurve) -> np.ndarray:
 
     `aggregates` is either one shared aggregate (H,) or one per row (N, H),
     which is how the consensus solvers feed per-consumer estimates through.
-    The aggregates are checked once, here: the consensus solvers' pricing
-    proxies are not guaranteed nonnegative.
+    The aggregates are checked once, here, for public callers; the
+    consensus solvers clamp their pricing proxies at zero before the call.
     """
     profiles = np.asarray(profiles, dtype=float)
     aggregates = np.asarray(aggregates, dtype=float)

@@ -106,15 +106,15 @@ def reference_topology_edges(n, target_degree, rng):
 
 
 def reference_trace_csv(trace, path):
-    """Write a run trace field by field through `csv.writer`: the byte
-    format the trace CSV is pinned to."""
+    """Write a run trace field by field through `csv.writer`, every full
+    state in turn: the byte format the trace CSV is pinned to."""
     horizon = trace.profiles[0].shape[1]
     header = ["t", "n", "cost", "residual"] + [f"q{h}" for h in range(1, horizon + 1)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for t_idx, (q, bills, res) in enumerate(
-            zip(trace.profiles, trace.bills, trace.residuals), start=1
+        for t_idx, ((q, _), bills, res) in enumerate(
+            zip(trace.states(), trace.bills, trace.residuals), start=1
         ):
             for n in range(q.shape[0]):
                 writer.writerow(

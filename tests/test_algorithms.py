@@ -345,15 +345,15 @@ def test_alg3_frequency_step_size_rule():
     _, trace = run_algorithm3(
         scenario, graph, iter(events), init=init, tol=0.0, max_events=4
     )
-    q3 = trace.profiles[3]
-    est3 = trace.estimates[3]
+    states = list(trace.states())
+    q3, est3 = states[3]
     avg = 0.5 * (est3[0] + est3[1])
     from dsmgame.feasible import project
 
     for n in range(2):
         grad = mapping_profiles(q3[n], 2 * avg, scenario.curve)
         expected = project(q3[n] - grad / 4.0, scenario.specs[n])
-        np.testing.assert_allclose(trace.profiles[4][n], expected, atol=1e-12)
+        np.testing.assert_allclose(states[4][0][n], expected, atol=1e-12)
 
 
 def test_alg3_rejects_non_edge_events():
@@ -373,6 +373,72 @@ def test_alg3_rejects_non_edge_events():
     bad = [GossipEvent(1, non_edges[0][0], non_edges[0][1])]
     with pytest.raises(ValueError, match="not an edge"):
         run_algorithm3(scenario, graph, iter(bad), init=init, max_events=1)
+
+
+# --- negative pricing proxy ---------------------------------------------------
+#
+# Under the 1/count gossip steps, and under consensus tracking at large N, an
+# estimate of the average profile dips below zero for a while. The runners
+# price against N * estimate clamped at zero; these runs raised "loads must
+# be nonnegative" before the clamp.
+
+
+def bench_small_game(game_seed: int, init_rng):
+    """A small game drawn as the benchmark's small-games workload draws it;
+    only the initial point comes from `init_rng`."""
+    rng = np.random.default_rng(game_seed)
+    n = int(rng.integers(2, 5))
+    h = int(rng.integers(2, 4))
+    curve = PriceCurve(
+        rng.uniform(1.0, 2.2, h), rng.choice([1.0, 1.2], h), rng.uniform(0, 0.1, h)
+    )
+    specs = []
+    for _ in range(n):
+        q_min = rng.uniform(0.3, 0.8, h)
+        q_max = q_min + rng.uniform(1.0, 2.0, h)
+        energy = float(q_min.sum() + rng.uniform(0.35, 0.65) * (q_max - q_min).sum())
+        specs.append(ConsumerSpec(q_min, q_max, energy))
+    init = np.vstack([sample_feasible(s, init_rng) for s in specs])
+    return Scenario(tuple(specs), curve), init
+
+
+@pytest.mark.parametrize("seed, game", [(16, 4), (16, 6), (33, 10)])
+def test_alg3_survives_a_negative_proxy_on_small_games(seed, game):
+    scenario, init = bench_small_game(game, np.random.default_rng((seed, game)))
+    graph = complete_graph(scenario.n_consumers)
+    events = gossip_stream(graph, np.random.default_rng((seed, game, 3)), 2500)
+    result, trace = run_algorithm3(
+        scenario, graph, events, init=init, tol=1e-6, max_events=2500
+    )
+    oracle_ne = nash_best_response_iteration(scenario, tol=1e-7)
+    assert np.max(np.abs(result.final_profiles - oracle_ne)) <= 1e-3
+    assert trace.max_conservation_gap() <= 1e-9
+    assert trace.max_feasibility_violation(scenario) <= 1e-8
+
+
+def test_alg3_survives_a_negative_proxy_at_n500():
+    # the CLI's draws for `run --alg 3 --topology random --degree 3 --seed 0`
+    scenario, init = generate(n_consumers=500, seed=7)
+    rng = np.random.default_rng(0)
+    graph = generate_topology(500, 3.0, rng)
+    events = gossip_stream(graph, rng, 700)
+    result, trace = run_algorithm3(
+        scenario, graph, events, init=init, tol=1e-4, max_events=700
+    )
+    assert result.iterations == 700
+    assert trace.max_conservation_gap() <= 1e-9
+
+
+def test_alg2_survives_a_negative_proxy_at_n2000():
+    # the CLI's draws for `run --alg 2 --topology random --degree 3 --seed 0`
+    scenario, init = generate(n_consumers=2000, seed=7)
+    graph = generate_topology(2000, 3.0, np.random.default_rng(0))
+    result, trace = run_algorithm2(
+        scenario, graph, build_weights(graph, 0.5), init=init, tol=1e-4, max_iter=20
+    )
+    assert result.iterations == 20
+    assert trace.max_conservation_gap() <= 1e-9
+    assert trace.max_feasibility_violation(scenario) <= 1e-8
 
 
 # --- fixed-point residual -----------------------------------------------------
@@ -537,6 +603,109 @@ def test_trace_csv_bytes_match_reference_under_value_changes(
         residuals=[data.draw(_TRACE_FLOATS) for _ in profiles],
     )
     _assert_same_csv_bytes(trace, tmp_path_factory.mktemp("trace"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 4), h=st.integers(1, 5), steps=st.integers(0, 6), data=st.data()
+)
+def test_trace_csv_bytes_match_reference_under_row_subset_entries(
+    tmp_path_factory, n, h, steps, data
+):
+    # entries after the first hold either a full state or a subset of rows
+    # in any order, as a gossip event stores its pair; inside the stored rows
+    # single values change or flip sign (0.0 -> -0.0), or nothing moves
+    values = arrays(np.float64, (n, h), elements=_TRACE_FLOATS)
+    mask = arrays(np.bool_, (n, h))
+    state = data.draw(values)
+    states, entries, changed_rows = [state], [state], {}
+    for t in range(1, steps + 1):
+        state = state.copy()
+        rows = np.arange(n)
+        if data.draw(st.booleans()):
+            rows = np.array(
+                data.draw(st.lists(st.integers(0, n - 1), unique=True)), dtype=np.intp
+            )
+            changed_rows[t] = rows
+        stored = state[rows]
+        moved = data.draw(mask)[: len(rows)]
+        stored[moved] = data.draw(values)[: len(rows)][moved]
+        flipped = data.draw(mask)[: len(rows)]
+        stored[flipped] = -stored[flipped]
+        state[rows] = stored
+        states.append(state)
+        entries.append(stored if t in changed_rows else state)
+    trace = RunTrace(
+        profiles=entries,
+        bills=[data.draw(arrays(np.float64, (n,), elements=_TRACE_FLOATS))
+               for _ in entries],
+        residuals=[data.draw(_TRACE_FLOATS) for _ in entries],
+        changed_rows=changed_rows,
+    )
+    rebuilt = [q for q, _ in trace.states()]
+    assert [q.tobytes() for q in rebuilt] == [q.tobytes() for q in states]
+    _assert_same_csv_bytes(trace, tmp_path_factory.mktemp("trace"))
+
+
+def _recorded_states(monkeypatch) -> list:
+    """Patch `RunTrace.record` to keep full copies of every state it is
+    given; returns the list they are appended to."""
+    received = []
+    record = RunTrace.record
+
+    def keeping(trace, profiles, curve, residual, estimates=None, **kwargs):
+        received.append(
+            (profiles.copy(), None if estimates is None else estimates.copy())
+        )
+        return record(trace, profiles, curve, residual, estimates=estimates, **kwargs)
+
+    monkeypatch.setattr(RunTrace, "record", keeping)
+    return received
+
+
+def _same_bits(a, b) -> bool:
+    return (a is None and b is None) or a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("alg", [1, 3])
+def test_trace_states_are_the_recorded_states(monkeypatch, alg):
+    scenario, init = make_toy_game(999)
+    assert scenario.n_consumers > 2  # so an event's pair is not every row
+    received = _recorded_states(monkeypatch)
+    if alg == 1:
+        _, trace = run_algorithm1(scenario, init=init, tol=1e-6, max_iter=60)
+    else:
+        graph = toy_graph(scenario)
+        events = gossip_stream(graph, np.random.default_rng(3), 300)
+        _, trace = run_algorithm3(
+            scenario, graph, events, init=init, tol=1e-6, max_events=300
+        )
+        assert len(trace.changed_rows) == trace.iterations - 1
+    states = list(trace.states())
+    assert len(states) == len(received) == trace.iterations
+    for (q, est), (q_in, est_in) in zip(states, received):
+        assert _same_bits(q, q_in) and _same_bits(est, est_in)
+
+
+def test_alg3_trace_keeps_only_the_pairs_rows(canonical):
+    scenario, init = canonical
+    n, h = init.shape
+    events = 400
+    graph = generate_topology(n, 3.0, np.random.default_rng(0))
+    stream = gossip_stream(graph, np.random.default_rng(1), events)
+    result, trace = run_algorithm3(
+        scenario, graph, stream, init=init, tol=1e-9, max_events=events
+    )
+    assert result.iterations == events == trace.iterations - 1
+    assert trace.profiles[0].shape == trace.estimates[0].shape == (n, h)
+    for t in range(1, trace.iterations):
+        assert trace.profiles[t].shape == trace.estimates[t].shape == (2, h)
+        assert len(trace.changed_rows[t]) == 2
+    stored = [
+        *trace.profiles, *trace.estimates, *trace.bills, *trace.aggregates,
+        *trace.changed_rows.values(),
+    ]
+    assert sum(a.nbytes for a in stored) < 0.1 * events * 2 * n * h * 8
 
 
 def test_alg3_two_nodes_agrees_with_alg2():

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -186,6 +187,19 @@ def test_run_rejects_max_iter_below_one(toy_file, tmp_path, capsys, max_iter):
         assert code == 1
         assert f"max_iter must be at least 1, got {max_iter}" in capsys.readouterr().err
         assert not trace.exists() and not summary.exists()
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_tol_must_be_positive_and_finite(toy_file, tmp_path, capsys, tol):
+    # a tolerance that is never met would spend the whole budget and exit 0
+    trace, summary, out = tmp_path / "t.csv", tmp_path / "s.json", tmp_path / "o.json"
+    for argv in (
+        ("run", toy_file, "--alg", "1", "--trace", trace, "--summary", summary),
+        ("oracle", toy_file, "--kind", "nash", "-o", out),
+    ):
+        assert run_cli(*argv, "--tol", tol) == 1
+        assert "--tol must be positive and finite" in capsys.readouterr().err
+    assert not any(p.exists() for p in (trace, summary, out))
 
 
 @pytest.mark.parametrize(
@@ -412,6 +426,9 @@ def test_run_experiments_script_smoke(tmp_path):
 
 
 def test_artifact_digests_script_is_reproducible(tmp_path):
+    # run as README prints it: from a checkout, dsmgame neither installed
+    # nor on PYTHONPATH
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     digests = []
     for run in ("first", "second"):
         proc = subprocess.run(
@@ -419,7 +436,7 @@ def test_artifact_digests_script_is_reproducible(tmp_path):
              "--outdir", str(tmp_path / run), "--n", "8", "--max-events", "300"],
             capture_output=True,
             text=True,
-            env=src_env(),
+            env=env,
         )
         assert proc.returncode == 0, proc.stderr
         digests.append(json.loads(proc.stdout))
