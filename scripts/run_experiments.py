@@ -9,9 +9,13 @@ Usage:
 
 import argparse
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
+
+# this checkout's package, installed or not
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from dsmgame.algorithms import run_algorithm1, run_algorithm2, run_algorithm3
 from dsmgame.model import aggregate, grid_cost, par

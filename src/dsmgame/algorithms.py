@@ -9,6 +9,7 @@ from the round-t snapshot, never from freshly updated peers.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
@@ -90,12 +91,13 @@ class RunTrace:
 
     Entry t of `profiles` (and of `estimates`, when the run tracks them)
     holds state t + 1; entry 0 is the initial state. An entry is the full
-    N x H array, except where `changed_rows` maps t to the indices of the
-    rows that changed since entry t - 1: the entry then holds just those
-    rows, in that order. Every synchronous round is full; a gossip event
-    keeps the two rows of its pair. `states()` rebuilds the full states in
-    turn. `bills`, `aggregates` and `residuals` hold one full value per
-    state: every consumer's bill moves with the aggregate. `residuals`
+    N x H array, except where `partial[t]` is set: the entry then holds just
+    the rows that changed since entry t - 1, and their indices, in that
+    order, are the entry's stretch of the flat `changed_rows`. Every
+    synchronous round is full; a gossip event keeps the two rows of its
+    pair. `states()` rebuilds the full states in turn. `bills`,
+    `aggregates` and `residuals` hold one full value per state: every
+    consumer's bill moves with the aggregate. `residuals`
     holds the natural-map fixed-point residual at each recorded state; the
     gossip runner refreshes it only at its periodic checks and carries the
     last reading in between.
@@ -106,7 +108,8 @@ class RunTrace:
     bills: list[np.ndarray] = field(default_factory=list)
     aggregates: list[np.ndarray] = field(default_factory=list)
     residuals: list[float] = field(default_factory=list)
-    changed_rows: dict[int, np.ndarray] = field(default_factory=dict)
+    changed_rows: array = field(default_factory=lambda: array("q"))
+    partial: bytearray = field(default_factory=bytearray)
 
     @property
     def iterations(self) -> int:
@@ -116,14 +119,15 @@ class RunTrace:
         self, profiles, curve: PriceCurve, residual: float, estimates=None, rows=None
     ):
         """Append the full state `profiles` (and `estimates`); with `rows`,
-        an index array of the only rows that changed since the last entry,
-        keep just those rows of each."""
+        the indices of the only rows that changed since the last entry, keep
+        just those rows of each."""
         # the runners record feasible (so nonnegative) profiles only
         q_sigma = profiles.sum(axis=0)
+        self.partial.append(rows is not None)
         if rows is None:
             self.profiles.append(profiles.copy())
         else:
-            self.changed_rows[len(self.profiles)] = rows
+            self.changed_rows.extend(rows)
             self.profiles.append(profiles.take(rows, axis=0))
         self.aggregates.append(q_sigma)
         self.bills.append(profiles @ curve._price(q_sigma))
@@ -135,14 +139,26 @@ class RunTrace:
                 estimates.copy() if rows is None else estimates.take(rows, axis=0)
             )
 
+    def stored_rows(self) -> Iterator[np.ndarray | None]:
+        """Yield, per entry, the indices of the rows it stores, or None for
+        a full entry (as is every entry past the end of `partial`)."""
+        index = np.array(self.changed_rows, dtype=np.intp)
+        start = 0
+        for t, entry in enumerate(self.profiles):
+            if t < len(self.partial) and self.partial[t]:
+                stop = start + len(entry)
+                yield index[start:stop]
+                start = stop
+            else:
+                yield None
+
     def states(self) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
         """Yield each recorded state as fresh full `(profiles, estimates)`
         arrays, built from one working copy; `estimates` is None for a run
         that does not track them."""
         q = est = None
-        for t, entry in enumerate(self.profiles):
+        for t, (entry, rows) in enumerate(zip(self.profiles, self.stored_rows())):
             est_entry = None if self.estimates is None else self.estimates[t]
-            rows = self.changed_rows.get(t)
             if rows is None:
                 q = np.array(entry, dtype=float)
                 est = None if est_entry is None else np.array(est_entry, dtype=float)
@@ -203,13 +219,12 @@ class RunTrace:
         tails: list[str] = []
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(header + "\r\n")
-            for t, (entry, bills, res) in enumerate(
-                zip(self.profiles, self.bills, self.residuals)
+            for t, (entry, rows, bills, res) in enumerate(
+                zip(self.profiles, self.stored_rows(), self.bills, self.residuals)
             ):
                 values = np.ascontiguousarray(entry, dtype=np.float64)
                 # compare bits, not values: -0.0 == 0.0 but their reprs differ
                 entry_bits = values.view(np.uint64)
-                rows = self.changed_rows.get(t)
                 if rows is None and (bits is None or entry_bits.shape != bits.shape):
                     # a full state of a new shape: format every value
                     n_rows, width = values.shape
@@ -416,6 +431,41 @@ def run_algorithm2(
     return _synchronous(scenario, init, step_exponent, update, tol, max_iter, True)
 
 
+def _disjoint_batches(
+    event_stream: Iterable[GossipEvent], graph: CommGraph, max_events: int
+) -> Iterator[list[int]]:
+    """Split the gossip stream into runs of consecutive events on pairwise
+    disjoint pairs, each yielded as the flat row list [i1, j1, i2, j2, ...].
+
+    A batch holds at most N // 2 pairs and ends at the budget and at every
+    N-th event (a residual check), so a consumer that stops at a check has
+    pulled no event past it; past the budget one more event is pulled and
+    dropped. A non-edge event raises once the batch before it is consumed.
+    """
+    n_consumers = graph.n
+    max_rows = 2 * (n_consumers // 2)
+    taken = 0  # events put into batches so far
+    rows: list[int] = []
+    for event in event_stream:
+        if taken >= max_events:
+            break
+        i, j = event.initiator, event.contact
+        if i == j or j not in graph.neighbors(i):
+            if rows:
+                yield rows
+            raise ValueError(f"event {event} is not an edge of the graph")
+        if i in rows or j in rows:
+            yield rows
+            rows = []
+        rows += (i, j)
+        taken += 1
+        if len(rows) == max_rows or taken % n_consumers == 0 or taken == max_events:
+            yield rows
+            rows = []
+    if rows:
+        yield rows
+
+
 def run_algorithm3(
     scenario: Scenario,
     graph: CommGraph,
@@ -432,11 +482,17 @@ def run_algorithm3(
     `run_algorithm2`), project, and track. Convergence is declared after
     GOSSIP_WINDOW consecutive sub-tolerance residual readings, sampled every
     N events. Each event's trace entry keeps only the pair's two rows.
+
+    Events on disjoint pairs commute, so consecutive ones are computed as
+    one batch (one mapping and one projection call over all their rows,
+    every step row-local), then applied and recorded one by one: the same
+    bits as event by event. A batch ends at the budget and at each residual
+    check, so the run pulls from `event_stream` just the events it uses.
     """
     _check_graph(scenario, graph)
     q = _check_init(scenario, init)
     est = q.copy()
-    n_consumers = scenario.n_consumers
+    n_consumers, horizon = q.shape
     counters = np.zeros(n_consumers, dtype=int)
     residual = fixed_point_residual(q, scenario)
     trace = RunTrace()
@@ -445,32 +501,39 @@ def run_algorithm3(
     converged = False
     streak = 0
     events_used = 0
-    for event in event_stream:
-        if events_used >= max_events:
-            break
-        i, j = event.initiator, event.contact
-        if i == j or j not in graph.neighbors(i):
-            raise ValueError(f"event {event} is not an edge of the graph")
-        events_used += 1
-        rows = np.array((i, j))
-        avg = 0.5 * (est[i] + est[j])
-        counters[rows] += 1
-        # take() copies the pair's rows at a third of the cost of q[rows]
-        q_pair = q.take(rows, axis=0)
+    for rows in _disjoint_batches(event_stream, graph, max_events):
+        n_pairs = len(rows) // 2
+        # initiators first, then contacts: pair k's rows are k and n_pairs + k
+        idx = np.array(rows[0::2] + rows[1::2])
+        # the pairs' values as (2, n_pairs, H); a lone pair's stay (2, H),
+        # which numpy broadcasts against the curve's (H,) parameters faster
+        pair_shape = (2, horizon) if n_pairs == 1 else (2, n_pairs, horizon)
+        # take() copies rows at a third of the cost of q[idx]
+        q_rows = q.take(idx, axis=0)
+        q_pairs = q_rows.reshape(pair_shape)
+        est_pairs = est.take(idx, axis=0).reshape(pair_shape)
+        avg = 0.5 * (est_pairs[0] + est_pairs[1])
+        counts = counters.take(idx) + 1
+        counters[idx] = counts
         proxy = np.maximum(n_consumers * avg, 0.0)
-        grads = mapping_profiles(q_pair, proxy, scenario.curve)
+        grads = mapping_profiles(q_pairs, proxy, scenario.curve)
         q_next = project_rows(
-            q_pair - grads / counters[rows, None],
-            scenario.q_min_matrix.take(rows, axis=0),
-            scenario.q_max_matrix.take(rows, axis=0),
-            scenario.budgets[rows],
+            q_rows - grads.reshape(q_rows.shape) / counts[:, None],
+            scenario.q_min_matrix.take(idx, axis=0),
+            scenario.q_max_matrix.take(idx, axis=0),
+            scenario.budgets.take(idx),
         )
-        est[rows] = avg + q_next - q_pair
-        q[rows] = q_next
-        if events_used % n_consumers == 0:
-            residual = fixed_point_residual(q, scenario)
-            streak = streak + 1 if residual <= tol else 0
-        trace.record(q, scenario.curve, residual, estimates=est, rows=rows)
+        est_next = (avg + q_next.reshape(pair_shape) - q_pairs).reshape(q_rows.shape)
+        for k in range(n_pairs):
+            i, j = rows[2 * k], rows[2 * k + 1]
+            q[i], q[j] = q_next[k], q_next[n_pairs + k]
+            est[i], est[j] = est_next[k], est_next[n_pairs + k]
+            events_used += 1
+            if events_used % n_consumers == 0:
+                residual = fixed_point_residual(q, scenario)
+                streak = streak + 1 if residual <= tol else 0
+            trace.record(q, scenario.curve, residual, estimates=est, rows=(i, j))
+        # only a batch's last event can be a residual check
         if streak >= GOSSIP_WINDOW:
             converged = True
             break

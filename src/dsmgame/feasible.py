@@ -82,11 +82,11 @@ def _project_rows_small(v, q_min, q_max, budgets) -> np.ndarray:
     # the breakpoint search of project_rows in plain floats, step for step;
     # on the tiny instances the gossip loop and the oracles work with, numpy
     # dispatch overhead dominates, so plain floats are several times faster
-    out = np.empty_like(v)
+    out = []
     n_slots = v.shape[1]
-    for r in range(v.shape[0]):
-        vr, lo_b, hi_b = v[r].tolist(), q_min[r].tolist(), q_max[r].tolist()
-        target = float(budgets[r])
+    for vr, lo_b, hi_b, target in zip(
+        v.tolist(), q_min.tolist(), q_max.tolist(), budgets.tolist()
+    ):
         kinks = [x - b for x, b in zip(vr, hi_b)] + [x - a for x, a in zip(vr, lo_b)]
         order = sorted(range(2 * n_slots), key=kinks.__getitem__)
         lam, s, slope = kinks[order[0]], sum(hi_b), 1
@@ -102,8 +102,8 @@ def _project_rows_small(v, q_min, q_max, budgets) -> np.ndarray:
             adjust = (target - sum(q)) / len(free)
             for k in free:
                 q[k] = min(max(q[k] + adjust, lo_b[k]), hi_b[k])
-        out[r] = q
-    return out
+        out.append(q)
+    return np.array(out, dtype=float).reshape(v.shape)
 
 
 def project_rows(points, q_min, q_max, budgets) -> np.ndarray:

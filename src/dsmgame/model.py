@@ -189,8 +189,10 @@ def bill_total_load(n: int, profiles, budgets, curve: PriceCurve) -> float:
 def mapping_profiles(profiles, aggregates, curve: PriceCurve) -> np.ndarray:
     """Game mapping rows f_n^h = p_h'(agg) * own_h + p_h(agg), broadcasting.
 
-    `aggregates` is either one shared aggregate (H,) or one per row (N, H),
-    which is how the consensus solvers feed per-consumer estimates through.
+    `aggregates` is one shared aggregate (H,), one per row (N, H), which is
+    how the consensus solvers feed per-consumer estimates through, or any
+    shape that broadcasts against `profiles`: the gossip runner passes its
+    pairs' rows as (2, K, H) against one aggregate per pair, (K, H).
     The aggregates are checked once, here, for public callers; the
     consensus solvers clamp their pricing proxies at zero before the call.
     """

@@ -1,9 +1,12 @@
 """Independent reference computations used only by the tests: an active-set
 QP projection oracle, a grid-search best response, finite differences, and
-plain reference versions of the topology generator and the trace writer.
+plain reference versions of the topology generator, the trace writer and
+the gossip loop.
 
 These deliberately re-derive results from first principles rather than
-calling the library's own solution paths.
+calling the library's own solution paths; the exception is the gossip loop,
+which runs the library's mapping, projection and trace one event at a time,
+so that the batched runner can be held to it bit for bit.
 """
 
 import csv
@@ -11,7 +14,14 @@ import itertools
 
 import numpy as np
 
-from dsmgame.model import bill_instantaneous
+from dsmgame.algorithms import (
+    GOSSIP_WINDOW,
+    RunTrace,
+    SolveResult,
+    fixed_point_residual,
+)
+from dsmgame.feasible import project_rows
+from dsmgame.model import bill_instantaneous, mapping_profiles
 
 
 def project_qp_oracle(v, q_min, q_max, energy, tol=1e-9):
@@ -121,3 +131,61 @@ def reference_trace_csv(trace, path):
                     [t_idx, n + 1, repr(float(bills[n])), repr(float(res))]
                     + [repr(float(x)) for x in q[n]]
                 )
+
+
+def reference_gossip(scenario, graph, event_stream, init, tol, max_events):
+    """Algorithm 3 one event at a time: pull an event, check it is an edge,
+    update the pair, probe the residual every N events and record the state,
+    until GOSSIP_WINDOW sub-tolerance readings in a row or the budget. The
+    bit-for-bit reference for `run_algorithm3`, which batches events on
+    disjoint pairs."""
+    q = np.array(init, dtype=float)
+    est = q.copy()
+    n_consumers = scenario.n_consumers
+    counters = np.zeros(n_consumers, dtype=int)
+    residual = fixed_point_residual(q, scenario)
+    trace = RunTrace()
+    trace.record(q, scenario.curve, residual, estimates=est)
+
+    converged = False
+    streak = 0
+    events_used = 0
+    for event in event_stream:
+        if events_used >= max_events:
+            break
+        i, j = event.initiator, event.contact
+        if i == j or j not in graph.neighbors(i):
+            raise ValueError(f"event {event} is not an edge of the graph")
+        events_used += 1
+        rows = np.array((i, j))
+        avg = 0.5 * (est[i] + est[j])
+        counters[rows] += 1
+        q_pair = q.take(rows, axis=0)
+        proxy = np.maximum(n_consumers * avg, 0.0)
+        grads = mapping_profiles(q_pair, proxy, scenario.curve)
+        q_next = project_rows(
+            q_pair - grads / counters[rows, None],
+            scenario.q_min_matrix.take(rows, axis=0),
+            scenario.q_max_matrix.take(rows, axis=0),
+            scenario.budgets[rows],
+        )
+        est[rows] = avg + q_next - q_pair
+        q[rows] = q_next
+        if events_used % n_consumers == 0:
+            residual = fixed_point_residual(q, scenario)
+            streak = streak + 1 if residual <= tol else 0
+        trace.record(q, scenario.curve, residual, estimates=est, rows=rows)
+        if streak >= GOSSIP_WINDOW:
+            converged = True
+            break
+
+    final_residual = fixed_point_residual(q, scenario)
+    result = SolveResult(
+        final_profiles=q,
+        iterations=events_used,
+        converged=converged,
+        residual=final_residual,
+        fixed_point_residual=final_residual,
+        uniqueness_verified=scenario.uniqueness_verified,
+    )
+    return result, trace

@@ -1,6 +1,8 @@
 """Solver runner tests: trivial cases, oracle agreement, invariants,
 error handling, and trace output."""
 
+from array import array
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,11 +20,17 @@ from dsmgame.algorithms import (
 )
 from dsmgame.feasible import ConsumerSpec, is_feasible, sample_feasible
 from dsmgame.model import PriceCurve, mapping_profiles
-from dsmgame.network import CommGraph, build_weights, generate_topology, gossip_stream
+from dsmgame.network import (
+    CommGraph,
+    GossipEvent,
+    build_weights,
+    generate_topology,
+    gossip_stream,
+)
 from dsmgame.oracle import nash_best_response_iteration
 from dsmgame.scenario import generate
 from conftest import make_toy_game
-from oracles import reference_trace_csv
+from oracles import reference_gossip, reference_trace_csv
 
 COMPLETE_2 = CommGraph(2, frozenset({(0, 1)}))
 
@@ -368,8 +376,6 @@ def test_alg3_rejects_non_edge_events():
     ]
     if not non_edges:
         pytest.skip("random graph came out complete")
-    from dsmgame.network import GossipEvent
-
     bad = [GossipEvent(1, non_edges[0][0], non_edges[0][1])]
     with pytest.raises(ValueError, match="not an edge"):
         run_algorithm3(scenario, graph, iter(bad), init=init, max_events=1)
@@ -389,6 +395,11 @@ def bench_small_game(game_seed: int, init_rng):
     rng = np.random.default_rng(game_seed)
     n = int(rng.integers(2, 5))
     h = int(rng.integers(2, 4))
+    return draw_game(rng, n, h, init_rng)
+
+
+def draw_game(rng, n, h, init_rng):
+    """An N x H game drawn from `rng`, its initial point from `init_rng`."""
     curve = PriceCurve(
         rng.uniform(1.0, 2.2, h), rng.choice([1.0, 1.2], h), rng.uniform(0, 0.1, h)
     )
@@ -439,6 +450,144 @@ def test_alg2_survives_a_negative_proxy_at_n2000():
     assert result.iterations == 20
     assert trace.max_conservation_gap() <= 1e-9
     assert trace.max_feasibility_violation(scenario) <= 1e-8
+
+
+# --- batched gossip against the event-by-event loop ------------------------------
+#
+# run_algorithm3 computes consecutive events on disjoint pairs as one batch;
+# oracles.reference_gossip is the loop it replaced, one event at a time.
+
+
+class CountingStream:
+    """An event stream that counts the events pulled from it."""
+
+    def __init__(self, events):
+        self.events = list(events)
+        self.pulled = 0
+
+    def __iter__(self):
+        for event in self.events:
+            self.pulled += 1
+            yield event
+
+
+def gossip_case(name):
+    """(scenario, init, graph, events, tol) of a named gossip run."""
+    if name.startswith("small-"):
+        seed, game = map(int, name.split("-")[1:])
+        scenario, init = bench_small_game(game, np.random.default_rng((seed, game)))
+        graph = complete_graph(scenario.n_consumers)
+        rng = np.random.default_rng((seed, game, 3))
+        return scenario, init, graph, list(gossip_stream(graph, rng, 2500)), 1e-6
+    if name == "n50":
+        scenario, init = generate(seed=7)
+        rng = np.random.default_rng(0)
+        graph = generate_topology(50, 3.0, rng)
+        return scenario, init, graph, list(gossip_stream(graph, rng, 600)), 1e-4
+    n, h, tol = {
+        "n2": (2, 3, 1e-3), "n3": (3, 2, 1e-3), "n4": (4, 3, 1e-3),
+        "n7": (7, 3, 0.05), "n16": (16, 3, 1e-3),
+    }[name]
+    rng = np.random.default_rng(40 + n)
+    scenario, init = draw_game(rng, n, h, rng)
+    graph = toy_graph(scenario)
+    events = list(gossip_stream(graph, np.random.default_rng(n), 1500))
+    return scenario, init, graph, events, tol
+
+
+def assert_same_gossip_run(batched, reference):
+    (r1, t1), (r2, t2) = batched, reference
+    assert _same_bits(r1.final_profiles, r2.final_profiles)
+    assert (r1.iterations, r1.converged, r1.uniqueness_verified) == (
+        r2.iterations, r2.converged, r2.uniqueness_verified,
+    )
+    assert _same_bits(r1.residual, r2.residual)
+    assert _same_bits(r1.fixed_point_residual, r2.fixed_point_residual)
+    assert t1.iterations == t2.iterations == r1.iterations + 1
+    for name in ("profiles", "estimates", "bills", "aggregates", "residuals"):
+        for e1, e2 in zip(getattr(t1, name), getattr(t2, name), strict=True):
+            assert _same_bits(e1, e2), name
+    for rows1, rows2 in zip(t1.stored_rows(), t2.stored_rows(), strict=True):
+        assert _same_bits(rows1, rows2)
+    for (q1, e1), (q2, e2) in zip(t1.states(), t2.states(), strict=True):
+        assert _same_bits(q1, q2) and _same_bits(e1, e2)
+
+
+def run_both(scenario, graph, events, init, tol, max_events):
+    """Both loops on one event list; returns their runs and pull counts."""
+    runs, pulled = [], []
+    for runner in (run_algorithm3, reference_gossip):
+        stream = CountingStream(events)
+        runs.append(runner(scenario, graph, stream, init=init, tol=tol,
+                           max_events=max_events))
+        pulled.append(stream.pulled)
+    return runs, pulled
+
+
+GOSSIP_CASES = ["n2", "n3", "n4", "n7", "n16", "n50",
+                "small-16-4", "small-16-6", "small-33-10"]
+
+
+@pytest.mark.parametrize("name", GOSSIP_CASES)
+def test_alg3_batches_match_the_event_by_event_loop(name):
+    scenario, init, graph, events, tol = gossip_case(name)
+    budgets = {len(events) + 5, len(events), len(events) // 3 + 1}
+    for max_events in sorted(budgets):
+        runs, pulled = run_both(scenario, graph, events, init, tol, max_events)
+        assert_same_gossip_run(*runs)
+        assert pulled[0] == pulled[1]
+
+
+def test_alg3_batch_cases_cover_convergence_and_the_budget():
+    # the runs above stop both ways, and n16 crosses the projection's
+    # plain-float switch (batches of more than six rows at H = 3)
+    stops = {}
+    for name in ("n3", "n7", "n16", "n50"):
+        scenario, init, graph, events, tol = gossip_case(name)
+        result, _ = reference_gossip(
+            scenario, graph, iter(events), init=init, tol=tol, max_events=len(events)
+        )
+        stops[name] = result.converged
+    assert stops == {"n3": True, "n7": True, "n16": False, "n50": False}
+
+
+@pytest.mark.parametrize("name", ["n3", "n7"])
+def test_alg3_non_edge_event_raises_where_the_event_loop_raises(monkeypatch, name):
+    scenario, init, graph, events, tol = gossip_case(name)
+    result, _ = reference_gossip(
+        scenario, graph, iter(events), init=init, tol=tol, max_events=len(events)
+    )
+    assert result.converged
+    stop = result.iterations
+    bad = GossipEvent(0, 1, 1)  # a self-loop is no edge
+    # right after convergence the bad event is never pulled; right after the
+    # budget it is pulled and dropped
+    for max_events, at, pulls in (
+        (len(events), stop, stop), (stop - 3, stop - 3, stop - 2)
+    ):
+        stream = events[:at] + [bad] + events[at:]
+        runs, pulled = run_both(scenario, graph, stream, init, tol, max_events)
+        assert_same_gossip_run(*runs)
+        assert pulled == [pulls, pulls]
+    # before convergence both raise on pulling it, with every event before
+    # it applied and recorded
+    recorded = []
+    record = RunTrace.record
+
+    def counted(trace, *args, **kwargs):
+        recorded.append(1)
+        return record(trace, *args, **kwargs)
+
+    monkeypatch.setattr(RunTrace, "record", counted)
+    for at in (stop // 2, stop // 2 + 1, scenario.n_consumers):
+        stream = events[:at] + [bad] + events[at:]
+        for runner in (run_algorithm3, reference_gossip):
+            counting, recorded[:] = CountingStream(stream), []
+            with pytest.raises(ValueError, match="not an edge"):
+                runner(scenario, graph, counting, init=init, tol=tol,
+                       max_events=len(stream))
+            assert counting.pulled == at + 1
+            assert len(recorded) == at + 1
 
 
 # --- fixed-point residual -----------------------------------------------------
@@ -618,15 +767,17 @@ def test_trace_csv_bytes_match_reference_under_row_subset_entries(
     values = arrays(np.float64, (n, h), elements=_TRACE_FLOATS)
     mask = arrays(np.bool_, (n, h))
     state = data.draw(values)
-    states, entries, changed_rows = [state], [state], {}
+    states, entries = [state], [state]
+    changed_rows, partial = array("q"), bytearray([0])
     for t in range(1, steps + 1):
         state = state.copy()
         rows = np.arange(n)
-        if data.draw(st.booleans()):
+        partial.append(data.draw(st.booleans()))
+        if partial[t]:
             rows = np.array(
                 data.draw(st.lists(st.integers(0, n - 1), unique=True)), dtype=np.intp
             )
-            changed_rows[t] = rows
+            changed_rows.extend(rows.tolist())
         stored = state[rows]
         moved = data.draw(mask)[: len(rows)]
         stored[moved] = data.draw(values)[: len(rows)][moved]
@@ -634,13 +785,14 @@ def test_trace_csv_bytes_match_reference_under_row_subset_entries(
         stored[flipped] = -stored[flipped]
         state[rows] = stored
         states.append(state)
-        entries.append(stored if t in changed_rows else state)
+        entries.append(stored if partial[t] else state)
     trace = RunTrace(
         profiles=entries,
         bills=[data.draw(arrays(np.float64, (n,), elements=_TRACE_FLOATS))
                for _ in entries],
         residuals=[data.draw(_TRACE_FLOATS) for _ in entries],
         changed_rows=changed_rows,
+        partial=partial,
     )
     rebuilt = [q for q, _ in trace.states()]
     assert [q.tobytes() for q in rebuilt] == [q.tobytes() for q in states]
@@ -664,7 +816,9 @@ def _recorded_states(monkeypatch) -> list:
 
 
 def _same_bits(a, b) -> bool:
-    return (a is None and b is None) or a.tobytes() == b.tobytes()
+    if a is None or b is None:
+        return a is b
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 @pytest.mark.parametrize("alg", [1, 3])
@@ -680,7 +834,7 @@ def test_trace_states_are_the_recorded_states(monkeypatch, alg):
         _, trace = run_algorithm3(
             scenario, graph, events, init=init, tol=1e-6, max_events=300
         )
-        assert len(trace.changed_rows) == trace.iterations - 1
+        assert list(trace.partial) == [0] + [1] * (trace.iterations - 1)
     states = list(trace.states())
     assert len(states) == len(received) == trace.iterations
     for (q, est), (q_in, est_in) in zip(states, received):
@@ -698,14 +852,17 @@ def test_alg3_trace_keeps_only_the_pairs_rows(canonical):
     )
     assert result.iterations == events == trace.iterations - 1
     assert trace.profiles[0].shape == trace.estimates[0].shape == (n, h)
-    for t in range(1, trace.iterations):
-        assert trace.profiles[t].shape == trace.estimates[t].shape == (2, h)
-        assert len(trace.changed_rows[t]) == 2
-    stored = [
-        *trace.profiles, *trace.estimates, *trace.bills, *trace.aggregates,
-        *trace.changed_rows.values(),
-    ]
-    assert sum(a.nbytes for a in stored) < 0.1 * events * 2 * n * h * 8
+    for t, rows in enumerate(trace.stored_rows()):
+        assert (rows is None) == (t == 0)
+        if t:
+            assert trace.profiles[t].shape == trace.estimates[t].shape == (2, h)
+            assert len(rows) == 2
+    # the row indices take 16 bytes per event in one flat array
+    assert len(trace.changed_rows) == 2 * events
+    assert trace.changed_rows.itemsize == 8
+    stored = [*trace.profiles, *trace.estimates, *trace.bills, *trace.aggregates]
+    index_bytes = trace.changed_rows.itemsize * len(trace.changed_rows)
+    assert sum(a.nbytes for a in stored) + index_bytes < 0.1 * events * 2 * n * h * 8
 
 
 def test_alg3_two_nodes_agrees_with_alg2():

@@ -405,12 +405,15 @@ def test_module_invocation(tmp_path):
 
 
 def test_run_experiments_script_smoke(tmp_path):
+    # run as README prints it: from a checkout, dsmgame neither installed
+    # nor on PYTHONPATH
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run(
         [sys.executable, str(REPO / "scripts" / "run_experiments.py"),
          "--n", "8", "--events", "300", "--outdir", str(tmp_path)],
         capture_output=True,
         text=True,
-        env=src_env(),
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     summary = json.loads((tmp_path / "summary.json").read_text())

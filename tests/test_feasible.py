@@ -233,18 +233,25 @@ def test_project_rows_pins_edge_budgets_off_the_grid(n, h, data):
 
 
 def test_project_rows_row_does_not_depend_on_its_batch():
-    rng = np.random.default_rng(5)
-    n, h = 40, 24
-    q_min = rng.uniform(0.0, 1.0, (n, h))
-    q_max = q_min + rng.uniform(0.0, 3.0, (n, h))
-    budgets = q_min.sum(axis=1) + rng.uniform(0.0, 1.0, n) * (
-        q_max.sum(axis=1) - q_min.sum(axis=1)
-    )
-    v = rng.uniform(-4.0, 6.0, (n, h)) * rng.choice([1.0, 1e3], (n, 1))
-    batch = project_rows(v, q_min, q_max, budgets)
-    for r in range(n):
-        alone = project_rows(v[r], q_min[r], q_max[r], budgets[r])
-        np.testing.assert_array_equal(alone[0], batch[r])
+    # the gossip runner projects a batch of pairs in one call and needs each
+    # row's bits as if projected alone: batches of up to six rows at H <= 6
+    # take the plain-float path, larger ones the numpy path
+    n = 40
+    for h in (2, 3, 4, 5, 6, 7, 8, 24):
+        rng = np.random.default_rng(5 + h)
+        q_min = rng.uniform(0.0, 1.0, (n, h))
+        q_max = q_min + rng.uniform(0.0, 3.0, (n, h))
+        budgets = q_min.sum(axis=1) + rng.uniform(0.0, 1.0, n) * (
+            q_max.sum(axis=1) - q_min.sum(axis=1)
+        )
+        v = rng.uniform(-4.0, 6.0, (n, h)) * rng.choice([1.0, 1e3], (n, 1))
+        alone = [project_rows(v[r], q_min[r], q_max[r], budgets[r])[0] for r in range(n)]
+        for size in (2, 5, 6, 7, 12, n):
+            for start in range(0, n - size + 1, size):
+                rows = slice(start, start + size)
+                batch = project_rows(v[rows], q_min[rows], q_max[rows], budgets[rows])
+                for r, got in enumerate(batch, start):
+                    assert got.tobytes() == alone[r].tobytes(), (h, size, r)
 
 
 @pytest.mark.parametrize("n, h", [(3, 4), (12, 24)])  # plain-float, numpy form
