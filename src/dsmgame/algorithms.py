@@ -389,11 +389,15 @@ def _check_weights(scenario: Scenario, graph: CommGraph, weights) -> np.ndarray:
         raise ValueError(f"weight matrix must be {graph.n} x {graph.n}")
     if not is_doubly_stochastic(w):
         raise ValueError("weights are not doubly stochastic within 1e-12")
-    mask = np.zeros_like(w, dtype=bool)
-    for n, k in graph.edges:
-        mask[n, k] = mask[k, n] = True
-    np.fill_diagonal(mask, True)
-    if np.any(w[~mask] != 0):
+    # every nonzero weight must sit on an edge (either direction) or the
+    # diagonal; counting them needs no N x N temporary
+    a, b = np.array(list(graph.edges)).T
+    on_graph = (
+        np.count_nonzero(w[a, b])
+        + np.count_nonzero(w[b, a])
+        + np.count_nonzero(w.diagonal())
+    )
+    if np.count_nonzero(w) > on_graph:
         raise ValueError("weights assign mass to non-neighbors")
     return w
 

@@ -82,6 +82,10 @@ def _load_graph(args, loaded: scen.LoadedScenario, rng) -> network.CommGraph:
     if args.graph:
         return network.load_edge_list(args.graph, loaded.scenario.n_consumers)
     if args.topology == "random":
+        if not 0 < args.degree < np.inf:
+            raise CliError(
+                f"--degree must be positive and finite, got {args.degree}", 1
+            )
         return network.generate_topology(
             loaded.scenario.n_consumers, args.degree, rng
         )
@@ -99,6 +103,8 @@ def _check_tol(args) -> None:
 
 def cmd_run(args) -> int:
     _check_tol(args)
+    if args.alg == 3 and args.max_events < 1:
+        raise CliError(f"--max-events must be at least 1, got {args.max_events}", 1)
     loaded = scen.load_scenario(args.scenario)
     scenario = loaded.scenario
     rng = np.random.default_rng(args.seed)

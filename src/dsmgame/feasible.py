@@ -11,6 +11,12 @@ gives s at every kink; the kink interval that brackets E fixes lam by linear
 interpolation. This breakpoint search for the continuous quadratic knapsack
 problem (Brucker 1984; Kiwiel 2008) is exact in O(H log H) per row, with no
 tolerance and no iteration cap.
+
+The numpy form sorts the kinks with numpy's default sort, which is not
+stable. Tied kinks need a stable order: a slot's upper kink before its
+lower one. So a row whose sorted kinks are not strictly increasing (a tie,
+a -0.0/0.0 pair or a NaN) is sorted again with a stable sort. A row of
+distinct kinks has one sorted order, so every sort gives it the same bits.
 """
 
 from __future__ import annotations
@@ -128,23 +134,42 @@ def project_rows(points, q_min, q_max, budgets) -> np.ndarray:
         budgets = np.broadcast_to(budgets, v.shape[:1])
     if v.shape[0] <= 6 and v.shape[1] <= 6:
         return _project_rows_small(v, q_min, q_max, budgets)
-    n_slots = v.shape[1]
-    kinks = np.concatenate((v - q_max, v - q_min), axis=1)
-    # stable: among tied kinks a slot's upper kink precedes its lower one, so
-    # the free-slot counts (how fast s falls right of each kink) never go
-    # negative, the first kink opens a slot and the last one closes a slot
-    order = np.argsort(kinks, axis=1, kind="stable")
-    k = np.take_along_axis(kinks, order, axis=1)
-    slope = np.cumsum(np.where(order < n_slots, 1, -1), axis=1)[:, :-1]
-    top = q_max.sum(axis=1, keepdims=True)
-    s = np.cumsum(np.concatenate((top, -slope * np.diff(k, axis=1)), axis=1), axis=1)
+    n_rows, n_slots = v.shape
+    width = 2 * n_slots
+    kinks = np.empty((n_rows, width))
+    np.subtract(v, q_max, out=kinks[:, :n_slots])
+    np.subtract(v, q_min, out=kinks[:, n_slots:])
+    order = kinks.argsort(axis=1)
+    k = kinks.take(order + np.arange(0, n_rows * width, width)[:, None])
+    # s starts at sum(q_max) and falls by (free slots) * (kink gap) past
+    # each kink; the gaps go straight into its buffer
+    s = np.empty_like(kinks)
+    gaps = s[:, 1:]
+    np.subtract(k[:, 1:], k[:, :-1], out=gaps)
+    # a gap that is not positive marks a tie (or a NaN); only a stable sort
+    # then puts a slot's upper kink before its lower one, so that the
+    # free-slot counts never go negative, the first kink opens a slot and
+    # the last one closes a slot
+    if not gaps.min(initial=np.inf) > 0:
+        tied = np.flatnonzero(~(gaps > 0).all(axis=1))
+        order[tied] = kinks[tied].argsort(axis=1, kind="stable")
+        k[tied] = np.take_along_axis(kinks[tied], order[tied], axis=1)
+        gaps[tied] = np.diff(k[tied], axis=1)
+    # minus the free-slot counts: float counts are exact, and the negated
+    # form gives each product the bits (and the signed zeros) of -count * gap
+    sign = np.concatenate((np.full(n_slots, -1.0), np.ones(n_slots)))
+    neg_slope = np.cumsum(sign.take(order), axis=1)
+    np.multiply(neg_slope[:, :-1], gaps, out=gaps)
+    s[:, 0] = q_max.sum(axis=1)
+    np.cumsum(s, axis=1, out=s)
     # E lies between kinks p and p + 1; the last kink closes every bracket,
     # since rounding can leave its s a hair above E = sum(q_min)
     hit = s <= budgets[:, None]
     hit[:, -1] = True
     p = np.maximum(hit.argmax(axis=1) - 1, 0)
-    r = np.arange(p.shape[0])
-    lam = k[r, p] + (s[r, p] - budgets) / slope[r, p]
+    r = np.arange(n_rows)
+    # 0.0 - x, not -x: the count of a segment with no free slot is +0.0
+    lam = k[r, p] + (s[r, p] - budgets) / (0.0 - neg_slope[r, p])
     q = np.clip(v - lam[:, None], q_min, q_max)
     # polish: spread the residual budget gap over the strictly free
     # coordinates; exact for singleton sets and keeps sums at float accuracy

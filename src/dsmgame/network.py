@@ -107,7 +107,7 @@ def is_doubly_stochastic(w: np.ndarray, tol: float = 1e-12) -> bool:
     w = np.asarray(w, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         return False
-    if np.any(w < -tol):
+    if w.min(initial=np.inf) < -tol:
         return False
     ones = np.ones(w.shape[0])
     return (
@@ -138,6 +138,10 @@ def generate_topology(
     `target_degree` (or the graph completes)."""
     if n < 2:
         raise ValueError("need at least two nodes")
+    if not 0 < target_degree < np.inf:
+        raise ValueError(
+            f"target degree must be positive and finite, got {target_degree}"
+        )
     order = rng.permutation(n).tolist()
     edges = set()
     for idx in range(1, n):

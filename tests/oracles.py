@@ -1,12 +1,13 @@
 """Independent reference computations used only by the tests: an active-set
 QP projection oracle, a grid-search best response, finite differences, and
-plain reference versions of the topology generator, the trace writer and
-the gossip loop.
+plain reference versions of the projection's numpy form, the topology
+generator, the trace writer and the gossip loop.
 
 These deliberately re-derive results from first principles rather than
-calling the library's own solution paths; the exception is the gossip loop,
-which runs the library's mapping, projection and trace one event at a time,
-so that the batched runner can be held to it bit for bit.
+calling the library's own solution paths; the exceptions are the gossip
+loop, which runs the library's mapping, projection and trace one event at a
+time, and the projection kernel, which stable-sorts every row, so that the
+batched runner and the tie-aware sort can be held to them bit for bit.
 """
 
 import csv
@@ -94,6 +95,46 @@ def mapping_finite_difference(q_n, q_sigma, curve, eps_scale=1e-6):
         down = bill_instantaneous(q_n - e, q_sigma - e, curve)
         out[k] = (up - down) / (2.0 * eps)
     return out
+
+
+def reference_project_rows(points, q_min, q_max, budgets):
+    """The breakpoint search of `project_rows` in numpy with a stable sort of
+    every row's kinks, whatever the row: the bit-for-bit reference for
+    its numpy form, which stable-sorts only the rows whose kinks tie."""
+    v = np.asarray(points, dtype=float)
+    if v.ndim < 2:
+        v = v.reshape(1, -1)
+    q_min, q_max, budgets = np.asarray(q_min), np.asarray(q_max), np.asarray(budgets)
+    if q_min.shape != v.shape:
+        q_min = np.broadcast_to(q_min, v.shape)
+    if q_max.shape != v.shape:
+        q_max = np.broadcast_to(q_max, v.shape)
+    if budgets.shape != v.shape[:1]:
+        budgets = np.broadcast_to(budgets, v.shape[:1])
+    n_slots = v.shape[1]
+    kinks = np.concatenate((v - q_max, v - q_min), axis=1)
+    # stable: among tied kinks a slot's upper kink precedes its lower one, so
+    # the free-slot counts (how fast s falls right of each kink) never go
+    # negative, the first kink opens a slot and the last one closes a slot
+    order = np.argsort(kinks, axis=1, kind="stable")
+    k = np.take_along_axis(kinks, order, axis=1)
+    slope = np.cumsum(np.where(order < n_slots, 1, -1), axis=1)[:, :-1]
+    top = q_max.sum(axis=1, keepdims=True)
+    s = np.cumsum(np.concatenate((top, -slope * np.diff(k, axis=1)), axis=1), axis=1)
+    # E lies between kinks p and p + 1; the last kink closes every bracket,
+    # since rounding can leave its s a hair above E = sum(q_min)
+    hit = s <= budgets[:, None]
+    hit[:, -1] = True
+    p = np.maximum(hit.argmax(axis=1) - 1, 0)
+    r = np.arange(p.shape[0])
+    lam = k[r, p] + (s[r, p] - budgets) / slope[r, p]
+    q = np.clip(v - lam[:, None], q_min, q_max)
+    # polish: spread the residual budget gap over the strictly free
+    # coordinates; exact for singleton sets and keeps sums at float accuracy
+    free = (q > q_min) & (q < q_max)
+    n_free = free.sum(axis=1)
+    adjust = np.where(n_free > 0, (budgets - q.sum(axis=1)) / np.maximum(n_free, 1), 0.0)
+    return np.clip(q + adjust[:, None] * free, q_min, q_max)
 
 
 def reference_topology_edges(n, target_degree, rng):

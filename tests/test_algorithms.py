@@ -1,6 +1,7 @@
 """Solver runner tests: trivial cases, oracle agreement, invariants,
 error handling, and trace output."""
 
+import tracemalloc
 from array import array
 
 import numpy as np
@@ -277,6 +278,28 @@ def test_alg2_rejects_weights_off_the_graph():
     w[b, b] -= shift
     with pytest.raises(ValueError, match="non-neighbors"):
         run_algorithm2(scenario, graph, w, init=init)
+
+
+def test_alg2_weight_checks_allocate_no_n_by_n_temporary():
+    # the checks once built an N x N mask, its complement and the masked
+    # weights; counting nonzeros on the edges keeps a round's peak far
+    # below one copy of the weight matrix
+    n = 400
+    specs = tuple(
+        ConsumerSpec(np.array([0.0]), np.array([10.0]), 1.0 + k % 5) for k in range(n)
+    )
+    scenario = Scenario(specs, singleton_scenario().curve)
+    graph = generate_topology(n, 3.0, np.random.default_rng(0))
+    w = build_weights(graph, 0.5)
+    init = np.array([[spec.energy] for spec in specs])
+    run_algorithm2(scenario, graph, w, init=init, max_iter=1)
+    tracemalloc.start()
+    try:
+        run_algorithm2(scenario, graph, w, init=init, max_iter=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < w.nbytes // 4
 
 
 def test_alg2_conservation_identity():

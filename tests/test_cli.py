@@ -189,6 +189,34 @@ def test_run_rejects_max_iter_below_one(toy_file, tmp_path, capsys, max_iter):
         assert not trace.exists() and not summary.exists()
 
 
+@pytest.mark.parametrize("degree", ["0", "-3", "nan"])
+def test_run_rejects_a_bad_degree_naming_the_flag(toy_file, tmp_path, capsys, degree):
+    # such a degree used to give a bare spanning tree and exit 0
+    trace, summary = tmp_path / "t.csv", tmp_path / "s.json"
+    for alg in ("2", "3"):
+        code = run_cli(
+            "run", toy_file, "--alg", alg, "--topology", "random", "--degree", degree,
+            "--trace", trace, "--summary", summary,
+        )
+        assert code == 1
+        assert "--degree must be positive and finite" in capsys.readouterr().err
+        assert not trace.exists() and not summary.exists()
+
+
+@pytest.mark.parametrize("max_events", ["0", "-5"])
+def test_run_rejects_max_events_below_one_naming_the_flag(
+    toy_file, tmp_path, capsys, max_events
+):
+    trace, summary = tmp_path / "t.csv", tmp_path / "s.json"
+    code = run_cli(
+        "run", toy_file, "--alg", "3", "--topology", "random", "--max-events",
+        max_events, "--trace", trace, "--summary", summary,
+    )
+    assert code == 1
+    assert f"--max-events must be at least 1, got {max_events}" in capsys.readouterr().err
+    assert not trace.exists() and not summary.exists()
+
+
 @pytest.mark.parametrize("tol", ["nan", "-1"])
 def test_tol_must_be_positive_and_finite(toy_file, tmp_path, capsys, tol):
     # a tolerance that is never met would spend the whole budget and exit 0

@@ -13,7 +13,7 @@ from dsmgame.feasible import (
     project_rows,
     sample_feasible,
 )
-from oracles import project_qp_oracle
+from oracles import project_qp_oracle, reference_project_rows
 
 
 def spec_2d(e=6.0):
@@ -270,6 +270,74 @@ def test_project_rows_shared_bounds_match_explicit_rows_bit_for_bit(n, h):
         project_rows(v[0], q_min, q_max, energy), explicit[:1]
     )
 
+
+@st.composite
+def kernel_batches(draw):
+    # batches for the numpy form (7+ rows). "raw" rows have distinct kinks.
+    # "grid" rows sit on a coarse grid with zero-width slots (q_min ==
+    # q_max), so kinks tie; a step of 0.1 also makes the sums round.
+    # "zeros" rows add -0.0 next to 0.0, so their kinks hold +-0.0 pairs.
+    # "ends" rows tie their largest kink with a zero-width slot's two kinks
+    # and ask for E = sum(q_min), the bracket where the order of tied kinks
+    # can decide the slope once the sums round
+    n = draw(st.integers(7, 300))
+    h = draw(st.integers(1, 30))
+    kind = draw(st.sampled_from(["raw", "grid", "zeros", "ends"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "raw":
+        q_min = rng.uniform(0.0, 1.0, (n, h))
+        q_max = q_min + rng.uniform(0.0, 3.0, (n, h))
+        v = rng.uniform(-4.0, 6.0, (n, h))
+    else:
+        step = 0.1 if kind == "ends" else draw(st.sampled_from([1.0, 0.125, 0.1]))
+        q_min = step * rng.integers(0, 4, (n, h))
+        q_max = q_min + step * rng.integers(0, 3, (n, h))
+        v = step * rng.integers(-6, 8, (n, h))
+    if kind == "zeros":
+        v[rng.random((n, h)) < 0.3] = -0.0
+        q_min[rng.random((n, h)) < 0.3] = 0.0
+    lo, hi = q_min.sum(axis=1), q_max.sum(axis=1)
+    budgets = lo + rng.integers(0, 9, n) / 8 * (hi - lo)
+    if kind == "ends" and h > 1:
+        rows = np.arange(n)
+        top = (v - q_min).argmax(axis=1)
+        twin = (top + rng.integers(1, h, n)) % h
+        v[rows, twin] = v[rows, top]
+        q_min[rows, twin] = q_max[rows, twin] = q_min[rows, top]
+        budgets = q_min.sum(axis=1)
+    return v, q_min, q_max, budgets
+
+
+@settings(max_examples=300, deadline=None)
+@given(batch=kernel_batches(), bad=st.sampled_from([None, np.nan, np.inf, -np.inf]))
+def test_project_rows_matches_the_stable_sort_kernel_bit_for_bit(batch, bad):
+    # the numpy form stable-sorts only rows whose kinks tie; every other row
+    # has one sorted order, so the whole batch keeps the bits of a kernel
+    # that stable-sorts every row, non-finite rows included
+    v, q_min, q_max, budgets = batch
+    if bad is not None:
+        v = v.copy()
+        v[v.shape[0] // 2, 0] = bad
+    with np.errstate(all="ignore"):
+        got = project_rows(v, q_min, q_max, budgets)
+        expected = reference_project_rows(v, q_min, q_max, budgets)
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_project_rows_keeps_upper_before_lower_among_tied_last_kinks():
+    # the largest kink, 0.4, is slot 1's upper and lower kink (zero width)
+    # and slot 4's lower kink. At E = sum(q_min) the sums of kink steps
+    # round a hair above E, so the bracket ends at the last kink, and its
+    # slope is +1 only if a lower kink comes last: the stable order. Any
+    # other order of the tie gives slot 4 a value off q_min
+    step = 0.1
+    v = step * np.tile([6, -1, 2, 4, 4], (8, 1))
+    q_min = step * np.tile([2, 3, 0, 0, 2], (8, 1))
+    q_max = step * np.tile([2, 3, 0, 1, 3], (8, 1))
+    budgets = q_min.sum(axis=1)
+    got = project_rows(v, q_min, q_max, budgets)
+    assert got.tobytes() == reference_project_rows(v, q_min, q_max, budgets).tobytes()
+    np.testing.assert_array_equal(got, q_min)
 
 # --- sample_feasible --------------------------------------------------------
 

@@ -85,6 +85,22 @@ def test_weights_reject_bad_tau():
             build_weights(STAR_5, tau)
 
 
+def test_doubly_stochastic_check_decisions():
+    w = build_weights(STAR_5, 0.5)
+    assert is_doubly_stochastic(w)
+    for r, c, value in ((0, 0, np.nan), (1, 2, -1e-9), (0, 1, 0.3)):
+        bad = w.copy()
+        bad[r, c] = value
+        assert not is_doubly_stochastic(bad), (r, c, value)
+    # a negative entry within the tolerance passes when the sums hold
+    shifted = w.copy()
+    shifted[1, 2] = shifted[2, 1] = -1e-13
+    shifted[1, 1] += 1e-13
+    shifted[2, 2] += 1e-13
+    assert is_doubly_stochastic(shifted, tol=1e-12)
+    assert not is_doubly_stochastic(np.ones((2, 3)) / 3)
+
+
 # --- gossip stream ----------------------------------------------------------
 
 
@@ -156,6 +172,12 @@ def test_topology_deterministic_per_seed():
     a = generate_topology(30, 3.0, np.random.default_rng(99))
     b = generate_topology(30, 3.0, np.random.default_rng(99))
     assert a.edges == b.edges
+
+
+@pytest.mark.parametrize("degree", [0.0, -3.0, np.nan, np.inf])
+def test_topology_rejects_a_degree_that_is_not_positive_and_finite(degree):
+    with pytest.raises(ValueError, match="target degree must be positive and finite"):
+        generate_topology(10, degree, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize(
