@@ -311,17 +311,26 @@ def _synchronous(
     scenario: Scenario,
     init,
     step_exponent: float,
-    update: Callable,
+    step_point: Callable,
     tol: float,
     max_iter: int,
     estimates: bool,
 ) -> tuple[SolveResult, RunTrace]:
     """Projected Jacobi loop shared by the synchronous runners.
 
-    Round t calls ``update(t**-p, q(t), q(t-1), est(t))`` for
-    ``(q(t+1), est(t+1))``, with q(0) := q(1) and p = `step_exponent`;
-    `est` starts as a copy of the initial profiles when `estimates` is set
-    and is None otherwise. Terminates when max_n ||q(t+1) - q(t)||_inf <= tol.
+    Round t calls ``step_point(t**-p, q(t), q(t-1), est(t), grad, out)``,
+    with q(0) := q(1), p = `step_exponent` and ``grad = F(q(t), sum q(t))``,
+    the mapping at the true aggregate. It writes the point that projects to
+    q(t+1) into `out` and returns the mixed estimates, which the tracking
+    correction turns into est(t+1) = mixed + q(t+1) - q(t) (None for a run
+    without estimates). `est` starts as a copy of the initial profiles when
+    `estimates` is set and is None otherwise. Terminates when
+    max_n ||q(t+1) - q(t)||_inf <= tol.
+
+    Each round projects the residual probe point q(t) - grad and the step
+    point in one call over 2N rows; the projection is row-independent, so
+    both halves have the bits of separate calls. State t is recorded in
+    round t + 1, with its residual, and the last state after the loop.
     """
     # the steps t^-p have a divergent sum and summable squares iff 0.5 < p <= 1
     if not 0.5 < step_exponent <= 1.0:
@@ -330,21 +339,37 @@ def _synchronous(
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     q = _check_init(scenario, init)
     est = q.copy() if estimates else None
+    curve = scenario.curve
+    n = scenario.n_consumers
+    # probe rows first, then step rows; the point buffer is reused every round
+    points = np.empty((2 * n, scenario.horizon))
+    probe_points, step_points = points[:n], points[n:]
+    q_min, q_max, budgets = (
+        np.concatenate((a, a))
+        for a in (scenario.q_min_matrix, scenario.q_max_matrix, scenario.budgets)
+    )
     trace = RunTrace()
-    trace.record(q, scenario.curve, fixed_point_residual(q, scenario), estimates=est)
 
     q_prev = q
     converged = False
     change = np.inf
     t = 0
     for t in range(1, max_iter + 1):
-        q_next, est = update(float(t) ** -step_exponent, q, q_prev, est)
+        grad = mapping_profiles(q, q.sum(axis=0), curve)
+        np.subtract(q, grad, out=probe_points)
+        mixed = step_point(float(t) ** -step_exponent, q, q_prev, est, grad, step_points)
+        projected = project_rows(points, q_min, q_max, budgets)
+        residual = float(np.max(np.abs(q - projected[:n])))
+        trace.record(q, curve, residual, estimates=est)
+        q_next = projected[n:]
+        if est is not None:
+            est = mixed + q_next - q
         change = float(np.max(np.abs(q_next - q)))
         q_prev, q = q, q_next
-        trace.record(q, scenario.curve, fixed_point_residual(q, scenario), estimates=est)
         if change <= tol:
             converged = True
             break
+    trace.record(q, curve, fixed_point_residual(q, scenario), estimates=est)
 
     return SolveResult(
         final_profiles=q,
@@ -375,11 +400,10 @@ def run_algorithm1(
     if theta <= 0:
         raise ValueError("theta must be positive")
 
-    def update(step, q, q_prev, est):
-        grad = mapping_profiles(q, q.sum(axis=0), scenario.curve)
-        return scenario.project(q - step * (grad + theta * (q - q_prev))), est
+    def step_point(step, q, q_prev, est, grad, out):
+        np.subtract(q, step * (grad + theta * (q - q_prev)), out=out)
 
-    return _synchronous(scenario, init, step_exponent, update, tol, max_iter, False)
+    return _synchronous(scenario, init, step_exponent, step_point, tol, max_iter, False)
 
 
 def _check_weights(scenario: Scenario, graph: CommGraph, weights) -> np.ndarray:
@@ -423,16 +447,15 @@ def run_algorithm2(
     w = _check_weights(scenario, graph, weights)
     n_consumers = scenario.n_consumers
 
-    def update(step, q, q_prev, est):
+    def step_point(step, q, q_prev, est, grad, out):
         mixed = w @ est
         # price against the proxy N * mixed clamped at zero; the estimates
         # themselves stay unclamped, so sum_n est_n = sum_n q_n holds exactly
         proxy = np.maximum(n_consumers * mixed, 0.0)
-        grad = mapping_profiles(q, proxy, scenario.curve)
-        q_next = scenario.project(q - step * grad)
-        return q_next, mixed + q_next - q
+        np.subtract(q, step * mapping_profiles(q, proxy, scenario.curve), out=out)
+        return mixed
 
-    return _synchronous(scenario, init, step_exponent, update, tol, max_iter, True)
+    return _synchronous(scenario, init, step_exponent, step_point, tol, max_iter, True)
 
 
 def _disjoint_batches(
@@ -493,6 +516,8 @@ def run_algorithm3(
     bits as event by event. A batch ends at the budget and at each residual
     check, so the run pulls from `event_stream` just the events it uses.
     """
+    if max_events < 1:
+        raise ValueError(f"max_events must be at least 1, got {max_events}")
     _check_graph(scenario, graph)
     q = _check_init(scenario, init)
     est = q.copy()

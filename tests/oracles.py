@@ -1,13 +1,13 @@
 """Independent reference computations used only by the tests: an active-set
 QP projection oracle, a grid-search best response, finite differences, and
 plain reference versions of the projection's numpy form, the topology
-generator, the trace writer and the gossip loop.
+generator, the trace writer, the synchronous loop and the gossip loop.
 
 These deliberately re-derive results from first principles rather than
-calling the library's own solution paths; the exceptions are the gossip
-loop, which runs the library's mapping, projection and trace one event at a
-time, and the projection kernel, which stable-sorts every row, so that the
-batched runner and the tie-aware sort can be held to them bit for bit.
+calling the library's own solution paths; the exceptions are the two loops,
+which run the library's mapping, projection and trace one round or one
+event at a time, and the projection kernel, which stable-sorts every row,
+so that the runners and the tie-aware sort can be held to them bit for bit.
 """
 
 import csv
@@ -16,6 +16,8 @@ import itertools
 import numpy as np
 
 from dsmgame.algorithms import (
+    DEFAULT_EXPONENT,
+    DEFAULT_THETA,
     GOSSIP_WINDOW,
     RunTrace,
     SolveResult,
@@ -172,6 +174,50 @@ def reference_trace_csv(trace, path):
                     [t_idx, n + 1, repr(float(bills[n])), repr(float(res))]
                     + [repr(float(x)) for x in q[n]]
                 )
+
+
+def reference_synchronous(scenario, init, tol, max_iter, weights=None):
+    """Algorithm 1 (no `weights`) or algorithm 2 at the default parameters,
+    with a separate residual probe per round: each round maps and projects
+    its update, then `fixed_point_residual` maps and projects the new state
+    again. The bit-for-bit reference for the synchronous runners, which
+    project the probe and the step in one call."""
+    curve = scenario.curve
+    q = np.array(init, dtype=float)
+    est = None if weights is None else q.copy()
+    trace = RunTrace()
+    trace.record(q, curve, fixed_point_residual(q, scenario), estimates=est)
+
+    q_prev = q
+    converged = False
+    change = np.inf
+    t = 0
+    for t in range(1, max_iter + 1):
+        step = float(t) ** -DEFAULT_EXPONENT
+        if weights is None:
+            grad = mapping_profiles(q, q.sum(axis=0), curve)
+            q_next = scenario.project(q - step * (grad + DEFAULT_THETA * (q - q_prev)))
+        else:
+            mixed = weights @ est
+            proxy = np.maximum(scenario.n_consumers * mixed, 0.0)
+            q_next = scenario.project(q - step * mapping_profiles(q, proxy, curve))
+            est = mixed + q_next - q
+        change = float(np.max(np.abs(q_next - q)))
+        q_prev, q = q, q_next
+        trace.record(q, curve, fixed_point_residual(q, scenario), estimates=est)
+        if change <= tol:
+            converged = True
+            break
+
+    result = SolveResult(
+        final_profiles=q,
+        iterations=t,
+        converged=converged,
+        residual=change,
+        fixed_point_residual=trace.residuals[-1],
+        uniqueness_verified=scenario.uniqueness_verified,
+    )
+    return result, trace
 
 
 def reference_gossip(scenario, graph, event_stream, init, tol, max_events):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import dsmgame.algorithms as algorithms
 from dsmgame.algorithms import (
     DEFAULT_EXPONENT,
     RunTrace,
@@ -31,7 +32,7 @@ from dsmgame.network import (
 from dsmgame.oracle import nash_best_response_iteration
 from dsmgame.scenario import generate
 from conftest import make_toy_game
-from oracles import reference_gossip, reference_trace_csv
+from oracles import reference_gossip, reference_synchronous, reference_trace_csv
 
 COMPLETE_2 = CommGraph(2, frozenset({(0, 1)}))
 
@@ -518,8 +519,9 @@ def gossip_case(name):
     return scenario, init, graph, events, tol
 
 
-def assert_same_gossip_run(batched, reference):
-    (r1, t1), (r2, t2) = batched, reference
+def assert_same_run(run, reference):
+    """Two runs with the same bits in every result field and trace entry."""
+    (r1, t1), (r2, t2) = run, reference
     assert _same_bits(r1.final_profiles, r2.final_profiles)
     assert (r1.iterations, r1.converged, r1.uniqueness_verified) == (
         r2.iterations, r2.converged, r2.uniqueness_verified,
@@ -528,7 +530,9 @@ def assert_same_gossip_run(batched, reference):
     assert _same_bits(r1.fixed_point_residual, r2.fixed_point_residual)
     assert t1.iterations == t2.iterations == r1.iterations + 1
     for name in ("profiles", "estimates", "bills", "aggregates", "residuals"):
-        for e1, e2 in zip(getattr(t1, name), getattr(t2, name), strict=True):
+        entries1, entries2 = getattr(t1, name), getattr(t2, name)
+        assert (entries1 is None) == (entries2 is None), name
+        for e1, e2 in zip(entries1 or (), entries2 or (), strict=True):
             assert _same_bits(e1, e2), name
     for rows1, rows2 in zip(t1.stored_rows(), t2.stored_rows(), strict=True):
         assert _same_bits(rows1, rows2)
@@ -557,7 +561,7 @@ def test_alg3_batches_match_the_event_by_event_loop(name):
     budgets = {len(events) + 5, len(events), len(events) // 3 + 1}
     for max_events in sorted(budgets):
         runs, pulled = run_both(scenario, graph, events, init, tol, max_events)
-        assert_same_gossip_run(*runs)
+        assert_same_run(*runs)
         assert pulled[0] == pulled[1]
 
 
@@ -590,7 +594,7 @@ def test_alg3_non_edge_event_raises_where_the_event_loop_raises(monkeypatch, nam
     ):
         stream = events[:at] + [bad] + events[at:]
         runs, pulled = run_both(scenario, graph, stream, init, tol, max_events)
-        assert_same_gossip_run(*runs)
+        assert_same_run(*runs)
         assert pulled == [pulls, pulls]
     # before convergence both raise on pulling it, with every event before
     # it applied and recorded
@@ -611,6 +615,101 @@ def test_alg3_non_edge_event_raises_where_the_event_loop_raises(monkeypatch, nam
                        max_events=len(stream))
             assert counting.pulled == at + 1
             assert len(recorded) == at + 1
+
+
+@pytest.mark.parametrize("max_events", [0, -2])
+def test_alg3_rejects_max_events_below_one_before_pulling(max_events):
+    scenario, init = make_toy_game(909)
+    stream = CountingStream(gossip_stream(COMPLETE_2, np.random.default_rng(4), 5))
+    with pytest.raises(ValueError, match=f"max_events must be at least 1, got {max_events}"):
+        run_algorithm3(scenario, COMPLETE_2, stream, init=init, max_events=max_events)
+    assert stream.pulled == 0
+
+
+# --- one projection call per synchronous round ----------------------------------
+#
+# Each round projects the residual probe of q(t) and the step toward q(t+1)
+# in one call over 2N rows; oracles.reference_synchronous is the loop with a
+# separate probe call per round.
+
+
+def paired_synchronous_runs(scenario, init, graph, tol, max_iter):
+    """[(run, reference)] for algorithms 1 and 2 on one game."""
+    weights = build_weights(graph, 0.5)
+    return [
+        (run_algorithm1(scenario, init=init, tol=tol, max_iter=max_iter),
+         reference_synchronous(scenario, init, tol, max_iter)),
+        (run_algorithm2(scenario, graph, weights, init=init, tol=tol, max_iter=max_iter),
+         reference_synchronous(scenario, init, tol, max_iter, weights=weights)),
+    ]
+
+
+def assert_residuals_probe_the_recorded_states(scenario, run):
+    result, trace = run
+    states = list(trace.states())
+    assert len(states) == len(trace.residuals) == result.iterations + 1
+    for (q, _), residual in zip(states, trace.residuals):
+        assert _same_bits(residual, fixed_point_residual(q, scenario))
+
+
+# toy games with N = 2, 3, 4 at H <= 3: 2N rows fall on both sides of the
+# projection's six-row plain-float switch, and N = 4 crosses it (a separate
+# call projects 4 rows in plain floats, the joint call 8 rows in numpy)
+@pytest.mark.parametrize("game, n", [(909, 2), (131, 3), (17, 4)])
+def test_synchronous_round_matches_the_separate_probe_loop(game, n):
+    scenario, init = make_toy_game(game)
+    assert scenario.n_consumers == n
+    graph = toy_graph(scenario)
+    stops = []
+    for tol, max_iter in ((1e-6, 3000), (0.0, 40), (1e-6, 1)):
+        for run, reference in paired_synchronous_runs(scenario, init, graph, tol, max_iter):
+            assert_residuals_probe_the_recorded_states(scenario, run)
+            assert_same_run(run, reference)
+            stops.append((run[0].converged, run[0].iterations))
+    # alg 1 and alg 2 converge, then stop at each budget
+    assert stops[0][0] and stops[1][0]
+    assert stops[2:] == [(False, 40)] * 2 + [(False, 1)] * 2
+
+
+def test_synchronous_round_matches_the_separate_probe_loop_at_n50(canonical):
+    scenario, init = canonical
+    graph = generate_topology(50, 3.0, np.random.default_rng(0))
+    for run, reference in paired_synchronous_runs(scenario, init, graph, 0.0, 30):
+        assert run[0].iterations == 30
+        assert_residuals_probe_the_recorded_states(scenario, run)
+        assert_same_run(run, reference)
+
+
+def test_synchronous_round_maps_and_projects_once(monkeypatch):
+    # alg 1 reuses the probe's gradient for its step, so a round makes one
+    # mapping call; alg 2 maps at the true aggregate and at its proxy. Each
+    # round makes one projection call over 2N rows and the last state's
+    # probe one more over N rows.
+    calls = {"mapping_profiles": [], "project_rows": []}
+    for name, rows in calls.items():
+        def counting(*args, fn=getattr(algorithms, name), rows=rows, **kwargs):
+            out = fn(*args, **kwargs)
+            rows.append(len(out))
+            return out
+
+        monkeypatch.setattr(algorithms, name, counting)
+    scenario, init = make_toy_game(17)
+    graph = toy_graph(scenario)
+    weights = build_weights(graph, 0.5)
+    n = scenario.n_consumers
+    for tol, max_iter in ((1e-6, 3000), (0.0, 40), (1e-6, 1)):
+        for mappings_per_round in (1, 2):
+            for rows in calls.values():
+                rows.clear()
+            if mappings_per_round == 1:
+                result, _ = run_algorithm1(scenario, init=init, tol=tol, max_iter=max_iter)
+            else:
+                result, _ = run_algorithm2(
+                    scenario, graph, weights, init=init, tol=tol, max_iter=max_iter
+                )
+            rounds = result.iterations
+            assert len(calls["mapping_profiles"]) == mappings_per_round * rounds + 1
+            assert calls["project_rows"] == [2 * n] * rounds + [n]
 
 
 # --- fixed-point residual -----------------------------------------------------

@@ -66,10 +66,19 @@ def test_tracer_layer_metrics_count_every_runner(tmp_path):
     assert metrics["algorithms.trace_mem_bytes"] > 0
     assert metrics["algorithms.trace_rows"] == t1.iterations * scenario.n_consumers
     assert metrics["network.events"] == r3.iterations
-    # the synchronous rounds nest their mapping, residual probe and record
-    # spans directly under the runner's span
-    for name, result in (("algorithms.alg1", r1), ("algorithms.alg2", r2)):
+    # the synchronous rounds nest their mapping, projection and record spans
+    # directly under the runner's span. A round projects the residual probe
+    # of its state and its step in one call over 2N rows; alg 1 steps with
+    # the probe's gradient, alg 2 maps again at its proxy. The last state's
+    # probe is the one residual call.
+    rows = scenario.n_consumers
+    for name, result, maps in (("algorithms.alg1", r1, 1), ("algorithms.alg2", r2, 2)):
         n = result.iterations
-        assert direct_children(spans, name, "model.mapping") == [n]
-        assert direct_children(spans, name, "algorithms.residual") == [n + 1]
+        assert direct_children(spans, name, "model.mapping") == [maps * n]
+        assert direct_children(spans, name, "feasible.project_rows") == [n]
+        assert direct_children(spans, name, "algorithms.residual") == [1]
         assert direct_children(spans, name, "algorithms.record") == [n + 1]
+        runner = next(i for i, s in enumerate(spans) if s[0] == name)
+        assert {
+            s[4] for s in spans if s[0] == "feasible.project_rows" and s[1] == runner
+        } == {2 * rows}
