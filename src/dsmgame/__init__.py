@@ -15,17 +15,12 @@ from .feasible import ConsumerSpec, is_feasible, project, sample_feasible
 from .model import (
     Certificate,
     PriceCurve,
-    SingularityError,
     aggregate,
     bill_instantaneous,
-    bill_total_load,
     grid_cost,
-    hessian_diagonal,
     mapping_component,
     monotonicity_certificate,
     par,
-    price,
-    price_derivative,
     uniqueness_certificate,
 )
 from .network import (

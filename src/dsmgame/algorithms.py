@@ -397,8 +397,8 @@ def run_algorithm1(
     q(0) := q(1), so the first proximal term vanishes. Terminates when
     max_n ||q(t+1) - q(t)||_inf <= tol.
     """
-    if theta <= 0:
-        raise ValueError("theta must be positive")
+    if not 0 < theta < np.inf:
+        raise ValueError(f"theta must be positive and finite, got {theta}")
 
     def step_point(step, q, q_prev, est, grad, out):
         np.subtract(q, step * (grad + theta * (q - q_prev)), out=out)

@@ -103,6 +103,8 @@ def _check_tol(args) -> None:
 
 def cmd_run(args) -> int:
     _check_tol(args)
+    if args.alg == 1 and not 0 < args.theta < np.inf:
+        raise CliError(f"--theta must be positive and finite, got {args.theta}", 1)
     if args.alg == 3 and args.max_events < 1:
         raise CliError(f"--max-events must be at least 1, got {args.max_events}", 1)
     loaded = scen.load_scenario(args.scenario)
@@ -189,12 +191,7 @@ def cmd_oracle(args) -> int:
                 1,
             )
         profiles = oracle.nash_best_response_iteration(scenario, tol=args.tol)
-        cost = float(
-            sum(
-                scenario.curve.price_vector(profiles.sum(axis=0)) @ profiles[n]
-                for n in range(scenario.n_consumers)
-            )
-        )
+        cost = grid_cost(aggregate(profiles), scenario.curve)
         payload = {
             "command": "oracle",
             "kind": "nash",

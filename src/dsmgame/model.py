@@ -1,9 +1,9 @@
 """Economic primitives: polynomial price curve, billing schemes, game mapping,
 and the analytic uniqueness/monotonicity certificates.
 
-Slot indices in the scalar helpers (`price`, `price_derivative`,
-`monotonicity_certificate`) are 1-based, matching the on-disk file formats;
-array positions are the usual 0-based numpy convention.
+Slot indices in the scalar helpers (`monotonicity_certificate`,
+`jacobian_slot_matrix`, `rank_two_eigenvalues`) are 1-based, matching the
+on-disk file formats; array positions are the usual 0-based numpy convention.
 """
 
 from __future__ import annotations
@@ -11,11 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-
-class SingularityError(ValueError):
-    """Raised when price curvature is evaluated at a diverging point
-    (zero aggregate load with exponent strictly between 1 and 2)."""
 
 
 def _as_1d(x, name: str) -> np.ndarray:
@@ -103,27 +98,6 @@ class PriceCurve:
     def _slope(self, loads: np.ndarray) -> np.ndarray:
         return np.where(self._linear, self.a, self._ab * loads**self._powers)
 
-    def price_second_derivative_vector(self, loads) -> np.ndarray:
-        """p_h''(L_h) = a_h b_h (b_h - 1) L^(b_h - 2).
-
-        Diverges at L = 0 when 1 < b_h < 2; such evaluations raise
-        SingularityError instead of returning an infinity.
-        """
-        loads = np.asarray(loads, dtype=float)
-        self._check_loads(loads)
-        linear = self._linear
-        singular = (loads == 0) & (self.b < 2) & ~linear
-        if np.any(singular):
-            slot = int(np.argmax(singular) % self.horizon) + 1
-            raise SingularityError(
-                f"price curvature diverges at zero load in slot {slot} "
-                f"(exponent b={self.b[slot - 1]:g} < 2)"
-            )
-        powers = np.where(linear, 0.0, self.b - 2.0)
-        with np.errstate(divide="ignore"):
-            curv = self.a * self.b * (self.b - 1.0) * loads**powers
-        return np.where(linear, 0.0, curv)
-
     def _check_loads(self, loads: np.ndarray) -> None:
         if loads.shape[-1:] != (self.horizon,):
             raise ValueError(
@@ -138,24 +112,6 @@ class PriceCurve:
         return h - 1
 
 
-def price(curve: PriceCurve, h: int, load: float) -> float:
-    """Energy price of slot h (1-based) at total load `load`."""
-    i = curve._slot(h)
-    if load < 0:
-        raise ValueError("load must be nonnegative")
-    return float(curve.a[i] * load ** curve.b[i] + curve.c[i])
-
-
-def price_derivative(curve: PriceCurve, h: int, load: float) -> float:
-    """Marginal price p_h'(load); returns a_h for linear slots at any load."""
-    i = curve._slot(h)
-    if load < 0:
-        raise ValueError("load must be nonnegative")
-    if curve.b[i] == 1.0:
-        return float(curve.a[i])
-    return float(curve.a[i] * curve.b[i] * load ** (curve.b[i] - 1.0))
-
-
 def bill_instantaneous(q_n, q_sigma, curve: PriceCurve) -> float:
     """Instantaneous-load bill: sum_h p_h(aggregate_h) * own_h."""
     q_n = as_profile(q_n, curve.horizon)
@@ -167,23 +123,6 @@ def grid_cost(q_sigma, curve: PriceCurve) -> float:
     """Total grid cost sum_h p_h(aggregate_h) * aggregate_h."""
     q_sigma = as_profile(q_sigma, curve.horizon)
     return float(curve.price_vector(q_sigma) @ q_sigma)
-
-
-def bill_total_load(n: int, profiles, budgets, curve: PriceCurve) -> float:
-    """Total-load bill: consumer n's budget share of the grid cost.
-
-    `n` indexes rows of `profiles` (0-based); `budgets` holds every E_m.
-    """
-    mat = np.atleast_2d(np.asarray(profiles, dtype=float))
-    budgets = _as_1d(budgets, "budgets")
-    if budgets.shape[0] != mat.shape[0]:
-        raise ValueError("one budget per profile required")
-    if not 0 <= n < mat.shape[0]:
-        raise ValueError(f"consumer index {n} outside 0..{mat.shape[0] - 1}")
-    total_budget = budgets.sum()
-    if total_budget <= 0:
-        raise ValueError("total energy budget must be positive")
-    return float(budgets[n] / total_budget * grid_cost(mat.sum(axis=0), curve))
 
 
 def mapping_profiles(profiles, aggregates, curve: PriceCurve) -> np.ndarray:
@@ -209,28 +148,12 @@ def mapping_component(q_n, q_sigma, curve: PriceCurve) -> np.ndarray:
     return mapping_profiles(q_n, q_sigma, curve)
 
 
-def hessian_diagonal(q_n, q_sigma, curve: PriceCurve) -> np.ndarray:
-    """Diagonal of the own-profile bill Hessian: own_h * p_h'' + 2 p_h'."""
-    q_n = as_profile(q_n, curve.horizon)
-    q_sigma = as_profile(q_sigma, curve.horizon)
-    return q_n * curve.price_second_derivative_vector(
-        q_sigma
-    ) + 2.0 * curve.price_derivative_vector(q_sigma)
-
-
 @dataclass(frozen=True)
 class Certificate:
-    """Numeric uniqueness certificate for the equilibrium.
-
-    `holds` is true iff every price exponent stays below `uniqueness_bound`
-    = 3 + 4/(N-1); `kappa` carries the per-slot margin and `min_eigenvalue`
-    the per-slot smallest eigenvalue of the symmetrized slot Jacobian when
-    loads were supplied (NaN otherwise).
-    """
+    """Numeric uniqueness certificate for the equilibrium: `holds` is true
+    iff every price exponent stays below `uniqueness_bound` = 3 + 4/(N-1)."""
 
     uniqueness_bound: float
-    kappa: np.ndarray
-    min_eigenvalue: np.ndarray
     holds: bool
 
 
@@ -241,35 +164,12 @@ def kappa_margin(n_consumers: int, b) -> np.ndarray:
     return (n + 1.0 + b) - np.sqrt(n * (n - 1.0 + b**2))
 
 
-def uniqueness_certificate(
-    n_consumers: int, curve: PriceCurve, slot_loads=None
-) -> Certificate:
-    """Evaluate the sufficient uniqueness condition max_h b_h < 3 + 4/(N-1).
-
-    With `slot_loads` (an N x H matrix of per-consumer loads) the per-slot
-    smallest symmetrized-Jacobian eigenvalues are evaluated as well.
-    """
+def uniqueness_certificate(n_consumers: int, curve: PriceCurve) -> Certificate:
+    """Evaluate the sufficient uniqueness condition max_h b_h < 3 + 4/(N-1)."""
     if n_consumers < 2:
         raise ValueError("uniqueness bound requires at least two consumers")
     bound = 3.0 + 4.0 / (n_consumers - 1.0)
-    kappa = kappa_margin(n_consumers, curve.b)
-    min_eig = np.full(curve.horizon, np.nan)
-    if slot_loads is not None:
-        mat = np.asarray(slot_loads, dtype=float)
-        if mat.shape != (n_consumers, curve.horizon):
-            raise ValueError(
-                f"slot_loads must have shape ({n_consumers}, {curve.horizon})"
-            )
-        for h in range(1, curve.horizon + 1):
-            _, min_eig[h - 1] = monotonicity_certificate(mat[:, h - 1], h, curve)
-    min_eig.setflags(write=False)
-    kappa.setflags(write=False)
-    return Certificate(
-        uniqueness_bound=bound,
-        kappa=kappa,
-        min_eigenvalue=min_eig,
-        holds=bool(np.max(curve.b) < bound),
-    )
+    return Certificate(uniqueness_bound=bound, holds=bool(np.max(curve.b) < bound))
 
 
 def jacobian_slot_matrix(slot_loads, h: int, curve: PriceCurve) -> np.ndarray:

@@ -198,8 +198,10 @@ def test_init_check_rejects_non_finite_rows():
 def test_alg1_rejects_bad_theta_and_schedule():
     scenario = singleton_scenario()
     init = np.array([[1.0], [2.0], [3.0]])
-    with pytest.raises(ValueError, match="theta"):
-        run_algorithm1(scenario, theta=0.0, init=init)
+    # a NaN or infinite proximal weight used to run every round into NaN
+    for theta in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="theta must be positive and finite"):
+            run_algorithm1(scenario, theta=theta, init=init)
     with pytest.raises(ValueError, match="step exponent"):
         run_algorithm1(scenario, step_exponent=0.4, init=init)
 

@@ -217,6 +217,22 @@ def test_run_rejects_max_events_below_one_naming_the_flag(
     assert not trace.exists() and not summary.exists()
 
 
+@pytest.mark.parametrize("theta", ["nan", "inf", "0"])
+def test_run_rejects_a_bad_theta_naming_the_flag(toy_file, tmp_path, capsys, theta):
+    # a NaN or infinite theta used to write a trace full of NaN and then fail
+    # on the final profile without naming the flag
+    trace, summary = tmp_path / "t.csv", tmp_path / "s.json"
+    code = run_cli(
+        "run", toy_file, "--alg", "1", "--theta", theta,
+        "--trace", trace, "--summary", summary,
+    )
+    assert code == 1
+    assert f"--theta must be positive and finite, got {float(theta)}" in (
+        capsys.readouterr().err
+    )
+    assert not trace.exists() and not summary.exists()
+
+
 @pytest.mark.parametrize("tol", ["nan", "-1"])
 def test_tol_must_be_positive_and_finite(toy_file, tmp_path, capsys, tol):
     # a tolerance that is never met would spend the whole budget and exit 0
@@ -476,3 +492,14 @@ def test_artifact_digests_script_is_reproducible(tmp_path):
         "summary2.json", "trace3.csv", "summary3.json", "welfare.json",
     ]
     assert digests[0] == digests[1]
+    # the byte contract itself, so a drift shared by both runs fails too
+    assert digests[0] == {
+        "scenario.json": "a6d6643e5010edede86989b28dd07afdf8e8cf2a8f8b5651e941e73f3bc9ef45",
+        "trace1.csv": "e61d4d58cb099861663bb68c376dd42ac43d0fa3a42646a14f3cf6b053c0af8e",
+        "summary1.json": "dc30a8538885962d4d6e52b095a17b92bfc3f1585bffcf721d430c0fef43428e",
+        "trace2.csv": "a5b2feea56e450cdd84310c3fc9b87b6a07377306c1026c0c661af6ea7b993e6",
+        "summary2.json": "849a099fc97eb47a8c2a4c0c895989d1abee7763b4671ae4caf44663464985da",
+        "trace3.csv": "b7695f06ef9f328608ff01ee3f0b3dbc6463eb73e984f94e717c88efb1919913",
+        "summary3.json": "d927fb33a3c619fcb95571952937193ee5349b2eb637aa46c73514dac89d6ce2",
+        "welfare.json": "981bb76bfbd38a13e52c023179361683481b6167e633e4d35e9665386d3b6258",
+    }

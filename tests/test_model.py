@@ -6,30 +6,38 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dsmgame.algorithms import Scenario
+from dsmgame.feasible import ConsumerSpec
 from dsmgame.model import (
     PriceCurve,
-    SingularityError,
     aggregate,
     bill_instantaneous,
-    bill_total_load,
     grid_cost,
-    hessian_diagonal,
     jacobian_slot_matrix,
     kappa_margin,
     mapping_component,
     mapping_profiles,
     monotonicity_certificate,
     par,
-    price,
-    price_derivative,
     rank_two_eigenvalues,
     uniqueness_certificate,
 )
+from dsmgame.oracle import fairness_comparison
 from oracles import mapping_finite_difference
 
 
 def curve1(a, b, c=0.0):
     return PriceCurve(np.array([a]), np.array([b]), np.array([c]))
+
+
+def price1(curve, load):
+    """p(load) of a one-slot curve through the vector method."""
+    return float(curve.price_vector([load])[0])
+
+
+def slope1(curve, load):
+    """p'(load) of a one-slot curve through the vector method."""
+    return float(curve.price_derivative_vector([load])[0])
 
 
 def hp_power(base, exp):
@@ -41,26 +49,26 @@ def hp_power(base, exp):
 
 
 def test_price_zero_load_zero_offset():
-    assert price(curve1(0.003, 1.2), 1, 0.0) == 0.0
+    assert price1(curve1(0.003, 1.2), 0.0) == 0.0
 
 
 def test_price_linear_case():
-    assert price(curve1(0.003, 1.0, 0.1), 1, 10.0) == pytest.approx(0.13, abs=1e-15)
+    assert price1(curve1(0.003, 1.0, 0.1), 10.0) == pytest.approx(0.13, abs=1e-15)
 
 
 def test_price_high_precision_reference():
     expected = 0.005 * hp_power(50.0, 1.2)
-    assert price(curve1(0.005, 1.2), 1, 50.0) == pytest.approx(expected, rel=1e-14)
+    assert price1(curve1(0.005, 1.2), 50.0) == pytest.approx(expected, rel=1e-14)
 
 
 def test_price_argument_errors():
     c = curve1(0.003, 1.2)
-    with pytest.raises(ValueError):
-        price(c, 1, -1.0)
-    with pytest.raises(ValueError):
-        price(c, 0, 1.0)
-    with pytest.raises(ValueError):
-        price(c, 2, 1.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        c.price_vector([-1.0])
+    # slot indices of the scalar helpers are 1-based: 0 and H + 1 are out
+    for h in (0, 2):
+        with pytest.raises(ValueError, match=f"slot index {h} outside 1..1"):
+            monotonicity_certificate(np.array([1.0, 2.0]), h, c)
 
 
 def test_price_curve_construction_rejects_bad_parameters():
@@ -95,42 +103,40 @@ def test_price_curve_owns_its_parameters():
 def test_price_monotone_in_load(a, b, c, l1, l2):
     lo, hi = sorted((l1, l2))
     curve = curve1(a, b, c)
-    assert price(curve, 1, hi) >= price(curve, 1, lo)
+    assert price1(curve, hi) >= price1(curve, lo)
 
 
 @pytest.mark.parametrize("a,b,c", [(0.003, 1.2, 0.0), (1.0, 1.0, 0.5), (0.5, 2.0, 0.0)])
 def test_price_strictly_increasing_for_positive_loads(a, b, c):
     curve = curve1(a, b, c)
-    values = [price(curve, 1, load) for load in (0.5, 1.0, 2.0, 4.0, 8.0)]
-    assert all(y > x for x, y in zip(values, values[1:]))
+    values = curve.price_vector([[0.5], [1.0], [2.0], [4.0], [8.0]])[:, 0]
+    assert np.all(np.diff(values) > 0)
 
 
 # --- price derivative -------------------------------------------------------
 
 
 def test_derivative_linear_slope():
-    assert price_derivative(curve1(1.0, 1.0), 1, 5.0) == 1.0
+    assert slope1(curve1(1.0, 1.0), 5.0) == 1.0
 
 
 def test_derivative_reference_value():
     expected = 0.003 * 1.2 * hp_power(100.0, 0.2)
-    assert price_derivative(curve1(0.003, 1.2), 1, 100.0) == pytest.approx(
-        expected, rel=1e-14
-    )
+    assert slope1(curve1(0.003, 1.2), 100.0) == pytest.approx(expected, rel=1e-14)
 
 
 def test_derivative_vanishes_at_zero_for_superlinear():
-    assert price_derivative(curve1(0.003, 1.2), 1, 0.0) == 0.0
+    assert slope1(curve1(0.003, 1.2), 0.0) == 0.0
 
 
 def test_derivative_linear_at_zero_load():
     # b = 1 branch returns the coefficient even at L = 0 (no 0**0)
-    assert price_derivative(curve1(0.25, 1.0), 1, 0.0) == 0.25
+    assert slope1(curve1(0.25, 1.0), 0.0) == 0.25
 
 
 def test_derivative_rejects_negative_load():
     with pytest.raises(ValueError):
-        price_derivative(curve1(1.0, 1.2), 1, -0.5)
+        curve1(1.0, 1.2).price_derivative_vector([-0.5])
 
 
 # --- billing ----------------------------------------------------------------
@@ -168,10 +174,18 @@ def test_bill_length_mismatch():
         bill_instantaneous(np.ones(2), np.ones(3), curve1(1.0, 1.0))
 
 
+def total_load_bills(profiles, curve):
+    """fairness_comparison's total-load column, budgets = the rows' sums."""
+    profiles = np.atleast_2d(profiles)
+    h = profiles.shape[1]
+    specs = tuple(ConsumerSpec(np.zeros(h), np.full(h, e), e) for e in profiles.sum(1))
+    return fairness_comparison(profiles, Scenario(specs, curve)).total_load_bills
+
+
 def test_total_load_single_consumer_equals_instantaneous():
     curve = PriceCurve(np.array([0.5, 0.2]), np.array([1.2, 1.0]), np.zeros(2))
     q = np.array([[1.0, 2.0]])
-    assert bill_total_load(0, q, [3.0], curve) == pytest.approx(
+    assert total_load_bills(q, curve)[0] == pytest.approx(
         bill_instantaneous(q[0], q[0], curve)
     )
 
@@ -180,35 +194,18 @@ def test_total_load_symmetric_split():
     curve = curve1(1.0, 1.2)
     profiles = np.array([[2.0], [2.0]])
     total = grid_cost(profiles.sum(axis=0), curve)
-    for n in (0, 1):
-        assert bill_total_load(n, profiles, [2.0, 2.0], curve) == pytest.approx(
-            total / 2
-        )
-
-
-def test_total_load_worked_example():
-    # grid cost = p(3) * 3 = 9, split 2:1
-    curve = curve1(1.0, 1.0)
-    profiles = np.array([[2.0], [1.0]])
-    assert bill_total_load(0, profiles, [2.0, 1.0], curve) == pytest.approx(6.0)
-    assert bill_total_load(1, profiles, [2.0, 1.0], curve) == pytest.approx(3.0)
-
-
-def test_total_load_zero_budget_error():
-    with pytest.raises(ValueError):
-        bill_total_load(0, np.array([[1.0]]), [0.0], curve1(1.0, 1.0))
+    np.testing.assert_allclose(total_load_bills(profiles, curve), [total / 2] * 2)
 
 
 def test_billing_schemes_allocate_the_same_total():
     rng = np.random.default_rng(5)
     profiles = rng.uniform(0.1, 2.0, size=(6, 4))
-    budgets = profiles.sum(axis=1)
     curve = PriceCurve(
         rng.uniform(0.01, 1.0, 4), rng.uniform(1.0, 2.0, 4), rng.uniform(0, 0.2, 4)
     )
     sigma = profiles.sum(axis=0)
     inst = sum(bill_instantaneous(profiles[n], sigma, curve) for n in range(6))
-    tlb = sum(bill_total_load(n, profiles, budgets, curve) for n in range(6))
+    tlb = total_load_bills(profiles, curve).sum()
     total = grid_cost(sigma, curve)
     assert inst == pytest.approx(total, rel=1e-12)
     assert tlb == pytest.approx(total, rel=1e-12)
@@ -300,26 +297,13 @@ def test_price_kernels_match_the_formulas_bit_for_bit(seed):
         )
 
 
-# --- Hessian diagonal -------------------------------------------------------
-
-
-def test_hessian_linear_price_is_twice_coefficient():
-    curve = PriceCurve(np.array([0.4, 0.7]), np.ones(2), np.zeros(2))
-    np.testing.assert_allclose(
-        hessian_diagonal(np.array([1.0, 5.0]), np.array([2.0, 9.0]), curve),
-        [0.8, 1.4],
-    )
-
-
-def test_hessian_reference_value():
-    expected = 0.003 * 1.2 * 0.2 * hp_power(10.0, -0.8) + 2 * 0.0036 * hp_power(
-        10.0, 0.2
-    )
-    got = hessian_diagonal(np.array([1.0]), np.array([10.0]), curve1(0.003, 1.2))
-    assert got[0] == pytest.approx(expected, rel=1e-13)
+# --- convexity ------------------------------------------------------------
 
 
 def test_hessian_nonnegative_on_random_positive_instances():
+    # the paper's per-consumer convexity lemma: the bill is separable per
+    # slot, so its Hessian diagonal is nonnegative iff raising q_n^h (and
+    # with it the aggregate) never lowers the mapping's slot-h entry
     rng = np.random.default_rng(31)
     for _ in range(1000):
         h = int(rng.integers(1, 6))
@@ -328,21 +312,12 @@ def test_hessian_nonnegative_on_random_positive_instances():
         )
         q = rng.uniform(0.01, 4.0, h)
         sigma = q + rng.uniform(0.01, 10.0, h)
-        assert np.all(hessian_diagonal(q, sigma, curve) >= 0)
-
-
-def test_hessian_singularity_is_diagnosed():
-    with pytest.raises(SingularityError):
-        hessian_diagonal(np.array([1.0]), np.array([0.0]), curve1(0.003, 1.2))
-
-
-def test_hessian_no_singularity_for_linear_or_quadratic():
-    assert hessian_diagonal(np.array([1.0]), np.array([0.0]), curve1(0.5, 1.0))[
-        0
-    ] == pytest.approx(1.0)
-    # b = 2: p'' = 2a everywhere, including L = 0
-    got = hessian_diagonal(np.array([3.0]), np.array([0.0]), curve1(0.5, 2.0))
-    assert got[0] == pytest.approx(3.0 * 1.0 + 0.0)
+        base = mapping_component(q, sigma, curve)
+        for slot in range(h):
+            bump = np.zeros(h)
+            bump[slot] = 10.0 ** rng.uniform(-6, 1)
+            moved = mapping_component(q + bump, sigma + bump, curve)
+            assert moved[slot] >= base[slot]
 
 
 # --- certificates -----------------------------------------------------------
@@ -425,16 +400,6 @@ def test_jacobian_matrix_entries():
 def test_monotonicity_rejects_nonpositive_loads():
     with pytest.raises(ValueError):
         monotonicity_certificate(np.array([1.0, 0.0]), 1, curve1(1.0, 1.2))
-
-
-def test_uniqueness_certificate_with_loads_fills_eigenvalues():
-    rng = np.random.default_rng(3)
-    curve = PriceCurve(np.full(4, 0.01), np.full(4, 1.2), np.zeros(4))
-    loads = rng.uniform(0.1, 2.0, size=(5, 4))
-    cert = uniqueness_certificate(5, curve, slot_loads=loads)
-    assert cert.holds
-    assert np.all(np.isfinite(cert.min_eigenvalue))
-    assert np.all(cert.min_eigenvalue > 0)
 
 
 # --- aggregation and PAR ----------------------------------------------------

@@ -191,6 +191,14 @@ def test_identical_consumers_identical_bills():
     assert report.total_load_bills[0] == pytest.approx(report.total_load_bills[1])
 
 
+def test_total_load_worked_example():
+    # one slot, p(L) = L: grid cost p(3) * 3 = 9, split 2:1 by the budgets
+    specs = (ConsumerSpec([0.0], [5.0], 2.0), ConsumerSpec([0.0], [5.0], 1.0))
+    scenario = Scenario(specs, flat_curve(1, b=1.0))
+    report = fairness_comparison(np.array([[2.0], [1.0]]), scenario)
+    np.testing.assert_allclose(report.total_load_bills, [6.0, 3.0])
+
+
 def test_constructed_instance_reverses_the_billing_order():
     scenario = Scenario(REVERSAL_SPECS, REVERSAL_CURVE)
     ne = nash_best_response_iteration(scenario, tol=1e-8)
