@@ -303,6 +303,14 @@ def cmd_report(args) -> int:
                 for row in reader
                 if wanted is None or int(row[n_col]) in wanted
             ]
+        if wanted:
+            missing = sorted(wanted - {int(n) for _, n, _ in rows})
+            if missing:
+                raise CliError(
+                    f"--consumers {','.join(map(str, missing))} never appear in "
+                    f"the n column of {args.trace}",
+                    1,
+                )
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t", "n", "cost"])

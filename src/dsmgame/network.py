@@ -191,6 +191,12 @@ def load_edge_list(path, n_nodes: int | None = None) -> CommGraph:
                 raise ValueError(f"{path}:{lineno}: non-integer node id in {line!r}") from exc
             if a < 1 or b < 1:
                 raise ValueError(f"{path}:{lineno}: node ids are 1-based, got {line!r}")
+            if n_nodes is not None:
+                for typed, node in zip(parts, (a, b)):
+                    if node > n_nodes:
+                        raise ValueError(
+                            f"{path}:{lineno}: node id {typed} outside 1..{n_nodes}"
+                        )
             edges.append((a - 1, b - 1))
     if not edges:
         raise ValueError(f"{path}: no edges found")

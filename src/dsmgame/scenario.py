@@ -261,6 +261,10 @@ def load_scenario(path) -> LoadedScenario:
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioFormatError(f"{path}: price: {exc}") from exc
     horizon = payload["horizon"]
+    if isinstance(horizon, bool) or not isinstance(horizon, int):
+        raise ScenarioFormatError(
+            f"{path}: horizon must be an integer, got {json.dumps(horizon)}"
+        )
     if curve.horizon != horizon:
         raise ScenarioFormatError(
             f"{path}: price arrays have length {curve.horizon}, horizon says {horizon}"

@@ -253,6 +253,14 @@ def test_tol_must_be_positive_and_finite(toy_file, tmp_path, capsys, tol):
         ("price", [1, 2], "price must be an object"),
         ("consumers", 5, "consumers must be a list"),
         ("consumers", {"q_min": [1]}, "consumers must be a list"),
+        pytest.param("horizon", "24", 'horizon must be an integer, got "24"',
+                     id="horizon-string"),
+        pytest.param("horizon", True, "horizon must be an integer, got true",
+                     id="horizon-bool"),
+        pytest.param("horizon", None, "horizon must be an integer, got null",
+                     id="horizon-null"),
+        pytest.param("horizon", 2.0, "horizon must be an integer, got 2.0",
+                     id="horizon-float"),
     ],
 )
 def test_run_rejects_malformed_scenario_fields(
@@ -411,7 +419,7 @@ def test_reports_refuse_the_wrong_kind_of_input(tmp_path, capsys):
                    "--oracle", welfare, "-o", out) == 0
 
 
-def test_convergence_report_filters_consumers(toy_file, tmp_path):
+def test_convergence_report_filters_consumers(toy_file, tmp_path, capsys):
     trace, summary = tmp_path / "t.csv", tmp_path / "s.json"
     run_cli("run", toy_file, "--alg", "1", "--max-iter", "30",
             "--trace", trace, "--summary", summary)
@@ -423,6 +431,14 @@ def test_convergence_report_filters_consumers(toy_file, tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "t,n,cost"
     assert all(line.split(",")[1] == "1" for line in lines[1:])
+    # ids that no trace row carries are refused by name, not written as 0 rows
+    missing = tmp_path / "missing.csv"
+    assert run_cli(
+        "report", "--kind", "convergence", "--trace", trace,
+        "--consumers", "0,1,99", "-o", missing,
+    ) == 1
+    assert "--consumers 0,99 never appear" in capsys.readouterr().err
+    assert not missing.exists()
 
 
 def test_report_missing_inputs_is_usage_error(capsys):
@@ -445,41 +461,17 @@ def test_module_invocation(tmp_path):
     assert out.exists()
 
 
-# --- experiment script -----------------------------------------------------------
+# --- canonical-study script ------------------------------------------------------
 
 
-def test_run_experiments_script_smoke(tmp_path):
-    # run as README prints it: from a checkout, dsmgame neither installed
-    # nor on PYTHONPATH
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    proc = subprocess.run(
-        [sys.executable, str(REPO / "scripts" / "run_experiments.py"),
-         "--n", "8", "--events", "300", "--outdir", str(tmp_path)],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert proc.returncode == 0, proc.stderr
-    summary = json.loads((tmp_path / "summary.json").read_text())
-    assert set(summary) == {
-        "seed", "par_before", "cost_before", "alg1", "alg2", "alg3", "welfare"
-    }
-    for name in ("alg1", "alg2", "alg3"):
-        assert set(summary[name]) == {
-            "converged", "iterations", "residual", "final_par", "final_cost"
-        }
-    assert set(summary["welfare"]) == {"ne_cost", "optimal_cost", "relative_gap"}
-    assert summary["welfare"]["relative_gap"] >= -1e-9
-
-
-def test_artifact_digests_script_is_reproducible(tmp_path):
+def test_canonical_study_script_is_reproducible(tmp_path):
     # run as README prints it: from a checkout, dsmgame neither installed
     # nor on PYTHONPATH
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     digests = []
     for run in ("first", "second"):
         proc = subprocess.run(
-            [sys.executable, str(REPO / "scripts" / "artifact_digests.py"),
+            [sys.executable, str(REPO / "scripts" / "canonical_study.py"),
              "--outdir", str(tmp_path / run), "--n", "8", "--max-events", "300"],
             capture_output=True,
             text=True,
@@ -487,9 +479,14 @@ def test_artifact_digests_script_is_reproducible(tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
         digests.append(json.loads(proc.stdout))
+    # the headline names each algorithm's verdict, read from its summary
+    assert "alg 1: converged after 435 iterations" in proc.stderr
+    assert "alg 2: converged after 417 iterations" in proc.stderr
+    assert "alg 3: not converged after 300 iterations" in proc.stderr
     assert list(digests[0]) == [
         "scenario.json", "trace1.csv", "summary1.json", "trace2.csv",
         "summary2.json", "trace3.csv", "summary3.json", "welfare.json",
+        "par.json", "fairness.json", "gap.json", "costs.csv",
     ]
     assert digests[0] == digests[1]
     # the byte contract itself, so a drift shared by both runs fails too
@@ -502,4 +499,8 @@ def test_artifact_digests_script_is_reproducible(tmp_path):
         "trace3.csv": "b7695f06ef9f328608ff01ee3f0b3dbc6463eb73e984f94e717c88efb1919913",
         "summary3.json": "d927fb33a3c619fcb95571952937193ee5349b2eb637aa46c73514dac89d6ce2",
         "welfare.json": "981bb76bfbd38a13e52c023179361683481b6167e633e4d35e9665386d3b6258",
+        "par.json": "abaccab98406812160584b498164386b949fd7b2237df09418c0f641e44b5c5d",
+        "fairness.json": "69e0ce14d7b8e8eee84bffe75ac7409ec04f3a7d5b3ebf33f4177e629b8ec54a",
+        "gap.json": "676e1edc22a9df8fef9441ada72dacc5632588da659702f61795f81c1466dd6e",
+        "costs.csv": "61fa604e61e37dd120d28584ce42404a8dbfd7b138690deac3327cdfed3ed7d1",
     }

@@ -221,3 +221,11 @@ def test_edge_list_rejects_zero_based_ids(tmp_path):
     path.write_text("0 1\n")
     with pytest.raises(ValueError, match="1-based"):
         load_edge_list(path)
+
+
+def test_edge_list_names_an_id_above_the_node_count(tmp_path):
+    # the file's line, the id as typed and the 1-based range, not 0-based ids
+    path = tmp_path / "big.edges"
+    path.write_text("1 2\n2 051\n")
+    with pytest.raises(ValueError, match=r"big\.edges:2: node id 051 outside 1\.\.50$"):
+        load_edge_list(path, 50)
