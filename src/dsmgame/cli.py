@@ -101,6 +101,17 @@ def _check_tol(args) -> None:
         raise CliError(f"--tol must be positive and finite, got {args.tol}", 1)
 
 
+def _consumer_ids(text: str) -> set[int]:
+    """The 1-based ids of a comma-separated `--consumers` list."""
+    ids = set()
+    for entry in text.split(","):
+        try:
+            ids.add(int(entry))
+        except ValueError:
+            raise CliError(f"--consumers entry {entry!r} is not an integer id", 1) from None
+    return ids
+
+
 def cmd_run(args) -> int:
     _check_tol(args)
     if args.alg == 1 and not 0 < args.theta < np.inf:
@@ -287,9 +298,7 @@ def cmd_report(args) -> int:
         )
         print(f"welfare gap {(ne_cost - opt_cost) / opt_cost:.4%}")
     else:  # convergence
-        wanted = (
-            {int(x) for x in args.consumers.split(",")} if args.consumers else None
-        )
+        wanted = _consumer_ids(args.consumers) if args.consumers else None
         with open(args.trace, "r", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader)

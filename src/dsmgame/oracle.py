@@ -3,36 +3,37 @@ best-response equilibrium iteration for small instances, the social-welfare
 optimum, and the billing fairness comparison.
 
 These deliberately avoid the algorithm runners' code paths (fixed step
-schedules, consensus estimates); they share only the primitive price/
-projection layers, so agreement between the two routes is a real check.
+schedules, consensus estimates). The Nash oracle shares only the price
+curve with them: each best response solves its KKT conditions by
+water-filling in plain floats, with no projection. The welfare optimum
+shares the price and projection layers. So agreement between the two
+routes is a real check.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algorithms import Scenario
-from .feasible import ConsumerSpec, project, project_rows
-from .model import PriceCurve, as_profile, mapping_profiles, par
+from .feasible import ConsumerSpec
+from .model import PriceCurve, as_profile, par
 
 _BACKTRACK_LIMIT = 60
 _STEP_GROWTH = 1.25
-# tolerance of the best responses inside the Nash sweeps, whatever the outer
-# tolerance: tighter is not certifiable through the probe projection once
-# bill differences hit float noise
-_INNER_TOL = 1e-8
+_EPS = float(np.finfo(float).eps)
+# Newton on a slot's convex marginal converges quadratically, so a step this
+# small relative to the slot's load leaves an error of about its square
+_NEWTON_DONE = 1e-9
+# cap on one marginal inversion: Newton from the right of the root is
+# monotone, and each step that leaves the bracket halves it
+_INVERSE_STEPS = 100
 
 
 class ConvergenceError(RuntimeError):
     """An oracle solver ran out of iterations before meeting its tolerance."""
-
-
-# the oracles price loads that are sums of feasible profiles, or `others`
-# that best_response checked on entry, so they call the unchecked kernels
-def _bill(q: np.ndarray, others: np.ndarray, curve: PriceCurve) -> float:
-    return float(curve._price(q + others) @ q)
 
 
 def _grid_cost(sigma: np.ndarray, curve: PriceCurve) -> float:
@@ -80,33 +81,165 @@ def _start(scenario: Scenario, init) -> np.ndarray:
     return np.atleast_2d(np.asarray(init, dtype=float)).copy()
 
 
+def _marginal(x: float, a: float, b: float, c: float, o: float) -> tuple[float, float]:
+    """One slot's marginal bill g(x) = p(x + o) + x p'(x + o), for the price
+    p(L) = a L^b + c against the others' load o, and its slope g'(x): positive,
+    but 0 at load 0 when b > 1."""
+    if b == 1.0:
+        return a * (2.0 * x + o) + c, 2.0 * a
+    load = x + o
+    if load == 0.0:
+        return c, 0.0
+    power = a * load ** (b - 1.0)
+    return power * (load + b * x) + c, b * power * (2.0 * load + (b - 1.0) * x) / load
+
+
+def _inverse(lam: float, slot: tuple, x: float) -> float:
+    """clip(g^-1(lam), lo, hi) for one slot; `x` seeds the Newton steps."""
+    a, b, c, o, lo, hi, g_lo, g_hi = slot
+    if lam <= g_lo:
+        return lo
+    if lam >= g_hi:
+        return hi
+    if b == 1.0:  # g is linear
+        return min(max((lam - c - a * o) / (2.0 * a), lo), hi)
+    if o == 0.0:  # g(x) = a (1 + b) x^b + c
+        return min(max(((lam - c) / (a * (1.0 + b))) ** (1.0 / b), lo), hi)
+    # g is convex and increasing on [lo, hi]: Newton steps, with bisection
+    # whenever a step leaves the bracket [x_lo, x_hi] of the root
+    x_lo, x_hi = lo, hi
+    x = min(max(x, lo), hi)
+    for _ in range(_INVERSE_STEPS):
+        g, slope = _marginal(x, a, b, c, o)
+        if g > lam:
+            x_hi = x
+        else:
+            x_lo = x
+        step = (g - lam) / slope
+        nxt = x - step
+        if x_lo < nxt < x_hi:
+            if abs(step) <= _NEWTON_DONE * (nxt + o):
+                return nxt
+        else:
+            nxt = 0.5 * (x_lo + x_hi)
+            if x_hi - x_lo <= 4.0 * _EPS * (x_hi + o):
+                return nxt
+        x = nxt
+    return x
+
+
 def best_response(
     others_aggregate,
     spec: ConsumerSpec,
     curve: PriceCurve,
-    tol: float = 1e-8,
-    max_iter: int = 20_000,
-    x0=None,
+    max_iter: int = 100,
 ) -> np.ndarray:
     """Minimize the consumer's bill against a fixed aggregate of the others.
 
-    Projected gradient with backtracking line search on the convex objective;
-    stops at probe-step-1 first-order optimality ||q - proj(q - grad)|| <= tol.
+    The bill is separable per slot with one budget constraint, so its KKT
+    conditions reduce to one multiplier lam: x_h = clip(g_h^-1(lam),
+    q_min_h, q_max_h) with sum_h x_h = E, where g_h(x) = p_h(x + o_h) +
+    x p_h'(x + o_h) is slot h's marginal bill, strictly increasing. This
+    water-filling runs in plain floats. lam stays inside the bracket
+    [min_h g_h(q_min_h), max_h g_h(q_max_h)] and takes Newton steps on
+    S(lam) = sum_h x_h(lam), with S'(lam) = sum over the free slots of
+    1/g_h'(x_h). Where S is flat it moves to the next kink, where a Newton
+    step leaves the bracket it solves a power-law fit of S instead, and it
+    bisects when a step still leaves the bracket or two steps do not halve
+    the budget gap. It stops when the budget gap is float noise or the
+    bracket collapses to a few ulps: relative measures, so the answer does
+    not depend on the price unit. The gap left is spread over the free
+    slots. Raises ConvergenceError after `max_iter` evaluations of S.
     """
-    # project checks the length of x0; the spec is valid by construction
-    q = project(0.5 * (spec.q_min + spec.q_max) if x0 is None else x0, spec)
     others = np.asarray(others_aggregate, dtype=float)
-    if others.shape != (spec.horizon,) or np.any(others < 0):
+    if not np.isfinite(others).all():
+        raise ValueError("others_aggregate contains non-finite entries")
+    if others.shape != (spec.horizon,) or (others < 0).any():
         raise ValueError("others_aggregate must be a nonnegative length-H vector")
-    # the set as one row, shaped once so no projection broadcasts
-    q_min, q_max, energy = spec.q_min[None, :], spec.q_max[None, :], np.array([spec.energy])
-    q, _ = _descend(
-        lambda v: _bill(v, others, curve),
-        lambda v: mapping_profiles(v, v + others, curve),
-        lambda v: project_rows(v, q_min, q_max, energy)[0],
-        q, tol, max_iter, "best response",
-    )
-    return q
+    # per slot: the price parameters, the others' load, the box, and the
+    # marginals at the box's ends, where the slot's kinks in S sit
+    slots = [
+        (a, b, c, o, lo, hi, _marginal(lo, a, b, c, o)[0], _marginal(hi, a, b, c, o)[0])
+        for a, b, c, o, lo, hi in zip(
+            curve.a.tolist(), curve.b.tolist(), curve.c.tolist(), others.tolist(),
+            spec.q_min.tolist(), spec.q_max.tolist(),
+        )
+    ]
+    energy = spec.energy
+    # the bracket's ends, with the budget gaps E - S there
+    lam_lo = min(slot[6] for slot in slots)
+    lam_hi = max(slot[7] for slot in slots)
+    gap_lo = energy - math.fsum(spec.q_min.tolist())
+    gap_hi = energy - math.fsum(spec.q_max.tolist())
+    if gap_lo <= 4.0 * _EPS * energy:
+        return spec.q_min.copy()
+    if gap_hi >= -4.0 * _EPS * energy:
+        return spec.q_max.copy()
+    # start from every box filled to the same fraction, at its mean marginal
+    fill = gap_lo / (gap_lo - gap_hi)
+    x = [lo + fill * (hi - lo) for _, _, _, _, lo, hi, _, _ in slots]
+    lam = sum(_marginal(xh, *slot[:4])[0] for xh, slot in zip(x, slots)) / len(slots)
+    older_gap = old_gap = math.inf
+    bisected = False
+    for _ in range(max_iter):
+        x = [_inverse(lam, slot, xh) for slot, xh in zip(slots, x)]
+        gap = energy - math.fsum(x)
+        rising = gap > 0.0
+        if rising:
+            lam_lo, gap_lo = lam, gap
+        else:
+            lam_hi, gap_hi = lam, gap
+        # the slope of S on the root's side of lam: slots at a kink count
+        # when lam moving that way frees them; a slope-0 marginal's infinite
+        # 1/g' is left out
+        slope = 0.0
+        for slot, xh in zip(slots, x):
+            if (slot[6] <= lam < slot[7]) if rising else (slot[6] < lam <= slot[7]):
+                g_slope = _marginal(xh, *slot[:4])[1]
+                if g_slope > 0.0:
+                    slope += 1.0 / g_slope
+        # float noise of the budget sum, plus what 4 ulps of lam move S by
+        if abs(gap) <= 4.0 * _EPS * (energy + lam * slope):
+            break
+        if lam_hi - lam_lo <= 4.0 * _EPS * lam_hi:
+            break
+        if slope == 0.0:
+            # S is flat here: go to the next kink towards the root
+            if rising:
+                nxt = min((slot[6] for slot in slots if slot[6] > lam), default=lam)
+            else:
+                nxt = max((slot[7] for slot in slots if slot[7] < lam), default=lam)
+        else:
+            nxt = lam + gap / slope
+            if not lam_lo < nxt < lam_hi:
+                # Newton overshot the bracket: S bends hard, as next to a slot
+                # whose marginal has slope 0 at its lower bound. Fit
+                # S - S(end) = K |lam - end|^p through the far end of the
+                # bracket, matching S and S' here, and solve it, at least
+                # 2 ulps from the end so a root within rounding of the end
+                # collapses the bracket
+                end, gap_end = (lam_hi, gap_hi) if rising else (lam_lo, gap_lo)
+                power = slope * (lam - end) / (gap_end - gap)
+                if power > 0.0:
+                    fraction = (gap_end / (gap_end - gap)) ** (1.0 / power)
+                    nxt = end + (lam - end) * max(fraction, 2.0 * _EPS * abs(end / (lam - end)))
+        # bisect when the step leaves the bracket, or when the two steps
+        # since the last bisection did not halve the gap (kinks can make
+        # Newton cycle)
+        stalled = not bisected and abs(gap) > 0.5 * older_gap
+        older_gap, old_gap = old_gap, abs(gap)
+        bisected = stalled or not lam_lo < nxt < lam_hi
+        lam = 0.5 * (lam_lo + lam_hi) if bisected else nxt
+    else:
+        raise ConvergenceError(
+            f"best response not within float noise of its budget after {max_iter} iterations"
+        )
+    free = [h for h, slot in enumerate(slots) if slot[6] < lam < slot[7]]
+    if free:
+        share = gap / len(free)
+        for h in free:
+            x[h] = min(max(x[h] + share, slots[h][4]), slots[h][5])
+    return np.array(x)
 
 
 def nash_best_response_iteration(
@@ -128,9 +261,7 @@ def nash_best_response_iteration(
         total = q.sum(axis=0)
         for n, spec in enumerate(scenario.specs):
             others = total - q[n]
-            updated = best_response(
-                others, spec, scenario.curve, tol=_INNER_TOL, x0=q[n]
-            )
+            updated = best_response(others, spec, scenario.curve)
             sweep_change = max(sweep_change, float(abs(updated - q[n]).max()))
             total += updated - q[n]
             q[n] = updated

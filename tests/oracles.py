@@ -1,13 +1,16 @@
 """Independent reference computations used only by the tests: an active-set
-QP projection oracle, a grid-search best response, finite differences, and
-plain reference versions of the projection's numpy form, the topology
-generator, the trace writer, the synchronous loop and the gossip loop.
+QP projection oracle, a grid-search and a projected-gradient best response,
+finite differences, and plain reference versions of the projection's numpy
+form, the topology generator, the trace writer, the synchronous loop and
+the gossip loop.
 
 These deliberately re-derive results from first principles rather than
 calling the library's own solution paths; the exceptions are the two loops,
 which run the library's mapping, projection and trace one round or one
 event at a time, and the projection kernel, which stable-sorts every row,
-so that the runners and the tie-aware sort can be held to them bit for bit.
+so that the runners and the tie-aware sort can be held to them bit for bit;
+and the projected-gradient best response, which runs the library's descent
+and projection: a second route to the water-filling best response.
 """
 
 import csv
@@ -25,6 +28,7 @@ from dsmgame.algorithms import (
 )
 from dsmgame.feasible import project_rows
 from dsmgame.model import bill_instantaneous, mapping_profiles
+from dsmgame.oracle import _descend
 
 
 def project_qp_oracle(v, q_min, q_max, energy, tol=1e-9):
@@ -81,6 +85,26 @@ def grid_best_response(others, spec, curve, points=10_000):
         if val < best_val:
             best, best_val = q, val
     return best
+
+
+def reference_best_response(others, spec, curve, tol=1e-8, max_iter=20_000):
+    """Best response by projected gradient with backtracking from the box
+    midpoint, through the runners' projection; stops at the probe-step-1
+    first-order certificate max|q - proj(q - grad)| <= tol."""
+    others = np.asarray(others, dtype=float)
+    q_min, q_max, energy = spec.q_min[None, :], spec.q_max[None, :], np.array([spec.energy])
+
+    def proj(v):
+        return project_rows(v, q_min, q_max, energy)[0]
+
+    q, _ = _descend(
+        lambda v: float(curve._price(v + others) @ v),
+        lambda v: mapping_profiles(v, v + others, curve),
+        proj,
+        proj(0.5 * (spec.q_min + spec.q_max)),
+        tol, max_iter, "reference best response",
+    )
+    return q
 
 
 def mapping_finite_difference(q_n, q_sigma, curve, eps_scale=1e-6):

@@ -441,6 +441,18 @@ def test_convergence_report_filters_consumers(toy_file, tmp_path, capsys):
     assert not missing.exists()
 
 
+@pytest.mark.parametrize("consumers, entry", [("1,,2", "''"), ("x", "'x'"), ("1,2.5", "'2.5'")])
+def test_convergence_report_names_a_bad_consumers_entry(tmp_path, capsys, consumers, entry):
+    # the list is read before the trace, so the trace need not exist
+    out = tmp_path / "conv.csv"
+    assert run_cli(
+        "report", "--kind", "convergence", "--trace", tmp_path / "t.csv",
+        "--consumers", consumers, "-o", out,
+    ) == 1
+    assert f"--consumers entry {entry} is not an integer id" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_report_missing_inputs_is_usage_error(capsys):
     assert main(["report", "--kind", "par", "-o", "x.json"]) == 1
     assert "--summary" in capsys.readouterr().err

@@ -4,6 +4,8 @@ optimum, and the billing fairness comparison."""
 import numpy as np
 import pytest
 
+import dsmgame.algorithms as algorithms
+import dsmgame.feasible as feasible
 from dsmgame.algorithms import Scenario, fixed_point_residual
 from dsmgame.feasible import ConsumerSpec, project, sample_feasible
 from dsmgame.model import PriceCurve, bill_instantaneous, grid_cost, mapping_profiles
@@ -15,6 +17,7 @@ from dsmgame.oracle import (
     social_welfare_optimum,
 )
 from conftest import REVERSAL_CURVE, REVERSAL_SPECS, make_toy_game
+from oracles import reference_best_response
 
 
 def flat_curve(h, a=1.0, b=1.2, c=0.0):
@@ -63,9 +66,97 @@ def test_best_response_first_order_optimality():
         others = init[1:].sum(axis=0) if scenario.n_consumers > 1 else np.zeros(
             scenario.horizon
         )
-        q = best_response(others, spec, scenario.curve, tol=1e-8)
+        q = best_response(others, spec, scenario.curve)
         probe = project(q - mapping_profiles(q, q + others, scenario.curve), spec)
         assert np.max(np.abs(q - probe)) <= 1e-8
+
+
+def random_best_response_case(rng):
+    """A random best-response problem: H in 1..6, exponents up to 3, and
+    some zero offsets, lower bounds and others, so some marginals start at
+    slope 0, some of them at price 0."""
+    h = int(rng.integers(1, 7))
+    curve = PriceCurve(
+        rng.uniform(0.3, 2.0, h), rng.choice([1.0, 1.2, 1.5, 2.0, 3.0], h),
+        rng.uniform(0.0, 0.2, h) * (rng.random(h) < 0.7),
+    )
+    q_min = rng.uniform(0.0, 0.8, h) * (rng.random(h) < 0.6)
+    q_max = q_min + rng.uniform(0.2, 2.0, h)
+    energy = float(q_min.sum() + rng.uniform(0.05, 0.95) * (q_max - q_min).sum())
+    others = rng.uniform(0.0, 5.0, h) * (rng.random(h) < 0.6)
+    return others, ConsumerSpec(q_min, q_max, energy), curve
+
+
+def assert_kkt(x, others, spec, curve):
+    """x meets the budget and the box, and its marginal bills g_h share one
+    value lam on the free slots, are at least lam on slots at q_min and at
+    most lam on slots at q_max."""
+    assert abs(x.sum() - spec.energy) <= 1e-12 * max(1.0, spec.energy)
+    assert np.all(spec.q_min <= x) and np.all(x <= spec.q_max)
+    g = mapping_profiles(x, x + others, curve)
+    slack = 1e-9 * g.max()
+    at_min, at_max = x == spec.q_min, x == spec.q_max
+    free = ~at_min & ~at_max
+    if free.any():
+        lam = g[free].mean()
+        assert np.ptp(g[free]) <= slack
+    else:  # any lam between the marginals at q_max and those at q_min
+        lam = g[at_max & ~at_min].max(initial=0.0)
+    assert np.all(g[at_min & ~at_max] >= lam - slack)
+    assert np.all(g[at_max & ~at_min] <= lam + slack)
+
+
+def test_best_response_meets_its_kkt_conditions_and_the_reference():
+    rng = np.random.default_rng(2024)
+    for _ in range(150):
+        others, spec, curve = random_best_response_case(rng)
+        x = best_response(others, spec, curve)
+        np.testing.assert_allclose(
+            x, reference_best_response(others, spec, curve), rtol=0, atol=1e-7
+        )
+        assert_kkt(x, others, spec, curve)
+
+
+@pytest.mark.parametrize("margin", [0.0, 1e-12, 1e-6])
+def test_best_response_with_the_budget_at_a_bound(margin):
+    # next to sum(q_min), a slot whose marginal has slope 0 at q_min = 0
+    # makes S(lam) steep at its kink, and its root can lie within an ulp
+    # of the kink; next to sum(q_max) the free slots are few
+    rng = np.random.default_rng(31)
+    for case in range(200):
+        others, spec, curve = random_best_response_case(rng)
+        span = spec.q_max.sum() - spec.q_min.sum()
+        energy = spec.q_min.sum() + margin * span if case % 2 else spec.q_max.sum() - margin * span
+        if energy <= 0.0:
+            continue
+        spec = ConsumerSpec(spec.q_min, spec.q_max, energy)
+        assert_kkt(best_response(others, spec, curve), others, spec, curve)
+
+
+def count_projections(monkeypatch) -> list:
+    """Count every call of the projection kernel, through the module
+    globals that `project`, `sample_feasible` and `Scenario.project` use."""
+    calls = []
+    for module in (feasible, algorithms):
+        real = module.project_rows
+
+        def counted(*args, _real=real):
+            calls.append(1)
+            return _real(*args)
+
+        monkeypatch.setattr(module, "project_rows", counted)
+    return calls
+
+
+def test_nash_oracle_projects_only_its_start(monkeypatch):
+    scenario, init = make_toy_game(11)
+    calls = count_projections(monkeypatch)
+    best_response(init[1:].sum(axis=0), scenario.specs[0], scenario.curve)
+    assert calls == []
+    nash_best_response_iteration(scenario, tol=1e-7)
+    assert len(calls) == 1
+    nash_best_response_iteration(scenario, tol=1e-7, init=init)
+    assert len(calls) == 1
 
 
 def test_best_response_rejects_invalid_spec():
@@ -106,6 +197,21 @@ def test_iteration_fixed_point_unique_across_starts():
         np.testing.assert_allclose(other, results[0], atol=1e-4)
 
 
+@pytest.mark.parametrize("k", [1e-3, 1e3])
+def test_iteration_does_not_depend_on_the_price_unit(k):
+    # toy games 1..10 are the benchmark's small games, up to an ulp of
+    # each budget
+    for seed in (*range(1, 11), 101, 202, 303):
+        scenario, _ = make_toy_game(seed)
+        curve = scenario.curve
+        rescaled = Scenario(scenario.specs, PriceCurve(k * curve.a, curve.b, k * curve.c))
+        np.testing.assert_allclose(
+            nash_best_response_iteration(rescaled, tol=1e-7),
+            nash_best_response_iteration(scenario, tol=1e-7),
+            rtol=0, atol=1e-9,
+        )
+
+
 def test_iteration_rejects_failed_certificate():
     curve = PriceCurve(np.array([0.5]), np.array([8.0]), np.zeros(1))
     specs = (
@@ -141,7 +247,7 @@ def test_welfare_single_consumer_matches_best_response():
     curve = PriceCurve(np.array([0.4, 1.1]), np.array([1.2, 1.5]), np.zeros(2))
     scenario = Scenario((spec,), curve)
     profiles, cost = social_welfare_optimum(scenario, tol=1e-8)
-    br = best_response(np.zeros(2), spec, curve, tol=1e-8)
+    br = best_response(np.zeros(2), spec, curve)
     np.testing.assert_allclose(profiles[0], br, atol=1e-6)
     assert cost == pytest.approx(bill_instantaneous(br, br, curve), rel=1e-9)
 
@@ -218,12 +324,16 @@ def test_bill_sums_agree_between_schemes():
 
 
 def test_oracles_reject_negative_loads_where_they_enter():
-    # the oracles' inner loops price through unchecked kernels, so the
-    # loads that reach them from outside are checked on entry
+    # the oracles' inner loops price through unchecked kernels or plain
+    # floats, so the loads that reach them from outside are checked on
+    # entry; a NaN or infinite others' load would spin to the iteration cap
     scenario, init = make_toy_game(505)
     spec, curve = scenario.specs[0], scenario.curve
     with pytest.raises(ValueError, match="nonnegative"):
         best_response(-np.ones(scenario.horizon), spec, curve)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="others_aggregate contains non-finite"):
+            best_response(np.full(scenario.horizon, bad), spec, curve)
     negative_start = init.copy()
     negative_start[:, 0] = -1.0
     with pytest.raises(ValueError, match="nonnegative"):
