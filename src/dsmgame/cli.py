@@ -40,28 +40,32 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(f"{self.prog}: error: {message}", 1)
 
 
-def _flags(args: argparse.Namespace) -> dict:
-    skip = {"func"}
-    return {k: v for k, v in vars(args).items() if k not in skip}
-
-
-def _write_json(path, payload: dict) -> None:
+def _write_artifact(path, args, scenario_hash: str, **fields) -> None:
+    """Write a JSON artifact: `fields` under the provenance header of the
+    command, its --kind where it has one, the scenario hash and `flags`,
+    every parsed option."""
+    flags = {k: v for k, v in vars(args).items() if k != "func"}
+    header = {"command": args.command, "scenario_hash": scenario_hash, "flags": flags}
+    if "kind" in flags:
+        header["kind"] = args.kind
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump({**header, **fields}, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _read_artifact(path, flag: str, key: str, value: str, what: str) -> dict:
-    """A JSON input of a report, refused unless its `key` field is `value`."""
+def _read_artifact(path, flag: str, command: str, kind: str | None, *fields) -> dict:
+    """A JSON input of a report, refused unless its header names `command`
+    and `kind` and it holds the scenario hash and the `fields` read from it."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    if not isinstance(payload, dict) or payload.get(key) != value:
-        raise CliError(f"{flag} {path} is not {what}", 1)
+    is_dict = isinstance(payload, dict)
+    if not is_dict or (payload.get("command"), payload.get("kind")) != (command, kind):
+        source = command if kind is None else f"{command} --kind {kind}"
+        raise CliError(f"{flag} {path} is not an output of {source}", 1)
+    missing = [f for f in ("scenario_hash", *fields) if f not in payload]
+    if missing:
+        raise CliError(f"{flag} {path} lacks the field {missing[0]!r}", 1)
     return payload
-
-
-def _read_summary(path) -> dict:
-    return _read_artifact(path, "--summary", "command", "run", "a run summary")
 
 
 def cmd_generate(args) -> int:
@@ -161,27 +165,24 @@ def cmd_run(args) -> int:
 
     trace.to_csv(args.trace)
     final = result.final_profiles
-    summary = {
-        "command": "run",
-        "algorithm": args.alg,
-        "scenario_hash": loaded.content_hash,
-        "flags": _flags(args),
-        "converged": result.converged,
-        "iterations": result.iterations,
-        "residual": result.residual,
-        "fixed_point_residual": result.fixed_point_residual,
-        "uniqueness": "verified" if result.uniqueness_verified else "unverified",
-        "initial_par": par(aggregate(init)),
-        "final_par": par(aggregate(final)),
-        "total_cost": grid_cost(aggregate(final), scenario.curve),
-        "final_profiles": final.tolist(),
-    }
-    _write_json(args.summary, summary)
+    initial_par, final_par = par(aggregate(init)), par(aggregate(final))
+    _write_artifact(
+        args.summary, args, loaded.content_hash,
+        algorithm=args.alg,
+        converged=result.converged,
+        iterations=result.iterations,
+        residual=result.residual,
+        fixed_point_residual=result.fixed_point_residual,
+        uniqueness="verified" if result.uniqueness_verified else "unverified",
+        initial_par=initial_par,
+        final_par=final_par,
+        total_cost=grid_cost(aggregate(final), scenario.curve),
+        final_profiles=final.tolist(),
+    )
     status = "converged" if result.converged else "not converged"
     print(
         f"algorithm {args.alg}: {status} after {result.iterations} iterations, "
-        f"residual {result.residual:.3e}, PAR {summary['initial_par']:.4f} -> "
-        f"{summary['final_par']:.4f}"
+        f"residual {result.residual:.3e}, PAR {initial_par:.4f} -> {final_par:.4f}"
     )
     if not result.uniqueness_verified:
         print("warning: uniqueness certificate failed; convergence unguaranteed")
@@ -203,115 +204,93 @@ def cmd_oracle(args) -> int:
             )
         profiles = oracle.nash_best_response_iteration(scenario, tol=args.tol)
         cost = grid_cost(aggregate(profiles), scenario.curve)
-        payload = {
-            "command": "oracle",
-            "kind": "nash",
-            "scenario_hash": loaded.content_hash,
-            "flags": _flags(args),
-            "profiles": profiles.tolist(),
-            "residual": algorithms.fixed_point_residual(profiles, scenario),
-            "total_cost": cost,
-        }
+        extra = {"residual": algorithms.fixed_point_residual(profiles, scenario)}
     else:
         profiles, cost = oracle.social_welfare_optimum(scenario, tol=args.tol)
-        payload = {
-            "command": "oracle",
-            "kind": "welfare",
-            "scenario_hash": loaded.content_hash,
-            "flags": _flags(args),
-            "profiles": profiles.tolist(),
-            "total_cost": cost,
-        }
-    _write_json(args.out, payload)
-    print(f"{args.kind} oracle: total cost {payload['total_cost']:.6f}")
+        extra = {}
+    _write_artifact(
+        args.out, args, loaded.content_hash,
+        profiles=profiles.tolist(), total_cost=cost, **extra,
+    )
+    print(f"{args.kind} oracle: total cost {cost:.6f}")
     return 0
 
 
-def _require_matching_hashes(*payloads) -> str:
-    hashes = {p["scenario_hash"] for p in payloads}
-    if len(hashes) != 1:
-        raise CliError(
-            f"inputs were produced from different scenarios: {sorted(hashes)}", 1
-        )
-    return hashes.pop()
+def _read_costs(path, wanted: set[int] | None) -> list[list[str]]:
+    """The t, n and cost fields of a trace CSV's rows: all of them, or those
+    of the consumers `wanted`."""
+    with open(path, "r", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise CliError(f"--trace {path} is empty", 1)
+        for name in ("t", "n", "cost"):
+            if name not in header:
+                raise CliError(f"--trace {path} has no {name!r} column", 1)
+        cols = [header.index(name) for name in ("t", "n", "cost")]
+        rows = []
+        for row in reader:
+            if len(row) != len(header):
+                raise CliError(
+                    f"--trace {path} line {reader.line_num} has {len(row)} fields, "
+                    f"the header {len(header)}",
+                    1,
+                )
+            t, n, cost = (row[c] for c in cols)
+            try:
+                if wanted is None or int(n) in wanted:
+                    rows.append([t, n, cost])
+            except ValueError:
+                raise CliError(
+                    f"--trace {path} line {reader.line_num}: n {n!r} is not an integer id",
+                    1,
+                ) from None
+    return rows
 
 
 def cmd_report(args) -> int:
     if args.kind == "par":
-        summary = _read_summary(args.summary)
-        initial, final = summary["initial_par"], summary["final_par"]
-        _write_json(
-            args.out,
-            {
-                "command": "report",
-                "kind": "par",
-                "scenario_hash": summary["scenario_hash"],
-                "flags": _flags(args),
-                "initial_par": initial,
-                "final_par": final,
-                "relative_reduction": (initial - final) / initial,
-            },
+        summary = _read_artifact(
+            args.summary, "--summary", "run", None, "initial_par", "final_par"
         )
-        print(f"PAR {initial:.4f} -> {final:.4f} ({(initial - final) / initial:.2%})")
+        initial, final = summary["initial_par"], summary["final_par"]
+        reduction = (initial - final) / initial
+        _write_artifact(
+            args.out, args, summary["scenario_hash"],
+            initial_par=initial, final_par=final, relative_reduction=reduction,
+        )
+        print(f"PAR {initial:.4f} -> {final:.4f} ({reduction:.2%})")
     elif args.kind == "fairness":
         loaded = scen.load_scenario(args.scenario)
-        summary = _read_summary(args.summary)
+        summary = _read_artifact(args.summary, "--summary", "run", None, "final_profiles")
         if summary["scenario_hash"] != loaded.content_hash:
-            raise CliError(
-                "run summary was produced from a different scenario file", 1
-            )
+            raise CliError(f"--summary {args.summary} is from another scenario file", 1)
         profiles = np.array(summary["final_profiles"], dtype=float)
         report = oracle.fairness_comparison(profiles, loaded.scenario)
-        _write_json(
-            args.out,
-            {
-                "command": "report",
-                "kind": "fairness",
-                "scenario_hash": loaded.content_hash,
-                "flags": _flags(args),
-                "consumer": list(range(1, loaded.scenario.n_consumers + 1)),
-                "energy_budget": report.budgets.tolist(),
-                "instantaneous_bill": report.instantaneous_bills.tolist(),
-                "total_load_bill": report.total_load_bills.tolist(),
-                "consumer_par": report.consumer_par.tolist(),
-            },
+        _write_artifact(
+            args.out, args, loaded.content_hash,
+            consumer=list(range(1, loaded.scenario.n_consumers + 1)),
+            energy_budget=report.budgets.tolist(),
+            instantaneous_bill=report.instantaneous_bills.tolist(),
+            total_load_bill=report.total_load_bills.tolist(),
+            consumer_par=report.consumer_par.tolist(),
         )
         print(f"fairness table for {loaded.scenario.n_consumers} consumers written")
     elif args.kind == "welfare-gap":
-        summary = _read_summary(args.summary)
-        optimum = _read_artifact(
-            args.oracle, "--oracle", "kind", "welfare", "a welfare oracle output"
-        )
-        sha = _require_matching_hashes(summary, optimum)
+        summary = _read_artifact(args.summary, "--summary", "run", None, "total_cost")
+        optimum = _read_artifact(args.oracle, "--oracle", "oracle", "welfare", "total_cost")
+        if optimum["scenario_hash"] != summary["scenario_hash"]:
+            raise CliError(f"--oracle {args.oracle} is from another scenario", 1)
         ne_cost, opt_cost = summary["total_cost"], optimum["total_cost"]
-        _write_json(
-            args.out,
-            {
-                "command": "report",
-                "kind": "welfare-gap",
-                "scenario_hash": sha,
-                "flags": _flags(args),
-                "ne_total_cost": ne_cost,
-                "optimal_total_cost": opt_cost,
-                "relative_gap": (ne_cost - opt_cost) / opt_cost,
-            },
+        gap = (ne_cost - opt_cost) / opt_cost
+        _write_artifact(
+            args.out, args, summary["scenario_hash"],
+            ne_total_cost=ne_cost, optimal_total_cost=opt_cost, relative_gap=gap,
         )
-        print(f"welfare gap {(ne_cost - opt_cost) / opt_cost:.4%}")
+        print(f"welfare gap {gap:.4%}")
     else:  # convergence
         wanted = _consumer_ids(args.consumers) if args.consumers else None
-        with open(args.trace, "r", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            t_col, n_col, cost_col = (
-                header.index("t"),
-                header.index("n"),
-                header.index("cost"),
-            )
-            rows = [
-                (row[t_col], row[n_col], row[cost_col])
-                for row in reader
-                if wanted is None or int(row[n_col]) in wanted
-            ]
+        rows = _read_costs(args.trace, wanted)
         if wanted:
             missing = sorted(wanted - {int(n) for _, n, _ in rows})
             if missing:

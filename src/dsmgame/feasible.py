@@ -85,9 +85,12 @@ def is_feasible(q, spec: ConsumerSpec, tol: float = 1e-9) -> bool:
 
 
 def _project_rows_small(v, q_min, q_max, budgets) -> np.ndarray:
-    # the breakpoint search of project_rows in plain floats, step for step;
-    # on the tiny instances the gossip loop and the oracles work with, numpy
-    # dispatch overhead dominates, so plain floats are several times faster
+    # the breakpoint search of project_rows in plain floats, step for step.
+    # Its calls are small-games gossip batches, synchronous rounds at N <= 3
+    # (2N rows) and sample_feasible/project at H <= 6, where numpy dispatch
+    # dominates: with the numpy path for them, small-games alg3_ms_per_event
+    # went from 0.138 to 0.227 ms and setup_s rose 53% (4 bench runs per
+    # side, 2-CPU host)
     out = []
     n_slots = v.shape[1]
     for vr, lo_b, hi_b, target in zip(

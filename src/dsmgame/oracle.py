@@ -36,10 +36,6 @@ class ConvergenceError(RuntimeError):
     """An oracle solver ran out of iterations before meeting its tolerance."""
 
 
-def _grid_cost(sigma: np.ndarray, curve: PriceCurve) -> float:
-    return float(curve._price(sigma) @ sigma)
-
-
 def _descend(objective, gradient, proj, q, tol, max_iter, what):
     """Projected gradient with backtracking line search on a convex objective.
 
@@ -286,6 +282,10 @@ def social_welfare_optimum(
     """
     curve = scenario.curve
 
+    def joint_cost(profiles: np.ndarray) -> float:
+        sigma = profiles.sum(axis=0)
+        return float(curve._price(sigma) @ sigma)
+
     def joint_grad(profiles: np.ndarray) -> np.ndarray:
         sigma = profiles.sum(axis=0)
         row = curve._slope(sigma) * sigma + curve._price(sigma)
@@ -296,7 +296,7 @@ def social_welfare_optimum(
     # load the unchecked kernels could see unvalidated
     as_profile(q.sum(axis=0), scenario.horizon)
     return _descend(
-        lambda p: _grid_cost(p.sum(axis=0), curve),
+        joint_cost,
         joint_grad,
         scenario.project,
         q, tol, max_iter, "welfare optimum",

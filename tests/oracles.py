@@ -78,13 +78,10 @@ def grid_best_response(others, spec, curve, points=10_000):
     lo = max(spec.q_min[0], spec.energy - spec.q_max[1])
     hi = min(spec.q_max[0], spec.energy - spec.q_min[1])
     xs = np.linspace(lo, hi, points + 1)
-    best, best_val = None, np.inf
-    for x in xs:
-        q = np.array([x, spec.energy - x])
-        val = bill_instantaneous(q, q + others, curve)
-        if val < best_val:
-            best, best_val = q, val
-    return best
+    qs = np.column_stack([xs, spec.energy - xs])
+    bills = (curve.price_vector(qs + others) * qs).sum(axis=1)
+    # the first of equal minima, as a scan with a strict `<` would keep
+    return qs[np.argmin(bills)]
 
 
 def reference_best_response(others, spec, curve, tol=1e-8, max_iter=20_000):

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: artifacts, determinism, exit codes, reports."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -9,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from dsmgame.cli import main
+from dsmgame.cli import build_parser, main
 from dsmgame.scenario import load_scenario, save_scenario
 from conftest import REPO, make_toy_game, src_env
 
@@ -453,9 +454,129 @@ def test_convergence_report_names_a_bad_consumers_entry(tmp_path, capsys, consum
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "text, consumers, message",
+    [
+        pytest.param("", None, "is empty", id="empty"),
+        pytest.param("n,cost\r\n1,0.5\r\n", None, "has no 't' column", id="no-t"),
+        pytest.param("t,cost\r\n1,0.5\r\n", None, "has no 'n' column", id="no-n"),
+        pytest.param("t,n,residual\r\n1,1,0\r\n", None, "has no 'cost' column", id="no-cost"),
+        pytest.param("t,n,cost\r\n1,1,0.5\r\n1,x,0.5\r\n", "1",
+                     "line 3: n 'x' is not an integer id", id="non-integer-n"),
+        pytest.param("t,n,cost\r\n1,1,0.5\r\n2,1\r\n", None,
+                     "line 3 has 2 fields, the header 3", id="short-row"),
+    ],
+)
+def test_convergence_report_names_a_malformed_trace(
+    tmp_path, capsys, text, consumers, message
+):
+    trace, out = tmp_path / "t.csv", tmp_path / "conv.csv"
+    trace.write_bytes(text.encode())
+    picked = ("--consumers", consumers) if consumers else ()
+    code = run_cli("report", "--kind", "convergence", "--trace", trace, *picked, "-o", out)
+    assert code == 1
+    assert capsys.readouterr().err == f"error: --trace {trace} {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "kind, summary, field",
+    [
+        ("par", {"command": "run"}, "scenario_hash"),
+        ("par", {"command": "run", "scenario_hash": "x", "initial_par": 2.0}, "final_par"),
+        ("welfare-gap", {"command": "run", "scenario_hash": "x"}, "total_cost"),
+    ],
+)
+def test_reports_name_a_missing_input_field(tmp_path, capsys, kind, summary, field):
+    path, out = tmp_path / "s.json", tmp_path / "r.json"
+    path.write_text(json.dumps(summary))
+    welfare = tmp_path / "w.json"
+    welfare.write_text(json.dumps(
+        {"command": "oracle", "kind": "welfare", "scenario_hash": "x", "total_cost": 1.0}
+    ))
+    code = run_cli("report", "--kind", kind, "--summary", path, "--oracle", welfare, "-o", out)
+    assert code == 1
+    assert capsys.readouterr().err == f"error: --summary {path} lacks the field {field!r}\n"
+    assert not out.exists()
+
+
 def test_report_missing_inputs_is_usage_error(capsys):
     assert main(["report", "--kind", "par", "-o", "x.json"]) == 1
     assert "--summary" in capsys.readouterr().err
+
+
+# --- provenance header ------------------------------------------------------------
+
+
+def _run_flags(alg, **given):
+    return {
+        "scenario": "toy.json", "alg": alg, "seed": 4, "theta": 1.5,
+        "step_exponent": 0.7, "tau": 0.4, "tol": 1e-5, "max_iter": 30,
+        "max_events": 40, "graph": None, "topology": None, "degree": 2.0,
+        "trace": "t.csv", "summary": "out.json", "strict": False, **given,
+    }
+
+
+def _report_flags(kind, **given):
+    return {
+        "kind": kind, "scenario": None, "summary": "s.json", "oracle": None,
+        "trace": None, "consumers": None, "out": "out.json", **given,
+    }
+
+
+# each JSON-writing command with every option's value as its `flags` must
+# echo it; None and False mark an option left out of the command line
+PROVENANCE_CASES = {
+    "run-alg1": ("run", _run_flags(1, strict=True, max_iter=4000, tol=1e-4)),
+    "run-alg2": ("run", _run_flags(2, graph="g.edges")),
+    "run-alg3": ("run", _run_flags(3, topology="random")),
+    "oracle-nash": ("oracle", {"scenario": "toy.json", "kind": "nash", "tol": 1e-6,
+                               "out": "out.json"}),
+    "oracle-welfare": ("oracle", {"scenario": "toy.json", "kind": "welfare", "tol": 1e-6,
+                                  "out": "out.json"}),
+    "report-par": ("report", _report_flags("par")),
+    "report-fairness": ("report", _report_flags("fairness", scenario="toy.json")),
+    "report-welfare-gap": ("report", _report_flags("welfare-gap", oracle="w.json")),
+}
+
+
+def _argv(command, flags):
+    argv = [command]
+    for dest, value in flags.items():
+        option = "--" + dest.replace("_", "-")
+        if dest == "scenario" and command != "report":
+            argv.append(value)
+        elif value is True:
+            argv.append(option)
+        elif value is not None and value is not False:
+            argv += [option, str(value)]
+    return argv
+
+
+def _options_of(command):
+    """The dest of every argument the subcommand takes."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in sub.choices[command]._actions if a.dest != "help"}
+
+
+@pytest.mark.parametrize("case", list(PROVENANCE_CASES))
+def test_every_json_artifact_carries_the_provenance_header(
+    toy_file, tmp_path, monkeypatch, case
+):
+    command, flags = PROVENANCE_CASES[case]
+    assert set(flags) == _options_of(command)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.edges").write_text("1 2\n")
+    # the inputs of the reports
+    assert run_cli("run", "toy.json", "--alg", "1", "--trace", "t.csv", "--summary", "s.json") == 0
+    assert run_cli("oracle", "toy.json", "--kind", "welfare", "-o", "w.json") == 0
+    assert run_cli(*_argv(command, flags)) == 0
+    data = json.loads((tmp_path / "out.json").read_text())
+    assert data["command"] == command
+    assert data["scenario_hash"] == load_scenario(toy_file).content_hash
+    assert data["flags"] == {"command": command, **flags}
+    assert ("kind" in data) == ("kind" in flags)
+    assert data.get("kind") == flags.get("kind")
 
 
 # --- console entry point ---------------------------------------------------------
