@@ -85,6 +85,10 @@ class Scenario:
         return project_rows(points, self.q_min_matrix, self.q_max_matrix, self.budgets)
 
 
+def _budget_gap(profiles: np.ndarray, scenario: Scenario) -> float:
+    return float(np.max(np.abs(profiles.sum(axis=1) - scenario.budgets)))
+
+
 @dataclass
 class RunTrace:
     """Per-iteration snapshots of a solver run.
@@ -172,17 +176,13 @@ class RunTrace:
         """Worst bound/budget violation over every recorded profile."""
         worst = 0.0
         for q, _ in self.states():
-            gap = np.max(np.abs(q.sum(axis=1) - scenario.budgets))
             below = np.max(scenario.q_min_matrix - q, initial=0.0)
             above = np.max(q - scenario.q_max_matrix, initial=0.0)
-            worst = max(worst, gap, below, above)
+            worst = max(worst, _budget_gap(q, scenario), below, above)
         return float(worst)
 
     def max_budget_gap(self, scenario: Scenario) -> float:
-        return max(
-            float(np.max(np.abs(q.sum(axis=1) - scenario.budgets)))
-            for q, _ in self.states()
-        )
+        return max(_budget_gap(q, scenario) for q, _ in self.states())
 
     def max_conservation_gap(self) -> float:
         """Worst |sum_n estimate_n - sum_n profile_n| over the run (the
@@ -535,11 +535,8 @@ def run_algorithm3(
         n_pairs = len(rows) // 2
         # initiators first, then contacts: pair k's rows are k and n_pairs + k
         idx = np.array(rows[0::2] + rows[1::2])
-        # the pairs' values as (2, n_pairs, H); a lone pair's stay (2, H),
-        # which numpy broadcasts against the curve's (H,) parameters faster
-        # (small-games alg3_ms_per_event, medians of 10 bench pairs on a
-        # 2-CPU host: 0.1408 ms with this shape, 0.1461 ms without)
-        pair_shape = (2, horizon) if n_pairs == 1 else (2, n_pairs, horizon)
+        # the pairs' values as (2, n_pairs, H)
+        pair_shape = (2, n_pairs, horizon)
         # take() copies rows at a third of the cost of q[idx]
         q_rows = q.take(idx, axis=0)
         q_pairs = q_rows.reshape(pair_shape)

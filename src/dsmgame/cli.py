@@ -280,7 +280,7 @@ def cmd_report(args) -> int:
         summary = _read_artifact(args.summary, "--summary", "run", None, "total_cost")
         optimum = _read_artifact(args.oracle, "--oracle", "oracle", "welfare", "total_cost")
         if optimum["scenario_hash"] != summary["scenario_hash"]:
-            raise CliError(f"--oracle {args.oracle} is from another scenario", 1)
+            raise CliError(f"--oracle {args.oracle} is from another scenario file", 1)
         ne_cost, opt_cost = summary["total_cost"], optimum["total_cost"]
         gap = (ne_cost - opt_cost) / opt_cost
         _write_artifact(
