@@ -17,7 +17,7 @@ import numpy as np
 
 from .feasible import ConsumerSpec, project_rows
 from .model import Certificate, PriceCurve, mapping_profiles, uniqueness_certificate
-from .network import CommGraph, GossipEvent, is_doubly_stochastic
+from .network import CommGraph, GossipEvent, mix
 
 #: section-VII defaults for the algorithm parameters
 DEFAULT_EXPONENT = 0.51
@@ -408,22 +408,24 @@ def run_algorithm1(
 
 
 def _check_weights(scenario: Scenario, graph: CommGraph, weights) -> np.ndarray:
+    """The weights as one float per slot of `graph`'s table, refused unless
+    they are finite, nonnegative and doubly stochastic within 1e-12."""
     _check_graph(scenario, graph)
     w = np.asarray(weights, dtype=float)
-    if w.shape != (graph.n, graph.n):
-        raise ValueError(f"weight matrix must be {graph.n} x {graph.n}")
-    if not is_doubly_stochastic(w):
-        raise ValueError("weights are not doubly stochastic within 1e-12")
-    # every nonzero weight must sit on an edge (either direction) or the
-    # diagonal; counting them needs no N x N temporary
-    a, b = np.array(list(graph.edges)).T
-    on_graph = (
-        np.count_nonzero(w[a, b])
-        + np.count_nonzero(w[b, a])
-        + np.count_nonzero(w.diagonal())
-    )
-    if np.count_nonzero(w) > on_graph:
-        raise ValueError("weights assign mass to non-neighbors")
+    if w.shape != graph.cols.shape:
+        raise ValueError(
+            f"weights must hold one value per graph slot, N + 2|E| = "
+            f"{graph.cols.size}; got shape {w.shape}"
+        )
+    if not np.isfinite(w).all():
+        raise ValueError("weights contain non-finite entries")
+    tol = 1e-12
+    if w.min() < -tol:
+        raise ValueError(f"weights have a negative entry below -{tol:g}")
+    rows = np.add.reduceat(w, graph.starts)
+    columns = np.bincount(graph.cols, weights=w, minlength=graph.n)
+    if max(np.max(np.abs(rows - 1.0)), np.max(np.abs(columns - 1.0))) > tol:
+        raise ValueError(f"weights are not doubly stochastic within {tol:g}")
     return w
 
 
@@ -447,9 +449,10 @@ def run_algorithm2(
     """
     w = _check_weights(scenario, graph, weights)
     n_consumers = scenario.n_consumers
+    buf = np.empty((w.size, scenario.horizon))
 
     def step_point(step, q, q_prev, est, grad, out):
-        mixed = w @ est
+        mixed = mix(graph, w, est, buf)
         # price against the proxy N * mixed clamped at zero; the estimates
         # themselves stay unclamped, so sum_n est_n = sum_n q_n holds exactly
         proxy = np.maximum(n_consumers * mixed, 0.0)

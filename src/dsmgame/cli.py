@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -57,7 +58,12 @@ def _read_artifact(path, flag: str, command: str, kind: str | None, *fields) -> 
     """A JSON input of a report, refused unless its header names `command`
     and `kind` and it holds the scenario hash and the `fields` read from it."""
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise CliError(
+                f"{flag} {path} is not JSON: {exc.msg} at line {exc.lineno}", 1
+            ) from None
     is_dict = isinstance(payload, dict)
     if not is_dict or (payload.get("command"), payload.get("kind")) != (command, kind):
         source = command if kind is None else f"{command} --kind {kind}"
@@ -66,6 +72,17 @@ def _read_artifact(path, flag: str, command: str, kind: str | None, *fields) -> 
     if missing:
         raise CliError(f"{flag} {path} lacks the field {missing[0]!r}", 1)
     return payload
+
+
+def _number(payload: dict, flag: str, path, field: str, positive: bool = False):
+    """Field `field` of a report input, refused unless it is a finite number,
+    and a positive one where it divides."""
+    value = payload[field]
+    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not is_number or not math.isfinite(value) or (positive and value <= 0):
+        wanted = "a positive finite number" if positive else "a finite number"
+        raise CliError(f"{flag} {path}: {field!r} is {value!r}, not {wanted}", 1)
+    return value
 
 
 def cmd_generate(args) -> int:
@@ -253,7 +270,8 @@ def cmd_report(args) -> int:
         summary = _read_artifact(
             args.summary, "--summary", "run", None, "initial_par", "final_par"
         )
-        initial, final = summary["initial_par"], summary["final_par"]
+        initial = _number(summary, "--summary", args.summary, "initial_par", positive=True)
+        final = _number(summary, "--summary", args.summary, "final_par")
         reduction = (initial - final) / initial
         _write_artifact(
             args.out, args, summary["scenario_hash"],
@@ -281,7 +299,8 @@ def cmd_report(args) -> int:
         optimum = _read_artifact(args.oracle, "--oracle", "oracle", "welfare", "total_cost")
         if optimum["scenario_hash"] != summary["scenario_hash"]:
             raise CliError(f"--oracle {args.oracle} is from another scenario file", 1)
-        ne_cost, opt_cost = summary["total_cost"], optimum["total_cost"]
+        ne_cost = _number(summary, "--summary", args.summary, "total_cost")
+        opt_cost = _number(optimum, "--oracle", args.oracle, "total_cost", positive=True)
         gap = (ne_cost - opt_cost) / opt_cost
         _write_artifact(
             args.out, args, summary["scenario_hash"],

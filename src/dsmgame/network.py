@@ -53,11 +53,19 @@ def is_connected(n_nodes: int, edges: Iterable[tuple[int, int]]) -> bool:
 @dataclass(frozen=True)
 class CommGraph:
     """Undirected, connected consumer graph; construction rejects self-loops,
-    out-of-range nodes, and disconnected edge sets."""
+    out-of-range nodes, and disconnected edge sets.
+
+    `cols` and `starts` are the graph's slot table, built once: row i's
+    slots are `cols[starts[i]:starts[i + 1]]` (the last row runs to the
+    end), node i itself and then its neighbours in ascending order, N + 2|E|
+    slots in all. Mixing weights live on these slots.
+    """
 
     n: int
     edges: frozenset[tuple[int, int]]
     _neighbors: tuple[tuple[int, ...], ...] = field(repr=False, compare=False, default=())
+    starts: np.ndarray = field(init=False, repr=False, compare=False)
+    cols: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 2:
@@ -72,10 +80,19 @@ class CommGraph:
         for n, k in edges:
             adj[n].append(k)
             adj[k].append(n)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(
-            self, "_neighbors", tuple(tuple(sorted(lst)) for lst in adj)
+        neighbors = tuple(tuple(sorted(lst)) for lst in adj)
+        sizes = np.array([1 + len(nbrs) for nbrs in neighbors])
+        starts = np.concatenate(([0], np.cumsum(sizes[:-1])))
+        cols = np.fromiter(
+            (k for i, nbrs in enumerate(neighbors) for k in (i, *nbrs)),
+            dtype=np.intp,
+            count=int(sizes.sum()),
         )
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "_neighbors", neighbors)
+        for name, arr in (("starts", starts), ("cols", cols)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     def neighbors(self, node: int) -> tuple[int, ...]:
         return self._neighbors[node]
@@ -89,31 +106,29 @@ class CommGraph:
 
 
 def build_weights(graph: CommGraph, tau: float) -> np.ndarray:
-    """Doubly stochastic mixing matrix: tau / max-degree on edges, the
-    complementary mass on the diagonal."""
+    """Doubly stochastic mixing weights, one per slot of `graph`'s table:
+    tau / max-degree on each neighbour slot, the complementary mass on each
+    node's own slot."""
     if not 0.0 < tau < 1.0:
         raise ValueError(f"tau={tau:g} must lie strictly in (0, 1)")
-    w = np.zeros((graph.n, graph.n))
     off = tau / graph.max_degree
-    for n, k in graph.edges:
-        w[n, k] = off
-        w[k, n] = off
-    for n in range(graph.n):
-        w[n, n] = 1.0 - graph.degree(n) * off
+    w = np.full(graph.cols.size, off)
+    degrees = np.diff(graph.starts, append=graph.cols.size) - 1
+    w[graph.starts] = 1.0 - degrees * off
     return w
 
 
-def is_doubly_stochastic(w: np.ndarray, tol: float = 1e-12) -> bool:
-    w = np.asarray(w, dtype=float)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        return False
-    if w.min(initial=np.inf) < -tol:
-        return False
-    ones = np.ones(w.shape[0])
-    return (
-        np.max(np.abs(w.sum(axis=0) - ones)) <= tol
-        and np.max(np.abs(w.sum(axis=1) - ones)) <= tol
-    )
+def mix(graph: CommGraph, weights: np.ndarray, values: np.ndarray, buf: np.ndarray):
+    """Mix the rows of the (N, H) `values`: row i of the result is the sum
+    over row i's slots s of `weights[s] * values[cols[s]]`, added in slot
+    order. `buf` is (N + 2|E|, H) scratch space. Elementwise products and
+    in-order sums only, so the bits do not depend on the BLAS build or the
+    CPU dispatch."""
+    # cols is in range by construction; with out=, mode="raise" would copy
+    # through a temporary first
+    values.take(graph.cols, axis=0, out=buf, mode="clip")
+    buf *= weights[:, None]
+    return np.add.reduceat(buf, graph.starts, axis=0)
 
 
 def gossip_stream(

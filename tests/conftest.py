@@ -10,6 +10,7 @@ import pytest
 from dsmgame.algorithms import Scenario
 from dsmgame.feasible import ConsumerSpec, sample_feasible
 from dsmgame.model import PriceCurve
+from dsmgame.network import CommGraph
 from dsmgame.scenario import generate
 
 
@@ -21,6 +22,17 @@ def src_env() -> dict:
     checkout's `src`, installed or not."""
     path = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
     return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+
+
+#: per-process switches to numpy's AVX2 loops and OpenBLAS's Haswell kernel,
+#: which stand in for an x86-64 host without AVX-512
+AVX2_ENV = {
+    "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
+    "OPENBLAS_CORETYPE": "Haswell",
+}
+
+
+STAR_5 = CommGraph(5, frozenset({(0, 1), (0, 2), (0, 3), (0, 4)}))
 
 
 def make_toy_game(seed: int) -> tuple[Scenario, np.ndarray]:

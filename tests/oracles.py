@@ -27,7 +27,8 @@ from dsmgame.algorithms import (
     fixed_point_residual,
 )
 from dsmgame.feasible import project_rows
-from dsmgame.model import bill_instantaneous, mapping_profiles
+from dsmgame.model import mapping_profiles
+from dsmgame.network import mix
 from dsmgame.oracle import _descend
 
 
@@ -107,16 +108,19 @@ def reference_best_response(others, spec, curve, tol=1e-8, max_iter=20_000):
 def mapping_finite_difference(q_n, q_sigma, curve, eps_scale=1e-6):
     """Central finite difference of the instantaneous bill, co-perturbing the
     consumer's slot and the aggregate slot (the aggregate contains the
-    consumer's own consumption)."""
-    h = q_n.shape[0]
-    out = np.empty(h)
-    for k in range(h):
-        eps = eps_scale * max(1.0, abs(q_n[k]), abs(q_sigma[k]))
-        e = np.zeros(h)
-        e[k] = eps
-        up = bill_instantaneous(q_n + e, q_sigma + e, curve)
-        down = bill_instantaneous(q_n - e, q_sigma - e, curve)
-        out[k] = (up - down) / (2.0 * eps)
+    consumer's own consumption). The bill is a sum of per-slot terms
+    p_k(sigma_k) * q_k, so slot k differences only its own term, in plain
+    floats: the same derivative without the other slots' rounding."""
+    out = np.empty(q_n.shape[0])
+    for k in range(q_n.shape[0]):
+        a, b, c = float(curve.a[k]), float(curve.b[k]), float(curve.c[k])
+        own, sigma = float(q_n[k]), float(q_sigma[k])
+        eps = eps_scale * max(1.0, abs(own), abs(sigma))
+
+        def term(x):
+            return (a * (sigma + x) ** b + c) * (own + x)
+
+        out[k] = (term(eps) - term(-eps)) / (2.0 * eps)
     return out
 
 
@@ -197,7 +201,25 @@ def reference_trace_csv(trace, path):
                 )
 
 
-def reference_synchronous(scenario, init, tol, max_iter, weights=None):
+def slot_rows(graph):
+    """The row (the receiving node) of every slot of `graph`'s table."""
+    sizes = np.diff(graph.starts, append=graph.cols.size)
+    return np.repeat(np.arange(graph.n), sizes)
+
+
+def dense_weights(graph, weights):
+    """Slot weights as the N x N matrix W, W[i, j] the mass i takes from j."""
+    w = np.zeros((graph.n, graph.n))
+    w[slot_rows(graph), graph.cols] = weights
+    return w
+
+
+def slot_weights(graph, dense):
+    """An N x N weight matrix read off at `graph`'s slots."""
+    return np.asarray(dense, dtype=float)[slot_rows(graph), graph.cols]
+
+
+def reference_synchronous(scenario, init, tol, max_iter, graph=None, weights=None):
     """Algorithm 1 (no `weights`) or algorithm 2 at the default parameters,
     with a separate residual probe per round: each round maps and projects
     its update, then `fixed_point_residual` maps and projects the new state
@@ -219,7 +241,7 @@ def reference_synchronous(scenario, init, tol, max_iter, weights=None):
             grad = mapping_profiles(q, q.sum(axis=0), curve)
             q_next = scenario.project(q - step * (grad + DEFAULT_THETA * (q - q_prev)))
         else:
-            mixed = weights @ est
+            mixed = mix(graph, weights, est, np.empty((weights.size, q.shape[1])))
             proxy = np.maximum(scenario.n_consumers * mixed, 0.0)
             q_next = scenario.project(q - step * mapping_profiles(q, proxy, curve))
             est = mixed + q_next - q

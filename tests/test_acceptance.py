@@ -5,7 +5,10 @@ Run with:  pytest tests/test_acceptance.py -v -s
 """
 
 import hashlib
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,7 +37,7 @@ from dsmgame.oracle import (
     social_welfare_optimum,
 )
 from dsmgame.scenario import generate
-from conftest import REVERSAL_CURVE, REVERSAL_SPECS, make_toy_game
+from conftest import AVX2_ENV, REVERSAL_CURVE, REVERSAL_SPECS, make_toy_game, src_env
 from oracles import mapping_finite_difference, project_qp_oracle
 
 N_TOY_GAMES = 20
@@ -139,6 +142,18 @@ def test_criterion_1_gradient_correctness():
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
     report(1, "gradient vs central finite differences (100 instances)", elapsed, 5)
+
+
+def test_criterion_1_holds_on_the_avx2_kernels():
+    # the finite differences once went through a BLAS dot whose Haswell
+    # kernel rounds differently; a child process runs criterion 1 there
+    node = f"{Path(__file__).name}::test_criterion_1_gradient_correctness"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", node],
+        cwd=Path(__file__).parent, capture_output=True, text=True,
+        env={**src_env(), **AVX2_ENV},
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_criterion_2_projection_correctness():

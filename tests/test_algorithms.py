@@ -28,11 +28,18 @@ from dsmgame.network import (
     build_weights,
     generate_topology,
     gossip_stream,
+    mix,
 )
 from dsmgame.oracle import nash_best_response_iteration
 from dsmgame.scenario import generate
-from conftest import make_toy_game
-from oracles import reference_gossip, reference_synchronous, reference_trace_csv
+from conftest import STAR_5, make_toy_game
+from oracles import (
+    dense_weights,
+    reference_gossip,
+    reference_synchronous,
+    reference_trace_csv,
+    slot_weights,
+)
 
 COMPLETE_2 = CommGraph(2, frozenset({(0, 1)}))
 
@@ -216,7 +223,8 @@ def test_alg1_trace_profiles_stay_feasible():
 
 
 def uniform_weights(n):
-    return np.full((n, n), 1.0 / n)
+    # the complete graph has n slots in each of its n rows
+    return np.full(n * n, 1.0 / n)
 
 
 def complete_graph(n):
@@ -254,39 +262,57 @@ def test_alg2_rejects_non_doubly_stochastic_weights():
     scenario, init = make_toy_game(111)
     graph = toy_graph(scenario)
     w = build_weights(graph, 0.5)
-    w = w.copy()
-    w[0, 0] += 0.01
+    w[graph.starts[0]] += 0.01
     with pytest.raises(ValueError, match="doubly stochastic"):
         run_algorithm2(scenario, graph, w, init=init)
 
 
-def test_alg2_rejects_weights_off_the_graph():
+def test_alg2_weight_check_decisions():
+    # five one-slot consumers on the star, hub node 0
+    specs = tuple(ConsumerSpec(np.array([0.0]), np.array([10.0]), 1.0) for _ in range(5))
+    scenario, init = Scenario(specs, singleton_scenario().curve), np.ones((5, 1))
+    w = build_weights(STAR_5, 0.5)
+    hub_to_leaf, leaf_to_hub = STAR_5.starts[0] + 1, STAR_5.starts[1] + 1
+
+    def run(weights):
+        return run_algorithm2(scenario, STAR_5, weights, init=init, max_iter=1)
+
+    def moved(value):
+        # edge (0, 1) set to `value` both ways, its ends' own slots keeping
+        # every row and column sum at 1
+        bad = w.copy()
+        for slot, own in ((hub_to_leaf, 0), (leaf_to_hub, 1)):
+            bad[STAR_5.starts[own]] += bad[slot] - value
+            bad[slot] = value
+        return bad
+
+    run(w)
+    nan = w.copy()
+    nan[0] = np.nan
+    for weights, message in (
+        (nan, "non-finite"),
+        (moved(-1e-9), "negative"),
+        (np.where(np.arange(w.size) == hub_to_leaf, 0.3, w), "doubly stochastic"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            run(weights)
+    # a negative entry within the tolerance passes when the sums hold
+    run(moved(-1e-13))
+
+
+def test_alg2_refuses_weights_of_the_wrong_length_by_name():
     scenario, init = make_toy_game(131)  # three consumers
-    n = scenario.n_consumers
-    graph = generate_topology(n, 1.0, np.random.default_rng(1))  # spanning tree
-    non_edges = [
-        (a, b)
-        for a in range(n)
-        for b in range(a + 1, n)
-        if (a, b) not in graph.edges
-    ]
-    if not non_edges:
-        pytest.skip("random graph came out complete")
-    w = build_weights(graph, 0.5).copy()
-    a, b = non_edges[0]
-    shift = 0.05
-    w[a, b] += shift
-    w[b, a] += shift
-    w[a, a] -= shift
-    w[b, b] -= shift
-    with pytest.raises(ValueError, match="non-neighbors"):
-        run_algorithm2(scenario, graph, w, init=init)
+    graph = toy_graph(scenario)
+    w = build_weights(graph, 0.5)
+    # an N x N matrix, as the weights once were, is refused like a short vector
+    for bad in (dense_weights(graph, w), w[:-1], np.append(w, 0.0)):
+        with pytest.raises(ValueError, match="weights must hold one value per graph slot"):
+            run_algorithm2(scenario, graph, bad, init=init)
 
 
 def test_alg2_weight_checks_allocate_no_n_by_n_temporary():
-    # the checks once built an N x N mask, its complement and the masked
-    # weights; counting nonzeros on the edges keeps a round's peak far
-    # below one copy of the weight matrix
+    # alg 2's weights, their checks and its mixing are O(N + E): a round's
+    # peak stays far below a quarter of one N x N float64 array
     n = 400
     specs = tuple(
         ConsumerSpec(np.array([0.0]), np.array([10.0]), 1.0 + k % 5) for k in range(n)
@@ -302,7 +328,28 @@ def test_alg2_weight_checks_allocate_no_n_by_n_temporary():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < w.nbytes // 4
+    assert peak < n * n * 8 // 4
+
+
+def test_alg2_round_at_n20000_stays_in_o_n_memory():
+    # a dense W would be 3.2 GB here; the ring is built directly, since the
+    # generator's list of non-edges is O(N^2) as well
+    n = 20_000
+    specs = tuple(
+        ConsumerSpec(np.array([0.0]), np.array([10.0]), 1.0 + k % 5) for k in range(n)
+    )
+    scenario = Scenario(specs, singleton_scenario().curve)
+    ring = CommGraph(n, frozenset((k, k + 1) for k in range(n - 1)) | {(0, n - 1)})
+    w = build_weights(ring, 0.5)
+    init = np.array([[spec.energy] for spec in specs])
+    tracemalloc.start()
+    try:
+        result, trace = run_algorithm2(scenario, ring, w, init=init, max_iter=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.iterations == 1 and trace.iterations == 2
+    assert peak < 32 * 2**20
 
 
 def test_alg2_conservation_identity():
@@ -335,17 +382,17 @@ def test_synchronous_rounds_replay_exactly_by_hand():
         expected = scenario.project(q[t - 1] - step * (grad + prox))
         np.testing.assert_array_equal(q[t], expected)
 
-    # build_weights is symmetric, so it cannot tell w @ est from w.T @ est;
+    # build_weights is symmetric, so it cannot tell W from its transpose;
     # half the identity plus half the cyclic shift on the 4-cycle can
     assert scenario.n_consumers == 4
     cycle = CommGraph(4, frozenset({(0, 1), (1, 2), (2, 3), (0, 3)}))
-    shift = 0.5 * (np.eye(4) + np.roll(np.eye(4), 1, axis=1))
+    shift = slot_weights(cycle, 0.5 * (np.eye(4) + np.roll(np.eye(4), 1, axis=1)))
     for graph, w in ((graph, build_weights(graph, 0.5)), (cycle, shift)):
         _, t2 = run_algorithm2(scenario, graph, w, init=init, tol=0.0, max_iter=3)
         assert t2.iterations == 4
         q, est = t2.profiles, t2.estimates
         for t in (1, 2, 3):
-            mixed = w @ est[t - 1]
+            mixed = mix(graph, w, est[t - 1], np.empty((w.size, q[0].shape[1])))
             grad = mapping_profiles(q[t - 1], scenario.n_consumers * mixed, curve)
             step = float(t) ** -DEFAULT_EXPONENT
             expected = scenario.project(q[t - 1] - step * grad)
@@ -642,7 +689,7 @@ def paired_synchronous_runs(scenario, init, graph, tol, max_iter):
         (run_algorithm1(scenario, init=init, tol=tol, max_iter=max_iter),
          reference_synchronous(scenario, init, tol, max_iter)),
         (run_algorithm2(scenario, graph, weights, init=init, tol=tol, max_iter=max_iter),
-         reference_synchronous(scenario, init, tol, max_iter, weights=weights)),
+         reference_synchronous(scenario, init, tol, max_iter, graph, weights)),
     ]
 
 

@@ -104,7 +104,8 @@ def test_run_alg3_requires_graph_or_topology(toy_file, tmp_path, capsys):
         "--trace", tmp_path / "t.csv", "--summary", tmp_path / "s.json",
     )
     assert code == 1
-    assert "--graph" in capsys.readouterr().err or True
+    err = capsys.readouterr().err
+    assert "--graph" in err and "--topology" in err
 
 
 def test_run_alg2_and_3_with_random_topology(small_canonical, tmp_path):
@@ -511,6 +512,62 @@ def test_reports_name_a_missing_input_field(tmp_path, capsys, kind, summary, fie
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--summary", "--oracle"])
+def test_reports_name_an_input_that_is_not_json(tmp_path, capsys, flag):
+    paths = {"--summary": tmp_path / "s.json", "--oracle": tmp_path / "w.json"}
+    paths["--summary"].write_text(json.dumps(
+        {"command": "run", "scenario_hash": "x", "total_cost": 1.0}
+    ))
+    paths["--oracle"].write_text(json.dumps(
+        {"command": "oracle", "kind": "welfare", "scenario_hash": "x", "total_cost": 1.0}
+    ))
+    bad, out = paths[flag], tmp_path / "r.json"
+    bad.write_text('{\n  "command": "run",\n  not json\n}\n')
+    code = run_cli("report", "--kind", "welfare-gap", "--summary", paths["--summary"],
+                   "--oracle", paths["--oracle"], "-o", out)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} {bad} is not JSON: ") and err.endswith(" at line 3\n")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "kind, flag, field, value",
+    [
+        ("par", "--summary", "initial_par", "a"),
+        ("par", "--summary", "initial_par", 0),
+        ("par", "--summary", "initial_par", -1.5),
+        ("par", "--summary", "final_par", None),
+        ("par", "--summary", "final_par", True),
+        ("welfare-gap", "--summary", "total_cost", [1.0]),
+        ("welfare-gap", "--oracle", "total_cost", 0),
+        ("welfare-gap", "--oracle", "total_cost", float("nan")),
+    ],
+)
+def test_reports_refuse_a_field_that_is_not_a_usable_number(
+    tmp_path, capsys, kind, flag, field, value
+):
+    fields = {
+        "--summary": {"command": "run", "scenario_hash": "x", "initial_par": 2.0,
+                      "final_par": 1.5, "total_cost": 3.0},
+        "--oracle": {"command": "oracle", "kind": "welfare", "scenario_hash": "x",
+                     "total_cost": 2.0},
+    }
+    fields[flag][field] = value
+    paths = {f: tmp_path / f"{f[2:]}.json" for f in fields}
+    for f, path in paths.items():
+        path.write_text(json.dumps(fields[f]))
+    out = tmp_path / "r.json"
+    code = run_cli("report", "--kind", kind, "--summary", paths["--summary"],
+                   "--oracle", paths["--oracle"], "-o", out)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} {paths[flag]}: {field!r} is {value!r}, not ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_report_missing_inputs_is_usage_error(capsys):
     assert main(["report", "--kind", "par", "-o", "x.json"]) == 1
     assert "--summary" in capsys.readouterr().err
@@ -632,8 +689,8 @@ def test_canonical_study_script_is_reproducible(tmp_path):
         "scenario.json": "a6d6643e5010edede86989b28dd07afdf8e8cf2a8f8b5651e941e73f3bc9ef45",
         "trace1.csv": "e61d4d58cb099861663bb68c376dd42ac43d0fa3a42646a14f3cf6b053c0af8e",
         "summary1.json": "dc30a8538885962d4d6e52b095a17b92bfc3f1585bffcf721d430c0fef43428e",
-        "trace2.csv": "a5b2feea56e450cdd84310c3fc9b87b6a07377306c1026c0c661af6ea7b993e6",
-        "summary2.json": "849a099fc97eb47a8c2a4c0c895989d1abee7763b4671ae4caf44663464985da",
+        "trace2.csv": "e0ba319767bf439dc82774cd6e619cd5a5ec6adca57ccdcabe382f596b498a98",
+        "summary2.json": "4bf2d876d9fc1c1bf670916e350ead0bbf30d1a3660c0c9c16d02f0c02a66f21",
         "trace3.csv": "b7695f06ef9f328608ff01ee3f0b3dbc6463eb73e984f94e717c88efb1919913",
         "summary3.json": "d927fb33a3c619fcb95571952937193ee5349b2eb637aa46c73514dac89d6ce2",
         "welfare.json": "981bb76bfbd38a13e52c023179361683481b6167e633e4d35e9665386d3b6258",

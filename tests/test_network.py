@@ -1,5 +1,7 @@
 """Topology, mixing weights, gossip stream, and edge-list format tests."""
 
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -11,13 +13,12 @@ from dsmgame.network import (
     generate_topology,
     gossip_stream,
     is_connected,
-    is_doubly_stochastic,
     load_edge_list,
+    mix,
     save_edge_list,
 )
-from oracles import reference_topology_edges
-
-STAR_5 = CommGraph(5, frozenset({(0, 1), (0, 2), (0, 3), (0, 4)}))
+from conftest import AVX2_ENV, STAR_5, src_env
+from oracles import dense_weights, reference_topology_edges, slot_weights
 
 
 # --- construction and connectivity ------------------------------------------
@@ -55,27 +56,40 @@ def test_graph_neighbor_lookup():
 # --- weights ----------------------------------------------------------------
 
 
+def test_graph_slot_table_lists_each_node_then_its_neighbours():
+    assert STAR_5.starts.tolist() == [0, 5, 7, 9, 11]
+    assert STAR_5.cols.tolist() == [0, 1, 2, 3, 4, 1, 0, 2, 0, 3, 0, 4, 0]
+    for node in range(5):
+        stop = STAR_5.starts[node + 1] if node < 4 else STAR_5.cols.size
+        row = STAR_5.cols[STAR_5.starts[node]:stop]
+        assert tuple(row) == (node, *STAR_5.neighbors(node))
+
+
 def test_star_graph_weights_worked_example():
     w = build_weights(STAR_5, 0.5)
-    assert w[0, 1] == pytest.approx(0.125)
-    assert w[0, 0] == pytest.approx(0.5)
-    assert w[1, 1] == pytest.approx(0.875)
-    assert w[1, 2] == 0.0
+    assert w.shape == (5 + 2 * 4,)
+    dense = dense_weights(STAR_5, w)
+    assert dense[0, 1] == pytest.approx(0.125)
+    assert dense[0, 0] == pytest.approx(0.5)
+    assert dense[1, 1] == pytest.approx(0.875)
+    assert dense[1, 2] == 0.0
 
 
 def test_complete_graph_weights_are_uniform():
     n = 6
     edges = frozenset((a, b) for a in range(n) for b in range(a + 1, n))
     w = build_weights(CommGraph(n, edges), (n - 1) / n)
-    np.testing.assert_allclose(w, np.full((n, n), 1.0 / n), atol=1e-15)
+    np.testing.assert_allclose(w, np.full(n * n, 1.0 / n), atol=1e-15)
 
 
 @pytest.mark.parametrize("tau", [0.1, 0.5, 0.9])
 def test_weights_doubly_stochastic_on_random_graphs(tau):
     for seed in range(5):
         graph = generate_topology(20, 3.0, np.random.default_rng(seed))
-        w = build_weights(graph, tau)
-        assert is_doubly_stochastic(w, tol=1e-12)
+        w = dense_weights(graph, build_weights(graph, tau))
+        assert w.min() >= 0.0
+        np.testing.assert_allclose(w.sum(axis=0), 1.0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(w.sum(axis=1), 1.0, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(w, w.T)
 
 
@@ -85,20 +99,42 @@ def test_weights_reject_bad_tau():
             build_weights(STAR_5, tau)
 
 
-def test_doubly_stochastic_check_decisions():
-    w = build_weights(STAR_5, 0.5)
-    assert is_doubly_stochastic(w)
-    for r, c, value in ((0, 0, np.nan), (1, 2, -1e-9), (0, 1, 0.3)):
-        bad = w.copy()
-        bad[r, c] = value
-        assert not is_doubly_stochastic(bad), (r, c, value)
-    # a negative entry within the tolerance passes when the sums hold
-    shifted = w.copy()
-    shifted[1, 2] = shifted[2, 1] = -1e-13
-    shifted[1, 1] += 1e-13
-    shifted[2, 2] += 1e-13
-    assert is_doubly_stochastic(shifted, tol=1e-12)
-    assert not is_doubly_stochastic(np.ones((2, 3)) / 3)
+def test_mixing_kernel_matches_the_dense_product_at_n50():
+    # row i of the mix is sum_j W[i, j] * values[j]: a non-symmetric W (half
+    # the identity plus half the cyclic shift on the ring) pins the direction
+    n = 50
+    rng = np.random.default_rng(5)
+    values = rng.uniform(0.0, 2.0, (n, 24))
+    graph = generate_topology(n, 3.0, np.random.default_rng(0))
+    ring = CommGraph(n, frozenset((k, (k + 1) % n) for k in range(n)))
+    shift = 0.5 * (np.eye(n) + np.roll(np.eye(n), 1, axis=1))
+    for g, w in ((graph, build_weights(graph, 0.5)), (ring, slot_weights(ring, shift))):
+        buf = np.empty((w.size, 24))
+        mixed = mix(g, w, values, buf)
+        np.testing.assert_allclose(mixed, dense_weights(g, w) @ values, rtol=0, atol=1e-15)
+    assert np.max(np.abs(mixed - shift.T @ values)) > 0.1
+
+
+def test_mixing_bits_do_not_depend_on_the_cpu_dispatch():
+    # the kernel is elementwise products and in-order sums: a child process
+    # on numpy's AVX2 loops and OpenBLAS's Haswell kernel gets the same bits
+    code = (
+        "import hashlib, numpy as np\n"
+        "from dsmgame.network import build_weights, generate_topology, mix\n"
+        "g = generate_topology(500, 3.0, np.random.default_rng(0))\n"
+        "w = build_weights(g, 0.5)\n"
+        "v = np.random.default_rng(1).uniform(0.0, 2.0, (500, 24))\n"
+        "print(hashlib.sha256(mix(g, w, v, np.empty((w.size, 24))).tobytes()).hexdigest())\n"
+    )
+    digests = []
+    for extra in ({}, AVX2_ENV):
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**src_env(), **extra},
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert digests[0] == digests[1]
 
 
 # --- gossip stream ----------------------------------------------------------
