@@ -85,10 +85,6 @@ class Scenario:
         return project_rows(points, self.q_min_matrix, self.q_max_matrix, self.budgets)
 
 
-def _budget_gap(profiles: np.ndarray, scenario: Scenario) -> float:
-    return float(np.max(np.abs(profiles.sum(axis=1) - scenario.budgets)))
-
-
 @dataclass
 class RunTrace:
     """Per-iteration snapshots of a solver run.
@@ -99,7 +95,8 @@ class RunTrace:
     the rows that changed since entry t - 1, and their indices, in that
     order, are the entry's stretch of the flat `changed_rows`. Every
     synchronous round is full; a gossip event keeps the two rows of its
-    pair. `states()` rebuilds the full states in turn. `bills`,
+    pair. Only `record` writes that layout and only `_walk` reads it:
+    `states()`, `to_csv` and the invariant checks see full states. `bills`,
     `aggregates` and `residuals` hold one full value per state: every
     consumer's bill moves with the aggregate. `residuals`
     holds the natural-map fixed-point residual at each recorded state; the
@@ -143,46 +140,44 @@ class RunTrace:
                 estimates.copy() if rows is None else estimates.take(rows, axis=0)
             )
 
-    def stored_rows(self) -> Iterator[np.ndarray | None]:
-        """Yield, per entry, the indices of the rows it stores, or None for
-        a full entry (as is every entry past the end of `partial`)."""
+    def _walk(self) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
+        """Yield each recorded state as full float `(profiles, estimates)`
+        arrays (profiles C-ordered) in one working copy: a full entry (as is
+        every entry past the end of `partial`) replaces it, a partial entry
+        writes its rows into it. The arrays yielded are overwritten by later
+        partial entries; `estimates` is None for a run that does not track
+        them."""
         index = np.array(self.changed_rows, dtype=np.intp)
         start = 0
-        for t, entry in enumerate(self.profiles):
-            if t < len(self.partial) and self.partial[t]:
-                stop = start + len(entry)
-                yield index[start:stop]
-                start = stop
-            else:
-                yield None
-
-    def states(self) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
-        """Yield each recorded state as fresh full `(profiles, estimates)`
-        arrays, built from one working copy; `estimates` is None for a run
-        that does not track them."""
         q = est = None
-        for t, (entry, rows) in enumerate(zip(self.profiles, self.stored_rows())):
+        for t, entry in enumerate(self.profiles):
             est_entry = None if self.estimates is None else self.estimates[t]
-            if rows is None:
-                q = np.array(entry, dtype=float)
-                est = None if est_entry is None else np.array(est_entry, dtype=float)
-            else:
+            if t < len(self.partial) and self.partial[t]:
+                rows = index[start : start + len(entry)]
+                start += len(entry)
                 q[rows] = entry
                 if est is not None:
                     est[rows] = est_entry
+            else:
+                q = np.array(entry, dtype=float, order="C")
+                est = None if est_entry is None else np.array(est_entry, dtype=float)
+            yield q, est
+
+    def states(self) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
+        """Yield each recorded state as fresh full `(profiles, estimates)`
+        arrays; `estimates` is None for a run that does not track them."""
+        for q, est in self._walk():
             yield q.copy(), None if est is None else est.copy()
 
     def max_feasibility_violation(self, scenario: Scenario) -> float:
         """Worst bound/budget violation over every recorded profile."""
         worst = 0.0
-        for q, _ in self.states():
+        for q, _ in self._walk():
             below = np.max(scenario.q_min_matrix - q, initial=0.0)
             above = np.max(q - scenario.q_max_matrix, initial=0.0)
-            worst = max(worst, _budget_gap(q, scenario), below, above)
+            budget = np.max(np.abs(q.sum(axis=1) - scenario.budgets))
+            worst = max(worst, budget, below, above)
         return float(worst)
-
-    def max_budget_gap(self, scenario: Scenario) -> float:
-        return max(_budget_gap(q, scenario) for q, _ in self.states())
 
     def max_conservation_gap(self) -> float:
         """Worst |sum_n estimate_n - sum_n profile_n| over the run (the
@@ -191,7 +186,7 @@ class RunTrace:
             return 0.0
         return max(
             float(np.max(np.abs(est.sum(axis=0) - q.sum(axis=0))))
-            for q, est in self.states()
+            for q, est in self._walk()
         )
 
     def to_csv(self, path) -> None:
@@ -201,52 +196,41 @@ class RunTrace:
         field is Python's shortest round-trip ``repr``. Each profile value is
         formatted once and its string reused while its bits stay unchanged,
         and a consumer's ``q1..qH`` segment is re-joined only when one of its
-        values changed. Only the rows an entry stores are compared (a full
-        entry stores all rows), so a synchronous round costs the values it
-        moved (slots pinned at a bound cost nothing) and a gossip event the
-        two rows of its pair.
+        values changed: each state from `_walk` is compared with the one
+        before it, so slots pinned at a bound and the rows a gossip event
+        leaves alone cost a comparison, not a ``repr``.
         """
         horizon = self.profiles[0].shape[1]
         header = ",".join(
             ["t", "n", "cost", "residual"] + [f"q{h}" for h in range(1, horizon + 1)]
         )
-        # a working copy of the current state's bits, and per consumer: ",n,"
-        # and the "q1,...,qH\r\n" line tail joined from `cells`, the repr of
-        # every profile value in row-major order (`flat` maps a value to its
-        # index in `cells`)
+        # the previous state's bits, and per consumer: ",n," and the
+        # "q1,...,qH\r\n" line tail joined from `cells`, the repr of every
+        # profile value in row-major order
         bits = None
-        ids: list[str] = []
-        cells: list[str] = []
-        tails: list[str] = []
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(header + "\r\n")
-            for t, (entry, rows, bills, res) in enumerate(
-                zip(self.profiles, self.stored_rows(), self.bills, self.residuals)
+            for t, ((q, _), bills, res) in enumerate(
+                zip(self._walk(), self.bills, self.residuals)
             ):
-                values = np.ascontiguousarray(entry, dtype=np.float64)
                 # compare bits, not values: -0.0 == 0.0 but their reprs differ
-                entry_bits = values.view(np.uint64)
-                if rows is None and (bits is None or entry_bits.shape != bits.shape):
-                    # a full state of a new shape: format every value
-                    n_rows, width = values.shape
-                    all_rows = np.arange(n_rows)
-                    flat = np.arange(values.size).reshape(values.shape)
-                    bits = entry_bits.copy()
+                state_bits = q.view(np.uint64)
+                if bits is None:
+                    n_rows = len(q)
+                    bits = state_bits.copy()
                     ids = [f",{n}," for n in range(1, n_rows + 1)]
-                    cells = list(map(repr, values.ravel().tolist()))
+                    cells = list(map(repr, q.ravel().tolist()))
                     tails = [""] * n_rows
-                    stale = all_rows
+                    stale = range(n_rows)
                 else:
-                    # a full entry indexes its rows by a slice, so no copies
-                    index = slice(None) if rows is None else rows
-                    moved = entry_bits != bits[index]
-                    bits[index] = entry_bits
-                    changed = zip(flat[index][moved].tolist(), values[moved].tolist())
-                    for k, value in changed:
+                    moved = state_bits != bits
+                    bits[...] = state_bits
+                    flat = moved.ravel().nonzero()[0]
+                    for k, value in zip(flat.tolist(), q[moved].tolist()):
                         cells[k] = repr(value)
-                    stale = all_rows[index][moved.any(axis=1)]
-                for n in stale.tolist():
-                    tails[n] = ",".join(cells[n * width : (n + 1) * width]) + "\r\n"
+                    stale = moved.any(axis=1).nonzero()[0].tolist()
+                for n in stale:
+                    tails[n] = ",".join(cells[n * horizon : (n + 1) * horizon]) + "\r\n"
                 t_s, res_s = str(t + 1), f",{float(res)!r},"
                 costs = np.asarray(bills, dtype=np.float64).tolist()
                 fh.write("".join([
@@ -290,14 +274,28 @@ def _check_init(scenario: Scenario, init) -> np.ndarray:
         raise ValueError("profile contains non-finite entries")
     # the row-wise form of feasible.is_feasible, tolerance 1e-9
     tol = 1e-9
-    infeasible = (
-        (q < scenario.q_min_matrix - tol).any(axis=1)
-        | (q > scenario.q_max_matrix + tol).any(axis=1)
-        | (abs(q.sum(axis=1) - scenario.budgets) > tol)
-    )
+    below = q < scenario.q_min_matrix - tol
+    out = below | (q > scenario.q_max_matrix + tol)
+    sums = q.sum(axis=1)
+    infeasible = out.any(axis=1) | (abs(sums - scenario.budgets) > tol)
     if infeasible.any():
         n = int(infeasible.argmax())
-        raise ValueError(f"initial profile of consumer {n} is infeasible")
+        if out[n].any():
+            h = int(out[n].argmax())
+            side, bounds = (
+                ("q_min", scenario.q_min_matrix) if below[n, h]
+                else ("q_max", scenario.q_max_matrix)
+            )
+            detail = (
+                f"slot {h + 1} holds {float(q[n, h])!r}, "
+                f"{side} is {float(bounds[n, h])!r}"
+            )
+        else:
+            detail = (
+                f"its sum {float(sums[n])!r} misses the budget "
+                f"{float(scenario.budgets[n])!r}"
+            )
+        raise ValueError(f"initial profile of consumer {n} is infeasible: {detail}")
     return q.copy()
 
 

@@ -85,7 +85,14 @@ def _number(payload: dict, flag: str, path, field: str, positive: bool = False):
     return value
 
 
+def _check_seed(args) -> None:
+    # numpy's own refusal names neither the flag nor the value
+    if args.seed < 0:
+        raise CliError(f"--seed must be a nonnegative integer, got {args.seed}", 1)
+
+
 def cmd_generate(args) -> int:
+    _check_seed(args)
     base = (
         scen.load_base_interval(args.base)
         if args.base
@@ -135,6 +142,7 @@ def _consumer_ids(text: str) -> set[int]:
 
 def cmd_run(args) -> int:
     _check_tol(args)
+    _check_seed(args)
     if args.alg == 1 and not 0 < args.theta < np.inf:
         raise CliError(f"--theta must be positive and finite, got {args.theta}", 1)
     if args.alg == 3 and args.max_events < 1:

@@ -206,6 +206,8 @@ def load_edge_list(path, n_nodes: int | None = None) -> CommGraph:
                 raise ValueError(f"{path}:{lineno}: non-integer node id in {line!r}") from exc
             if a < 1 or b < 1:
                 raise ValueError(f"{path}:{lineno}: node ids are 1-based, got {line!r}")
+            if a == b:
+                raise ValueError(f"{path}:{lineno}: self-loop on node {parts[0]}")
             if n_nodes is not None:
                 for typed, node in zip(parts, (a, b)):
                     if node > n_nodes:
@@ -216,4 +218,7 @@ def load_edge_list(path, n_nodes: int | None = None) -> CommGraph:
     if not edges:
         raise ValueError(f"{path}: no edges found")
     n = n_nodes if n_nodes is not None else max(max(e) for e in edges) + 1
-    return CommGraph(n, frozenset(edges))
+    try:
+        return CommGraph(n, frozenset(edges))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

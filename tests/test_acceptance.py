@@ -310,7 +310,7 @@ def test_criterion_9_conservation_invariants(canonical_runs):
     assert t2.max_conservation_gap() <= 1e-9
     assert t3.max_conservation_gap() <= 1e-9
     for trace in (t1, t2, t3):
-        assert trace.max_budget_gap(scenario) <= 1e-8
+        assert trace.max_feasibility_violation(scenario) <= 1e-8
     report(9, "estimate-sum and budget identities hold at every iterate")
 
 

@@ -171,17 +171,28 @@ def box_scenario(energies):
     return Scenario(specs, curve)
 
 
-@pytest.mark.parametrize("bad_row", [
-    [1.0 + 2e-9, -2e-9],  # both bounds broken by twice the tolerance
-    [0.5, 0.5 + 2e-9],  # budget missed by twice the tolerance
+@pytest.mark.parametrize("bad_row, detail", [
+    # both bounds broken by twice the tolerance: the first slot is named
+    pytest.param(
+        [1.0 + 2e-9, -2e-9], "slot 1 holds 1.000000002, q_max is 1.0", id="bad_row0"
+    ),
+    # the budget missed by twice the tolerance
+    pytest.param(
+        [0.5, 0.5 + 2e-9], "its sum 1.0000000020000002 misses the budget 1.0",
+        id="bad_row1",
+    ),
+    pytest.param(
+        [-2e-9, 1.0 + 2e-9], "slot 1 holds -2e-09, q_min is 0.0", id="bad_row2"
+    ),
 ])
-def test_init_check_names_the_first_infeasible_row(bad_row):
+def test_init_check_names_the_first_infeasible_row(bad_row, detail):
     scenario = box_scenario([1.0] * 4)
     init = np.full((4, 2), 0.5)
     init[1] = init[3] = bad_row
     assert not is_feasible(init[1], scenario.specs[1])
-    with pytest.raises(ValueError, match="initial profile of consumer 1 is infeasible"):
+    with pytest.raises(ValueError) as exc:
         run_algorithm1(scenario, init=init, max_iter=1)
+    assert str(exc.value) == f"initial profile of consumer 1 is infeasible: {detail}"
 
 
 def test_init_check_accepts_rows_at_the_tolerance():
@@ -583,8 +594,8 @@ def assert_same_run(run, reference):
         assert (entries1 is None) == (entries2 is None), name
         for e1, e2 in zip(entries1 or (), entries2 or (), strict=True):
             assert _same_bits(e1, e2), name
-    for rows1, rows2 in zip(t1.stored_rows(), t2.stored_rows(), strict=True):
-        assert _same_bits(rows1, rows2)
+    assert t1.changed_rows == t2.changed_rows
+    assert t1.partial == t2.partial
     for (q1, e1), (q2, e2) in zip(t1.states(), t2.states(), strict=True):
         assert _same_bits(q1, q2) and _same_bits(e1, e2)
 
@@ -1012,6 +1023,33 @@ def test_trace_states_are_the_recorded_states(monkeypatch, alg):
         assert _same_bits(q, q_in) and _same_bits(est, est_in)
 
 
+def test_trace_checks_see_the_states_of_partial_entries():
+    # a hand-built gossip-style trace whose bad states exist only in partial
+    # entries: entry 1 moves row 0 below q_min (estimate in step); entry 2
+    # shifts rows 1 and 2 against each other (sum q kept); entry 3 puts row
+    # 2 back, so sum est = sum q breaks only in a state built from entries 2
+    # and 3 together; entry 4 restores both
+    delta = 2.0**-19  # above 1e-6, and every sum below is exact
+    scenario = box_scenario([0.5] * 3)
+    base = np.full((3, 2), 0.25)
+    low, shift = np.array([-delta, 0.5 + delta]), np.array([delta, -delta])
+    pairs = [((0, 1), [low, base[1]], [low, base[1]]),
+             ((1, 2), [base[1] + shift, base[2] - shift], [base[1], base[2]]),
+             ((2, 0), [base[2], low], [base[2], low]),
+             ((0, 1), [base[0], base[1]], [base[0], base[1]])]
+    trace = RunTrace(profiles=[base], estimates=[base], partial=bytearray([0]))
+    for rows, q_rows, est_rows in pairs:
+        trace.changed_rows.extend(rows)
+        trace.partial.append(1)
+        trace.profiles.append(np.array(q_rows))
+        trace.estimates.append(np.array(est_rows))
+    assert trace.max_feasibility_violation(scenario) == delta
+    assert trace.max_conservation_gap() == delta
+    states = [q for q, _ in trace.states()]
+    assert states[3][1].tolist() == (base[1] + shift).tolist()
+    assert states[4].tolist() == base.tolist()
+
+
 def test_alg3_trace_keeps_only_the_pairs_rows(canonical):
     scenario, init = canonical
     n, h = init.shape
@@ -1023,11 +1061,9 @@ def test_alg3_trace_keeps_only_the_pairs_rows(canonical):
     )
     assert result.iterations == events == trace.iterations - 1
     assert trace.profiles[0].shape == trace.estimates[0].shape == (n, h)
-    for t, rows in enumerate(trace.stored_rows()):
-        assert (rows is None) == (t == 0)
-        if t:
-            assert trace.profiles[t].shape == trace.estimates[t].shape == (2, h)
-            assert len(rows) == 2
+    assert list(trace.partial) == [0] + [1] * events
+    for entry, est in zip(trace.profiles[1:], trace.estimates[1:]):
+        assert entry.shape == est.shape == (2, h)
     # the row indices take 16 bytes per event in one flat array
     assert len(trace.changed_rows) == 2 * events
     assert trace.changed_rows.itemsize == 8

@@ -77,6 +77,14 @@ def test_generate_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_generate_refuses_a_negative_seed_naming_the_flag(tmp_path, capsys):
+    # numpy's refusal named neither the flag nor the value
+    out = tmp_path / "s.json"
+    assert run_cli("generate", "--n", "4", "--seed", "-5", "-o", out) == 1
+    assert "--seed must be a nonnegative integer, got -5" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- run ------------------------------------------------------------------------
 
 
@@ -314,6 +322,39 @@ def test_run_alg2_with_graph_file(small_canonical, tmp_path):
         "--trace", tmp_path / "t.csv", "--summary", tmp_path / "s.json",
     )
     assert code == 0
+
+
+def test_run_refuses_a_negative_seed_naming_the_flag(toy_file, tmp_path, capsys):
+    trace, summary = tmp_path / "t.csv", tmp_path / "s.json"
+    code = run_cli(
+        "run", toy_file, "--alg", "1", "--seed", "-1",
+        "--trace", trace, "--summary", summary,
+    )
+    assert code == 1
+    assert "--seed must be a nonnegative integer, got -1" in capsys.readouterr().err
+    assert not trace.exists() and not summary.exists()
+
+
+@pytest.mark.parametrize("lines, message", [
+    # the id as typed and the file's line, not a 0-based id
+    ("1 2\n3 3\n", "loop.edges:2: self-loop on node 3"),
+    ("1 2\n3 4\n", "loop.edges: graph is not connected"),
+], ids=["self-loop", "disconnected"])
+def test_run_names_the_graph_file_of_a_bad_edge_list(
+    small_canonical, tmp_path, capsys, lines, message
+):
+    gpath = tmp_path / "loop.edges"
+    gpath.write_text(lines)
+    trace, summary = tmp_path / "t.csv", tmp_path / "s.json"
+    code = run_cli(
+        "run", small_canonical, "--alg", "2", "--graph", gpath,
+        "--trace", trace, "--summary", summary,
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.rstrip().endswith(message)
+    assert str(gpath) in err
+    assert not trace.exists() and not summary.exists()
 
 
 # --- oracle ---------------------------------------------------------------------
