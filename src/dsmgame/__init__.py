@@ -41,14 +41,6 @@ from .oracle import (
     nash_best_response_iteration,
     social_welfare_optimum,
 )
-from .scenario import (
-    BaseInterval,
-    ScenarioFormatError,
-    default_base_interval,
-    generate,
-    load_base_interval,
-    load_scenario,
-    save_scenario,
-)
+from .scenario import ScenarioFormatError, generate, load_scenario, save_scenario
 
 __version__ = "0.1.0"

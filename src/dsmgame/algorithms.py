@@ -52,7 +52,7 @@ class Scenario:
         for idx, spec in enumerate(specs):
             if spec.horizon != self.curve.horizon:
                 raise ValueError(
-                    f"consumer {idx}: horizon {spec.horizon} != price horizon "
+                    f"consumer {idx + 1}: horizon {spec.horizon} != price horizon "
                     f"{self.curve.horizon}"
                 )
         object.__setattr__(self, "specs", specs)
@@ -295,7 +295,7 @@ def _check_init(scenario: Scenario, init) -> np.ndarray:
                 f"its sum {float(sums[n])!r} misses the budget "
                 f"{float(scenario.budgets[n])!r}"
             )
-        raise ValueError(f"initial profile of consumer {n} is infeasible: {detail}")
+        raise ValueError(f"initial profile of consumer {n + 1} is infeasible: {detail}")
     return q.copy()
 
 

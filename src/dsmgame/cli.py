@@ -93,12 +93,7 @@ def _check_seed(args) -> None:
 
 def cmd_generate(args) -> int:
     _check_seed(args)
-    base = (
-        scen.load_base_interval(args.base)
-        if args.base
-        else scen.default_base_interval()
-    )
-    scenario, initials = scen.generate(args.n, args.seed, args.jitter, base)
+    scenario, initials = scen.generate(args.n, args.seed, args.jitter)
     sha = scen.save_scenario(args.out, scenario, initials)
     print(
         f"wrote scenario {args.out} (N={args.n}, H={scenario.horizon}, hash {sha[:12]})"
@@ -342,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=50, help="number of consumers")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--jitter", type=float, default=0.1)
-    p.add_argument("--base", help="base-interval CSV (default: packaged curve)")
     p.add_argument("-o", "--out", required=True, help="output scenario JSON")
     p.set_defaults(func=cmd_generate)
 

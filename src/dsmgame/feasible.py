@@ -33,7 +33,8 @@ class ConsumerSpec:
     """Box bounds and total energy budget defining one consumer's set Q_n.
 
     Construction rejects an empty set, naming the first crossed slot,
-    negative lower bound or budget mismatch, so every spec is valid.
+    negative lower bound, non-finite budget or budget mismatch, so every
+    spec is valid.
     """
 
     q_min: np.ndarray
@@ -57,8 +58,8 @@ class ConsumerSpec:
         if (q_min < 0).any():
             h = int((q_min < 0).argmax())
             raise ValueError(f"slot {h + 1}: q_min={q_min[h]:g} is negative")
-        if energy <= 0:
-            raise ValueError(f"energy budget E={energy:g} must be positive")
+        if not 0 < energy < np.inf:
+            raise ValueError(f"energy budget E={energy:g} must be positive and finite")
         lo, hi = q_min.sum(), q_max.sum()
         if not lo <= energy <= hi:
             raise ValueError(

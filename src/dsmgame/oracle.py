@@ -19,7 +19,7 @@ import numpy as np
 
 from .algorithms import Scenario
 from .feasible import ConsumerSpec
-from .model import PriceCurve, as_profile, par
+from .model import PriceCurve, par
 
 _BACKTRACK_LIMIT = 60
 _STEP_GROWTH = 1.25
@@ -272,11 +272,11 @@ def social_welfare_optimum(
     scenario: Scenario,
     tol: float = 1e-8,
     max_iter: int = 50_000,
-    init=None,
 ) -> tuple[np.ndarray, float]:
     """Minimize the summed bills (the grid cost) over the joint feasible set.
 
-    Projected gradient with backtracking on the joint profile; the objective
+    Projected gradient with backtracking on the joint profile, from each
+    consumer's box midpoint projected onto its set; the objective
     depends on the aggregate only, so the optimal cost is unique even though
     the optimal split between consumers need not be.
     """
@@ -291,15 +291,11 @@ def social_welfare_optimum(
         row = curve._slope(sigma) * sigma + curve._price(sigma)
         return np.broadcast_to(row, profiles.shape)
 
-    q = _start(scenario, init)
-    # every later iterate is projected, so the start's aggregate is the one
-    # load the unchecked kernels could see unvalidated
-    as_profile(q.sum(axis=0), scenario.horizon)
     return _descend(
         joint_cost,
         joint_grad,
         scenario.project,
-        q, tol, max_iter, "welfare optimum",
+        _start(scenario, None), tol, max_iter, "welfare optimum",
     )
 
 

@@ -3,7 +3,8 @@ per-consumer bounds, peak-segmented prices) and versioned persistence.
 
 The generator draws on one fixed day, held in module constants: `SEGMENTS`
 labels 24 hourly slots starting at 8 AM (off-peak 12 AM-7 AM, mid-peak
-7 AM-4 PM and 10 PM-12 AM, on-peak 4 PM-10 PM); `PRICE_CURVE` prices them
+7 AM-4 PM and 10 PM-12 AM, on-peak 4 PM-10 PM); `BASE_LOW` and `BASE_HIGH`
+are its low and upper consumption limits per slot; `PRICE_CURVE` prices them
 with the `SEGMENT_PRICES` coefficients 0.003/0.004/0.005, exponent
 `CANONICAL_EXPONENT` 1.2 and offset 0; `OFFPEAK_QMAX_RANGE` bounds the
 off-peak upper limits. Only the number of consumers, the seed and the jitter
@@ -18,15 +19,13 @@ from __future__ import annotations
 
 import json
 import hashlib
-from dataclasses import dataclass
-from importlib import resources
 from typing import NamedTuple
 
 import numpy as np
 
 from .algorithms import Scenario
 from .feasible import ConsumerSpec
-from .model import PriceCurve, _as_1d
+from .model import PriceCurve
 
 OFF_PEAK = "off-peak"
 MID_PEAK = "mid-peak"
@@ -40,6 +39,30 @@ SEGMENTS = (
     + (OFF_PEAK,) * 7    # 12 AM-7 AM
     + (MID_PEAK,)        # 7 AM-8 AM
 )
+
+
+def _read_only(values) -> np.ndarray:
+    arr = np.array(values, dtype=float)
+    arr.setflags(write=False)
+    return arr
+
+
+#: representative residential low and upper consumption limits per slot
+#: (hand-digitized); the generator jitters them per consumer
+BASE_LOW = _read_only([
+    0.36, 0.35, 0.34, 0.34, 0.35, 0.34, 0.35, 0.36,  # 8 AM-4 PM
+    0.56, 0.70, 0.84, 0.91, 0.84, 0.70,              # 4 PM-10 PM
+    0.35, 0.34,                                      # 10 PM-12 AM
+    0.14, 0.11, 0.10, 0.10, 0.10, 0.11, 0.14,        # 12 AM-7 AM
+    0.36,                                            # 7 AM-8 AM
+])
+BASE_HIGH = _read_only([
+    0.72, 0.70, 0.68, 0.69, 0.71, 0.70, 0.69, 0.71,
+    1.12, 1.40, 1.68, 1.82, 1.68, 1.40,
+    0.72, 0.68,
+    0.21, 0.20, 0.18, 0.17, 0.18, 0.19, 0.21,
+    0.70,
+])
 #: canonical per-segment price coefficients a_h
 SEGMENT_PRICES = {OFF_PEAK: 0.003, MID_PEAK: 0.004, ON_PEAK: 0.005}
 CANONICAL_EXPONENT = 1.2
@@ -56,79 +79,13 @@ SCHEMA_VERSION = 1
 
 
 class ScenarioFormatError(ValueError):
-    """A scenario or base-interval file failed to parse or validate."""
-
-
-@dataclass(frozen=True)
-class BaseInterval:
-    """Representative residential low/upper consumption limits per slot."""
-
-    low: np.ndarray
-    high: np.ndarray
-
-    def __post_init__(self):
-        # own copies, so no view of the caller's arrays can change the limits
-        low = _as_1d(self.low, "low").copy()
-        high = _as_1d(self.high, "high").copy()
-        if low.shape != high.shape:
-            raise ValueError("low and high curves must have equal length")
-        if np.any(low < 0):
-            raise ValueError("low limits must be nonnegative")
-        if np.any(low > high):
-            raise ValueError("low limit exceeds upper limit")
-        for arr, name in ((low, "low"), (high, "high")):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    @property
-    def horizon(self) -> int:
-        return self.low.shape[0]
-
-
-def default_base_interval() -> BaseInterval:
-    """The 24-slot base interval shipped with the package (hand-digitized,
-    representative only; override with any CSV of the same shape)."""
-    path = resources.files("dsmgame.data").joinpath("base_interval.csv")
-    with resources.as_file(path) as fname:
-        return load_base_interval(fname)
-
-
-def load_base_interval(path) -> BaseInterval:
-    """Read the "slot,low,high" CSV; slots must run 1..H in order."""
-    lows, highs = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0].strip() != "slot,low,high":
-        raise ScenarioFormatError(f"{path}:1: expected header 'slot,low,high'")
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise ScenarioFormatError(f"{path}:{lineno}: expected 3 fields")
-        try:
-            slot, low, high = int(parts[0]), float(parts[1]), float(parts[2])
-        except ValueError as exc:
-            raise ScenarioFormatError(f"{path}:{lineno}: {exc}") from exc
-        if slot != len(lows) + 1:
-            raise ScenarioFormatError(
-                f"{path}:{lineno}: slot {slot} out of order (expected {len(lows) + 1})"
-            )
-        lows.append(low)
-        highs.append(high)
-    if not lows:
-        raise ScenarioFormatError(f"{path}: no slots found")
-    try:
-        return BaseInterval(np.array(lows), np.array(highs))
-    except ValueError as exc:
-        raise ScenarioFormatError(f"{path}: {exc}") from exc
+    """A scenario file failed to parse or validate."""
 
 
 def generate(
     n_consumers: int = 50,
     seed: int = 7,
     jitter: float = 0.1,
-    base: BaseInterval | None = None,
 ) -> tuple[Scenario, np.ndarray]:
     """Draw a scenario on the canonical day plus its initial profiles,
     deterministically per seed.
@@ -144,21 +101,15 @@ def generate(
         raise ValueError("need at least one consumer")
     if not 0 <= jitter < np.inf:
         raise ValueError(f"jitter must be finite and nonnegative, got {jitter}")
-    if base is None:
-        base = default_base_interval()
     horizon = len(SEGMENTS)
-    if base.horizon != horizon:
-        raise ValueError(
-            f"base interval has {base.horizon} slots, the day has {horizon}"
-        )
     off_mask = np.array(SEGMENTS) == OFF_PEAK
     rng = np.random.default_rng(seed)
     specs = []
     initials = np.empty((n_consumers, horizon))
     lo_off, hi_off = OFFPEAK_QMAX_RANGE
     for n in range(n_consumers):
-        low = base.low + rng.uniform(0.0, jitter, horizon)
-        high = base.high + rng.uniform(0.0, jitter, horizon)
+        low = BASE_LOW + rng.uniform(0.0, jitter, horizon)
+        high = BASE_HIGH + rng.uniform(0.0, jitter, horizon)
         high = np.maximum(high, low)
         q_max = np.full(horizon, high.max())
         q_max[off_mask] = rng.uniform(lo_off, hi_off, int(off_mask.sum()))

@@ -53,15 +53,6 @@ def test_generate_reports_the_base_horizon(tmp_path, capsys):
     assert run_cli("generate", "--n", "3", "--h", "24", "-o", out) == 1
 
 
-def test_generate_missing_base_file(tmp_path, capsys):
-    code = run_cli(
-        "generate", "--n", "4", "--base", tmp_path / "absent.csv", "-o",
-        tmp_path / "s.json",
-    )
-    assert code == 1
-    assert "absent.csv" in capsys.readouterr().err
-
-
 def test_generate_canonical_scenario_bytes(tmp_path):
     out = tmp_path / "scenario.json"
     assert run_cli("generate", "--n", "50", "--seed", "7", "-o", out) == 0
@@ -82,6 +73,16 @@ def test_generate_refuses_a_negative_seed_naming_the_flag(tmp_path, capsys):
     out = tmp_path / "s.json"
     assert run_cli("generate", "--n", "4", "--seed", "-5", "-o", out) == 1
     assert "--seed must be a nonnegative integer, got -5" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_generate_refuses_an_overflowing_budget(tmp_path, capsys):
+    # the jittered bounds stay finite, but their sums overflow to infinity
+    out = tmp_path / "s.json"
+    with np.errstate(over="ignore"):
+        code = run_cli("generate", "--n", "2", "--jitter", "1e308", "-o", out)
+    assert code == 1
+    assert "energy budget E=inf must be positive and finite" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -172,17 +173,48 @@ def test_run_rejects_step_exponent_outside_range(toy_file, tmp_path, capsys):
     assert code == 0
 
 
-def test_run_rejects_scenario_with_unreachable_budget(toy_file, tmp_path, capsys):
-    payload = json.loads(toy_file.read_text())
-    payload["consumers"][0]["energy"] = sum(payload["consumers"][0]["q_max"]) + 1.0
+def run_edited(scenario_file, tmp_path, edit):
+    """Run alg 1 on a copy of `scenario_file` changed by `edit(payload)`."""
+    payload = json.loads(scenario_file.read_text())
+    edit(payload)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(payload))
-    code = run_cli(
-        "run", bad, "--alg", "1", "--trace", tmp_path / "t.csv",
+    return run_cli(
+        "run", bad, "--alg", "1", "--max-iter", "5", "--trace", tmp_path / "t.csv",
         "--summary", tmp_path / "s.json",
     )
-    assert code == 1
+
+
+def test_run_rejects_scenario_with_unreachable_budget(toy_file, tmp_path, capsys):
+    def overfill(payload):
+        payload["consumers"][0]["energy"] = sum(payload["consumers"][0]["q_max"]) + 1.0
+
+    assert run_edited(toy_file, tmp_path, overfill) == 1
     assert "consumers[0]: energy budget" in capsys.readouterr().err
+
+
+def test_run_names_an_infeasible_initial_row_by_its_1_based_id(
+    small_canonical, tmp_path, capsys
+):
+    def nudge(payload):
+        payload["initial_profiles"][1][4] += 1e-3
+
+    assert run_edited(small_canonical, tmp_path, nudge) == 1
+    err = capsys.readouterr().err
+    assert "initial profile of consumer 2 is infeasible: its sum" in err
+
+
+def test_run_names_a_consumer_of_the_wrong_horizon_by_its_1_based_id(
+    small_canonical, tmp_path, capsys
+):
+    def shorten(payload):
+        consumer = payload["consumers"][2]
+        consumer["q_min"].pop()
+        consumer["q_max"].pop()
+        consumer["energy"] = (sum(consumer["q_min"]) + sum(consumer["q_max"])) / 2
+
+    assert run_edited(small_canonical, tmp_path, shorten) == 1
+    assert "consumer 3: horizon 23 != price horizon 24" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("max_iter", ["0", "-5"])

@@ -49,9 +49,11 @@ def test_spec_rejects_negative_lower_bound_naming_slot():
 
 
 def test_spec_rejects_nonpositive_budget():
-    for energy in (0.0, -1.0):
-        with pytest.raises(ValueError, match=f"E={energy:g} must be positive"):
-            ConsumerSpec(np.zeros(2), np.ones(2), energy)
+    # and a non-finite one: an infinite budget passed the range check when
+    # the sum of the upper bounds overflowed too
+    for energy in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match=f"E={energy:g} must be positive and finite"):
+            ConsumerSpec(np.zeros(2), np.full(2, 1e308), energy)
 
 
 def test_spec_owns_its_bounds():

@@ -337,8 +337,6 @@ def test_oracles_reject_negative_loads_where_they_enter():
     negative_start = init.copy()
     negative_start[:, 0] = -1.0
     with pytest.raises(ValueError, match="nonnegative"):
-        social_welfare_optimum(scenario, init=negative_start)
-    with pytest.raises(ValueError, match="nonnegative"):
         fairness_comparison(negative_start, scenario)
     nan_profiles = init.copy()
     nan_profiles[1, 0] = np.nan

@@ -3,17 +3,17 @@
 import numpy as np
 import pytest
 
+from dsmgame import scenario as scenario_module
 from dsmgame.feasible import is_feasible
 from dsmgame.scenario import (
+    BASE_HIGH,
+    BASE_LOW,
     MID_PEAK,
     OFF_PEAK,
     ON_PEAK,
     SEGMENTS,
-    BaseInterval,
     ScenarioFormatError,
-    default_base_interval,
     generate,
-    load_base_interval,
     load_scenario,
     save_scenario,
     scenario_payload,
@@ -38,40 +38,14 @@ def test_segment_boundaries():
     assert all(hours[h] == MID_PEAK for h in list(range(7, 16)) + [22, 23])
 
 
-# --- base interval -----------------------------------------------------------
+# --- base limits -------------------------------------------------------------
 
 
 def test_default_base_interval_shape():
-    base = default_base_interval()
-    assert base.horizon == 24
-    assert np.all(base.low <= base.high)
-    assert np.all(base.low >= 0)
-
-
-def test_base_interval_rejects_crossed_limits():
-    with pytest.raises(ValueError):
-        BaseInterval(np.array([1.0, 2.0]), np.array([2.0, 1.0]))
-
-
-def test_base_interval_owns_its_limits():
-    low, high = np.zeros(2), np.ones(2)
-    view = low[:]
-    base = BaseInterval(low, high)
-    view[:] = 5.0  # would cross the limits
-    high[:] = -1.0
-    assert base.low.tolist() == [0.0, 0.0] and base.high.tolist() == [1.0, 1.0]
-    assert not base.low.flags.writeable
-
-
-def test_base_interval_csv_errors(tmp_path):
-    bad_header = tmp_path / "a.csv"
-    bad_header.write_text("low,high\n1,0.2,0.3\n")
-    with pytest.raises(ScenarioFormatError, match="header"):
-        load_base_interval(bad_header)
-    out_of_order = tmp_path / "b.csv"
-    out_of_order.write_text("slot,low,high\n2,0.2,0.3\n")
-    with pytest.raises(ScenarioFormatError, match="out of order"):
-        load_base_interval(out_of_order)
+    assert BASE_LOW.shape == BASE_HIGH.shape == (len(SEGMENTS),)
+    assert np.all(BASE_LOW <= BASE_HIGH)
+    assert np.all(BASE_LOW >= 0)
+    assert not BASE_LOW.flags.writeable and not BASE_HIGH.flags.writeable
 
 
 # --- generation ---------------------------------------------------------------
@@ -119,11 +93,12 @@ def test_offpeak_bounds_follow_recipe():
         assert np.allclose(rest, rest[0])
 
 
-def test_degenerate_base_with_zero_jitter_pins_everything():
+def test_degenerate_base_with_zero_jitter_pins_everything(monkeypatch):
     # at or below the off-peak q_max range, every slot's limits meet
     level = 0.35
-    base = BaseInterval(np.full(24, level), np.full(24, level))
-    scenario, init = generate(n_consumers=3, seed=3, jitter=0.0, base=base)
+    monkeypatch.setattr(scenario_module, "BASE_LOW", np.full(24, level))
+    monkeypatch.setattr(scenario_module, "BASE_HIGH", np.full(24, level))
+    scenario, init = generate(n_consumers=3, seed=3, jitter=0.0)
     for n, spec in enumerate(scenario.specs):
         np.testing.assert_array_equal(spec.q_min, np.full(24, level))
         np.testing.assert_array_equal(init[n], np.full(24, level))
@@ -142,12 +117,6 @@ def test_degenerate_base_with_zero_jitter_pins_everything():
 def test_generate_rejects_bad_settings(kwargs, message):
     with pytest.raises(ValueError, match=message):
         generate(**kwargs)
-
-
-def test_generate_rejects_horizon_mismatch():
-    base = BaseInterval(np.zeros(3), np.ones(3))
-    with pytest.raises(ValueError, match="slots"):
-        generate(seed=1, base=base)
 
 
 # --- persistence ---------------------------------------------------------------
