@@ -29,7 +29,6 @@ from .network import (
     build_weights,
     generate_topology,
     gossip_stream,
-    is_connected,
     load_edge_list,
     save_edge_list,
 )

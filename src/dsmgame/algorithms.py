@@ -17,7 +17,7 @@ import numpy as np
 
 from .feasible import ConsumerSpec, project_rows
 from .model import Certificate, PriceCurve, mapping_profiles, uniqueness_certificate
-from .network import CommGraph, GossipEvent, mix
+from .network import CommGraph, GossipEvent, check_weights, mix
 
 #: section-VII defaults for the algorithm parameters
 DEFAULT_EXPONENT = 0.51
@@ -67,6 +67,24 @@ class Scenario:
         ):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        # prices rise with load, so the largest aggregate L = sum_n q_max_n
+        # bounds the price, the mapping p'(L) max_n q_max_n + p(L) and every
+        # bill (the grid cost p(L) . L, summed over the slots so far) at
+        # every feasible state
+        q_max = self.q_max_matrix
+        with np.errstate(over="ignore"):
+            peak = q_max.sum(axis=0)
+            price = self.curve._price(peak)
+            mapping = self.curve._slope(peak) * q_max.max(axis=0) + price
+            cost = np.cumsum(price * peak)
+        # a price that overflows makes its mapping overflow too
+        overflow = ~(np.isfinite(mapping) & np.isfinite(cost))
+        if overflow.any():
+            h = int(overflow.argmax())
+            raise ValueError(
+                f"slot {h + 1}: the price, the mapping or the grid cost overflows "
+                f"at the largest aggregate load {peak[h]:g}"
+            )
 
     @property
     def n_consumers(self) -> int:
@@ -249,7 +267,6 @@ class SolveResult:
     converged: bool
     residual: float
     fixed_point_residual: float
-    uniqueness_verified: bool
 
 
 def fixed_point_residual(profiles, scenario: Scenario) -> float:
@@ -376,7 +393,6 @@ def _synchronous(
         converged=converged,
         residual=change,
         fixed_point_residual=trace.residuals[-1],
-        uniqueness_verified=scenario.uniqueness_verified,
     ), trace
 
 
@@ -405,28 +421,6 @@ def run_algorithm1(
     return _synchronous(scenario, init, step_exponent, step_point, tol, max_iter, False)
 
 
-def _check_weights(scenario: Scenario, graph: CommGraph, weights) -> np.ndarray:
-    """The weights as one float per slot of `graph`'s table, refused unless
-    they are finite, nonnegative and doubly stochastic within 1e-12."""
-    _check_graph(scenario, graph)
-    w = np.asarray(weights, dtype=float)
-    if w.shape != graph.cols.shape:
-        raise ValueError(
-            f"weights must hold one value per graph slot, N + 2|E| = "
-            f"{graph.cols.size}; got shape {w.shape}"
-        )
-    if not np.isfinite(w).all():
-        raise ValueError("weights contain non-finite entries")
-    tol = 1e-12
-    if w.min() < -tol:
-        raise ValueError(f"weights have a negative entry below -{tol:g}")
-    rows = np.add.reduceat(w, graph.starts)
-    columns = np.bincount(graph.cols, weights=w, minlength=graph.n)
-    if max(np.max(np.abs(rows - 1.0)), np.max(np.abs(columns - 1.0))) > tol:
-        raise ValueError(f"weights are not doubly stochastic within {tol:g}")
-    return w
-
-
 def run_algorithm2(
     scenario: Scenario,
     graph: CommGraph,
@@ -445,7 +439,8 @@ def run_algorithm2(
     applies the dynamic-average tracking correction. Same termination rule
     as the central runner.
     """
-    w = _check_weights(scenario, graph, weights)
+    _check_graph(scenario, graph)
+    w = check_weights(graph, weights)
     n_consumers = scenario.n_consumers
     buf = np.empty((w.size, scenario.horizon))
 
@@ -575,6 +570,5 @@ def run_algorithm3(
         converged=converged,
         residual=final_residual,
         fixed_point_residual=final_residual,
-        uniqueness_verified=scenario.uniqueness_verified,
     )
     return result, trace

@@ -193,7 +193,7 @@ def cmd_run(args) -> int:
         iterations=result.iterations,
         residual=result.residual,
         fixed_point_residual=result.fixed_point_residual,
-        uniqueness="verified" if result.uniqueness_verified else "unverified",
+        uniqueness="verified" if scenario.uniqueness_verified else "unverified",
         initial_par=initial_par,
         final_par=final_par,
         total_cost=grid_cost(aggregate(final), scenario.curve),
@@ -204,7 +204,7 @@ def cmd_run(args) -> int:
         f"algorithm {args.alg}: {status} after {result.iterations} iterations, "
         f"residual {result.residual:.3e}, PAR {initial_par:.4f} -> {final_par:.4f}"
     )
-    if not result.uniqueness_verified:
+    if not scenario.uniqueness_verified:
         print("warning: uniqueness certificate failed; convergence unguaranteed")
     if args.strict and not result.converged:
         raise CliError("run did not converge within budget (--strict)", 2)

@@ -64,12 +64,16 @@ class PriceCurve:
             raise ValueError("price exponents b_h must be >= 1")
         if np.any(c < 0):
             raise ValueError("price offsets c_h must be nonnegative")
+        with np.errstate(over="ignore"):
+            ab = a * b
+        if not np.isfinite(ab).all():
+            raise ValueError("price slopes a_h * b_h overflow")
         # derived constants of the kernels; the b_h = 1 slots use exponent 0
         # so the derivative never evaluates 0**0 on its discarded branch
         linear = b == 1.0
         for arr, name in (
             (a, "a"), (b, "b"), (c, "c"), (linear, "_linear"),
-            (np.where(linear, 0.0, b - 1.0), "_powers"), (a * b, "_ab"),
+            (np.where(linear, 0.0, b - 1.0), "_powers"), (ab, "_ab"),
         ):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)

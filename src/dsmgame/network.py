@@ -7,9 +7,8 @@ Nodes are 0-based in memory; the edge-list file format is 1-based
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -22,34 +21,6 @@ class GossipEvent(NamedTuple):
     contact: int
 
 
-def _canonical_edges(edges: Iterable[tuple[int, int]]) -> frozenset[tuple[int, int]]:
-    out = set()
-    for n, k in edges:
-        if n == k:
-            raise ValueError(f"self-loop on node {n} not allowed")
-        out.add((min(n, k), max(n, k)))
-    return frozenset(out)
-
-
-def is_connected(n_nodes: int, edges: Iterable[tuple[int, int]]) -> bool:
-    """Breadth-first reachability of all nodes from node 0."""
-    if n_nodes <= 0:
-        return False
-    adj: dict[int, list[int]] = {i: [] for i in range(n_nodes)}
-    for n, k in edges:
-        adj[n].append(k)
-        adj[k].append(n)
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        node = queue.popleft()
-        for other in adj[node]:
-            if other not in seen:
-                seen.add(other)
-                queue.append(other)
-    return len(seen) == n_nodes
-
-
 @dataclass(frozen=True)
 class CommGraph:
     """Undirected, connected consumer graph; construction rejects self-loops,
@@ -58,29 +29,41 @@ class CommGraph:
     `cols` and `starts` are the graph's slot table, built once: row i's
     slots are `cols[starts[i]:starts[i + 1]]` (the last row runs to the
     end), node i itself and then its neighbours in ascending order, N + 2|E|
-    slots in all. Mixing weights live on these slots.
+    slots in all. Mixing weights live on these slots; only this module reads
+    the table's layout.
     """
 
     n: int
     edges: frozenset[tuple[int, int]]
-    _neighbors: tuple[tuple[int, ...], ...] = field(repr=False, compare=False, default=())
+    _neighbors: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     starts: np.ndarray = field(init=False, repr=False, compare=False)
     cols: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("graph needs at least two nodes")
-        edges = _canonical_edges(self.edges)
-        for n, k in edges:
-            if not (0 <= n < self.n and 0 <= k < self.n):
-                raise ValueError(f"edge ({n}, {k}) outside node range 0..{self.n - 1}")
-        if not is_connected(self.n, edges):
-            raise ValueError("graph is not connected")
+        edges = set()
+        for n, k in self.edges:
+            if n == k:
+                raise ValueError(f"self-loop on node {n} not allowed")
+            edges.add((min(n, k), max(n, k)))
         adj: list[list[int]] = [[] for _ in range(self.n)]
         for n, k in edges:
+            if not (0 <= n and k < self.n):
+                raise ValueError(f"edge ({n}, {k}) outside node range 0..{self.n - 1}")
             adj[n].append(k)
             adj[k].append(n)
         neighbors = tuple(tuple(sorted(lst)) for lst in adj)
+        # breadth-first from node 0; the queue grows while it is read
+        seen = {0}
+        queue = [0]
+        for node in queue:
+            for other in neighbors[node]:
+                if other not in seen:
+                    seen.add(other)
+                    queue.append(other)
+        if len(seen) < self.n:
+            raise ValueError("graph is not connected")
         sizes = np.array([1 + len(nbrs) for nbrs in neighbors])
         starts = np.concatenate(([0], np.cumsum(sizes[:-1])))
         cols = np.fromiter(
@@ -88,7 +71,7 @@ class CommGraph:
             dtype=np.intp,
             count=int(sizes.sum()),
         )
-        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "edges", frozenset(edges))
         object.__setattr__(self, "_neighbors", neighbors)
         for name, arr in (("starts", starts), ("cols", cols)):
             arr.setflags(write=False)
@@ -97,13 +80,6 @@ class CommGraph:
     def neighbors(self, node: int) -> tuple[int, ...]:
         return self._neighbors[node]
 
-    def degree(self, node: int) -> int:
-        return len(self._neighbors[node])
-
-    @property
-    def max_degree(self) -> int:
-        return max(len(lst) for lst in self._neighbors)
-
 
 def build_weights(graph: CommGraph, tau: float) -> np.ndarray:
     """Doubly stochastic mixing weights, one per slot of `graph`'s table:
@@ -111,10 +87,31 @@ def build_weights(graph: CommGraph, tau: float) -> np.ndarray:
     node's own slot."""
     if not 0.0 < tau < 1.0:
         raise ValueError(f"tau={tau:g} must lie strictly in (0, 1)")
-    off = tau / graph.max_degree
-    w = np.full(graph.cols.size, off)
     degrees = np.diff(graph.starts, append=graph.cols.size) - 1
+    off = tau / degrees.max()
+    w = np.full(graph.cols.size, off)
     w[graph.starts] = 1.0 - degrees * off
+    return w
+
+
+def check_weights(graph: CommGraph, weights) -> np.ndarray:
+    """The weights as one float per slot of `graph`'s table, refused unless
+    they are finite, nonnegative and doubly stochastic within 1e-12."""
+    w = np.asarray(weights, dtype=float)
+    if w.shape != graph.cols.shape:
+        raise ValueError(
+            f"weights must hold one value per graph slot, N + 2|E| = "
+            f"{graph.cols.size}; got shape {w.shape}"
+        )
+    if not np.isfinite(w).all():
+        raise ValueError("weights contain non-finite entries")
+    tol = 1e-12
+    if w.min() < -tol:
+        raise ValueError(f"weights have a negative entry below -{tol:g}")
+    rows = np.add.reduceat(w, graph.starts)
+    columns = np.bincount(graph.cols, weights=w, minlength=graph.n)
+    if max(np.max(np.abs(rows - 1.0)), np.max(np.abs(columns - 1.0))) > tol:
+        raise ValueError(f"weights are not doubly stochastic within {tol:g}")
     return w
 
 
@@ -189,8 +186,8 @@ def save_edge_list(graph: CommGraph, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_edge_list(path, n_nodes: int | None = None) -> CommGraph:
-    """Read a 1-based edge-list file; node count defaults to the largest id."""
+def load_edge_list(path, n_nodes: int) -> CommGraph:
+    """Read a 1-based edge-list file of a graph on `n_nodes` nodes."""
     edges = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -208,17 +205,13 @@ def load_edge_list(path, n_nodes: int | None = None) -> CommGraph:
                 raise ValueError(f"{path}:{lineno}: node ids are 1-based, got {line!r}")
             if a == b:
                 raise ValueError(f"{path}:{lineno}: self-loop on node {parts[0]}")
-            if n_nodes is not None:
-                for typed, node in zip(parts, (a, b)):
-                    if node > n_nodes:
-                        raise ValueError(
-                            f"{path}:{lineno}: node id {typed} outside 1..{n_nodes}"
-                        )
+            for typed, node in zip(parts, (a, b)):
+                if node > n_nodes:
+                    raise ValueError(f"{path}:{lineno}: node id {typed} outside 1..{n_nodes}")
             edges.append((a - 1, b - 1))
     if not edges:
         raise ValueError(f"{path}: no edges found")
-    n = n_nodes if n_nodes is not None else max(max(e) for e in edges) + 1
     try:
-        return CommGraph(n, frozenset(edges))
+        return CommGraph(n_nodes, frozenset(edges))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

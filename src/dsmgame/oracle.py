@@ -30,6 +30,11 @@ _NEWTON_DONE = 1e-9
 # cap on one marginal inversion: Newton from the right of the root is
 # monotone, and each step that leaves the bracket halves it
 _INVERSE_STEPS = 100
+# caps on S evaluations per best response, on best-response sweeps and on
+# welfare-optimum descent iterations
+_BEST_RESPONSE_STEPS = 100
+_NASH_SWEEPS = 500
+_WELFARE_ITERATIONS = 50_000
 
 
 class ConvergenceError(RuntimeError):
@@ -124,12 +129,7 @@ def _inverse(lam: float, slot: tuple, x: float) -> float:
     return x
 
 
-def best_response(
-    others_aggregate,
-    spec: ConsumerSpec,
-    curve: PriceCurve,
-    max_iter: int = 100,
-) -> np.ndarray:
+def best_response(others_aggregate, spec: ConsumerSpec, curve: PriceCurve) -> np.ndarray:
     """Minimize the consumer's bill against a fixed aggregate of the others.
 
     The bill is separable per slot with one budget constraint, so its KKT
@@ -145,7 +145,8 @@ def best_response(
     the budget gap. It stops when the budget gap is float noise or the
     bracket collapses to a few ulps: relative measures, so the answer does
     not depend on the price unit. The gap left is spread over the free
-    slots. Raises ConvergenceError after `max_iter` evaluations of S.
+    slots. Raises ConvergenceError after `_BEST_RESPONSE_STEPS` evaluations
+    of S.
     """
     others = np.asarray(others_aggregate, dtype=float)
     if not np.isfinite(others).all():
@@ -177,7 +178,7 @@ def best_response(
     lam = sum(_marginal(xh, *slot[:4])[0] for xh, slot in zip(x, slots)) / len(slots)
     older_gap = old_gap = math.inf
     bisected = False
-    for _ in range(max_iter):
+    for _ in range(_BEST_RESPONSE_STEPS):
         x = [_inverse(lam, slot, xh) for slot, xh in zip(slots, x)]
         gap = energy - math.fsum(x)
         rising = gap > 0.0
@@ -228,7 +229,8 @@ def best_response(
         lam = 0.5 * (lam_lo + lam_hi) if bisected else nxt
     else:
         raise ConvergenceError(
-            f"best response not within float noise of its budget after {max_iter} iterations"
+            "best response not within float noise of its budget after "
+            f"{_BEST_RESPONSE_STEPS} iterations"
         )
     free = [h for h, slot in enumerate(slots) if slot[6] < lam < slot[7]]
     if free:
@@ -239,10 +241,7 @@ def best_response(
 
 
 def nash_best_response_iteration(
-    scenario: Scenario,
-    tol: float = 1e-7,
-    max_sweeps: int = 500,
-    init=None,
+    scenario: Scenario, tol: float = 1e-7, init=None
 ) -> np.ndarray:
     """Cyclic best-response sweeps to the game's fixed point.
 
@@ -252,7 +251,7 @@ def nash_best_response_iteration(
     if scenario.certificate is not None and not scenario.certificate.holds:
         raise ValueError("scenario fails the uniqueness certificate")
     q = _start(scenario, init)
-    for _ in range(max_sweeps):
+    for _ in range(_NASH_SWEEPS):
         sweep_change = 0.0
         total = q.sum(axis=0)
         for n, spec in enumerate(scenario.specs):
@@ -264,14 +263,12 @@ def nash_best_response_iteration(
         if sweep_change <= tol:
             return q
     raise ConvergenceError(
-        f"best-response iteration not within {tol:g} after {max_sweeps} sweeps"
+        f"best-response iteration not within {tol:g} after {_NASH_SWEEPS} sweeps"
     )
 
 
 def social_welfare_optimum(
-    scenario: Scenario,
-    tol: float = 1e-8,
-    max_iter: int = 50_000,
+    scenario: Scenario, tol: float = 1e-8
 ) -> tuple[np.ndarray, float]:
     """Minimize the summed bills (the grid cost) over the joint feasible set.
 
@@ -295,7 +292,7 @@ def social_welfare_optimum(
         joint_cost,
         joint_grad,
         scenario.project,
-        _start(scenario, None), tol, max_iter, "welfare optimum",
+        _start(scenario, None), tol, _WELFARE_ITERATIONS, "welfare optimum",
     )
 
 

@@ -107,17 +107,23 @@ def generate(
     specs = []
     initials = np.empty((n_consumers, horizon))
     lo_off, hi_off = OFFPEAK_QMAX_RANGE
-    for n in range(n_consumers):
-        low = BASE_LOW + rng.uniform(0.0, jitter, horizon)
-        high = BASE_HIGH + rng.uniform(0.0, jitter, horizon)
-        high = np.maximum(high, low)
-        q_max = np.full(horizon, high.max())
-        q_max[off_mask] = rng.uniform(lo_off, hi_off, int(off_mask.sum()))
-        q_min = np.minimum(low, q_max)
-        init = np.clip(rng.uniform(low, high), q_min, q_max)
-        specs.append(ConsumerSpec(q_min, q_max, float(init.sum())))
-        initials[n] = init
-    return Scenario(tuple(specs), PRICE_CURVE), initials
+    # a huge jitter overflows a budget sum or the prices: the spec or the
+    # scenario refuses it, and the refusal names the jitter
+    try:
+        with np.errstate(over="ignore"):
+            for n in range(n_consumers):
+                low = BASE_LOW + rng.uniform(0.0, jitter, horizon)
+                high = BASE_HIGH + rng.uniform(0.0, jitter, horizon)
+                high = np.maximum(high, low)
+                q_max = np.full(horizon, high.max())
+                q_max[off_mask] = rng.uniform(lo_off, hi_off, int(off_mask.sum()))
+                q_min = np.minimum(low, q_max)
+                init = np.clip(rng.uniform(low, high), q_min, q_max)
+                specs.append(ConsumerSpec(q_min, q_max, float(init.sum())))
+                initials[n] = init
+        return Scenario(tuple(specs), PRICE_CURVE), initials
+    except ValueError as exc:
+        raise ValueError(f"jitter {jitter:g} is too large: {exc}") from None
 
 
 # --- persistence -----------------------------------------------------------

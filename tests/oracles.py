@@ -258,7 +258,6 @@ def reference_synchronous(scenario, init, tol, max_iter, graph=None, weights=Non
         converged=converged,
         residual=change,
         fixed_point_residual=trace.residuals[-1],
-        uniqueness_verified=scenario.uniqueness_verified,
     )
     return result, trace
 
@@ -316,6 +315,5 @@ def reference_gossip(scenario, graph, event_stream, init, tol, max_events):
         converged=converged,
         residual=final_residual,
         fixed_point_residual=final_residual,
-        uniqueness_verified=scenario.uniqueness_verified,
     )
     return result, trace

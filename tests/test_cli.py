@@ -77,12 +77,25 @@ def test_generate_refuses_a_negative_seed_naming_the_flag(tmp_path, capsys):
 
 
 def test_generate_refuses_an_overflowing_budget(tmp_path, capsys):
-    # the jittered bounds stay finite, but their sums overflow to infinity
+    # the jittered bounds stay finite, but their sums overflow to infinity;
+    # one line names the jitter, and numpy's warning (an error under this
+    # suite) is not emitted
     out = tmp_path / "s.json"
-    with np.errstate(over="ignore"):
-        code = run_cli("generate", "--n", "2", "--jitter", "1e308", "-o", out)
+    code = run_cli("generate", "--n", "2", "--jitter", "1e308", "-o", out)
     assert code == 1
-    assert "energy budget E=inf must be positive and finite" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: jitter 1e+308 is too large: energy budget E=inf must be positive "
+        "and finite\n"
+    )
+    assert not out.exists()
+
+
+def test_generate_refuses_a_jitter_that_overflows_the_prices_in_one_line(tmp_path, capsys):
+    out = tmp_path / "s.json"
+    assert run_cli("generate", "--n", "3", "--jitter", "1e300", "-o", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: jitter 1e+300 is too large: slot 1: the price")
+    assert err.count("\n") == 1
     assert not out.exists()
 
 
@@ -191,6 +204,20 @@ def test_run_rejects_scenario_with_unreachable_budget(toy_file, tmp_path, capsys
 
     assert run_edited(toy_file, tmp_path, overfill) == 1
     assert "consumers[0]: energy budget" in capsys.readouterr().err
+
+
+def test_run_refuses_a_scenario_whose_prices_overflow_in_one_line(
+    small_canonical, tmp_path, capsys
+):
+    def inflate(payload):
+        for consumer in payload["consumers"]:
+            consumer["q_max"][9] = 1e300
+
+    assert run_edited(small_canonical, tmp_path, inflate) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / 'bad.json'}: slot 10: the price")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "t.csv").exists() and not (tmp_path / "s.json").exists()
 
 
 def test_run_names_an_infeasible_initial_row_by_its_1_based_id(

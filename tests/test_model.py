@@ -80,6 +80,9 @@ def test_price_curve_construction_rejects_bad_parameters():
         PriceCurve(np.array([0.003]), np.array([1.2]), np.array([-0.1]))
     with pytest.raises(ValueError):
         PriceCurve(np.array([0.003, 0.004]), np.array([1.2]), np.array([0.0]))
+    # the slope's coefficient a_h * b_h overflows, with no numpy warning
+    with pytest.raises(ValueError, match="^price slopes a_h \\* b_h overflow$"):
+        PriceCurve(np.array([1.0, 1e308]), np.array([1.0, 8.0]), np.zeros(2))
 
 
 def test_price_curve_owns_its_parameters():

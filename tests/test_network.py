@@ -1,5 +1,6 @@
 """Topology, mixing weights, gossip stream, and edge-list format tests."""
 
+import hashlib
 import subprocess
 import sys
 from collections import Counter
@@ -10,9 +11,9 @@ import pytest
 from dsmgame.network import (
     CommGraph,
     build_weights,
+    check_weights,
     generate_topology,
     gossip_stream,
-    is_connected,
     load_edge_list,
     mix,
     save_edge_list,
@@ -24,33 +25,43 @@ from oracles import dense_weights, reference_topology_edges, slot_weights
 # --- construction and connectivity ------------------------------------------
 
 
-def test_is_connected_path_graph():
-    assert is_connected(4, [(0, 1), (1, 2), (2, 3)])
+def test_graph_accepts_a_path_given_either_way_round():
+    path = CommGraph(4, frozenset({(1, 0), (1, 2), (3, 2), (2, 3)}))
+    assert path.edges == frozenset({(0, 1), (1, 2), (2, 3)})
+    assert [path.neighbors(node) for node in range(4)] == [(1,), (0, 2), (1, 3), (2,)]
 
 
 def test_is_connected_two_disjoint_edges():
-    assert not is_connected(4, [(0, 1), (2, 3)])
+    # every node has a neighbour, yet the edges fall into two pieces
+    with pytest.raises(ValueError, match="^graph is not connected$"):
+        CommGraph(4, [(1, 0), (3, 2)])
+    with pytest.raises(ValueError, match="^graph is not connected$"):
+        CommGraph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
 
 
 def test_graph_rejects_disconnected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^graph is not connected$"):
         CommGraph(4, frozenset({(0, 1), (2, 3)}))
 
 
 def test_graph_rejects_self_loop():
     with pytest.raises(ValueError):
         CommGraph(3, frozenset({(0, 0), (0, 1), (1, 2)}))
+    # a self-loop is refused before an out-of-range edge, wherever it comes
+    with pytest.raises(ValueError, match="^self-loop on node 1 not allowed$"):
+        CommGraph(3, [(0, 7), (1, 1), (0, 1), (1, 2)])
 
 
 def test_graph_rejects_out_of_range_nodes():
     with pytest.raises(ValueError):
         CommGraph(3, frozenset({(0, 1), (1, 3)}))
+    with pytest.raises(ValueError, match=r"^edge \(0, 7\) outside node range 0\.\.2$"):
+        CommGraph(3, [(7, 0), (0, 1), (1, 2)])
 
 
 def test_graph_neighbor_lookup():
     assert STAR_5.neighbors(0) == (1, 2, 3, 4)
     assert STAR_5.neighbors(3) == (0,)
-    assert STAR_5.max_degree == 4
 
 
 # --- weights ----------------------------------------------------------------
@@ -91,6 +102,20 @@ def test_weights_doubly_stochastic_on_random_graphs(tau):
         np.testing.assert_allclose(w.sum(axis=0), 1.0, rtol=0, atol=1e-12)
         np.testing.assert_allclose(w.sum(axis=1), 1.0, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(w, w.T)
+
+
+def test_weights_keep_their_bits_on_the_canonical_topology():
+    graph = generate_topology(50, 3.0, np.random.default_rng(0))
+    digest = hashlib.sha256(build_weights(graph, 0.5).tobytes()).hexdigest()
+    assert digest == "a31ce2b049e71fe4fe5bb7e131136fd983fea19683b40839667e4a2122d8723c"
+
+
+def test_check_weights_passes_valid_weights_through():
+    # its refusals are tested through run_algorithm2, which calls it
+    graph = generate_topology(20, 3.0, np.random.default_rng(1))
+    w = build_weights(graph, 0.5)
+    assert check_weights(graph, w) is w
+    assert check_weights(graph, w.tolist()).tobytes() == w.tobytes()
 
 
 def test_weights_reject_bad_tau():
@@ -162,7 +187,7 @@ def test_gossip_contacts_uniform_over_neighborhoods():
     per_initiator = Counter(e.initiator for e in events)
     pair_counts = Counter((e.initiator, e.contact) for e in events)
     for node in range(graph.n):
-        deg = graph.degree(node)
+        deg = len(graph.neighbors(node))
         n_events = per_initiator[node]
         expected = n_events / deg
         sigma = np.sqrt(n_events * (1 / deg) * (1 - 1 / deg))
@@ -199,7 +224,13 @@ def test_two_node_topology_is_single_edge():
 
 def test_topology_connected_with_target_degree():
     graph = generate_topology(50, 3.0, np.random.default_rng(13))
-    assert is_connected(graph.n, graph.edges)
+    # grow the set reached from node 0 over the edge list until it stops
+    reached, size = {0}, 0
+    while len(reached) > size:
+        size = len(reached)
+        reached |= {k for n, k in graph.edges if n in reached}
+        reached |= {n for n, k in graph.edges if k in reached}
+    assert len(reached) == graph.n
     mean_degree = 2 * len(graph.edges) / graph.n
     assert 2.0 <= mean_degree <= 5.0
 
@@ -249,14 +280,14 @@ def test_edge_list_rejects_malformed_line(tmp_path):
     path = tmp_path / "bad.edges"
     path.write_text("1 2\n3\n")
     with pytest.raises(ValueError, match="bad.edges:2"):
-        load_edge_list(path)
+        load_edge_list(path, 3)
 
 
 def test_edge_list_rejects_zero_based_ids(tmp_path):
     path = tmp_path / "zero.edges"
     path.write_text("0 1\n")
     with pytest.raises(ValueError, match="1-based"):
-        load_edge_list(path)
+        load_edge_list(path, 2)
 
 
 def test_edge_list_names_an_id_above_the_node_count(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 
 import dsmgame.algorithms as algorithms
 import dsmgame.feasible as feasible
+import dsmgame.oracle as oracle
 from dsmgame.algorithms import Scenario, fixed_point_residual
 from dsmgame.feasible import ConsumerSpec, project, sample_feasible
 from dsmgame.model import PriceCurve, bill_instantaneous, grid_cost, mapping_profiles
@@ -222,10 +223,11 @@ def test_iteration_rejects_failed_certificate():
         nash_best_response_iteration(Scenario(specs, curve))
 
 
-def test_iteration_raises_instead_of_returning_unconverged():
+def test_iteration_raises_instead_of_returning_unconverged(monkeypatch):
     scenario, init = make_toy_game(303)
-    with pytest.raises(ConvergenceError):
-        nash_best_response_iteration(scenario, tol=1e-9, max_sweeps=1, init=init)
+    monkeypatch.setattr(oracle, "_NASH_SWEEPS", 1)
+    with pytest.raises(ConvergenceError, match="after 1 sweeps"):
+        nash_best_response_iteration(scenario, tol=1e-9, init=init)
 
 
 # --- social welfare ---------------------------------------------------------
@@ -274,13 +276,15 @@ def test_welfare_cost_dominates_equilibrium_and_feasible_points():
         assert opt_cost <= grid_cost(random_point.sum(axis=0), scenario.curve) + 1e-9
 
 
-def test_solvers_raise_naming_themselves_when_out_of_iterations():
+def test_solvers_raise_naming_themselves_when_out_of_iterations(monkeypatch):
     scenario, init = make_toy_game(11)
     others = init[1:].sum(axis=0)
+    monkeypatch.setattr(oracle, "_BEST_RESPONSE_STEPS", 1)
+    monkeypatch.setattr(oracle, "_WELFARE_ITERATIONS", 1)
     with pytest.raises(ConvergenceError, match="best response not within"):
-        best_response(others, scenario.specs[0], scenario.curve, max_iter=1)
+        best_response(others, scenario.specs[0], scenario.curve)
     with pytest.raises(ConvergenceError, match="welfare optimum not within"):
-        social_welfare_optimum(scenario, max_iter=1)
+        social_welfare_optimum(scenario)
 
 
 # --- fairness ---------------------------------------------------------------

@@ -112,6 +112,7 @@ def test_degenerate_base_with_zero_jitter_pins_everything(monkeypatch):
         ({"jitter": -0.1}, "jitter"),
         ({"jitter": float("nan")}, "jitter"),
         ({"jitter": float("inf")}, "jitter"),
+        ({"jitter": 1e300}, r"^jitter 1e\+300 is too large: slot 1: the price"),
     ],
 )
 def test_generate_rejects_bad_settings(kwargs, message):
