@@ -455,39 +455,72 @@ def run_algorithm2(
     return _synchronous(scenario, init, step_exponent, step_point, tol, max_iter, True)
 
 
-def _disjoint_batches(
-    event_stream: Iterable[GossipEvent], graph: CommGraph, max_events: int
-) -> Iterator[list[int]]:
-    """Split the gossip stream into runs of consecutive events on pairwise
-    disjoint pairs, each yielded as the flat row list [i1, j1, i2, j2, ...].
+#: an event of a window: (position in the window, initiator, contact, level,
+#: pair number in its level)
+_Event = tuple[int, int, int, int, int]
+#: a dependency level of a window: its initiators and contacts in stream
+#: order, the events due once it is computed, and its events computed early
+_Level = tuple[list[int], list[int], list[_Event], list[_Event]]
 
-    A batch holds at most N // 2 pairs and ends at the budget and at every
-    N-th event (a residual check), so a consumer that stops at a check has
-    pulled no event past it; past the budget one more event is pulled and
-    dropped. A non-edge event raises once the batch before it is consumed.
+
+def _windows(
+    event_stream: Iterable[GossipEvent], graph: CommGraph, max_events: int
+) -> Iterator[list[_Level]]:
+    """Split the gossip stream into residual-check windows, each yielded as
+    its dependency levels.
+
+    Event k's level is one more than the highest level among the window's
+    earlier events on its initiator or its contact, or 0 if there are none.
+    So the events of a
+    level touch pairwise disjoint nodes, and every earlier event on one of
+    their nodes sits in a lower level. Computed level by level, event k can
+    be applied in stream order once the highest level among events 0..k is
+    computed: that level lists it as due, in stream order. An event due at
+    a higher level than its own is computed early, and its own level lists
+    it as such too.
+
+    A window ends at every N-th event (a residual check) and at the budget,
+    so a consumer that stops at a check has pulled no event past it; past
+    the budget one more event is pulled and dropped. An event that is not
+    an edge of `graph` (a self-loop, a node outside 0..N-1 or two nodes
+    that are not neighbours) raises once the window before it is consumed.
     """
     n_consumers = graph.n
-    max_rows = 2 * (n_consumers // 2)
-    taken = 0  # events put into batches so far
-    rows: list[int] = []
+    neighbors = graph.neighbors
+    taken = 0  # events put into windows so far
+    levels: list[_Level] = []
+    depth = [0] * n_consumers  # per node, one more than its latest event's level
+    size = top = 0  # the window's events so far and their highest level
     for event in event_stream:
         if taken >= max_events:
             break
         i, j = event.initiator, event.contact
-        if i == j or j not in graph.neighbors(i):
-            if rows:
-                yield rows
+        # a node is not its own neighbour, nor is a node outside 0..N-1
+        if not 0 <= i < n_consumers or j not in neighbors(i):
+            if levels:
+                yield levels
             raise ValueError(f"event {event} is not an edge of the graph")
-        if i in rows or j in rows:
-            yield rows
-            rows = []
-        rows += (i, j)
+        a, b = depth[i], depth[j]
+        level = a if a > b else b
+        depth[i] = depth[j] = level + 1
+        if level == len(levels):
+            levels.append(([], [], [], []))
+        initiators, contacts, _, early = levels[level]
+        entry = (size, i, j, level, len(initiators))
+        initiators.append(i)
+        contacts.append(j)
+        if level < top:
+            early.append(entry)
+        else:
+            top = level
+        levels[top][2].append(entry)
+        size += 1
         taken += 1
-        if len(rows) == max_rows or taken % n_consumers == 0 or taken == max_events:
-            yield rows
-            rows = []
-    if rows:
-        yield rows
+        if taken % n_consumers == 0 or taken == max_events:
+            yield levels
+            levels, depth, size, top = [], [0] * n_consumers, 0, 0
+    if levels:
+        yield levels
 
 
 def run_algorithm3(
@@ -507,11 +540,16 @@ def run_algorithm3(
     GOSSIP_WINDOW consecutive sub-tolerance residual readings, sampled every
     N events. Each event's trace entry keeps only the pair's two rows.
 
-    Events on disjoint pairs commute, so consecutive ones are computed as
-    one batch (one mapping and one projection call over all their rows,
-    every step row-local), then applied and recorded one by one: the same
-    bits as event by event. A batch ends at the budget and at each residual
-    check, so the run pulls from `event_stream` just the events it uses.
+    Events on disjoint pairs commute. So the events between two residual
+    checks (a window; it also ends at the budget) are grouped by dependency
+    level, see `_windows`, and each level is computed as one batch: one
+    mapping and one projection call over all its rows, every step
+    row-local. A level's events read the rows that earlier levels computed
+    for their nodes, which are the rows the event-by-event loop gives them.
+    The events are then applied and recorded one by one in stream order,
+    each as soon as it and every event before it is computed: the same bits
+    as event by event. The run pulls from `event_stream` just the events it
+    uses.
     """
     if max_events < 1:
         raise ValueError(f"max_events must be at least 1, got {max_events}")
@@ -519,7 +557,7 @@ def run_algorithm3(
     q = _check_init(scenario, init)
     est = q.copy()
     n_consumers, horizon = q.shape
-    counters = np.zeros(n_consumers, dtype=int)
+    counters = [0] * n_consumers  # updates per consumer so far
     residual = fixed_point_residual(q, scenario)
     trace = RunTrace()
     trace.record(q, scenario.curve, residual, estimates=est)
@@ -527,38 +565,59 @@ def run_algorithm3(
     converged = False
     streak = 0
     events_used = 0
-    for rows in _disjoint_batches(event_stream, graph, max_events):
-        n_pairs = len(rows) // 2
-        # initiators first, then contacts: pair k's rows are k and n_pairs + k
-        idx = np.array(rows[0::2] + rows[1::2])
-        # the pairs' values as (2, n_pairs, H)
-        pair_shape = (2, n_pairs, horizon)
-        # take() copies rows at a third of the cost of q[idx]
-        q_rows = q.take(idx, axis=0)
-        q_pairs = q_rows.reshape(pair_shape)
-        est_pairs = est.take(idx, axis=0).reshape(pair_shape)
-        avg = 0.5 * (est_pairs[0] + est_pairs[1])
-        counts = counters.take(idx) + 1
-        counters[idx] = counts
-        proxy = np.maximum(n_consumers * avg, 0.0)
-        grads = mapping_profiles(q_pairs, proxy, scenario.curve)
-        q_next = project_rows(
-            q_rows - grads.reshape(q_rows.shape) / counts[:, None],
-            scenario.q_min_matrix.take(idx, axis=0),
-            scenario.q_max_matrix.take(idx, axis=0),
-            scenario.budgets.take(idx),
-        )
-        est_next = (avg + q_next.reshape(pair_shape) - q_pairs).reshape(q_rows.shape)
-        for k in range(n_pairs):
-            i, j = rows[2 * k], rows[2 * k + 1]
-            q[i], q[j] = q_next[k], q_next[n_pairs + k]
-            est[i], est[j] = est_next[k], est_next[n_pairs + k]
-            events_used += 1
-            if events_used % n_consumers == 0:
-                residual = fixed_point_residual(q, scenario)
-                streak = streak + 1 if residual <= tol else 0
-            trace.record(q, scenario.curve, residual, estimates=est, rows=(i, j))
-        # only a batch's last event can be a residual check
+    for levels in _windows(event_stream, graph, max_events):
+        # per level so far, its new q and est rows and its number of pairs
+        computed = []
+        # per node, (position, new q rows, new est rows, row) of its latest
+        # event computed early
+        pending: dict[int, tuple] = {}
+        applied = 0  # events of the window applied and recorded so far
+        for initiators, contacts, due, early in levels:
+            n_pairs = len(initiators)
+            rows = initiators + contacts
+            idx = np.array(rows)
+            # take() copies rows at a third of the cost of q[idx]
+            q_rows = q.take(idx, axis=0)
+            est_rows = est.take(idx, axis=0)
+            if pending:
+                for r, node in enumerate(rows):
+                    waiting = pending.get(node)
+                    if waiting is not None and waiting[0] >= applied:
+                        _, q_new, est_new, row = waiting
+                        q_rows[r], est_rows[r] = q_new[row], est_new[row]
+            # the pairs' values as (2, n_pairs, H): pair m's rows are m and
+            # n_pairs + m
+            pair_shape = (2, n_pairs, horizon)
+            q_pairs = q_rows.reshape(pair_shape)
+            est_pairs = est_rows.reshape(pair_shape)
+            avg = 0.5 * (est_pairs[0] + est_pairs[1])
+            for node in rows:
+                counters[node] += 1
+            counts = np.array([counters[node] for node in rows])
+            proxy = np.maximum(n_consumers * avg, 0.0)
+            grads = mapping_profiles(q_pairs, proxy, scenario.curve)
+            q_next = project_rows(
+                q_rows - grads.reshape(q_rows.shape) / counts[:, None],
+                scenario.q_min_matrix.take(idx, axis=0),
+                scenario.q_max_matrix.take(idx, axis=0),
+                scenario.budgets.take(idx),
+            )
+            est_next = (avg + q_next.reshape(pair_shape) - q_pairs).reshape(q_rows.shape)
+            computed.append((q_next, est_next, n_pairs))
+            for _, i, j, level, m in due:
+                q_new, est_new, p = computed[level]
+                q[i], q[j] = q_new[m], q_new[p + m]
+                est[i], est[j] = est_new[m], est_new[p + m]
+                events_used += 1
+                if events_used % n_consumers == 0:
+                    residual = fixed_point_residual(q, scenario)
+                    streak = streak + 1 if residual <= tol else 0
+                trace.record(q, scenario.curve, residual, estimates=est, rows=(i, j))
+            applied += len(due)
+            for k, i, j, _, m in early:
+                pending[i] = (k, q_next, est_next, m)
+                pending[j] = (k, q_next, est_next, n_pairs + m)
+        # only a window's last event can be a residual check
         if streak >= GOSSIP_WINDOW:
             converged = True
             break

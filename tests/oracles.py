@@ -266,8 +266,8 @@ def reference_gossip(scenario, graph, event_stream, init, tol, max_events):
     """Algorithm 3 one event at a time: pull an event, check it is an edge,
     update the pair, probe the residual every N events and record the state,
     until GOSSIP_WINDOW sub-tolerance readings in a row or the budget. The
-    bit-for-bit reference for `run_algorithm3`, which batches events on
-    disjoint pairs."""
+    bit-for-bit reference for `run_algorithm3`, which computes the events
+    of each residual-check window level by level."""
     q = np.array(init, dtype=float)
     est = q.copy()
     n_consumers = scenario.n_consumers
@@ -283,7 +283,8 @@ def reference_gossip(scenario, graph, event_stream, init, tol, max_events):
         if events_used >= max_events:
             break
         i, j = event.initiator, event.contact
-        if i == j or j not in graph.neighbors(i):
+        # a self-loop or a node outside 0..N-1 is no edge either
+        if (min(i, j), max(i, j)) not in graph.edges:
             raise ValueError(f"event {event} is not an edge of the graph")
         events_used += 1
         rows = np.array((i, j))

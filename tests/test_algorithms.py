@@ -570,7 +570,9 @@ def test_alg2_survives_a_negative_proxy_at_n2000():
 
 # --- batched gossip against the event-by-event loop ------------------------------
 #
-# run_algorithm3 computes consecutive events on disjoint pairs as one batch;
+# run_algorithm3 computes the events between two residual checks level by
+# level: an event's level is one more than the highest level among the
+# earlier events on its nodes, and each level is one batch.
 # oracles.reference_gossip is the loop it replaced, one event at a time.
 
 
@@ -600,6 +602,19 @@ def gossip_case(name):
         rng = np.random.default_rng(0)
         graph = generate_topology(50, 3.0, rng)
         return scenario, init, graph, list(gossip_stream(graph, rng, 600)), 1e-4
+    if name == "n120":
+        # levels of tens of events, several windows of them
+        scenario, init = generate(n_consumers=120, seed=3)
+        rng = np.random.default_rng(1)
+        graph = generate_topology(120, 3.0, rng)
+        return scenario, init, graph, list(gossip_stream(graph, rng, 400)), 1e-4
+    if name == "star":
+        # every event touches the hub, so every level holds one event
+        rng = np.random.default_rng(46)
+        scenario, init = draw_game(rng, 6, 3, rng)
+        graph = CommGraph(6, frozenset((0, k) for k in range(1, 6)))
+        events = list(gossip_stream(graph, np.random.default_rng(6), 1500))
+        return scenario, init, graph, events, 1e-3
     n, h, tol = {
         "n2": (2, 3, 1e-3), "n3": (3, 2, 1e-3), "n4": (4, 3, 1e-3),
         "n7": (7, 3, 0.05), "n16": (16, 3, 1e-3),
@@ -641,7 +656,7 @@ def run_both(scenario, graph, events, init, tol, max_events):
     return runs, pulled
 
 
-GOSSIP_CASES = ["n2", "n3", "n4", "n7", "n16", "n50",
+GOSSIP_CASES = ["n2", "n3", "n4", "n7", "n16", "n50", "n120", "star",
                 "small-16-4", "small-16-6", "small-33-10"]
 
 
@@ -705,6 +720,57 @@ def test_alg3_non_edge_event_raises_where_the_event_loop_raises(monkeypatch, nam
                        max_events=len(stream))
             assert counting.pulled == at + 1
             assert len(recorded) == at + 1
+
+
+def dependency_depth(events):
+    """The number of levels of `events`: the longest chain of events in
+    which each shares a node with the one before it."""
+    depth = {}
+    for event in events:
+        nodes = (event.initiator, event.contact)
+        level = 1 + max(depth.get(node, 0) for node in nodes)
+        depth.update(dict.fromkeys(nodes, level))
+    return max(depth.values())
+
+
+def test_alg3_projects_once_per_dependency_level(monkeypatch):
+    # one projection call per level of each window of N events, plus the
+    # residual probes: the initial one, one per check and the final one
+    scenario, init, graph, events, tol = gossip_case("n50")
+    n = scenario.n_consumers
+    calls = []
+
+    def counting(*args, fn=algorithms.project_rows):
+        calls.append(1)
+        return fn(*args)
+
+    monkeypatch.setattr(algorithms, "project_rows", counting)
+    result, _ = run_algorithm3(
+        scenario, graph, iter(events), init=init, tol=tol, max_events=len(events)
+    )
+    assert result.iterations == len(events) and len(events) % n == 0
+    windows = [events[start : start + n] for start in range(0, len(events), n)]
+    depths = [dependency_depth(window) for window in windows]
+    # over four events per level on average
+    assert sum(depths) < len(events) // 4
+    assert len(calls) == sum(depths) + 1 + len(windows) + 1
+
+
+@pytest.mark.parametrize("pair", [(-1, 0), (0, -1), (4, 0), (7, 0), (0, 4)])
+def test_alg3_refuses_events_on_nodes_outside_the_graph(pair):
+    # on a 4-cycle, -1 would index node 3, a neighbour of 0, and 4 or 7
+    # would index past the end; both loops refuse the event where it enters.
+    # After (3, 2), node -1 would alias node 3 in the same window.
+    rng = np.random.default_rng(44)
+    scenario, init = draw_game(rng, 4, 3, rng)
+    cycle = CommGraph(4, frozenset({(0, 1), (1, 2), (2, 3), (0, 3)}))
+    for before in ([], [GossipEvent(1, 3, 2)]):
+        stream = before + [GossipEvent(len(before) + 1, *pair), GossipEvent(9, 0, 1)]
+        for runner in (run_algorithm3, reference_gossip):
+            counting = CountingStream(stream)
+            with pytest.raises(ValueError, match="not an edge of the graph"):
+                runner(scenario, cycle, counting, init=init, tol=0.0, max_events=10)
+            assert counting.pulled == len(before) + 1
 
 
 @pytest.mark.parametrize("max_events", [0, -2])
