@@ -105,7 +105,8 @@ class Scenario:
 
 @dataclass
 class RunTrace:
-    """Per-iteration snapshots of a solver run.
+    """Per-iteration snapshots of a solver run: its states and nothing
+    derived from them.
 
     Entry t of `profiles` (and of `estimates`, when the run tracks them)
     holds state t + 1; entry 0 is the initial state. An entry is the full
@@ -114,21 +115,19 @@ class RunTrace:
     order, are the entry's stretch of the flat `changed_rows`. Every
     synchronous round is full; a gossip event keeps the two rows of its
     pair. Only `record` writes that layout and only `_walk` reads it:
-    `states()`, `to_csv` and the invariant checks see full states. `bills`,
-    `aggregates` and `residuals` hold one full value per state: every
-    consumer's bill moves with the aggregate. `residuals`
-    holds the natural-map fixed-point residual at each recorded state; the
-    gossip runner refreshes it only at its periodic checks and carries the
-    last reading in between.
+    `states()`, `to_csv`, `bills`, `aggregates` and the invariant checks see
+    full states. `residuals` holds the natural-map fixed-point residual at
+    each recorded state; the gossip runner refreshes it only at its periodic
+    checks and carries the last reading in between. `curve` is the run's
+    price curve, which prices each state's bills on demand.
     """
 
     profiles: list[np.ndarray] = field(default_factory=list)
     estimates: list[np.ndarray] | None = None
-    bills: list[np.ndarray] = field(default_factory=list)
-    aggregates: list[np.ndarray] = field(default_factory=list)
     residuals: list[float] = field(default_factory=list)
     changed_rows: array = field(default_factory=lambda: array("q"))
     partial: bytearray = field(default_factory=bytearray)
+    curve: PriceCurve | None = None
 
     @property
     def iterations(self) -> int:
@@ -140,16 +139,13 @@ class RunTrace:
         """Append the full state `profiles` (and `estimates`); with `rows`,
         the indices of the only rows that changed since the last entry, keep
         just those rows of each."""
-        # the runners record feasible (so nonnegative) profiles only
-        q_sigma = profiles.sum(axis=0)
+        self.curve = curve
         self.partial.append(rows is not None)
         if rows is None:
             self.profiles.append(profiles.copy())
         else:
             self.changed_rows.extend(rows)
             self.profiles.append(profiles.take(rows, axis=0))
-        self.aggregates.append(q_sigma)
-        self.bills.append(profiles @ curve._price(q_sigma))
         self.residuals.append(residual)
         if estimates is not None:
             if self.estimates is None:
@@ -158,18 +154,21 @@ class RunTrace:
                 estimates.copy() if rows is None else estimates.take(rows, axis=0)
             )
 
-    def _walk(self) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
+    def _walk(
+        self, estimates: bool = True
+    ) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
         """Yield each recorded state as full float `(profiles, estimates)`
         arrays (profiles C-ordered) in one working copy: a full entry (as is
         every entry past the end of `partial`) replaces it, a partial entry
         writes its rows into it. The arrays yielded are overwritten by later
         partial entries; `estimates` is None for a run that does not track
-        them."""
+        them, and for a caller that passes `estimates=False`."""
         index = np.array(self.changed_rows, dtype=np.intp)
+        est_entries = self.estimates if estimates else None
         start = 0
         q = est = None
         for t, entry in enumerate(self.profiles):
-            est_entry = None if self.estimates is None else self.estimates[t]
+            est_entry = None if est_entries is None else est_entries[t]
             if t < len(self.partial) and self.partial[t]:
                 rows = index[start : start + len(entry)]
                 start += len(entry)
@@ -181,6 +180,24 @@ class RunTrace:
                 est = None if est_entry is None else np.array(est_entry, dtype=float)
             yield q, est
 
+    def _priced(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Yield each recorded state's profiles, as `_walk` yields them, with
+        its bills: every consumer's profile priced at the state's aggregate,
+        ``q @ p(sum_n q_n)`` (the runners record nonnegative profiles only)."""
+        price = self.curve._price
+        for q, _ in self._walk(estimates=False):
+            yield q, q @ price(q.sum(axis=0))
+
+    @property
+    def bills(self) -> list[np.ndarray]:
+        """Every consumer's bill at each recorded state, derived on access."""
+        return [bills for _, bills in self._priced()]
+
+    @property
+    def aggregates(self) -> list[np.ndarray]:
+        """The aggregate load at each recorded state, derived on access."""
+        return [q.sum(axis=0) for q, _ in self._walk(estimates=False)]
+
     def states(self) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
         """Yield each recorded state as fresh full `(profiles, estimates)`
         arrays; `estimates` is None for a run that does not track them."""
@@ -190,7 +207,7 @@ class RunTrace:
     def max_feasibility_violation(self, scenario: Scenario) -> float:
         """Worst bound/budget violation over every recorded profile."""
         worst = 0.0
-        for q, _ in self._walk():
+        for q, _ in self._walk(estimates=False):
             below = np.max(scenario.q_min_matrix - q, initial=0.0)
             above = np.max(q - scenario.q_max_matrix, initial=0.0)
             budget = np.max(np.abs(q.sum(axis=1) - scenario.budgets))
@@ -208,7 +225,8 @@ class RunTrace:
         )
 
     def to_csv(self, path) -> None:
-        """Write the long-form trace: t,n,cost,residual,q1..qH (1-based ids).
+        """Write the long-form trace: t,n,cost,residual,q1..qH (1-based ids),
+        the cost being each state's bills as `bills` derives them.
 
         Lines end in ``\\r\\n``; `t` and `n` are integers and every float
         field is Python's shortest round-trip ``repr``. Each profile value is
@@ -228,9 +246,7 @@ class RunTrace:
         bits = None
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(header + "\r\n")
-            for t, ((q, _), bills, res) in enumerate(
-                zip(self._walk(), self.bills, self.residuals)
-            ):
+            for t, ((q, bills), res) in enumerate(zip(self._priced(), self.residuals)):
                 # compare bits, not values: -0.0 == 0.0 but their reprs differ
                 state_bits = q.view(np.uint64)
                 if bits is None:

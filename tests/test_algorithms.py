@@ -1,8 +1,12 @@
 """Solver runner tests: trivial cases, oracle agreement, invariants,
 error handling, and trace output."""
 
+import subprocess
+import sys
 import tracemalloc
 from array import array
+from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +36,7 @@ from dsmgame.network import (
 )
 from dsmgame.oracle import nash_best_response_iteration
 from dsmgame.scenario import generate
-from conftest import STAR_5, make_toy_game
+from conftest import AVX2_ENV, STAR_5, make_toy_game, src_env
 from oracles import (
     dense_weights,
     reference_gossip,
@@ -949,6 +953,19 @@ def _assert_same_csv_bytes(trace, tmp_path):
     assert ours.read_bytes() == ref.read_bytes()
 
 
+@dataclass
+class HandPricedTrace(RunTrace):
+    """A trace whose bills are hand-set, one array per state, in place of
+    its states priced on a curve: the writer's cost column can then hold
+    any float."""
+
+    costs: list = field(default_factory=list)
+
+    def _priced(self):
+        for (q, _), costs in zip(self._walk(estimates=False), self.costs):
+            yield q, costs
+
+
 @pytest.mark.parametrize("alg", [1, 2, 3])
 def test_trace_csv_bytes_match_reference_writer(tmp_path, alg):
     # the toy game mostly moves whole rows; in the generated 24-slot game
@@ -983,9 +1000,9 @@ def test_trace_csv_bytes_match_reference_on_edge_cases(tmp_path):
     q3[0, 0] = -0.0
     q4 = q3.copy()
     q4[1, 2] = 0.1 + 0.2
-    trace = RunTrace(
+    trace = HandPricedTrace(
         profiles=[q1, q2, q3, q4],
-        bills=[np.array([1.0, -2.5]), np.array([1.0, -2.5]),
+        costs=[np.array([1.0, -2.5]), np.array([1.0, -2.5]),
                np.array([0.3, 1e20]), np.array([-0.0, np.inf])],
         residuals=[np.float64(0.5), 0.5, float("nan"), 1e-17],
     )
@@ -1023,9 +1040,9 @@ def test_trace_csv_bytes_match_reference_under_value_changes(
         flipped = data.draw(mask)
         q[flipped] = -q[flipped]
         profiles.append(q)
-    trace = RunTrace(
+    trace = HandPricedTrace(
         profiles=profiles,
-        bills=[data.draw(arrays(np.float64, (n,), elements=_TRACE_FLOATS))
+        costs=[data.draw(arrays(np.float64, (n,), elements=_TRACE_FLOATS))
                for _ in profiles],
         residuals=[data.draw(_TRACE_FLOATS) for _ in profiles],
     )
@@ -1064,9 +1081,9 @@ def test_trace_csv_bytes_match_reference_under_row_subset_entries(
         state[rows] = stored
         states.append(state)
         entries.append(stored if partial[t] else state)
-    trace = RunTrace(
+    trace = HandPricedTrace(
         profiles=entries,
-        bills=[data.draw(arrays(np.float64, (n,), elements=_TRACE_FLOATS))
+        costs=[data.draw(arrays(np.float64, (n,), elements=_TRACE_FLOATS))
                for _ in entries],
         residuals=[data.draw(_TRACE_FLOATS) for _ in entries],
         changed_rows=changed_rows,
@@ -1097,6 +1114,68 @@ def _same_bits(a, b) -> bool:
     if a is None or b is None:
         return a is b
     return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@pytest.mark.parametrize("alg", [1, 2, 3])
+def test_trace_bills_are_the_bills_at_record_time(monkeypatch, canonical, alg):
+    # the trace prices its states when read; its bills must have the bits
+    # of the product taken on the runner's live array as each state was
+    # recorded, and recording must not price anything
+    scenario, init = canonical
+    price_calls = []
+
+    def watched(name, fn):
+        def call(*args, **kwargs):
+            price_calls.append(name)
+            return fn(*args, **kwargs)
+
+        return call
+
+    for name, attr in list(vars(PriceCurve).items()):
+        if isinstance(attr, property):
+            monkeypatch.setattr(PriceCurve, name, property(watched(name, attr.fget)))
+        elif callable(attr) and name not in ("__init__", "__setattr__"):
+            monkeypatch.setattr(PriceCurve, name, watched(name, attr))
+    live_bills, record_calls = [], []
+    record = RunTrace.record
+
+    def capturing(trace, profiles, curve, *args, **kwargs):
+        live_bills.append(profiles @ curve._price(profiles.sum(axis=0)))
+        price_calls.clear()
+        record(trace, profiles, curve, *args, **kwargs)
+        record_calls.append(list(price_calls))
+
+    monkeypatch.setattr(RunTrace, "record", capturing)
+    graph = generate_topology(scenario.n_consumers, 3.0, np.random.default_rng(0))
+    if alg == 1:
+        _, trace = run_algorithm1(scenario, init=init, tol=1e-9, max_iter=40)
+    elif alg == 2:
+        _, trace = run_algorithm2(
+            scenario, graph, build_weights(graph, algorithms.DEFAULT_TAU),
+            init=init, tol=1e-9, max_iter=40,
+        )
+    else:
+        events = gossip_stream(graph, np.random.default_rng(1), 300)
+        _, trace = run_algorithm3(
+            scenario, graph, events, init=init, tol=1e-9, max_events=300
+        )
+    assert record_calls == [[]] * trace.iterations
+    bills = trace.bills
+    assert len(bills) == len(live_bills) == trace.iterations
+    for derived, live in zip(bills, live_bills):
+        assert _same_bits(derived, live)
+
+
+def test_trace_bills_are_the_bills_at_record_time_on_the_avx2_kernels():
+    # numpy's AVX2 loops and OpenBLAS's Haswell kernel round `power` and the
+    # bill product their own way; the derived bills must still match there
+    node = f"{Path(__file__).name}::test_trace_bills_are_the_bills_at_record_time"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", node],
+        cwd=Path(__file__).parent, capture_output=True, text=True,
+        env={**src_env(), **AVX2_ENV},
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 @pytest.mark.parametrize("alg", [1, 3])
@@ -1163,9 +1242,16 @@ def test_alg3_trace_keeps_only_the_pairs_rows(canonical):
     # the row indices take 16 bytes per event in one flat array
     assert len(trace.changed_rows) == 2 * events
     assert trace.changed_rows.itemsize == 8
-    stored = [*trace.profiles, *trace.estimates, *trace.bills, *trace.aggregates]
+    assert set(vars(trace)) == {
+        "profiles", "estimates", "residuals", "changed_rows", "partial", "curve"
+    }
+    # the trace stores the full initial state, then 4H values and 16 bytes
+    # of row indices per event: about 4% of a full copy per event here
+    stored = [*trace.profiles, *trace.estimates]
     index_bytes = trace.changed_rows.itemsize * len(trace.changed_rows)
-    assert sum(a.nbytes for a in stored) + index_bytes < 0.1 * events * 2 * n * h * 8
+    assert sum(a.nbytes for a in stored) + index_bytes == (
+        2 * n * h * 8 + events * (4 * h * 8 + 16)
+    )
 
 
 def test_alg3_two_nodes_agrees_with_alg2():
