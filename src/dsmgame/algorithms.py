@@ -61,8 +61,8 @@ class Scenario:
         )
         object.__setattr__(self, "certificate", cert)
         for name, arr in (
-            ("q_min_matrix", np.vstack([s.q_min for s in specs])),
-            ("q_max_matrix", np.vstack([s.q_max for s in specs])),
+            ("q_min_matrix", np.array([s.q_min for s in specs])),
+            ("q_max_matrix", np.array([s.q_max for s in specs])),
             ("budgets", np.array([s.energy for s in specs])),
         ):
             arr.setflags(write=False)

@@ -85,6 +85,23 @@ def _number(payload: dict, flag: str, path, field: str, positive: bool = False):
     return value
 
 
+def _final_profiles(summary: dict, path, shape: tuple[int, int]) -> np.ndarray:
+    """The `final_profiles` of a run summary, refused unless they form an
+    array of numbers of the given shape."""
+    try:
+        profiles = np.array(summary["final_profiles"], dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        profiles = None
+    if profiles is None or profiles.shape != shape:
+        got = "" if profiles is None else f", got shape {profiles.shape}"
+        raise CliError(
+            f"--summary {path}: final_profiles must be an array of numbers of "
+            f"shape {shape}{got}",
+            1,
+        )
+    return profiles
+
+
 def _check_seed(args) -> None:
     # numpy's own refusal names neither the flag nor the value
     if args.seed < 0:
@@ -286,17 +303,23 @@ def cmd_report(args) -> int:
         summary = _read_artifact(args.summary, "--summary", "run", None, "final_profiles")
         if summary["scenario_hash"] != loaded.content_hash:
             raise CliError(f"--summary {args.summary} is from another scenario file", 1)
-        profiles = np.array(summary["final_profiles"], dtype=float)
-        report = oracle.fairness_comparison(profiles, loaded.scenario)
+        scenario = loaded.scenario
+        profiles = _final_profiles(
+            summary, args.summary, (scenario.n_consumers, scenario.horizon)
+        )
+        try:
+            report = oracle.fairness_comparison(profiles, scenario)
+        except ValueError as exc:
+            raise CliError(f"--summary {args.summary}: final_profiles: {exc}", 1) from None
         _write_artifact(
             args.out, args, loaded.content_hash,
-            consumer=list(range(1, loaded.scenario.n_consumers + 1)),
+            consumer=list(range(1, scenario.n_consumers + 1)),
             energy_budget=report.budgets.tolist(),
             instantaneous_bill=report.instantaneous_bills.tolist(),
             total_load_bill=report.total_load_bills.tolist(),
             consumer_par=report.consumer_par.tolist(),
         )
-        print(f"fairness table for {loaded.scenario.n_consumers} consumers written")
+        print(f"fairness table for {scenario.n_consumers} consumers written")
     elif args.kind == "welfare-gap":
         summary = _read_artifact(args.summary, "--summary", "run", None, "total_cost")
         optimum = _read_artifact(args.oracle, "--oracle", "oracle", "welfare", "total_cost")

@@ -28,13 +28,93 @@ import numpy as np
 from .model import _as_1d
 
 
+class InvalidSetError(ValueError):
+    """A consumer set that is empty or ill-formed; `row` is its 0-based row
+    among the sets checked together."""
+
+    def __init__(self, message: str, row: int):
+        super().__init__(message)
+        self.row = row
+
+
+def first_failure(failing) -> tuple[int, int] | None:
+    """(row, check) of the first row where one of the (N,) boolean arrays
+    `failing` is set, and the first of them set there; None if none is."""
+    rows = np.flatnonzero(np.logical_or.reduce(failing))
+    if rows.size == 0:
+        return None
+    row = int(rows[0])
+    return row, next(k for k, fails in enumerate(failing) if fails[row])
+
+
+def check_sets(q_min: np.ndarray, q_max: np.ndarray, energy: np.ndarray) -> None:
+    """Refuse the first empty or ill-formed set among the rows of the (N, H)
+    float arrays q_min and q_max and the (N,) budgets `energy`.
+
+    Raises InvalidSetError naming that row's first failure, in this order:
+    a non-finite bound, bounds of unequal length, a crossed slot, a negative
+    lower bound, a budget that is not positive and finite, and a budget
+    outside [sum q_min, sum q_max]. Bound sums that overflow are infinite,
+    with no numpy warning.
+    """
+    # sums of non-finite bounds are refused below, so no warning either
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo, hi = q_min.sum(axis=1), q_max.sum(axis=1)
+    # one pass accepts the valid sets: a finite sum of q_max makes
+    # 0 <= q_min <= q_max and E <= sum q_max finite. Only a set whose sum
+    # overflows needs the search below to accept it
+    if (
+        q_min.shape == q_max.shape
+        and np.isfinite(hi).all()
+        and ((0 <= q_min) & (q_min <= q_max)).all()
+        and ((0 < energy) & (lo <= energy) & (energy <= hi)).all()
+    ):
+        return
+    finite = (np.isfinite(q_min).all(axis=1), np.isfinite(q_max).all(axis=1))
+    if q_min.shape != q_max.shape:
+        # every row fails the length check, so the first row fails first
+        for ok, name in zip(finite, ("q_min", "q_max")):
+            if not ok[0]:
+                raise InvalidSetError(f"{name} contains non-finite entries", 0)
+        raise InvalidSetError("q_min and q_max must have equal length", 0)
+    crossed, negative = q_min > q_max, q_min < 0
+    found = first_failure((
+        ~finite[0],
+        ~finite[1],
+        crossed.any(axis=1),
+        negative.any(axis=1),
+        ~((0 < energy) & (energy < np.inf)),
+        ~((lo <= energy) & (energy <= hi)),
+    ))
+    if found is None:
+        return
+    n, check = found
+    low, high, budget = q_min[n], q_max[n], energy[n]
+    if check < 2:
+        name = ("q_min", "q_max")[check]
+        message = f"{name} contains non-finite entries"
+    elif check == 2:
+        h = int(crossed[n].argmax())
+        message = f"slot {h + 1}: q_min={low[h]:g} exceeds q_max={high[h]:g}"
+    elif check == 3:
+        h = int(negative[n].argmax())
+        message = f"slot {h + 1}: q_min={low[h]:g} is negative"
+    elif check == 4:
+        message = f"energy budget E={budget:g} must be positive and finite"
+    else:
+        message = (
+            f"energy budget E={budget:g} outside feasible range [{lo[n]:g}, {hi[n]:g}]"
+        )
+    raise InvalidSetError(message, n)
+
+
 @dataclass(frozen=True)
 class ConsumerSpec:
     """Box bounds and total energy budget defining one consumer's set Q_n.
 
-    Construction rejects an empty set, naming the first crossed slot,
-    negative lower bound, non-finite budget or budget mismatch, so every
-    spec is valid.
+    Construction rejects an empty set through `check_sets`, naming the first
+    crossed slot, negative lower bound, non-finite budget or budget
+    mismatch, so every spec is valid.
     """
 
     q_min: np.ndarray
@@ -44,31 +124,35 @@ class ConsumerSpec:
     def __post_init__(self):
         # own copies: the caller's arrays stay writable, and a view of them
         # cannot change the spec after its checks ran
-        q_min = _as_1d(self.q_min, "q_min").copy()
-        q_max = _as_1d(self.q_max, "q_max").copy()
-        if q_min.shape != q_max.shape:
-            raise ValueError("q_min and q_max must have equal length")
+        q_min = np.array(self.q_min, dtype=float)
+        q_max = np.array(self.q_max, dtype=float)
+        for arr, name in ((q_min, "q_min"), (q_max, "q_max")):
+            if arr.ndim != 1:
+                raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
         energy = float(self.energy)
-        crossed = q_min > q_max
-        if crossed.any():
-            h = int(crossed.argmax())
-            raise ValueError(
-                f"slot {h + 1}: q_min={q_min[h]:g} exceeds q_max={q_max[h]:g}"
-            )
-        if (q_min < 0).any():
-            h = int((q_min < 0).argmax())
-            raise ValueError(f"slot {h + 1}: q_min={q_min[h]:g} is negative")
-        if not 0 < energy < np.inf:
-            raise ValueError(f"energy budget E={energy:g} must be positive and finite")
-        lo, hi = q_min.sum(), q_max.sum()
-        if not lo <= energy <= hi:
-            raise ValueError(
-                f"energy budget E={energy:g} outside feasible range [{lo:g}, {hi:g}]"
-            )
+        check_sets(q_min[None], q_max[None], np.array([energy]))
         for arr, name in ((q_min, "q_min"), (q_max, "q_max")):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "energy", energy)
+
+    @classmethod
+    def from_rows(cls, q_min, q_max, energy) -> tuple[ConsumerSpec, ...]:
+        """One spec per row of the (N, H) bounds and (N,) budgets, checked
+        in one `check_sets` pass; each spec holds read-only views of one
+        private copy of the bounds."""
+        q_min = np.array(q_min, dtype=float)
+        q_max = np.array(q_max, dtype=float)
+        energy = np.array(energy, dtype=float)
+        check_sets(q_min, q_max, energy)
+        q_min.setflags(write=False)
+        q_max.setflags(write=False)
+        specs = []
+        for low, high, budget in zip(q_min, q_max, energy.tolist()):
+            spec = object.__new__(cls)  # checked above: no __post_init__
+            spec.__dict__.update(q_min=low, q_max=high, energy=budget)
+            specs.append(spec)
+        return tuple(specs)
 
     @property
     def horizon(self) -> int:

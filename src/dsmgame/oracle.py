@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algorithms import Scenario
-from .feasible import ConsumerSpec
-from .model import PriceCurve, par
+from .feasible import ConsumerSpec, first_failure
+from .model import PriceCurve
 
 _BACKTRACK_LIMIT = 60
 _STEP_GROWTH = 1.25
@@ -314,8 +314,22 @@ def fairness_comparison(profiles, scenario: Scenario) -> FairnessReport:
         raise ValueError(
             f"profiles must have shape ({scenario.n_consumers}, {scenario.horizon})"
         )
-    # par checks every row for finite, nonnegative entries before pricing
-    consumer_par = np.array([par(row) for row in q])
+    # every row must be a valid par argument: finite, nonnegative entries
+    # and a positive total. A row holding inf and -inf sums to NaN; the
+    # finite check names it first
+    with np.errstate(invalid="ignore"):
+        totals = q.sum(axis=1)
+    finite, negative = np.isfinite(q), q < 0
+    found = first_failure((~finite.all(axis=1), negative.any(axis=1), ~(totals > 0)))
+    if found is not None:
+        n, check = found
+        if check == 2:
+            raise ValueError(f"consumer {n + 1}: total load must be positive")
+        h = int((~finite[n] if check == 0 else negative[n]).argmax())
+        problem = "is non-finite" if check == 0 else "must be nonnegative"
+        raise ValueError(f"consumer {n + 1}, slot {h + 1}: load {q[n, h]:g} {problem}")
+    # par's H * max / sum, row by row
+    consumer_par = q.shape[1] * q.max(axis=1) / totals
     sigma = q.sum(axis=0)
     prices = scenario.curve._price(sigma)
     cost = float(prices @ sigma)

@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .algorithms import Scenario
-from .feasible import ConsumerSpec
+from .feasible import ConsumerSpec, InvalidSetError
 from .model import PriceCurve
 
 OFF_PEAK = "off-peak"
@@ -104,24 +104,25 @@ def generate(
     horizon = len(SEGMENTS)
     off_mask = np.array(SEGMENTS) == OFF_PEAK
     rng = np.random.default_rng(seed)
-    specs = []
+    q_min = np.empty((n_consumers, horizon))
+    q_max = np.empty((n_consumers, horizon))
     initials = np.empty((n_consumers, horizon))
     lo_off, hi_off = OFFPEAK_QMAX_RANGE
-    # a huge jitter overflows a budget sum or the prices: the spec or the
-    # scenario refuses it, and the refusal names the jitter
+    for n in range(n_consumers):
+        low = BASE_LOW + rng.uniform(0.0, jitter, horizon)
+        high = BASE_HIGH + rng.uniform(0.0, jitter, horizon)
+        high = np.maximum(high, low)
+        q_max[n] = high.max()
+        q_max[n, off_mask] = rng.uniform(lo_off, hi_off, int(off_mask.sum()))
+        q_min[n] = np.minimum(low, q_max[n])
+        initials[n] = np.clip(rng.uniform(low, high), q_min[n], q_max[n])
+    # a huge jitter overflows a budget sum or the prices: the specs or the
+    # scenario refuse it, and the refusal names the jitter
     try:
         with np.errstate(over="ignore"):
-            for n in range(n_consumers):
-                low = BASE_LOW + rng.uniform(0.0, jitter, horizon)
-                high = BASE_HIGH + rng.uniform(0.0, jitter, horizon)
-                high = np.maximum(high, low)
-                q_max = np.full(horizon, high.max())
-                q_max[off_mask] = rng.uniform(lo_off, hi_off, int(off_mask.sum()))
-                q_min = np.minimum(low, q_max)
-                init = np.clip(rng.uniform(low, high), q_min, q_max)
-                specs.append(ConsumerSpec(q_min, q_max, float(init.sum())))
-                initials[n] = init
-        return Scenario(tuple(specs), PRICE_CURVE), initials
+            budgets = initials.sum(axis=1)
+        specs = ConsumerSpec.from_rows(q_min, q_max, budgets)
+        return Scenario(specs, PRICE_CURVE), initials
     except ValueError as exc:
         raise ValueError(f"jitter {jitter:g} is too large: {exc}") from None
 
@@ -186,6 +187,43 @@ def _reject_unknown(fields: dict, allowed: set, where: str) -> None:
         )
 
 
+def _consumer_specs(path, consumers: list) -> tuple[ConsumerSpec, ...]:
+    """The specs of the `consumers` entries, checked in one pass over their
+    (N, H) bounds. Entries that do not form such arrays are read one at a
+    time instead, so the error names the first bad entry as that pass would."""
+    if all(type(entry) is dict and entry.keys() == _CONSUMER_FIELDS for entry in consumers):
+        try:
+            q_min = np.array([entry["q_min"] for entry in consumers], dtype=float)
+            q_max = np.array([entry["q_max"] for entry in consumers], dtype=float)
+            energy = [float(entry["energy"]) for entry in consumers]
+        except (TypeError, ValueError, OverflowError):
+            pass
+        else:
+            if q_min.ndim == q_max.ndim == 2:
+                try:
+                    return ConsumerSpec.from_rows(q_min, q_max, energy)
+                except InvalidSetError as exc:
+                    raise ScenarioFormatError(
+                        f"{path}: consumers[{exc.row}]: {exc}"
+                    ) from exc
+    specs = []
+    for idx, entry in enumerate(consumers):
+        if not isinstance(entry, dict):
+            raise ScenarioFormatError(f"{path}: consumers[{idx}] must be an object")
+        _reject_unknown(entry, _CONSUMER_FIELDS, f"{path}: consumers[{idx}]")
+        try:
+            specs.append(
+                ConsumerSpec(
+                    np.array(entry["q_min"], dtype=float),
+                    np.array(entry["q_max"], dtype=float),
+                    float(entry["energy"]),
+                )
+            )
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ScenarioFormatError(f"{path}: consumers[{idx}]: {exc}") from exc
+    return tuple(specs)
+
+
 def load_scenario(path) -> LoadedScenario:
     """Read a scenario JSON file; strict schema, round-trip exact."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -215,7 +253,7 @@ def load_scenario(path) -> LoadedScenario:
             np.array(price["b"], dtype=float),
             np.array(price["c"], dtype=float),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioFormatError(f"{path}: price: {exc}") from exc
     horizon = payload["horizon"]
     if isinstance(horizon, bool) or not isinstance(horizon, int):
@@ -226,30 +264,16 @@ def load_scenario(path) -> LoadedScenario:
         raise ScenarioFormatError(
             f"{path}: price arrays have length {curve.horizon}, horizon says {horizon}"
         )
-    specs = []
-    for idx, entry in enumerate(consumers):
-        if not isinstance(entry, dict):
-            raise ScenarioFormatError(f"{path}: consumers[{idx}] must be an object")
-        _reject_unknown(entry, _CONSUMER_FIELDS, f"{path}: consumers[{idx}]")
-        try:
-            specs.append(
-                ConsumerSpec(
-                    np.array(entry["q_min"], dtype=float),
-                    np.array(entry["q_max"], dtype=float),
-                    float(entry["energy"]),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ScenarioFormatError(f"{path}: consumers[{idx}]: {exc}") from exc
+    specs = _consumer_specs(path, consumers)
     try:
-        scenario = Scenario(tuple(specs), curve)
+        scenario = Scenario(specs, curve)
     except ValueError as exc:
         raise ScenarioFormatError(f"{path}: {exc}") from exc
     initials = None
     if "initial_profiles" in payload:
         try:
             initials = np.array(payload["initial_profiles"], dtype=float)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ScenarioFormatError(f"{path}: initial_profiles: {exc}") from exc
         if initials.shape != (scenario.n_consumers, horizon):
             raise ScenarioFormatError(

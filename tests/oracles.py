@@ -1,5 +1,5 @@
-"""Independent reference computations used only by the tests: an active-set
-QP projection oracle, a grid-search and a projected-gradient best response,
+"""Independent reference computations used only by the tests: the one-set
+checks of a consumer spec, an active-set QP projection oracle, a grid-search and a projected-gradient best response,
 finite differences, and plain reference versions of the projection's numpy
 form, the topology generator, the trace writer, the synchronous loop and
 the gossip loop.
@@ -30,6 +30,29 @@ from dsmgame.feasible import project_rows
 from dsmgame.model import mapping_profiles
 from dsmgame.network import mix
 from dsmgame.oracle import _descend
+
+
+def reference_set_error(q_min, q_max, energy: float) -> str | None:
+    """The refusal of one consumer set, checked one condition at a time in
+    the spec's order (1-D float bounds), or None for a valid set."""
+    for arr, name in ((q_min, "q_min"), (q_max, "q_max")):
+        if not np.isfinite(arr).all():
+            return f"{name} contains non-finite entries"
+    if q_min.shape != q_max.shape:
+        return "q_min and q_max must have equal length"
+    for h in range(q_min.shape[0]):
+        if q_min[h] > q_max[h]:
+            return f"slot {h + 1}: q_min={q_min[h]:g} exceeds q_max={q_max[h]:g}"
+    for h in range(q_min.shape[0]):
+        if q_min[h] < 0:
+            return f"slot {h + 1}: q_min={q_min[h]:g} is negative"
+    if not 0 < energy < np.inf:
+        return f"energy budget E={energy:g} must be positive and finite"
+    with np.errstate(over="ignore"):
+        lo, hi = q_min.sum(), q_max.sum()
+    if not lo <= energy <= hi:
+        return f"energy budget E={energy:g} outside feasible range [{lo:g}, {hi:g}]"
+    return None
 
 
 def project_qp_oracle(v, q_min, q_max, energy, tol=1e-9):

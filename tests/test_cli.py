@@ -61,6 +61,19 @@ def test_generate_canonical_scenario_bytes(tmp_path):
     )
 
 
+def test_generate_n2000_scenario_bytes(tmp_path):
+    # the benchmark's scale scenario; its budgets are axis sums, which keep
+    # their bits on numpy's AVX2 loops too
+    out = tmp_path / "scenario.json"
+    assert run_cli("generate", "--n", "2000", "--seed", "7", "-o", out) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "f9879411f727bff883cbf13cfb7db3c95775932bd1e9227fbd1e415fd866d6cd"
+    )
+    assert load_scenario(out).content_hash == (
+        "910181ebc649a64c83768ef67f4d643953085d5f36c7c03d6df3c45ebd26ddba"
+    )
+
+
 def test_generate_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     run_cli("generate", "--n", "5", "--seed", "21", "-o", a)
@@ -471,6 +484,60 @@ def test_fairness_report_checks_scenario_hash(toy_file, small_canonical, tmp_pat
     total = sum(data["instantaneous_bill"])
     assert total == pytest.approx(sum(data["total_load_bill"]), abs=1e-9)
     assert data["consumer"] == [1, 2]
+
+
+@pytest.fixture()
+def two_by_two_run(tmp_path):
+    """A 2-consumer, 2-slot scenario and the summary of a run on it."""
+    scenario = tmp_path / "two.json"
+    scenario.write_text(json.dumps({
+        "schema_version": 1,
+        "horizon": 2,
+        "price": {"a": [1.0, 2.0], "b": [1.0, 1.0], "c": [0.0, 0.0]},
+        "consumers": [
+            {"q_min": [0.0, 0.0], "q_max": [2.0, 2.0], "energy": 2.0},
+            {"q_min": [0.5, 0.0], "q_max": [1.5, 1.5], "energy": 1.5},
+        ],
+    }))
+    summary = tmp_path / "s.json"
+    assert run_cli("run", scenario, "--alg", "1", "--trace", tmp_path / "t.csv",
+                   "--summary", summary) == 0
+    return scenario, summary
+
+
+@pytest.mark.parametrize(
+    "profiles, problem",
+    [
+        ([[1.0, 1.0], [1.0]], " must be an array of numbers of shape (2, 2)"),
+        ([[1.0, "x"], [1.0, 1.0]], " must be an array of numbers of shape (2, 2)"),
+        ([[1.0, {}], [1.0, 1.0]], " must be an array of numbers of shape (2, 2)"),
+        ([[1.0, 10**400], [1.0, 1.0]], " must be an array of numbers of shape (2, 2)"),
+        ("x", " must be an array of numbers of shape (2, 2)"),
+        (3.0, " must be an array of numbers of shape (2, 2), got shape ()"),
+        ([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]], " must be an array of numbers of shape (2, 2), got shape (2, 3)"),
+        ([1.0, 1.0], " must be an array of numbers of shape (2, 2), got shape (2,)"),
+        ([[1.0, 1.0], [-1.0, 2.0]], ": consumer 2, slot 1: load -1 must be nonnegative"),
+        ([[1.0, float("nan")], [-1.0, 2.0]], ": consumer 1, slot 2: load nan is non-finite"),
+        ([[1.0, 1.0], [2.0, float("-inf")]], ": consumer 2, slot 2: load -inf is non-finite"),
+        ([[0.0, 0.0], [1.0, 0.5]], ": consumer 1: total load must be positive"),
+    ],
+    ids=[
+        "ragged", "text", "object", "huge-int", "string", "scalar", "wide", "flat",
+        "negative", "nan", "minus-inf", "zero-row",
+    ],
+)
+def test_fairness_report_names_bad_final_profiles(two_by_two_run, tmp_path, capsys, profiles, problem):
+    scenario, summary = two_by_two_run
+    content = json.loads(summary.read_text())
+    content["final_profiles"] = profiles
+    summary.write_text(json.dumps(content))
+    capsys.readouterr()
+    out = tmp_path / "fair.json"
+    code = run_cli("report", "--kind", "fairness", "--scenario", scenario,
+                   "--summary", summary, "-o", out)
+    assert code == 1
+    assert capsys.readouterr().err == f"error: --summary {summary}: final_profiles{problem}\n"
+    assert not out.exists()
 
 
 def test_welfare_gap_report(toy_file, tmp_path):

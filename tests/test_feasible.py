@@ -8,12 +8,14 @@ from hypothesis.extra.numpy import arrays
 
 from dsmgame.feasible import (
     ConsumerSpec,
+    InvalidSetError,
+    check_sets,
     is_feasible,
     project,
     project_rows,
     sample_feasible,
 )
-from oracles import project_qp_oracle, reference_project_rows
+from oracles import project_qp_oracle, reference_project_rows, reference_set_error
 
 
 def spec_2d(e=6.0):
@@ -66,6 +68,97 @@ def test_spec_owns_its_bounds():
     lo[:] = 9.0
     assert spec.q_max.tolist() == [1.0, 1.0] and spec.q_min.tolist() == [0.0, 0.0]
     assert not spec.q_min.flags.writeable and not spec.q_max.flags.writeable
+
+
+#: bound and budget values that break a set, or sit on an edge of float64
+SPOILERS = [np.nan, np.inf, -np.inf, -0.0, -1.0, 0.0, 1e308, 5e-324]
+
+
+@st.composite
+def set_rows(draw):
+    """(N, H) bounds and (N,) budgets: mostly valid sets, some with spoiled
+    entries, with budgets on, inside and outside [sum q_min, sum q_max]."""
+    n = draw(st.integers(1, 6))
+    h = draw(st.integers(1, 30))
+    q_min = draw(arrays(float, (n, h), elements=st.floats(0.0, 3.0)))
+    q_max = q_min + draw(arrays(float, (n, h), elements=st.floats(0.0, 3.0)))
+    for _ in range(draw(st.integers(0, 3))):
+        bound = draw(st.sampled_from([q_min, q_max]))
+        bound[draw(st.integers(0, n - 1)), draw(st.integers(0, h - 1))] = draw(
+            st.sampled_from(SPOILERS)
+        )
+    energy = np.empty(n)
+    for r in range(n):
+        with np.errstate(all="ignore"):
+            lo, hi = q_min[r].sum(), q_max[r].sum()
+            picks = [lo, hi, 0.5 * (lo + hi), hi + 1.0, lo - 0.5, *SPOILERS]
+        energy[r] = draw(st.sampled_from(picks))
+    return q_min, q_max, energy
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=set_rows())
+def test_check_sets_refuses_the_first_bad_row_as_one_spec_would(rows):
+    # one pass over N rows gives the verdict and the message of checking
+    # the sets one by one, condition by condition; so does each single spec
+    q_min, q_max, energy = rows
+    expected = [
+        reference_set_error(q_min[r], q_max[r], float(energy[r]))
+        for r in range(len(energy))
+    ]
+    for r, message in enumerate(expected):
+        if message is None:
+            ConsumerSpec(q_min[r], q_max[r], energy[r])
+        else:
+            with pytest.raises(InvalidSetError) as info:
+                ConsumerSpec(q_min[r], q_max[r], energy[r])
+            assert (info.value.row, str(info.value)) == (0, message)
+    bad = [r for r, message in enumerate(expected) if message is not None]
+    if not bad:
+        check_sets(q_min, q_max, energy)
+        return
+    with pytest.raises(InvalidSetError) as info:
+        check_sets(q_min, q_max, energy)
+    assert (info.value.row, str(info.value)) == (bad[0], expected[bad[0]])
+
+
+def test_check_sets_overflow_and_infinities_raise_no_warning():
+    # RuntimeWarnings are errors in this suite: bound sums that overflow,
+    # or mix inf with -inf, warn nothing
+    huge = np.full((1, 2), 1e308)
+    check_sets(np.zeros((1, 2)), huge, np.array([1.0]))  # sum q_max is inf
+    with pytest.raises(InvalidSetError, match=r"outside feasible range \[inf, inf\]"):
+        check_sets(huge, huge, np.array([1.0]))
+    with pytest.raises(InvalidSetError, match="q_max contains non-finite entries"):
+        check_sets(np.zeros((1, 2)), np.array([[np.inf, -np.inf]]), np.array([1.0]))
+
+
+def test_spec_refuses_bounds_of_unequal_length():
+    with pytest.raises(ValueError, match="^q_min and q_max must have equal length$"):
+        ConsumerSpec(np.zeros(2), np.ones(3), 1.0)
+    with pytest.raises(ValueError, match="^q_max contains non-finite entries$"):
+        ConsumerSpec(np.zeros(2), np.array([1.0, np.nan, 1.0]), 1.0)
+    with pytest.raises(ValueError, match=r"^q_max must be one-dimensional, got shape \(1, 2\)$"):
+        ConsumerSpec(np.zeros(2), np.ones((1, 2)), 1.0)
+
+
+def test_specs_from_rows_share_one_read_only_copy():
+    q_min, q_max = np.zeros((3, 2)), np.ones((3, 2))
+    energy = np.array([0.5, 1.0, 1.5])
+    specs = ConsumerSpec.from_rows(q_min, q_max, energy)
+    q_min[:] = 9.0
+    energy[:] = -1.0
+    assert [s.energy for s in specs] == [0.5, 1.0, 1.5]
+    assert all(type(s.energy) is float for s in specs)
+    for spec in specs:
+        assert spec.q_min.tolist() == [0.0, 0.0] and spec.q_max.tolist() == [1.0, 1.0]
+        assert not spec.q_min.flags.writeable and not spec.q_max.flags.writeable
+    assert specs[0].q_min.base is specs[2].q_min.base
+    assert q_min.flags.writeable
+    with pytest.raises(InvalidSetError) as info:
+        ConsumerSpec.from_rows(np.zeros((3, 2)), np.ones((3, 2)), [1.0, 3.0, 4.0])
+    assert info.value.row == 1
+    assert str(info.value) == "energy budget E=3 outside feasible range [0, 2]"
 
 
 # --- is_feasible ------------------------------------------------------------

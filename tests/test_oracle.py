@@ -3,13 +3,16 @@ optimum, and the billing fairness comparison."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import dsmgame.algorithms as algorithms
 import dsmgame.feasible as feasible
 import dsmgame.oracle as oracle
 from dsmgame.algorithms import Scenario, fixed_point_residual
 from dsmgame.feasible import ConsumerSpec, project, sample_feasible
-from dsmgame.model import PriceCurve, bill_instantaneous, grid_cost, mapping_profiles
+from dsmgame.model import PriceCurve, bill_instantaneous, grid_cost, mapping_profiles, par
 from dsmgame.oracle import (
     ConvergenceError,
     best_response,
@@ -325,6 +328,19 @@ def test_bill_sums_agree_between_schemes():
     assert report.instantaneous_bills.sum() == pytest.approx(
         report.total_load_bills.sum(), abs=1e-10
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_consumer_par_is_par_of_each_row_bit_for_bit(data):
+    # the table's one-pass PAR keeps the bits of par(row), row by row
+    n, h = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 30))
+    q = data.draw(arrays(float, (n, h), elements=st.floats(0.0, 1e6)))
+    q[:, data.draw(st.integers(0, h - 1))] += data.draw(st.floats(5e-324, 1e6))
+    spec = ConsumerSpec(np.zeros(h), np.ones(h), 0.5 * h)
+    report = fairness_comparison(q, Scenario((spec,) * n, flat_curve(h)))
+    expected = np.array([par(row) for row in q])
+    assert report.consumer_par.tobytes() == expected.tobytes()
 
 
 def test_oracles_reject_negative_loads_where_they_enter():

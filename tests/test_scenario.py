@@ -1,9 +1,17 @@
 """Scenario generation, the canonical day's segments, and persistence tests."""
 
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dsmgame import feasible
 from dsmgame import scenario as scenario_module
+from dsmgame.cli import main
 from dsmgame.feasible import is_feasible
 from dsmgame.scenario import (
     BASE_HIGH,
@@ -203,3 +211,260 @@ def test_initial_par_in_documented_range():
 
         _, init = generate(seed=seed)
         assert 1.8 <= par(aggregate(init)) <= 2.8
+
+
+# --- one pass over all consumers ---------------------------------------------
+
+
+def _numpy_error(row) -> str:
+    """numpy's refusal of one bound row, which a scenario file passes on."""
+    try:
+        np.array(row, dtype=float)
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError(f"{row!r} converts")
+
+
+def _crossed(entry):
+    entry["q_min"][2] = entry["q_max"][2] + 0.5
+    return f"slot 3: q_min={entry['q_min'][2]:g} exceeds q_max={entry['q_max'][2]:g}"
+
+
+def _set(field, index, value):
+    def spoil(entry):
+        if index is None:
+            entry[field] = value
+        else:
+            entry[field][index] = value
+    return spoil
+
+
+def _budget_outside(offset_from):
+    def spoil(entry):
+        lo, hi = np.sum(entry["q_min"]), np.sum(entry["q_max"])
+        entry["energy"] = hi + 1.0 if offset_from == "hi" else lo - 0.5
+        return f"energy budget E={entry['energy']:g} outside feasible range [{lo:g}, {hi:g}]"
+    return spoil
+
+
+def _drop(field):
+    def spoil(entry):
+        del entry[field]
+    return spoil
+
+
+def _shorten(*fields):
+    def spoil(entry):
+        for field in fields:
+            entry[field].pop()
+    return spoil
+
+
+def _nest(entry):
+    entry["q_max"][5] = [entry["q_max"][5]]
+    return _numpy_error(entry["q_max"])
+
+
+def _text(entry):
+    entry["q_min"][3] = "x"
+    return _numpy_error(entry["q_min"])
+
+
+#: one spoiled consumer entry: the spoiler edits the entry and returns the
+#: message after `consumers[k]: `, or the expected text is given here
+BAD_CONSUMERS = {
+    "crossed": (_crossed, None),
+    "negative-q_min": (_set("q_min", 4, -0.25), "slot 5: q_min=-0.25 is negative"),
+    "nan-q_min": (_set("q_min", 0, float("nan")), "q_min contains non-finite entries"),
+    "inf-q_min": (_set("q_min", 7, float("inf")), "q_min contains non-finite entries"),
+    "nan-q_max": (_set("q_max", 23, float("nan")), "q_max contains non-finite entries"),
+    "inf-q_max": (_set("q_max", 1, float("inf")), "q_max contains non-finite entries"),
+    "minus-inf-q_max": (_set("q_max", 1, float("-inf")), "q_max contains non-finite entries"),
+    "null-q_max": (_set("q_max", 6, None), "q_max contains non-finite entries"),
+    "short-q_min": (_shorten("q_min"), "q_min and q_max must have equal length"),
+    "long-q_max": (_set("q_max", slice(24, 24), [1.0]), "q_min and q_max must have equal length"),
+    "nested-q_max": (_nest, None),
+    "text-q_min": (_text, None),
+    "text-energy": (_set("energy", None, "abc"), "could not convert string to float: 'abc'"),
+    "list-energy": (
+        _set("energy", None, [1.0]),
+        "float() argument must be a string or a real number, not 'list'",
+    ),
+    "zero-budget": (_set("energy", None, 0.0), "energy budget E=0 must be positive and finite"),
+    "negative-budget": (
+        _set("energy", None, -1.5), "energy budget E=-1.5 must be positive and finite"
+    ),
+    "inf-budget": (
+        _set("energy", None, float("inf")), "energy budget E=inf must be positive and finite"
+    ),
+    "nan-budget": (
+        _set("energy", None, float("nan")), "energy budget E=nan must be positive and finite"
+    ),
+    "budget-above": (_budget_outside("hi"), None),
+    "budget-below": (_budget_outside("lo"), None),
+    "missing-energy": (_drop("energy"), "'energy'"),
+}
+
+
+@pytest.fixture(scope="module")
+def payload_300():
+    scenario, init = generate(n_consumers=300, seed=21)
+    return json.dumps(scenario_payload(scenario, init))
+
+
+@pytest.mark.parametrize("idx", [0, 150, 299])
+@pytest.mark.parametrize("case", list(BAD_CONSUMERS))
+def test_one_bad_consumer_among_300_is_named_as_before(tmp_path, payload_300, case, idx):
+    # the first failing consumer and its first failing check, in the words
+    # a one-consumer-at-a-time check gives
+    payload = json.loads(payload_300)
+    spoil, message = BAD_CONSUMERS[case]
+    message = spoil(payload["consumers"][idx]) or message
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ScenarioFormatError) as info:
+        load_scenario(path)
+    assert str(info.value) == f"{path}: consumers[{idx}]: {message}"
+
+
+@pytest.mark.parametrize("idx", [0, 150, 299])
+def test_a_consumer_of_another_horizon_among_300_is_named_as_before(tmp_path, payload_300, idx):
+    # both bounds one slot short: a valid set of the wrong horizon
+    payload = json.loads(payload_300)
+    _shorten("q_min", "q_max")(payload["consumers"][idx])
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ScenarioFormatError) as info:
+        load_scenario(path)
+    assert str(info.value) == f"{path}: consumer {idx + 1}: horizon 23 != price horizon 24"
+
+
+def test_the_first_of_several_bad_consumers_is_named(tmp_path, payload_300):
+    # an earlier bad set wins over a later entry that is not even an object
+    payload = json.loads(payload_300)
+    _set("energy", None, 0.0)(payload["consumers"][40])
+    payload["consumers"][41]["q_min"] = [[0.0]]
+    payload["consumers"][200] = "consumer"
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ScenarioFormatError) as info:
+        load_scenario(path)
+    assert str(info.value) == (
+        f"{path}: consumers[40]: energy budget E=0 must be positive and finite"
+    )
+
+
+def test_sets_are_checked_in_one_pass(tmp_path, monkeypatch):
+    # generate and load_scenario check their N sets with one call, not N
+    shapes = []
+    check_sets = feasible.check_sets
+
+    def counted(q_min, q_max, energy):
+        shapes.append(q_min.shape)
+        check_sets(q_min, q_max, energy)
+
+    monkeypatch.setattr(feasible, "check_sets", counted)
+    scenario, init = generate(n_consumers=300, seed=3)
+    assert shapes == [(300, 24)]
+    path = tmp_path / "s.json"
+    save_scenario(path, scenario, init)
+    shapes.clear()
+    loaded = load_scenario(path)
+    assert shapes == [(300, 24)]
+    np.testing.assert_array_equal(loaded.scenario.q_max_matrix, scenario.q_max_matrix)
+
+
+# --- fuzzed scenario files ----------------------------------------------------
+
+
+_BASE_PAYLOADS: dict[int, str] = {}
+
+#: values that break a numeric field: non-finite, negative, too large for
+#: the prices or for float64 itself (an integer of 401 digits)
+BAD_NUMBERS = (float("nan"), float("inf"), float("-inf"), -1.0, 1e308, 10**400, -(10**400))
+#: values of a type that no field takes
+WRONG_TYPES = ("x", {}, None, [])
+
+
+def _base_payload(n: int) -> dict:
+    if n not in _BASE_PAYLOADS:
+        scenario, init = generate(n_consumers=n, seed=n)
+        _BASE_PAYLOADS[n] = json.dumps(scenario_payload(scenario, init))
+    return json.loads(_BASE_PAYLOADS[n])
+
+
+@st.composite
+def broken_payloads(draw) -> dict:
+    """A valid scenario payload with N <= 20, then one field dropped or
+    added, or one value of a wrong type, a ragged row or a bad number."""
+    n = draw(st.integers(1, 20))
+    payload = _base_payload(n)
+    price, init = payload["price"], payload["initial_profiles"]
+    k, h = draw(st.integers(0, n - 1)), draw(st.integers(0, 23))
+    consumer = payload["consumers"][k]
+    fields = (
+        [(payload, f) for f in ("schema_version", "horizon", "price", "consumers")]
+        + [(price, f) for f in "abc"]
+        + [(consumer, f) for f in ("q_min", "q_max", "energy")]
+    )
+    rows = [consumer["q_min"], consumer["q_max"], price["a"], price["b"], price["c"], init[k]]
+    numbers = (
+        [(row, h) for row in rows]
+        + [(consumer, "energy"), (payload, "horizon"), (payload, "schema_version")]
+    )
+    kind = draw(st.sampled_from(["drop", "add", "type", "ragged", "number"]))
+    if kind == "drop":
+        where, key = draw(st.sampled_from(fields))
+        del where[key]
+    elif kind == "add":
+        draw(st.sampled_from([payload, price, consumer]))["note"] = 1
+    elif kind == "type":
+        where, key = draw(st.sampled_from(fields + [(payload, "initial_profiles")] + numbers))
+        where[key] = draw(st.sampled_from(WRONG_TYPES))
+    elif kind == "ragged":
+        row = draw(st.sampled_from(rows))
+        edit = draw(st.sampled_from(["append", "pop", "nest"]))
+        if edit == "append":
+            row.append(row[-1])
+        elif edit == "pop":
+            row.pop()
+        else:
+            row[h] = [row[h]]
+    else:
+        where, key = draw(st.sampled_from(numbers))
+        where[key] = draw(st.sampled_from(BAD_NUMBERS))
+    return payload
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=200, deadline=None)
+@given(payload=broken_payloads())
+def test_broken_scenario_files_are_refused_in_one_line(fuzz_dir, payload):
+    # load_scenario raises ScenarioFormatError and nothing else, and `run`
+    # exits 1 with one `error:` line naming the file. A mutation can leave
+    # a valid file (a huge price on a lone consumer's light slot, a bad
+    # initial profile); `run` then ends in 0, 1 or 2 with no traceback
+    path = fuzz_dir / "s.json"
+    path.write_text(json.dumps(payload))
+    try:
+        load_scenario(path)
+        refused = False
+    except ScenarioFormatError:
+        refused = True
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main([
+            "run", str(path), "--alg", "1", "--max-iter", "3",
+            "--trace", str(fuzz_dir / "t.csv"), "--summary", str(fuzz_dir / "r.json"),
+        ])
+    lines = err.getvalue().splitlines()
+    if refused:
+        assert code == 1
+        assert len(lines) == 1 and lines[0].startswith(f"error: {path}")
+    else:
+        assert code in (0, 1, 2)
+        assert len(lines) <= 1 and all(line.startswith("error: ") for line in lines)
