@@ -17,7 +17,6 @@ import sys
 import numpy as np
 
 from . import algorithms, network, oracle, scenario as scen
-from .feasible import sample_feasible
 from .model import aggregate, grid_cost, par
 
 
@@ -49,9 +48,9 @@ def _write_artifact(path, args, scenario_hash: str, **fields) -> None:
     header = {"command": args.command, "scenario_hash": scenario_hash, "flags": flags}
     if "kind" in flags:
         header["kind"] = args.kind
+    text = scen._json_text({**header, **fields}, indent=2, sort_keys=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump({**header, **fields}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _read_artifact(path, flag: str, command: str, kind: str | None, *fields) -> dict:
@@ -152,6 +151,13 @@ def _consumer_ids(text: str) -> set[int]:
     return ids
 
 
+def _start_point(scenario, rng) -> np.ndarray:
+    """A random feasible start point: every consumer's `sample_feasible`
+    draw in one call, the same uniforms in the same order, projected row by
+    row."""
+    return scenario.project(rng.uniform(scenario.q_min_matrix, scenario.q_max_matrix))
+
+
 def cmd_run(args) -> int:
     _check_tol(args)
     _check_seed(args)
@@ -159,13 +165,22 @@ def cmd_run(args) -> int:
         raise CliError(f"--theta must be positive and finite, got {args.theta}", 1)
     if args.alg == 3 and args.max_events < 1:
         raise CliError(f"--max-events must be at least 1, got {args.max_events}", 1)
+    if args.alg in (1, 2):
+        if args.max_iter < 1:
+            raise CliError(f"--max-iter must be at least 1, got {args.max_iter}", 1)
+        if not 0.5 < args.step_exponent <= 1.0:
+            raise CliError(
+                f"--step-exponent must lie in (0.5, 1], got {args.step_exponent}", 1
+            )
+    if args.alg == 2 and not 0.0 < args.tau < 1.0:
+        raise CliError(f"--tau must lie strictly in (0, 1), got {args.tau}", 1)
     loaded = scen.load_scenario(args.scenario)
     scenario = loaded.scenario
     rng = np.random.default_rng(args.seed)
     if loaded.initial_profiles is not None:
         init = loaded.initial_profiles
     else:
-        init = np.vstack([sample_feasible(spec, rng) for spec in scenario.specs])
+        init = _start_point(scenario, rng)
 
     if args.alg == 1:
         result, trace = algorithms.run_algorithm1(

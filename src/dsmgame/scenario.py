@@ -17,8 +17,10 @@ generated spec is feasible by construction.
 
 from __future__ import annotations
 
-import json
 import hashlib
+import json
+import math
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 import numpy as np
@@ -82,6 +84,12 @@ class ScenarioFormatError(ValueError):
     """A scenario file failed to parse or validate."""
 
 
+def _uniform(low, high, u):
+    """Uniform draws on [low, high) from the unit draws `u`, by the
+    expression `Generator.uniform` evaluates, so with its bits."""
+    return low + (high - low) * u
+
+
 def generate(
     n_consumers: int = 50,
     seed: int = 7,
@@ -103,19 +111,20 @@ def generate(
         raise ValueError(f"jitter must be finite and nonnegative, got {jitter}")
     horizon = len(SEGMENTS)
     off_mask = np.array(SEGMENTS) == OFF_PEAK
-    rng = np.random.default_rng(seed)
-    q_min = np.empty((n_consumers, horizon))
-    q_max = np.empty((n_consumers, horizon))
-    initials = np.empty((n_consumers, horizon))
-    lo_off, hi_off = OFFPEAK_QMAX_RANGE
-    for n in range(n_consumers):
-        low = BASE_LOW + rng.uniform(0.0, jitter, horizon)
-        high = BASE_HIGH + rng.uniform(0.0, jitter, horizon)
-        high = np.maximum(high, low)
-        q_max[n] = high.max()
-        q_max[n, off_mask] = rng.uniform(lo_off, hi_off, int(off_mask.sum()))
-        q_min[n] = np.minimum(low, q_max[n])
-        initials[n] = np.clip(rng.uniform(low, high), q_min[n], q_max[n])
+    n_off = int(off_mask.sum())
+    # one draw holds every consumer's uniforms, each row in the order of the
+    # per-consumer draws it replaces: low jitter, upper jitter, off-peak
+    # limits, start point; `_uniform` maps them as `Generator.uniform` does
+    u = np.random.default_rng(seed).random((n_consumers, 3 * horizon + n_off))
+    u_low, u_high, u_off, u_init = np.split(
+        u, [horizon, 2 * horizon, 2 * horizon + n_off], axis=1
+    )
+    low = BASE_LOW + _uniform(0.0, jitter, u_low)
+    high = np.maximum(BASE_HIGH + _uniform(0.0, jitter, u_high), low)
+    q_max = np.repeat(high.max(axis=1, keepdims=True), horizon, axis=1)
+    q_max[:, off_mask] = _uniform(*OFFPEAK_QMAX_RANGE, u_off)
+    q_min = np.minimum(low, q_max)
+    initials = np.clip(_uniform(low, high, u_init), q_min, q_max)
     # a huge jitter overflows a budget sum or the prices: the specs or the
     # scenario refuse it, and the refusal names the jitter
     try:
@@ -170,13 +179,102 @@ def payload_hash(payload: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def _json_scalar(item) -> str | None:
+    """None, a bool, an int or a float as json writes it; None for any
+    other object."""
+    if item is None:
+        return "null"
+    if item is True:
+        return "true"
+    if item is False:
+        return "false"
+    if isinstance(item, int):
+        return int.__repr__(item)
+    if isinstance(item, float):
+        if item != item:
+            return "NaN"
+        if item == math.inf:
+            return "Infinity"
+        if item == -math.inf:
+            return "-Infinity"
+        return float.__repr__(item)
+    return None
+
+
+def _number_list_text(items) -> str | None:
+    """The items of a list (or tuple) of plain ints and finite floats as
+    `repr` writes them, "a, b, c", or None for any other list."""
+    if not set(map(type, items)) <= {int, float}:
+        return None
+    text = repr(items if type(items) is list else list(items))[1:-1]
+    # "inf" and "nan" are the only number texts with an "n"
+    return None if "n" in text else text
+
+
+def _json_text(obj, indent: int | None = None, sort_keys: bool = False,
+               numbers: dict | None = None) -> str:
+    """`obj` as JSON text, byte for byte `json.dumps(obj, indent=indent,
+    sort_keys=sort_keys)`; with `indent` None, the compact
+    `json.dumps(obj, sort_keys=sort_keys, separators=(",", ":"))`.
+
+    Each list of plain ints and finite floats is formatted by one `repr` of
+    the list. `numbers` maps the id of each list of `obj` to that text, or
+    to None for any other list; a second rendering of the same `obj` (in the
+    other layout, say) that is passed the same dict formats no number again.
+    """
+    numbers = {} if numbers is None else numbers
+    pad = "" if indent is None else " " * indent
+    colon = ":" if indent is None else ": "
+
+    def key_text(key) -> str:
+        text = key if isinstance(key, str) else _json_scalar(key)
+        if text is None:
+            raise TypeError(
+                f"keys must be str, int, float, bool or None, not {type(key).__name__}"
+            )
+        return encode_basestring_ascii(text)
+
+    def encode(item, nl: str) -> str:
+        if isinstance(item, str):
+            return encode_basestring_ascii(item)
+        scalar = _json_scalar(item)
+        if scalar is not None:
+            return scalar
+        inner = nl + pad
+        if isinstance(item, (list, tuple)):
+            if not item:
+                return "[]"
+            if id(item) not in numbers:
+                numbers[id(item)] = _number_list_text(item)
+            text = numbers[id(item)]
+            if text is not None:
+                body = text.replace(", ", "," + inner)
+            else:
+                body = ("," + inner).join(encode(x, inner) for x in item)
+            return "[" + inner + body + nl + "]"
+        if isinstance(item, dict):
+            if not item:
+                return "{}"
+            pairs = sorted(item.items()) if sort_keys else item.items()
+            body = ("," + inner).join(
+                key_text(k) + colon + encode(v, inner) for k, v in pairs
+            )
+            return "{" + inner + body + nl + "}"
+        raise TypeError(f"Object of type {type(item).__name__} is not JSON serializable")
+
+    return encode(obj, "" if indent is None else "\n")
+
+
 def save_scenario(path, scenario: Scenario, initial_profiles=None) -> str:
-    """Write the scenario JSON; returns its content hash."""
+    """Write the scenario JSON; returns its content hash, `payload_hash` of
+    the payload, built from the number texts the file was written with."""
     payload = scenario_payload(scenario, initial_profiles)
+    numbers: dict = {}
+    text = _json_text(payload, indent=2, numbers=numbers)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-    return payload_hash(payload)
+        fh.write(text + "\n")
+    blob = _json_text(payload, sort_keys=True, numbers=numbers)
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def _reject_unknown(fields: dict, allowed: set, where: str) -> None:

@@ -1,8 +1,9 @@
 """Independent reference computations used only by the tests: the one-set
 checks of a consumer spec, an active-set QP projection oracle, a grid-search and a projected-gradient best response,
 finite differences, and plain reference versions of the projection's numpy
-form, the topology generator, the trace writer, the synchronous loop and
-the gossip loop.
+form, the scenario generator's and `run`'s start-point draws (one consumer
+at a time), the topology generator, the trace writer, the synchronous loop
+and the gossip loop.
 
 These deliberately re-derive results from first principles rather than
 calling the library's own solution paths; the exceptions are the two loops,
@@ -26,10 +27,11 @@ from dsmgame.algorithms import (
     SolveResult,
     fixed_point_residual,
 )
-from dsmgame.feasible import project_rows
+from dsmgame.feasible import project_rows, sample_feasible
 from dsmgame.model import mapping_profiles
 from dsmgame.network import mix
 from dsmgame.oracle import _descend
+from dsmgame.scenario import BASE_HIGH, BASE_LOW, OFF_PEAK, OFFPEAK_QMAX_RANGE, SEGMENTS
 
 
 def reference_set_error(q_min, q_max, energy: float) -> str | None:
@@ -185,6 +187,35 @@ def reference_project_rows(points, q_min, q_max, budgets):
     n_free = free.sum(axis=1)
     adjust = np.where(n_free > 0, (budgets - q.sum(axis=1)) / np.maximum(n_free, 1), 0.0)
     return np.clip(q + adjust[:, None] * free, q_min, q_max)
+
+
+def reference_generate(n_consumers, seed, jitter):
+    """The draws of `scenario.generate` one consumer at a time, four
+    `Generator.uniform` calls each: low jitter, upper jitter, off-peak
+    limits, start point. Returns q_min, q_max, budgets, initials and the
+    generator after the last draw."""
+    horizon = len(SEGMENTS)
+    off_mask = np.array(SEGMENTS) == OFF_PEAK
+    rng = np.random.default_rng(seed)
+    q_min = np.empty((n_consumers, horizon))
+    q_max = np.empty((n_consumers, horizon))
+    initials = np.empty((n_consumers, horizon))
+    lo_off, hi_off = OFFPEAK_QMAX_RANGE
+    for n in range(n_consumers):
+        low = BASE_LOW + rng.uniform(0.0, jitter, horizon)
+        high = BASE_HIGH + rng.uniform(0.0, jitter, horizon)
+        high = np.maximum(high, low)
+        q_max[n] = high.max()
+        q_max[n, off_mask] = rng.uniform(lo_off, hi_off, int(off_mask.sum()))
+        q_min[n] = np.minimum(low, q_max[n])
+        initials[n] = np.clip(rng.uniform(low, high), q_min[n], q_max[n])
+    return q_min, q_max, initials.sum(axis=1), initials, rng
+
+
+def reference_start_point(scenario, rng):
+    """A random feasible start point drawn one consumer at a time with
+    `sample_feasible`."""
+    return np.vstack([sample_feasible(spec, rng) for spec in scenario.specs])
 
 
 def reference_topology_edges(n, target_degree, rng):

@@ -9,9 +9,14 @@ import sys
 import numpy as np
 import pytest
 
+from dsmgame import cli
+from dsmgame.algorithms import Scenario
 from dsmgame.cli import main
+from dsmgame.feasible import ConsumerSpec
+from dsmgame.model import PriceCurve
 from dsmgame.scenario import load_scenario, save_scenario
 from conftest import REPO, make_toy_game, src_env
+from oracles import reference_start_point
 
 
 @pytest.fixture()
@@ -188,7 +193,7 @@ def test_run_rejects_step_exponent_outside_range(toy_file, tmp_path, capsys):
         "--trace", trace, "--summary", summary,
     )
     assert code == 1
-    assert "step exponent must lie in (0.5, 1], got 0.5" in capsys.readouterr().err
+    assert "--step-exponent must lie in (0.5, 1], got 0.5" in capsys.readouterr().err
     assert not trace.exists() and not summary.exists()
     # the gossip runner derives its own steps and ignores the flag
     code = run_cli(
@@ -266,7 +271,7 @@ def test_run_rejects_max_iter_below_one(toy_file, tmp_path, capsys, max_iter):
             "--trace", trace, "--summary", summary,
         )
         assert code == 1
-        assert f"max_iter must be at least 1, got {max_iter}" in capsys.readouterr().err
+        assert f"--max-iter must be at least 1, got {max_iter}" in capsys.readouterr().err
         assert not trace.exists() and not summary.exists()
 
 
@@ -405,6 +410,61 @@ def test_run_refuses_a_negative_seed_naming_the_flag(toy_file, tmp_path, capsys)
     assert code == 1
     assert "--seed must be a nonnegative integer, got -1" in capsys.readouterr().err
     assert not trace.exists() and not summary.exists()
+
+
+@pytest.mark.parametrize("alg, flags, message", [
+    ("1", ("--max-iter", "0"), "--max-iter must be at least 1, got 0"),
+    ("2", ("--max-iter", "-5"), "--max-iter must be at least 1, got -5"),
+    ("1", ("--step-exponent", "0.5"), "--step-exponent must lie in (0.5, 1], got 0.5"),
+    ("2", ("--step-exponent", "nan"), "--step-exponent must lie in (0.5, 1], got nan"),
+    ("2", ("--tau", "1.5"), "--tau must lie strictly in (0, 1), got 1.5"),
+    ("2", ("--tau", "0"), "--tau must lie strictly in (0, 1), got 0.0"),
+])
+def test_run_names_the_flag_of_a_bad_solver_setting_before_loading(
+    tmp_path, capsys, alg, flags, message
+):
+    # the scenario file does not exist: the flag is refused before it is read
+    trace, summary = tmp_path / "t.csv", tmp_path / "s.json"
+    code = run_cli(
+        "run", tmp_path / "missing.json", "--alg", alg, *flags,
+        "--topology", "random", "--trace", trace, "--summary", summary,
+    )
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _scenario_without_start(path, horizon, n=8, seed=5):
+    """A scenario file of `n` consumers over `horizon` slots with no
+    initial profiles, so `run` draws its start point."""
+    rng = np.random.default_rng(seed)
+    q_min = rng.uniform(0.3, 0.8, (n, horizon))
+    q_max = q_min + rng.uniform(1.0, 2.0, (n, horizon))
+    energy = q_min.sum(axis=1) + rng.uniform(0.35, 0.65, n) * (q_max - q_min).sum(axis=1)
+    curve = PriceCurve(rng.uniform(1.0, 2.2, horizon), np.full(horizon, 1.2), np.zeros(horizon))
+    save_scenario(path, Scenario(ConsumerSpec.from_rows(q_min, q_max, energy), curve))
+
+
+@pytest.mark.parametrize("horizon", [3, 24])
+def test_run_draws_the_start_point_of_the_per_consumer_loop(tmp_path, monkeypatch, horizon):
+    # one draw and one projection for all consumers give the bytes of one
+    # `sample_feasible` call per consumer, and leave the generator in the
+    # same state for the topology and the gossip events; at H = 3 the batch
+    # of 8 rows takes the numpy projection and each single row the scalar one
+    scenario_file = tmp_path / "scenario.json"
+    _scenario_without_start(scenario_file, horizon)
+    outs = []
+    for start_point in (cli._start_point, reference_start_point):
+        monkeypatch.setattr(cli, "_start_point", start_point)
+        workdir = tmp_path / start_point.__name__
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        code = run_cli(
+            "run", scenario_file, "--alg", "3", "--topology", "random",
+            "--seed", "4", "--max-events", "200", "--trace", "t.csv", "--summary", "s.json",
+        )
+        assert code == 0
+        outs.append(((workdir / "t.csv").read_bytes(), (workdir / "s.json").read_bytes()))
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("lines, message", [

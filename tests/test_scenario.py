@@ -23,9 +23,12 @@ from dsmgame.scenario import (
     ScenarioFormatError,
     generate,
     load_scenario,
+    payload_hash,
     save_scenario,
     scenario_payload,
+    _json_text,
 )
+from oracles import reference_generate
 
 
 # --- segments ----------------------------------------------------------------
@@ -126,6 +129,30 @@ def test_degenerate_base_with_zero_jitter_pins_everything(monkeypatch):
 def test_generate_rejects_bad_settings(kwargs, message):
     with pytest.raises(ValueError, match=message):
         generate(**kwargs)
+
+
+@pytest.mark.parametrize("jitter", [0.0, 0.1, 3.0])
+@pytest.mark.parametrize("seed", [0, 7, 2**40])
+@pytest.mark.parametrize("n", [1, 2, 50, 300])
+def test_generate_draws_the_bits_of_the_per_consumer_loop(monkeypatch, n, seed, jitter):
+    # one draw for all consumers gives the matrices of four `uniform` calls
+    # per consumer, and leaves the generator where that loop left it
+    generators = []
+
+    def default_rng(seed):
+        generators.append(np.random.Generator(np.random.PCG64(seed)))
+        return generators[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    scenario, init = generate(n_consumers=n, seed=seed, jitter=jitter)
+    monkeypatch.undo()
+    q_min, q_max, budgets, initials, rng = reference_generate(n, seed, jitter)
+    assert scenario.q_min_matrix.tobytes() == q_min.tobytes()
+    assert scenario.q_max_matrix.tobytes() == q_max.tobytes()
+    assert scenario.budgets.tobytes() == budgets.tobytes()
+    assert init.tobytes() == initials.tobytes()
+    assert len(generators) == 1
+    assert generators[0].random(3).tobytes() == rng.random(3).tobytes()
 
 
 # --- persistence ---------------------------------------------------------------
@@ -468,3 +495,86 @@ def test_broken_scenario_files_are_refused_in_one_line(fuzz_dir, payload):
     else:
         assert code in (0, 1, 2)
         assert len(lines) <= 1 and all(line.startswith("error: ") for line in lines)
+
+
+# --- the JSON renderer ----------------------------------------------------------
+
+#: floats json writes in special forms, or that `repr` writes in exponent form
+SPECIAL_FLOATS = (
+    -0.0, 5e-324, 2.2250738585072009e-308, 1e16, 1e-5, 1e22, 0.1,
+    float("nan"), float("inf"), float("-inf"),
+)
+#: strings that hold an item separator, quotes, escapes or non-ASCII text
+SPECIAL_TEXT = (", ", '"', "a, \"b\"", "\\", "\n", "\u00e9t\u00e9 \u20ac", "\U0001d11e", "")
+
+json_numbers = st.one_of(
+    st.floats(),
+    st.sampled_from(SPECIAL_FLOATS),
+    st.integers(),
+    # beyond float64's exact and finite ranges
+    st.integers(-(2**1100), 2**1100),
+)
+json_leaves = st.one_of(
+    json_numbers, st.booleans(), st.none(), st.text(), st.sampled_from(SPECIAL_TEXT)
+)
+json_values = st.recursive(
+    json_leaves,
+    lambda children: st.one_of(
+        st.lists(json_numbers),
+        st.lists(children),
+        st.lists(children).map(tuple),
+        st.dictionaries(st.one_of(st.text(), st.sampled_from(SPECIAL_TEXT)), children),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=json_values, sort_keys=st.booleans())
+def test_the_renderer_writes_the_bytes_of_json_dumps(obj, sort_keys):
+    assert _json_text(obj, indent=2, sort_keys=sort_keys) == json.dumps(
+        obj, indent=2, sort_keys=sort_keys
+    )
+    assert _json_text(obj, sort_keys=sort_keys) == json.dumps(
+        obj, sort_keys=sort_keys, separators=(",", ":")
+    )
+
+
+@pytest.mark.parametrize("obj", [
+    [True, False, None, 1, 1.5],
+    [[], {}, [[]], [{}], ()],
+    {1: [2**64, 0.5], 2.5: None, False: "f", None: ["-0.0", -0.0]},
+    {"b": {"d": [float("nan")], "c": ()}, "a": [5e-324, 10**400]},
+    # float subclasses are written as floats, outside the one-`repr` lists
+    np.float64(0.1),
+    [np.float64(2.5), 3],
+])
+def test_the_renderer_writes_the_bytes_of_json_dumps_on_edge_cases(obj):
+    for sort_keys in (False, True):
+        try:
+            want = json.dumps(obj, indent=2, sort_keys=sort_keys)
+        except TypeError:
+            continue  # keys of mixed types do not sort
+        assert _json_text(obj, indent=2, sort_keys=sort_keys) == want
+        assert _json_text(obj, sort_keys=sort_keys) == json.dumps(
+            obj, sort_keys=sort_keys, separators=(",", ":")
+        )
+
+
+def test_the_renderer_refuses_what_json_refuses():
+    for obj in ([object()], {(1, 2): 3}, {"a": {1, 2}}):
+        with pytest.raises(TypeError):
+            json.dumps(obj)
+        with pytest.raises(TypeError):
+            _json_text(obj)
+
+
+def test_save_hashes_the_text_it_writes(tmp_path):
+    # the hash comes from the number texts of the file, and is the hash
+    # of the C encoder that load_scenario uses
+    scenario, init = generate(n_consumers=4, seed=2)
+    path = tmp_path / "s.json"
+    sha = save_scenario(path, scenario, init)
+    payload = scenario_payload(scenario, init)
+    assert path.read_text(encoding="utf-8") == json.dumps(payload, indent=2) + "\n"
+    assert sha == payload_hash(payload) == load_scenario(path).content_hash
