@@ -471,29 +471,24 @@ def run_algorithm2(
     return _synchronous(scenario, init, step_exponent, step_point, tol, max_iter, True)
 
 
-#: an event of a window: (position in the window, initiator, contact, level,
-#: pair number in its level)
-_Event = tuple[int, int, int, int, int]
-#: a dependency level of a window: its initiators and contacts in stream
-#: order, the events due once it is computed, and its events computed early
-_Level = tuple[list[int], list[int], list[_Event], list[_Event]]
+#: an event of a window: (initiator, contact, level, pair number in its level)
+_Event = tuple[int, int, int, int]
+#: a dependency level of a window: its initiators and contacts in stream order
+_Level = tuple[list[int], list[int]]
+#: a window: its events in stream order and its dependency levels
+_Window = tuple[list[_Event], list[_Level]]
 
 
 def _windows(
     event_stream: Iterable[GossipEvent], graph: CommGraph, max_events: int
-) -> Iterator[list[_Level]]:
+) -> Iterator[_Window]:
     """Split the gossip stream into residual-check windows, each yielded as
-    its dependency levels.
+    its events in stream order and its dependency levels.
 
     Event k's level is one more than the highest level among the window's
     earlier events on its initiator or its contact, or 0 if there are none.
-    So the events of a
-    level touch pairwise disjoint nodes, and every earlier event on one of
-    their nodes sits in a lower level. Computed level by level, event k can
-    be applied in stream order once the highest level among events 0..k is
-    computed: that level lists it as due, in stream order. An event due at
-    a higher level than its own is computed early, and its own level lists
-    it as such too.
+    So the events of a level touch pairwise disjoint nodes, and a node's
+    events sit in strictly increasing levels in stream order.
 
     A window ends at every N-th event (a residual check) and at the budget,
     so a consumer that stops at a check has pulled no event past it; past
@@ -504,39 +499,33 @@ def _windows(
     n_consumers = graph.n
     neighbors = graph.neighbors
     taken = 0  # events put into windows so far
+    events: list[_Event] = []
     levels: list[_Level] = []
     depth = [0] * n_consumers  # per node, one more than its latest event's level
-    size = top = 0  # the window's events so far and their highest level
     for event in event_stream:
         if taken >= max_events:
             break
         i, j = event.initiator, event.contact
         # a node is not its own neighbour, nor is a node outside 0..N-1
         if not 0 <= i < n_consumers or j not in neighbors(i):
-            if levels:
-                yield levels
+            if events:
+                yield events, levels
             raise ValueError(f"event {event} is not an edge of the graph")
         a, b = depth[i], depth[j]
         level = a if a > b else b
         depth[i] = depth[j] = level + 1
         if level == len(levels):
-            levels.append(([], [], [], []))
-        initiators, contacts, _, early = levels[level]
-        entry = (size, i, j, level, len(initiators))
+            levels.append(([], []))
+        initiators, contacts = levels[level]
+        events.append((i, j, level, len(initiators)))
         initiators.append(i)
         contacts.append(j)
-        if level < top:
-            early.append(entry)
-        else:
-            top = level
-        levels[top][2].append(entry)
-        size += 1
         taken += 1
         if taken % n_consumers == 0 or taken == max_events:
-            yield levels
-            levels, depth, size, top = [], [0] * n_consumers, 0, 0
-    if levels:
-        yield levels
+            yield events, levels
+            events, levels, depth = [], [], [0] * n_consumers
+    if events:
+        yield events, levels
 
 
 def run_algorithm3(
@@ -560,18 +549,22 @@ def run_algorithm3(
     checks (a window; it also ends at the budget) are grouped by dependency
     level, see `_windows`, and each level is computed as one batch: one
     mapping and one projection call over all its rows, every step
-    row-local. A level's events read the rows that earlier levels computed
-    for their nodes, which are the rows the event-by-event loop gives them.
-    The events are then applied and recorded one by one in stream order,
-    each as soon as it and every event before it is computed: the same bits
-    as event by event. The run pulls from `event_stream` just the events it
-    uses.
+    row-local. The levels read and write a look-ahead copy of the state,
+    `ahead` and `est_ahead`: a level gathers its rows from it and scatters
+    its new rows back. A node's events sit in strictly increasing levels,
+    so each event reads the rows of the latest earlier event on its nodes,
+    the rows the event-by-event loop gives it. The window's events are then
+    applied to the live state and recorded one by one in stream order: the
+    same bits as event by event, and at the window's end the live state
+    equals the look-ahead copy. The run pulls from `event_stream` just the
+    events it uses.
     """
     if max_events < 1:
         raise ValueError(f"max_events must be at least 1, got {max_events}")
     _check_graph(scenario, graph)
     q = _check_init(scenario, init)
     est = q.copy()
+    ahead, est_ahead = q.copy(), est.copy()
     n_consumers, horizon = q.shape
     counters = [0] * n_consumers  # updates per consumer so far
     residual = fixed_point_residual(q, scenario)
@@ -581,26 +574,15 @@ def run_algorithm3(
     converged = False
     streak = 0
     events_used = 0
-    for levels in _windows(event_stream, graph, max_events):
-        # per level so far, its new q and est rows and its number of pairs
-        computed = []
-        # per node, (position, new q rows, new est rows, row) of its latest
-        # event computed early
-        pending: dict[int, tuple] = {}
-        applied = 0  # events of the window applied and recorded so far
-        for initiators, contacts, due, early in levels:
+    for events, levels in _windows(event_stream, graph, max_events):
+        computed = []  # per level, its new q and est rows and its number of pairs
+        for initiators, contacts in levels:
             n_pairs = len(initiators)
             rows = initiators + contacts
             idx = np.array(rows)
-            # take() copies rows at a third of the cost of q[idx]
-            q_rows = q.take(idx, axis=0)
-            est_rows = est.take(idx, axis=0)
-            if pending:
-                for r, node in enumerate(rows):
-                    waiting = pending.get(node)
-                    if waiting is not None and waiting[0] >= applied:
-                        _, q_new, est_new, row = waiting
-                        q_rows[r], est_rows[r] = q_new[row], est_new[row]
+            # take() copies rows at a third of the cost of ahead[idx]
+            q_rows = ahead.take(idx, axis=0)
+            est_rows = est_ahead.take(idx, axis=0)
             # the pairs' values as (2, n_pairs, H): pair m's rows are m and
             # n_pairs + m
             pair_shape = (2, n_pairs, horizon)
@@ -619,20 +601,17 @@ def run_algorithm3(
                 scenario.budgets.take(idx),
             )
             est_next = (avg + q_next.reshape(pair_shape) - q_pairs).reshape(q_rows.shape)
+            ahead[idx], est_ahead[idx] = q_next, est_next
             computed.append((q_next, est_next, n_pairs))
-            for _, i, j, level, m in due:
-                q_new, est_new, p = computed[level]
-                q[i], q[j] = q_new[m], q_new[p + m]
-                est[i], est[j] = est_new[m], est_new[p + m]
-                events_used += 1
-                if events_used % n_consumers == 0:
-                    residual = fixed_point_residual(q, scenario)
-                    streak = streak + 1 if residual <= tol else 0
-                trace.record(q, scenario.curve, residual, estimates=est, rows=(i, j))
-            applied += len(due)
-            for k, i, j, _, m in early:
-                pending[i] = (k, q_next, est_next, m)
-                pending[j] = (k, q_next, est_next, n_pairs + m)
+        for i, j, level, m in events:
+            q_new, est_new, p = computed[level]
+            q[i], q[j] = q_new[m], q_new[p + m]
+            est[i], est[j] = est_new[m], est_new[p + m]
+            events_used += 1
+            if events_used % n_consumers == 0:
+                residual = fixed_point_residual(q, scenario)
+                streak = streak + 1 if residual <= tol else 0
+            trace.record(q, scenario.curve, residual, estimates=est, rows=(i, j))
         # only a window's last event can be a residual check
         if streak >= GOSSIP_WINDOW:
             converged = True

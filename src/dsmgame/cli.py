@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 
 import numpy as np
@@ -63,6 +62,8 @@ def _read_artifact(path, flag: str, command: str, kind: str | None, *fields) -> 
             raise CliError(
                 f"{flag} {path} is not JSON: {exc.msg} at line {exc.lineno}", 1
             ) from None
+        except ValueError as exc:  # not UTF-8, or an integer of too many digits
+            raise CliError(f"{flag} {path}: {exc}", 1) from None
     is_dict = isinstance(payload, dict)
     if not is_dict or (payload.get("command"), payload.get("kind")) != (command, kind):
         source = command if kind is None else f"{command} --kind {kind}"
@@ -78,7 +79,10 @@ def _number(payload: dict, flag: str, path, field: str, positive: bool = False):
     and a positive one where it divides."""
     value = payload[field]
     is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if not is_number or not math.isfinite(value) or (positive and value <= 0):
+    # false for NaN, infinities and integers too large for a float, which
+    # math.isfinite would raise on
+    finite = is_number and abs(value) <= sys.float_info.max
+    if not finite or (positive and value <= 0):
         wanted = "a positive finite number" if positive else "a finite number"
         raise CliError(f"{flag} {path}: {field!r} is {value!r}, not {wanted}", 1)
     return value
@@ -273,30 +277,35 @@ def _read_costs(path, wanted: set[int] | None) -> list[list[str]]:
     of the consumers `wanted`."""
     with open(path, "r", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise CliError(f"--trace {path} is empty", 1)
-        for name in ("t", "n", "cost"):
-            if name not in header:
-                raise CliError(f"--trace {path} has no {name!r} column", 1)
-        cols = [header.index(name) for name in ("t", "n", "cost")]
-        rows = []
-        for row in reader:
-            if len(row) != len(header):
-                raise CliError(
-                    f"--trace {path} line {reader.line_num} has {len(row)} fields, "
-                    f"the header {len(header)}",
-                    1,
-                )
-            t, n, cost = (row[c] for c in cols)
-            try:
-                if wanted is None or int(n) in wanted:
-                    rows.append([t, n, cost])
-            except ValueError:
-                raise CliError(
-                    f"--trace {path} line {reader.line_num}: n {n!r} is not an integer id",
-                    1,
-                ) from None
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise CliError(f"--trace {path} is empty", 1)
+            for name in ("t", "n", "cost"):
+                if name not in header:
+                    raise CliError(f"--trace {path} has no {name!r} column", 1)
+            cols = [header.index(name) for name in ("t", "n", "cost")]
+            rows = []
+            for row in reader:
+                if len(row) != len(header):
+                    raise CliError(
+                        f"--trace {path} line {reader.line_num} has {len(row)} fields, "
+                        f"the header {len(header)}",
+                        1,
+                    )
+                t, n, cost = (row[c] for c in cols)
+                try:
+                    if wanted is None or int(n) in wanted:
+                        rows.append([t, n, cost])
+                except ValueError:
+                    raise CliError(
+                        f"--trace {path} line {reader.line_num}: n {n!r} is not an integer id",
+                        1,
+                    ) from None
+        except csv.Error as exc:  # such as a field past the csv module's size limit
+            raise CliError(f"--trace {path} line {reader.line_num}: {exc}", 1) from None
+        except UnicodeDecodeError as exc:
+            raise CliError(f"--trace {path}: {exc}", 1) from None
     return rows
 
 

@@ -190,7 +190,11 @@ def load_edge_list(path, n_nodes: int) -> CommGraph:
     """Read a 1-based edge-list file of a graph on `n_nodes` nodes."""
     edges = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        for lineno, raw in enumerate(lines, start=1):
             line = raw.strip()
             if not line:
                 continue

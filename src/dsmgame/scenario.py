@@ -329,6 +329,8 @@ def load_scenario(path) -> LoadedScenario:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ScenarioFormatError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+        except ValueError as exc:  # not UTF-8, or an integer of too many digits
+            raise ScenarioFormatError(f"{path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise ScenarioFormatError(f"{path}: top level must be an object")
     _reject_unknown(payload, _TOP_FIELDS, f"{path}")

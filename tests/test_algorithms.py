@@ -786,6 +786,61 @@ def test_alg3_rejects_max_events_below_one_before_pulling(max_events):
     assert stream.pulled == 0
 
 
+@st.composite
+def gossip_runs(draw):
+    """(scenario, init, graph, events, max_events) of a random gossip run: a
+    connected graph on 2 to 12 nodes, up to 4N events with the occasional
+    invalid one at any position, and a budget that need not be a multiple
+    of N."""
+    n = draw(st.integers(2, 12))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    # a random spanning tree, then any further edges
+    edges = {(draw(st.integers(0, k - 1)), k) for k in range(1, n)}
+    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=n)))
+    graph = CommGraph(n, frozenset(edges))
+    edge = st.sampled_from(sorted(edges))
+    stream = draw(st.lists(st.tuples(edge, st.booleans()), max_size=4 * n))
+    stream = [(a, b) if forward else (b, a) for (a, b), forward in stream]
+    node = st.integers(0, n - 1)
+    non_edges = [pair for pair in pairs if pair not in edges]
+    invalid = st.one_of(
+        node.map(lambda k: (k, k)),
+        node.map(lambda k: (-1, k)), node.map(lambda k: (k, -1)),
+        node.map(lambda k: (n, k)), node.map(lambda k: (k, n)),
+        *([st.sampled_from(non_edges)] if non_edges else []),
+    )
+    for pair in draw(st.lists(invalid, max_size=2)):
+        stream.insert(draw(st.integers(0, len(stream))), pair)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scenario, init = draw_game(rng, n, draw(st.integers(1, 3)), rng)
+    events = [GossipEvent(t, i, j) for t, (i, j) in enumerate(stream, start=1)]
+    max_events = draw(st.integers(1, len(events) + n))
+    return scenario, init, graph, events, max_events
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=gossip_runs())
+def test_alg3_matches_the_event_by_event_loop_on_random_streams(case):
+    # at most 4N events make at most four residual checks, so no run
+    # converges: an invalid event raises exactly when it is within the budget
+    scenario, init, graph, events, max_events = case
+    bad = [
+        k for k, event in enumerate(events)
+        if (min(event[1:]), max(event[1:])) not in graph.edges
+    ]
+    if bad and bad[0] < max_events:
+        for runner in (run_algorithm3, reference_gossip):
+            stream = CountingStream(events)
+            with pytest.raises(ValueError, match="not an edge"):
+                runner(scenario, graph, stream, init=init, tol=1e-3,
+                       max_events=max_events)
+            assert stream.pulled == bad[0] + 1
+    else:
+        runs, pulled = run_both(scenario, graph, events, init, 1e-3, max_events)
+        assert_same_run(*runs)
+        assert pulled[0] == pulled[1] == min(len(events), max_events + 1)
+
+
 # --- one projection call per synchronous round ----------------------------------
 #
 # Each round projects the residual probe of q(t) and the step toward q(t+1)

@@ -704,6 +704,8 @@ def test_convergence_report_names_a_bad_consumers_entry(tmp_path, capsys, consum
                      "line 3: n 'x' is not an integer id", id="non-integer-n"),
         pytest.param("t,n,cost\r\n1,1,0.5\r\n2,1\r\n", None,
                      "line 3 has 2 fields, the header 3", id="short-row"),
+        pytest.param("t,n,cost\r\n1,1," + "5" * 131_073 + "\r\n", None,
+                     "line 2: field larger than field limit (131072)", id="long-field"),
     ],
 )
 def test_convergence_report_names_a_malformed_trace(
@@ -759,6 +761,35 @@ def test_reports_name_an_input_that_is_not_json(tmp_path, capsys, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("content", [b'{"command": "\xff"}\n', b"1" * 5000 + b"\n"],
+                         ids=["not-utf-8", "5000-digits"])
+@pytest.mark.parametrize("reader", ["scenario", "--graph", "--summary", "--oracle", "--trace"])
+def test_inputs_that_fail_to_decode_are_refused_naming_the_file(
+    small_canonical, tmp_path, capsys, reader, content
+):
+    # bytes that are not UTF-8, and an integer past Python's 4300-digit
+    # limit for int(), are refused in one line that names the file
+    bad, out = tmp_path / "bad", tmp_path / "out"
+    bad.write_bytes(content)
+    summary = tmp_path / "s.json"
+    summary.write_text(json.dumps({"command": "run", "scenario_hash": "x", "total_cost": 1.0}))
+    run = ("run", "--alg", "2", "--topology", "random", "--trace", out, "--summary", out)
+    argv = {
+        "scenario": (*run, bad),
+        "--graph": (*run, small_canonical, "--graph", bad),
+        "--summary": ("report", "--kind", "par", "--summary", bad, "-o", out),
+        "--oracle": ("report", "--kind", "welfare-gap", "--summary", summary,
+                     "--oracle", bad, "-o", out),
+        "--trace": ("report", "--kind", "convergence", "--trace", bad, "-o", out),
+    }[reader]
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    named = bad if reader in ("scenario", "--graph") else f"{reader} {bad}"
+    assert err.startswith(f"error: {named}")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "kind, flag, field, value",
     [
@@ -770,6 +801,10 @@ def test_reports_name_an_input_that_is_not_json(tmp_path, capsys, flag):
         ("welfare-gap", "--summary", "total_cost", [1.0]),
         ("welfare-gap", "--oracle", "total_cost", 0),
         ("welfare-gap", "--oracle", "total_cost", float("nan")),
+        # integers too large for a float
+        pytest.param("par", "--summary", "initial_par", 10**400, id="initial_par-401-digits"),
+        pytest.param("welfare-gap", "--oracle", "total_cost", -(10**400),
+                     id="total_cost-401-digits"),
     ],
 )
 def test_reports_refuse_a_field_that_is_not_a_usable_number(
