@@ -16,9 +16,7 @@ from .model import (
     Certificate,
     PriceCurve,
     aggregate,
-    bill_instantaneous,
     grid_cost,
-    mapping_component,
     monotonicity_certificate,
     par,
     uniqueness_certificate,

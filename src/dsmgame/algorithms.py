@@ -105,8 +105,8 @@ class Scenario:
 
 @dataclass
 class RunTrace:
-    """Per-iteration snapshots of a solver run: its states and nothing
-    derived from them.
+    """Per-iteration snapshots of a solver run on the price curve `curve`:
+    its states and nothing derived from them.
 
     Entry t of `profiles` (and of `estimates`, when the run tracks them)
     holds state t + 1; entry 0 is the initial state. An entry is the full
@@ -118,41 +118,34 @@ class RunTrace:
     `states()`, `to_csv`, `bills`, `aggregates` and the invariant checks see
     full states. `residuals` holds the natural-map fixed-point residual at
     each recorded state; the gossip runner refreshes it only at its periodic
-    checks and carries the last reading in between. `curve` is the run's
-    price curve, which prices each state's bills on demand.
+    checks and carries the last reading in between. `curve` prices each
+    state's bills on demand.
     """
 
+    curve: PriceCurve
     profiles: list[np.ndarray] = field(default_factory=list)
     estimates: list[np.ndarray] | None = None
     residuals: list[float] = field(default_factory=list)
     changed_rows: array = field(default_factory=lambda: array("q"))
     partial: bytearray = field(default_factory=bytearray)
-    curve: PriceCurve | None = None
 
     @property
     def iterations(self) -> int:
         return len(self.profiles)
 
-    def record(
-        self, profiles, curve: PriceCurve, residual: float, estimates=None, rows=None
-    ):
-        """Append the full state `profiles` (and `estimates`); with `rows`,
-        the indices of the only rows that changed since the last entry, keep
-        just those rows of each."""
-        self.curve = curve
+    def record(self, profiles, residual: float, estimates=None, rows=None):
+        """Append `residual` and a copy of `profiles` (and of `estimates`):
+        the full state, or with `rows` just the rows that changed since the
+        last entry, row k of each being the state's row `rows[k]`."""
         self.partial.append(rows is not None)
-        if rows is None:
-            self.profiles.append(profiles.copy())
-        else:
+        if rows is not None:
             self.changed_rows.extend(rows)
-            self.profiles.append(profiles.take(rows, axis=0))
+        self.profiles.append(profiles.copy())
         self.residuals.append(residual)
         if estimates is not None:
             if self.estimates is None:
                 self.estimates = []
-            self.estimates.append(
-                estimates.copy() if rows is None else estimates.take(rows, axis=0)
-            )
+            self.estimates.append(estimates.copy())
 
     def _walk(
         self, estimates: bool = True
@@ -380,7 +373,7 @@ def _synchronous(
         np.concatenate((a, a))
         for a in (scenario.q_min_matrix, scenario.q_max_matrix, scenario.budgets)
     )
-    trace = RunTrace()
+    trace = RunTrace(curve)
 
     q_prev = q
     converged = False
@@ -392,7 +385,7 @@ def _synchronous(
         mixed = step_point(float(t) ** -step_exponent, q, q_prev, est, grad, step_points)
         projected = project_rows(points, q_min, q_max, budgets)
         residual = float(np.max(np.abs(q - projected[:n])))
-        trace.record(q, curve, residual, estimates=est)
+        trace.record(q, residual, estimates=est)
         q_next = projected[n:]
         if est is not None:
             est = mixed + q_next - q
@@ -401,7 +394,7 @@ def _synchronous(
         if change <= tol:
             converged = True
             break
-    trace.record(q, curve, fixed_point_residual(q, scenario), estimates=est)
+    trace.record(q, fixed_point_residual(q, scenario), estimates=est)
 
     return SolveResult(
         final_profiles=q,
@@ -549,27 +542,25 @@ def run_algorithm3(
     checks (a window; it also ends at the budget) are grouped by dependency
     level, see `_windows`, and each level is computed as one batch: one
     mapping and one projection call over all its rows, every step
-    row-local. The levels read and write a look-ahead copy of the state,
-    `ahead` and `est_ahead`: a level gathers its rows from it and scatters
+    row-local. A level gathers its rows from the run's state and scatters
     its new rows back. A node's events sit in strictly increasing levels,
     so each event reads the rows of the latest earlier event on its nodes,
-    the rows the event-by-event loop gives it. The window's events are then
-    applied to the live state and recorded one by one in stream order: the
-    same bits as event by event, and at the window's end the live state
-    equals the look-ahead copy. The run pulls from `event_stream` just the
-    events it uses.
+    the rows the event-by-event loop gives it: the same bits. Each event's
+    trace entry is its pair's two rows of its level's result, recorded in
+    stream order; after a window's levels the state is the one after its
+    last event, the only one a residual check can fall on. The run pulls
+    from `event_stream` just the events it uses.
     """
     if max_events < 1:
         raise ValueError(f"max_events must be at least 1, got {max_events}")
     _check_graph(scenario, graph)
     q = _check_init(scenario, init)
     est = q.copy()
-    ahead, est_ahead = q.copy(), est.copy()
     n_consumers, horizon = q.shape
     counters = [0] * n_consumers  # updates per consumer so far
     residual = fixed_point_residual(q, scenario)
-    trace = RunTrace()
-    trace.record(q, scenario.curve, residual, estimates=est)
+    trace = RunTrace(scenario.curve)
+    trace.record(q, residual, estimates=est)
 
     converged = False
     streak = 0
@@ -580,9 +571,9 @@ def run_algorithm3(
             n_pairs = len(initiators)
             rows = initiators + contacts
             idx = np.array(rows)
-            # take() copies rows at a third of the cost of ahead[idx]
-            q_rows = ahead.take(idx, axis=0)
-            est_rows = est_ahead.take(idx, axis=0)
+            # take() copies rows at a third of the cost of q[idx]
+            q_rows = q.take(idx, axis=0)
+            est_rows = est.take(idx, axis=0)
             # the pairs' values as (2, n_pairs, H): pair m's rows are m and
             # n_pairs + m
             pair_shape = (2, n_pairs, horizon)
@@ -601,18 +592,16 @@ def run_algorithm3(
                 scenario.budgets.take(idx),
             )
             est_next = (avg + q_next.reshape(pair_shape) - q_pairs).reshape(q_rows.shape)
-            ahead[idx], est_ahead[idx] = q_next, est_next
+            q[idx], est[idx] = q_next, est_next
             computed.append((q_next, est_next, n_pairs))
         for i, j, level, m in events:
             q_new, est_new, p = computed[level]
-            q[i], q[j] = q_new[m], q_new[p + m]
-            est[i], est[j] = est_new[m], est_new[p + m]
             events_used += 1
+            # only a window's last event can be a residual check
             if events_used % n_consumers == 0:
                 residual = fixed_point_residual(q, scenario)
                 streak = streak + 1 if residual <= tol else 0
-            trace.record(q, scenario.curve, residual, estimates=est, rows=(i, j))
-        # only a window's last event can be a residual check
+            trace.record(q_new[m::p], residual, estimates=est_new[m::p], rows=(i, j))
         if streak >= GOSSIP_WINDOW:
             converged = True
             break

@@ -57,7 +57,7 @@ def _read_artifact(path, flag: str, command: str, kind: str | None, *fields) -> 
     and `kind` and it holds the scenario hash and the `fields` read from it."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            payload = json.load(fh)
+            payload = json.load(fh, parse_int=network.parse_int)
         except json.JSONDecodeError as exc:
             raise CliError(
                 f"{flag} {path} is not JSON: {exc.msg} at line {exc.lineno}", 1
@@ -295,8 +295,12 @@ def _read_costs(path, wanted: set[int] | None) -> list[list[str]]:
                     )
                 t, n, cost = (row[c] for c in cols)
                 try:
-                    if wanted is None or int(n) in wanted:
+                    if wanted is None or network.parse_int(n) in wanted:
                         rows.append([t, n, cost])
+                except network.DigitLimitError as exc:
+                    raise CliError(
+                        f"--trace {path} line {reader.line_num}: n {exc}", 1
+                    ) from None
                 except ValueError:
                     raise CliError(
                         f"--trace {path} line {reader.line_num}: n {n!r} is not an integer id",

@@ -116,13 +116,6 @@ class PriceCurve:
         return h - 1
 
 
-def bill_instantaneous(q_n, q_sigma, curve: PriceCurve) -> float:
-    """Instantaneous-load bill: sum_h p_h(aggregate_h) * own_h."""
-    q_n = as_profile(q_n, curve.horizon)
-    q_sigma = as_profile(q_sigma, curve.horizon)
-    return float(curve.price_vector(q_sigma) @ q_n)
-
-
 def grid_cost(q_sigma, curve: PriceCurve) -> float:
     """Total grid cost sum_h p_h(aggregate_h) * aggregate_h."""
     q_sigma = as_profile(q_sigma, curve.horizon)
@@ -143,13 +136,6 @@ def mapping_profiles(profiles, aggregates, curve: PriceCurve) -> np.ndarray:
     aggregates = np.asarray(aggregates, dtype=float)
     curve._check_loads(aggregates)
     return profiles * curve._slope(aggregates) + curve._price(aggregates)
-
-
-def mapping_component(q_n, q_sigma, curve: PriceCurve) -> np.ndarray:
-    """Consumer n's mapping F_n(q_n, q_sigma), the bill gradient in q_n."""
-    q_n = as_profile(q_n, curve.horizon)
-    q_sigma = as_profile(q_sigma, curve.horizon)
-    return mapping_profiles(q_n, q_sigma, curve)
 
 
 @dataclass(frozen=True)

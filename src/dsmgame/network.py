@@ -7,6 +7,7 @@ Nodes are 0-based in memory; the edge-list file format is 1-based
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
@@ -186,6 +187,24 @@ def save_edge_list(graph: CommGraph, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+class DigitLimitError(ValueError):
+    """An integer numeral longer than Python's limit on the digits of int()."""
+
+
+def parse_int(text: str) -> int:
+    """`int(text)`, but a numeral past Python's digit limit for int() is
+    refused by its length, quoting only its first characters and without
+    Python's advice to raise the limit, which a file's reader cannot act on.
+    Also the `parse_int` of the JSON readers."""
+    limit = sys.get_int_max_str_digits()
+    if limit and len(text) > limit:
+        raise DigitLimitError(
+            f"{text[:12]}... is {len(text)} characters long, past the limit of "
+            f"{limit} digits for an integer"
+        )
+    return int(text)
+
+
 def load_edge_list(path, n_nodes: int) -> CommGraph:
     """Read a 1-based edge-list file of a graph on `n_nodes` nodes."""
     edges = []
@@ -202,7 +221,9 @@ def load_edge_list(path, n_nodes: int) -> CommGraph:
             if len(parts) != 2:
                 raise ValueError(f"{path}:{lineno}: expected two node ids, got {line!r}")
             try:
-                a, b = int(parts[0]), int(parts[1])
+                a, b = parse_int(parts[0]), parse_int(parts[1])
+            except DigitLimitError as exc:
+                raise ValueError(f"{path}:{lineno}: node id {exc}") from None
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: non-integer node id in {line!r}") from exc
             if a < 1 or b < 1:

@@ -28,6 +28,7 @@ import numpy as np
 from .algorithms import Scenario
 from .feasible import ConsumerSpec, InvalidSetError
 from .model import PriceCurve
+from .network import parse_int
 
 OFF_PEAK = "off-peak"
 MID_PEAK = "mid-peak"
@@ -326,7 +327,7 @@ def load_scenario(path) -> LoadedScenario:
     """Read a scenario JSON file; strict schema, round-trip exact."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            payload = json.load(fh)
+            payload = json.load(fh, parse_int=parse_int)
         except json.JSONDecodeError as exc:
             raise ScenarioFormatError(f"{path}:{exc.lineno}: {exc.msg}") from exc
         except ValueError as exc:  # not UTF-8, or an integer of too many digits

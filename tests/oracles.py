@@ -282,8 +282,8 @@ def reference_synchronous(scenario, init, tol, max_iter, graph=None, weights=Non
     curve = scenario.curve
     q = np.array(init, dtype=float)
     est = None if weights is None else q.copy()
-    trace = RunTrace()
-    trace.record(q, curve, fixed_point_residual(q, scenario), estimates=est)
+    trace = RunTrace(curve)
+    trace.record(q, fixed_point_residual(q, scenario), estimates=est)
 
     q_prev = q
     converged = False
@@ -301,7 +301,7 @@ def reference_synchronous(scenario, init, tol, max_iter, graph=None, weights=Non
             est = mixed + q_next - q
         change = float(np.max(np.abs(q_next - q)))
         q_prev, q = q, q_next
-        trace.record(q, curve, fixed_point_residual(q, scenario), estimates=est)
+        trace.record(q, fixed_point_residual(q, scenario), estimates=est)
         if change <= tol:
             converged = True
             break
@@ -316,19 +316,26 @@ def reference_synchronous(scenario, init, tol, max_iter, graph=None, weights=Non
     return result, trace
 
 
-def reference_gossip(scenario, graph, event_stream, init, tol, max_events):
+def reference_gossip(scenario, graph, event_stream, init, tol, max_events, live=None):
     """Algorithm 3 one event at a time: pull an event, check it is an edge,
-    update the pair, probe the residual every N events and record the state,
-    until GOSSIP_WINDOW sub-tolerance readings in a row or the budget. The
-    bit-for-bit reference for `run_algorithm3`, which computes the events
-    of each residual-check window level by level."""
+    update the pair, probe the residual every N events and record the pair's
+    rows, until GOSSIP_WINDOW sub-tolerance readings in a row or the budget.
+    The bit-for-bit reference for `run_algorithm3`, which computes the
+    events of each residual-check window level by level. A `live` list gets
+    a copy of the full `(profiles, estimates)` state at every record."""
     q = np.array(init, dtype=float)
     est = q.copy()
     n_consumers = scenario.n_consumers
     counters = np.zeros(n_consumers, dtype=int)
     residual = fixed_point_residual(q, scenario)
-    trace = RunTrace()
-    trace.record(q, scenario.curve, residual, estimates=est)
+    trace = RunTrace(scenario.curve)
+
+    def record(q_rows, est_rows, rows=None):
+        trace.record(q_rows, residual, estimates=est_rows, rows=rows)
+        if live is not None:
+            live.append((q.copy(), est.copy()))
+
+    record(q, est)
 
     converged = False
     streak = 0
@@ -353,12 +360,12 @@ def reference_gossip(scenario, graph, event_stream, init, tol, max_events):
             scenario.q_max_matrix.take(rows, axis=0),
             scenario.budgets[rows],
         )
-        est[rows] = avg + q_next - q_pair
-        q[rows] = q_next
+        est_next = avg + q_next - q_pair
+        q[rows], est[rows] = q_next, est_next
         if events_used % n_consumers == 0:
             residual = fixed_point_residual(q, scenario)
             streak = streak + 1 if residual <= tol else 0
-        trace.record(q, scenario.curve, residual, estimates=est, rows=rows)
+        record(q_next, est_next, rows)
         if streak >= GOSSIP_WINDOW:
             converged = True
             break

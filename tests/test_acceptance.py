@@ -25,7 +25,7 @@ from dsmgame.model import (
     PriceCurve,
     aggregate,
     grid_cost,
-    mapping_component,
+    mapping_profiles,
     monotonicity_certificate,
     par,
     rank_two_eigenvalues,
@@ -136,7 +136,7 @@ def test_criterion_1_gradient_correctness():
         )
         own = rng.uniform(0.05, 3.0, h)
         sigma = own + rng.uniform(0.05, 3.0 * (n - 1), h)
-        analytic = mapping_component(own, sigma, curve)
+        analytic = mapping_profiles(own, sigma, curve)
         fd = mapping_finite_difference(own, sigma, curve)
         np.testing.assert_allclose(fd, analytic, rtol=1e-6, atol=1e-9)
     elapsed = time.perf_counter() - start

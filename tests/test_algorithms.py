@@ -1014,6 +1014,7 @@ class HandPricedTrace(RunTrace):
     its states priced on a curve: the writer's cost column can then hold
     any float."""
 
+    curve: PriceCurve | None = None
     costs: list = field(default_factory=list)
 
     def _priced(self):
@@ -1150,19 +1151,29 @@ def test_trace_csv_bytes_match_reference_under_row_subset_entries(
 
 
 def _recorded_states(monkeypatch) -> list:
-    """Patch `RunTrace.record` to keep full copies of every state it is
-    given; returns the list they are appended to."""
+    """Patch `RunTrace.record` to keep copies of every state a synchronous
+    runner hands it; returns the list they are appended to."""
     received = []
     record = RunTrace.record
 
-    def keeping(trace, profiles, curve, residual, estimates=None, **kwargs):
+    def keeping(trace, profiles, residual, estimates=None, **kwargs):
         received.append(
             (profiles.copy(), None if estimates is None else estimates.copy())
         )
-        return record(trace, profiles, curve, residual, estimates=estimates, **kwargs)
+        return record(trace, profiles, residual, estimates=estimates, **kwargs)
 
     monkeypatch.setattr(RunTrace, "record", keeping)
     return received
+
+
+def _gossip_live_states(scenario, graph, events, init, tol) -> list:
+    """The full `(profiles, estimates)` state at each record of the event by
+    event reference run over `events`, which must be a list."""
+    live = []
+    reference_gossip(
+        scenario, graph, iter(events), init, tol, len(events), live=live
+    )
+    return live
 
 
 def _same_bits(a, b) -> bool:
@@ -1191,17 +1202,23 @@ def test_trace_bills_are_the_bills_at_record_time(monkeypatch, canonical, alg):
             monkeypatch.setattr(PriceCurve, name, property(watched(name, attr.fget)))
         elif callable(attr) and name not in ("__init__", "__setattr__"):
             monkeypatch.setattr(PriceCurve, name, watched(name, attr))
-    live_bills, record_calls = [], []
+    graph = generate_topology(scenario.n_consumers, 3.0, np.random.default_rng(0))
+    if alg == 3:
+        # the gossip runner records pair rows; its full states come from the
+        # reference run, whose event loop holds the whole state
+        events = list(gossip_stream(graph, np.random.default_rng(1), 300))
+        live_states = _gossip_live_states(scenario, graph, events, init, 1e-9)
+    else:
+        live_states = _recorded_states(monkeypatch)
+    record_calls = []
     record = RunTrace.record
 
-    def capturing(trace, profiles, curve, *args, **kwargs):
-        live_bills.append(profiles @ curve._price(profiles.sum(axis=0)))
+    def watched_record(trace, *args, **kwargs):
         price_calls.clear()
-        record(trace, profiles, curve, *args, **kwargs)
+        record(trace, *args, **kwargs)
         record_calls.append(list(price_calls))
 
-    monkeypatch.setattr(RunTrace, "record", capturing)
-    graph = generate_topology(scenario.n_consumers, 3.0, np.random.default_rng(0))
+    monkeypatch.setattr(RunTrace, "record", watched_record)
     if alg == 1:
         _, trace = run_algorithm1(scenario, init=init, tol=1e-9, max_iter=40)
     elif alg == 2:
@@ -1210,14 +1227,14 @@ def test_trace_bills_are_the_bills_at_record_time(monkeypatch, canonical, alg):
             init=init, tol=1e-9, max_iter=40,
         )
     else:
-        events = gossip_stream(graph, np.random.default_rng(1), 300)
         _, trace = run_algorithm3(
-            scenario, graph, events, init=init, tol=1e-9, max_events=300
+            scenario, graph, iter(events), init=init, tol=1e-9, max_events=300
         )
     assert record_calls == [[]] * trace.iterations
     bills = trace.bills
-    assert len(bills) == len(live_bills) == trace.iterations
-    for derived, live in zip(bills, live_bills):
+    assert len(bills) == len(live_states) == trace.iterations
+    for derived, (q, _) in zip(bills, live_states):
+        live = q @ scenario.curve._price(q.sum(axis=0))
         assert _same_bits(derived, live)
 
 
@@ -1237,20 +1254,51 @@ def test_trace_bills_are_the_bills_at_record_time_on_the_avx2_kernels():
 def test_trace_states_are_the_recorded_states(monkeypatch, alg):
     scenario, init = make_toy_game(999)
     assert scenario.n_consumers > 2  # so an event's pair is not every row
-    received = _recorded_states(monkeypatch)
     if alg == 1:
+        received = _recorded_states(monkeypatch)
         _, trace = run_algorithm1(scenario, init=init, tol=1e-6, max_iter=60)
     else:
         graph = toy_graph(scenario)
-        events = gossip_stream(graph, np.random.default_rng(3), 300)
+        events = list(gossip_stream(graph, np.random.default_rng(3), 300))
+        received = _gossip_live_states(scenario, graph, events, init, 1e-6)
         _, trace = run_algorithm3(
-            scenario, graph, events, init=init, tol=1e-6, max_events=300
+            scenario, graph, iter(events), init=init, tol=1e-6, max_events=300
         )
         assert list(trace.partial) == [0] + [1] * (trace.iterations - 1)
     states = list(trace.states())
     assert len(states) == len(received) == trace.iterations
     for (q, est), (q_in, est_in) in zip(states, received):
         assert _same_bits(q, q_in) and _same_bits(est, est_in)
+
+
+def test_record_keeps_a_copy_of_exactly_the_rows_given():
+    scenario, _ = make_toy_game(999)
+    n, h = scenario.n_consumers, scenario.horizon
+    assert n > 2
+    q = np.arange(n * h, dtype=float).reshape(n, h)
+    est = -q
+    trace = RunTrace(scenario.curve)
+    trace.record(q, 0.5, estimates=est)
+    # a strided view of rows 2 and 0, in that order, as a gossip runner
+    # hands over a pair of its level's result
+    q_rows, est_rows = q[2::-2], est[2::-2]
+    trace.record(q_rows, 0.25, estimates=est_rows, rows=(2, 0))
+    expected = [q.copy(), q[[2, 0]].copy()]
+    est_expected = [est.copy(), est[[2, 0]].copy()]
+    # later writes to the caller's arrays leave the trace as it was
+    q += 100.0
+    est[...] = 7.0
+    for got, want in zip(trace.profiles, expected, strict=True):
+        assert _same_bits(got, want)
+    for got, want in zip(trace.estimates, est_expected, strict=True):
+        assert _same_bits(got, want)
+    assert list(trace.changed_rows) == [2, 0]
+    assert list(trace.partial) == [0, 1]
+    assert trace.residuals == [0.5, 0.25]
+    second = expected[0].copy()
+    second[[2, 0]] = expected[1]
+    states = [profiles for profiles, _ in trace.states()]
+    assert _same_bits(states[1], second)
 
 
 def test_trace_checks_see_the_states_of_partial_entries():
@@ -1267,7 +1315,9 @@ def test_trace_checks_see_the_states_of_partial_entries():
              ((1, 2), [base[1] + shift, base[2] - shift], [base[1], base[2]]),
              ((2, 0), [base[2], low], [base[2], low]),
              ((0, 1), [base[0], base[1]], [base[0], base[1]])]
-    trace = RunTrace(profiles=[base], estimates=[base], partial=bytearray([0]))
+    trace = RunTrace(
+        scenario.curve, profiles=[base], estimates=[base], partial=bytearray([0])
+    )
     for rows, q_rows, est_rows in pairs:
         trace.changed_rows.extend(rows)
         trace.partial.append(1)

@@ -761,14 +761,24 @@ def test_reports_name_an_input_that_is_not_json(tmp_path, capsys, flag):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("content", [b'{"command": "\xff"}\n', b"1" * 5000 + b"\n"],
+DIGITS = b"1" * 5000
+
+
+@pytest.mark.parametrize("content", [b'{"command": "\xff"}\n', DIGITS],
                          ids=["not-utf-8", "5000-digits"])
 @pytest.mark.parametrize("reader", ["scenario", "--graph", "--summary", "--oracle", "--trace"])
 def test_inputs_that_fail_to_decode_are_refused_naming_the_file(
     small_canonical, tmp_path, capsys, reader, content
 ):
     # bytes that are not UTF-8, and an integer past Python's 4300-digit
-    # limit for int(), are refused in one line that names the file
+    # limit for int(), are refused in one line that names the file; the
+    # integer is a JSON document, a node id of an edge list or a trace's n,
+    # and its refusal says why in the same words everywhere
+    digits = content == DIGITS
+    if digits:
+        content = {
+            "--graph": b"1 " + DIGITS, "--trace": b"t,n,cost\n1," + DIGITS + b",0.5",
+        }.get(reader, DIGITS) + b"\n"
     bad, out = tmp_path / "bad", tmp_path / "out"
     bad.write_bytes(content)
     summary = tmp_path / "s.json"
@@ -780,13 +790,22 @@ def test_inputs_that_fail_to_decode_are_refused_naming_the_file(
         "--summary": ("report", "--kind", "par", "--summary", bad, "-o", out),
         "--oracle": ("report", "--kind", "welfare-gap", "--summary", summary,
                      "--oracle", bad, "-o", out),
-        "--trace": ("report", "--kind", "convergence", "--trace", bad, "-o", out),
+        "--trace": ("report", "--kind", "convergence", "--trace", bad,
+                    "--consumers", "1", "-o", out),
     }[reader]
     assert run_cli(*argv) == 1
     err = capsys.readouterr().err
     named = bad if reader in ("scenario", "--graph") else f"{reader} {bad}"
     assert err.startswith(f"error: {named}")
     assert err.count("\n") == 1
+    if digits:
+        where = {
+            "--graph": f"{bad}:1: node id", "--trace": f"--trace {bad} line 2: n",
+        }.get(reader, f"{named}:")
+        assert err == (
+            f"error: {where} 111111111111... is 5000 characters long, past the "
+            "limit of 4300 digits for an integer\n"
+        )
     assert not out.exists()
 
 

@@ -11,11 +11,9 @@ from dsmgame.feasible import ConsumerSpec
 from dsmgame.model import (
     PriceCurve,
     aggregate,
-    bill_instantaneous,
     grid_cost,
     jacobian_slot_matrix,
     kappa_margin,
-    mapping_component,
     mapping_profiles,
     monotonicity_certificate,
     par,
@@ -147,14 +145,13 @@ def test_derivative_rejects_negative_load():
 
 def test_bill_zero_consumption():
     curve = PriceCurve(np.full(3, 0.01), np.full(3, 1.2), np.zeros(3))
-    assert bill_instantaneous(np.zeros(3), np.array([1.0, 2.0, 3.0]), curve) == 0.0
+    assert curve.price_vector(np.array([1.0, 2.0, 3.0])) @ np.zeros(3) == 0.0
 
 
 def test_bill_single_slot_example():
     # p(5) = 5, cost = 5 * 2
-    assert bill_instantaneous(
-        np.array([2.0]), np.array([5.0]), curve1(1.0, 1.0)
-    ) == pytest.approx(10.0)
+    bill = curve1(1.0, 1.0).price_vector(np.array([5.0])) @ np.array([2.0])
+    assert bill == pytest.approx(10.0)
 
 
 def test_bill_matches_plain_summation():
@@ -169,12 +166,7 @@ def test_bill_matches_plain_summation():
         by_hand = sum(
             (curve.a[k] * sigma[k] ** curve.b[k] + curve.c[k]) * q[k] for k in range(h)
         )
-        assert bill_instantaneous(q, sigma, curve) == pytest.approx(by_hand, abs=1e-12)
-
-
-def test_bill_length_mismatch():
-    with pytest.raises(ValueError):
-        bill_instantaneous(np.ones(2), np.ones(3), curve1(1.0, 1.0))
+        assert curve.price_vector(sigma) @ q == pytest.approx(by_hand, abs=1e-12)
 
 
 def total_load_bills(profiles, curve):
@@ -189,7 +181,7 @@ def test_total_load_single_consumer_equals_instantaneous():
     curve = PriceCurve(np.array([0.5, 0.2]), np.array([1.2, 1.0]), np.zeros(2))
     q = np.array([[1.0, 2.0]])
     assert total_load_bills(q, curve)[0] == pytest.approx(
-        bill_instantaneous(q[0], q[0], curve)
+        curve.price_vector(q[0]) @ q[0]
     )
 
 
@@ -207,7 +199,7 @@ def test_billing_schemes_allocate_the_same_total():
         rng.uniform(0.01, 1.0, 4), rng.uniform(1.0, 2.0, 4), rng.uniform(0, 0.2, 4)
     )
     sigma = profiles.sum(axis=0)
-    inst = sum(bill_instantaneous(profiles[n], sigma, curve) for n in range(6))
+    inst = sum(curve.price_vector(sigma) @ profiles[n] for n in range(6))
     tlb = total_load_bills(profiles, curve).sum()
     total = grid_cost(sigma, curve)
     assert inst == pytest.approx(total, rel=1e-12)
@@ -220,14 +212,14 @@ def test_billing_schemes_allocate_the_same_total():
 def test_mapping_zero_loads_zero_offset():
     curve = PriceCurve(np.full(3, 0.01), np.full(3, 1.2), np.zeros(3))
     np.testing.assert_array_equal(
-        mapping_component(np.zeros(3), np.zeros(3), curve), np.zeros(3)
+        mapping_profiles(np.zeros(3), np.zeros(3), curve), np.zeros(3)
     )
 
 
 def test_mapping_single_slot_example():
     # p'(5) * 2 + p(5) = 1 * 2 + 5
     np.testing.assert_allclose(
-        mapping_component(np.array([2.0]), np.array([5.0]), curve1(1.0, 1.0)), [7.0]
+        mapping_profiles(np.array([2.0]), np.array([5.0]), curve1(1.0, 1.0)), [7.0]
     )
 
 
@@ -242,14 +234,9 @@ def test_mapping_matches_finite_differences():
         )
         q = rng.uniform(0.2, 3.0, h)
         sigma = q + rng.uniform(0.3, 20.0, h)
-        analytic = mapping_component(q, sigma, curve)
+        analytic = mapping_profiles(q, sigma, curve)
         fd = mapping_finite_difference(q, sigma, curve)
         np.testing.assert_allclose(fd, analytic, rtol=1e-6, atol=1e-9)
-
-
-def test_mapping_length_mismatch():
-    with pytest.raises(ValueError):
-        mapping_component(np.ones(2), np.ones(3), curve1(1.0, 1.2))
 
 
 def test_mapping_rejects_negative_per_row_proxy():
@@ -315,11 +302,11 @@ def test_hessian_nonnegative_on_random_positive_instances():
         )
         q = rng.uniform(0.01, 4.0, h)
         sigma = q + rng.uniform(0.01, 10.0, h)
-        base = mapping_component(q, sigma, curve)
+        base = mapping_profiles(q, sigma, curve)
         for slot in range(h):
             bump = np.zeros(h)
             bump[slot] = 10.0 ** rng.uniform(-6, 1)
-            moved = mapping_component(q + bump, sigma + bump, curve)
+            moved = mapping_profiles(q + bump, sigma + bump, curve)
             assert moved[slot] >= base[slot]
 
 

@@ -10,12 +10,14 @@ import pytest
 
 from dsmgame.network import (
     CommGraph,
+    DigitLimitError,
     build_weights,
     check_weights,
     generate_topology,
     gossip_stream,
     load_edge_list,
     mix,
+    parse_int,
     save_edge_list,
 )
 from conftest import AVX2_ENV, STAR_5, src_env
@@ -296,3 +298,20 @@ def test_edge_list_names_an_id_above_the_node_count(tmp_path):
     path.write_text("1 2\n2 051\n")
     with pytest.raises(ValueError, match=r"big\.edges:2: node id 051 outside 1\.\.50$"):
         load_edge_list(path, 50)
+
+
+def test_parse_int_refuses_a_numeral_past_the_digit_limit_by_its_length():
+    limit = sys.get_int_max_str_digits()
+    assert parse_int("7" * limit) == int("7" * limit)
+    assert parse_int("-12") == -12
+    # the refusal quotes a short prefix and gives no advice on the limit
+    with pytest.raises(DigitLimitError) as refused:
+        parse_int("7" * (limit + 1))
+    assert str(refused.value) == (
+        f"777777777777... is {limit + 1} characters long, past the limit of "
+        f"{limit} digits for an integer"
+    )
+    # a numeral that is not an integer keeps int()'s own error
+    with pytest.raises(ValueError) as refused:
+        parse_int("1.5")
+    assert not isinstance(refused.value, DigitLimitError)

@@ -12,7 +12,7 @@ import dsmgame.feasible as feasible
 import dsmgame.oracle as oracle
 from dsmgame.algorithms import Scenario, fixed_point_residual
 from dsmgame.feasible import ConsumerSpec, project, sample_feasible
-from dsmgame.model import PriceCurve, bill_instantaneous, grid_cost, mapping_profiles, par
+from dsmgame.model import PriceCurve, grid_cost, mapping_profiles, par
 from dsmgame.oracle import (
     ConvergenceError,
     best_response,
@@ -254,7 +254,7 @@ def test_welfare_single_consumer_matches_best_response():
     profiles, cost = social_welfare_optimum(scenario, tol=1e-8)
     br = best_response(np.zeros(2), spec, curve)
     np.testing.assert_allclose(profiles[0], br, atol=1e-6)
-    assert cost == pytest.approx(bill_instantaneous(br, br, curve), rel=1e-9)
+    assert cost == pytest.approx(curve.price_vector(br) @ br, rel=1e-9)
 
 
 def test_welfare_cost_dominates_equilibrium_and_feasible_points():
