@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .feasible import ConsumerSpec, project_rows
+from .feasible import ConsumerSpec, first_infeasible, project_rows
 from .model import Certificate, PriceCurve, mapping_profiles, uniqueness_certificate
 from .network import CommGraph, GossipEvent, check_weights, mix
 
@@ -298,31 +299,19 @@ def _check_init(scenario: Scenario, init) -> np.ndarray:
         )
     if not np.isfinite(q).all():
         raise ValueError("profile contains non-finite entries")
-    # the row-wise form of feasible.is_feasible, tolerance 1e-9
-    tol = 1e-9
-    below = q < scenario.q_min_matrix - tol
-    out = below | (q > scenario.q_max_matrix + tol)
-    sums = q.sum(axis=1)
-    infeasible = out.any(axis=1) | (abs(sums - scenario.budgets) > tol)
-    if infeasible.any():
-        n = int(infeasible.argmax())
-        if out[n].any():
-            h = int(out[n].argmax())
-            side, bounds = (
-                ("q_min", scenario.q_min_matrix) if below[n, h]
-                else ("q_max", scenario.q_max_matrix)
-            )
-            detail = (
-                f"slot {h + 1} holds {float(q[n, h])!r}, "
-                f"{side} is {float(bounds[n, h])!r}"
-            )
-        else:
-            detail = (
-                f"its sum {float(sums[n])!r} misses the budget "
-                f"{float(scenario.budgets[n])!r}"
-            )
+    found = first_infeasible(
+        q, scenario.q_min_matrix, scenario.q_max_matrix, scenario.budgets
+    )
+    if found is not None:
+        n, detail = found
         raise ValueError(f"initial profile of consumer {n + 1} is infeasible: {detail}")
     return q.copy()
+
+
+def check_tol(tol: float) -> None:
+    """Refuse a tolerance that no residual can meet: NaN or negative."""
+    if not tol >= 0:
+        raise ValueError(f"tol must be nonnegative, got {tol:g}")
 
 
 def _check_graph(scenario: Scenario, graph: CommGraph) -> None:
@@ -362,6 +351,7 @@ def _synchronous(
         raise ValueError(f"step exponent must lie in (0.5, 1], got {step_exponent:g}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    check_tol(tol)
     q = _check_init(scenario, init)
     est = q.copy() if estimates else None
     curve = scenario.curve
@@ -484,10 +474,10 @@ def _windows(
     events sit in strictly increasing levels in stream order.
 
     A window ends at every N-th event (a residual check) and at the budget,
-    so a consumer that stops at a check has pulled no event past it; past
-    the budget one more event is pulled and dropped. An event that is not
-    an edge of `graph` (a self-loop, a node outside 0..N-1 or two nodes
-    that are not neighbours) raises once the window before it is consumed.
+    so a consumer that stops at a check has pulled no event past it, and no
+    event past the budget is pulled. An event that is not an edge of `graph`
+    (a self-loop, a node outside 0..N-1 or two nodes that are not
+    neighbours) raises once the window before it is consumed.
     """
     n_consumers = graph.n
     neighbors = graph.neighbors
@@ -495,9 +485,7 @@ def _windows(
     events: list[_Event] = []
     levels: list[_Level] = []
     depth = [0] * n_consumers  # per node, one more than its latest event's level
-    for event in event_stream:
-        if taken >= max_events:
-            break
+    for event in islice(event_stream, max_events):
         i, j = event.initiator, event.contact
         # a node is not its own neighbour, nor is a node outside 0..N-1
         if not 0 <= i < n_consumers or j not in neighbors(i):
@@ -553,6 +541,7 @@ def run_algorithm3(
     """
     if max_events < 1:
         raise ValueError(f"max_events must be at least 1, got {max_events}")
+    check_tol(tol)
     _check_graph(scenario, graph)
     q = _check_init(scenario, init)
     est = q.copy()

@@ -149,7 +149,9 @@ def _consumer_ids(text: str) -> set[int]:
     ids = set()
     for entry in text.split(","):
         try:
-            ids.add(int(entry))
+            ids.add(network.parse_int(entry))
+        except network.DigitLimitError as exc:
+            raise CliError(f"--consumers entry {exc}", 1) from None
         except ValueError:
             raise CliError(f"--consumers entry {entry!r} is not an integer id", 1) from None
     return ids

@@ -158,15 +158,38 @@ class ConsumerSpec:
     def horizon(self) -> int:
         return self.q_min.shape[0]
 
+    def _as_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The set as the (1, H) bounds and (1,) budget of one row."""
+        return self.q_min[None], self.q_max[None], np.array([self.energy])
+
+
+def first_infeasible(q, q_min, q_max, budgets, tol: float = 1e-9):
+    """(row, detail) of the first of the (N, H) profiles `q` that leaves its
+    set, a row of the (N, H) bounds and (N,) budgets, by more than `tol`: a
+    slot below q_min - tol or above q_max + tol, or a sum not within tol of
+    the budget. The detail names that slot, else the sum; None if no row
+    leaves its set."""
+    below = q < q_min - tol
+    out = below | (q > q_max + tol)
+    sums = q.sum(axis=1)
+    found = first_failure((out.any(axis=1), ~(abs(sums - budgets) <= tol)))
+    if found is None:
+        return None
+    n, check = found
+    if check == 0:
+        h = int(out[n].argmax())
+        side, bounds = ("q_min", q_min) if below[n, h] else ("q_max", q_max)
+        bound = float(bounds[n, h])
+        return n, f"slot {h + 1} holds {float(q[n, h])!r}, {side} is {bound!r}"
+    return n, f"its sum {float(sums[n])!r} misses the budget {float(budgets[n])!r}"
+
 
 def is_feasible(q, spec: ConsumerSpec, tol: float = 1e-9) -> bool:
     """True iff q respects the box bounds and budget within tolerance."""
     q = _as_1d(q, "profile")
     if q.shape[0] != spec.horizon:
         raise ValueError(f"profile has length {q.shape[0]}, expected {spec.horizon}")
-    if np.any(q < spec.q_min - tol) or np.any(q > spec.q_max + tol):
-        return False
-    return abs(q.sum() - spec.energy) <= tol
+    return first_infeasible(q[None], *spec._as_rows(), tol) is None
 
 
 def _project_rows_small(v, q_min, q_max, budgets) -> np.ndarray:
@@ -201,25 +224,14 @@ def _project_rows_small(v, q_min, q_max, budgets) -> np.ndarray:
 
 
 def project_rows(points, q_min, q_max, budgets) -> np.ndarray:
-    """Project each row of `points` onto its own box-plus-budget set.
+    """Project each row of the (N, H) `points` onto its own box-plus-budget
+    set, the same row of the (N, H) q_min and q_max and (N,) budgets.
 
-    All arguments broadcast row-wise: q_min/q_max are (N, H), budgets (N,).
     Each row's kinks are sorted on their own and every step works along the
     row, so a row's result does not depend on the other rows in the call.
     The inputs are trusted: ConsumerSpec and Scenario check the sets.
     """
     v = np.asarray(points, dtype=float)
-    if v.ndim < 2:
-        v = v.reshape(1, -1)
-    q_min, q_max, budgets = np.asarray(q_min), np.asarray(q_max), np.asarray(budgets)
-    # broadcasting costs more than the projection of a tiny row, so it runs
-    # only when a shape differs
-    if q_min.shape != v.shape:
-        q_min = np.broadcast_to(q_min, v.shape)
-    if q_max.shape != v.shape:
-        q_max = np.broadcast_to(q_max, v.shape)
-    if budgets.shape != v.shape[:1]:
-        budgets = np.broadcast_to(budgets, v.shape[:1])
     if v.shape[0] <= 6 and v.shape[1] <= 6:
         return _project_rows_small(v, q_min, q_max, budgets)
     n_rows, n_slots = v.shape
@@ -272,10 +284,10 @@ def project(v, spec: ConsumerSpec) -> np.ndarray:
     v = _as_1d(v, "point")
     if v.shape[0] != spec.horizon:
         raise ValueError(f"point has length {v.shape[0]}, expected {spec.horizon}")
-    return project_rows(v, spec.q_min, spec.q_max, spec.energy)[0]
+    return project_rows(v[None], *spec._as_rows())[0]
 
 
 def sample_feasible(spec: ConsumerSpec, rng: np.random.Generator) -> np.ndarray:
     """Random point of Q_n: uniform draw inside the box, then projected."""
     draw = rng.uniform(spec.q_min, spec.q_max)
-    return project_rows(draw, spec.q_min, spec.q_max, spec.energy)[0]
+    return project_rows(draw[None], *spec._as_rows())[0]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algorithms import Scenario
+from .algorithms import Scenario, check_tol
 from .feasible import ConsumerSpec, first_failure
 from .model import PriceCurve
 
@@ -248,6 +248,7 @@ def nash_best_response_iteration(
     Intended for small instances (a handful of consumers and slots); raises
     ConvergenceError instead of returning a non-converged state.
     """
+    check_tol(tol)
     if scenario.certificate is not None and not scenario.certificate.holds:
         raise ValueError("scenario fails the uniqueness certificate")
     q = _start(scenario, init)
@@ -277,6 +278,7 @@ def social_welfare_optimum(
     depends on the aggregate only, so the optimal cost is unique even though
     the optimal split between consumers need not be.
     """
+    check_tol(tol)
     curve = scenario.curve
 
     def joint_cost(profiles: np.ndarray) -> float:

@@ -118,7 +118,7 @@ def reference_best_response(others, spec, curve, tol=1e-8, max_iter=20_000):
     q_min, q_max, energy = spec.q_min[None, :], spec.q_max[None, :], np.array([spec.energy])
 
     def proj(v):
-        return project_rows(v, q_min, q_max, energy)[0]
+        return project_rows(v[None], q_min, q_max, energy)[0]
 
     q, _ = _descend(
         lambda v: float(curve._price(v + others) @ v),
@@ -150,19 +150,11 @@ def mapping_finite_difference(q_n, q_sigma, curve, eps_scale=1e-6):
 
 
 def reference_project_rows(points, q_min, q_max, budgets):
-    """The breakpoint search of `project_rows` in numpy with a stable sort of
-    every row's kinks, whatever the row: the bit-for-bit reference for
-    its numpy form, which stable-sorts only the rows whose kinks tie."""
+    """The breakpoint search of `project_rows` on (N, H) rows in numpy with a
+    stable sort of every row's kinks, whatever the row: the bit-for-bit
+    reference for its numpy form, which stable-sorts only the rows whose
+    kinks tie."""
     v = np.asarray(points, dtype=float)
-    if v.ndim < 2:
-        v = v.reshape(1, -1)
-    q_min, q_max, budgets = np.asarray(q_min), np.asarray(q_max), np.asarray(budgets)
-    if q_min.shape != v.shape:
-        q_min = np.broadcast_to(q_min, v.shape)
-    if q_max.shape != v.shape:
-        q_max = np.broadcast_to(q_max, v.shape)
-    if budgets.shape != v.shape[:1]:
-        budgets = np.broadcast_to(budgets, v.shape[:1])
     n_slots = v.shape[1]
     kinks = np.concatenate((v - q_max, v - q_min), axis=1)
     # stable: among tied kinks a slot's upper kink precedes its lower one, so
@@ -340,9 +332,7 @@ def reference_gossip(scenario, graph, event_stream, init, tol, max_events, live=
     converged = False
     streak = 0
     events_used = 0
-    for event in event_stream:
-        if events_used >= max_events:
-            break
+    for event in itertools.islice(event_stream, max_events):
         i, j = event.initiator, event.contact
         # a self-loop or a node outside 0..N-1 is no edge either
         if (min(i, j), max(i, j)) not in graph.edges:

@@ -122,13 +122,16 @@ def test_scenario_certificate_warning_flag():
 
 
 def synchronous_runs(scenario, init):
-    """Both synchronous runners as functions of the step exponent."""
+    """Both synchronous runners as functions of the step exponent (and of
+    further keyword arguments)."""
     graph = toy_graph(scenario)
     w = build_weights(graph, 0.5)
     return (
-        lambda p: run_algorithm1(scenario, step_exponent=p, init=init, max_iter=2),
-        lambda p: run_algorithm2(
-            scenario, graph, w, step_exponent=p, init=init, max_iter=2
+        lambda p, **kw: run_algorithm1(
+            scenario, step_exponent=p, init=init, max_iter=2, **kw
+        ),
+        lambda p, **kw: run_algorithm2(
+            scenario, graph, w, step_exponent=p, init=init, max_iter=2, **kw
         ),
     )
 
@@ -162,6 +165,11 @@ def test_schedule_rejects_bad_parameters():
     for p in (-1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="step exponent"):
             run_algorithm1(scenario, step_exponent=p, init=init)
+    # a tolerance no change can meet would spend the whole budget
+    for tol in (np.nan, -1.0):
+        for run in synchronous_runs(scenario, init):
+            with pytest.raises(ValueError, match=f"tol must be nonnegative, got {tol:g}"):
+                run(1.0, tol=tol)
 
 
 # --- central proximal-point ---------------------------------------------------
@@ -696,10 +704,9 @@ def test_alg3_non_edge_event_raises_where_the_event_loop_raises(monkeypatch, nam
     assert result.converged
     stop = result.iterations
     bad = GossipEvent(0, 1, 1)  # a self-loop is no edge
-    # right after convergence the bad event is never pulled; right after the
-    # budget it is pulled and dropped
+    # right after convergence or the budget the bad event is never pulled
     for max_events, at, pulls in (
-        (len(events), stop, stop), (stop - 3, stop - 3, stop - 2)
+        (len(events), stop, stop), (stop - 3, stop - 3, stop - 3)
     ):
         stream = events[:at] + [bad] + events[at:]
         runs, pulled = run_both(scenario, graph, stream, init, tol, max_events)
@@ -786,6 +793,15 @@ def test_alg3_rejects_max_events_below_one_before_pulling(max_events):
     assert stream.pulled == 0
 
 
+@pytest.mark.parametrize("tol", [np.nan, -1.0])
+def test_alg3_rejects_a_tol_no_residual_can_meet_before_pulling(tol):
+    scenario, init = make_toy_game(909)
+    stream = CountingStream(gossip_stream(COMPLETE_2, np.random.default_rng(4), 5))
+    with pytest.raises(ValueError, match=f"tol must be nonnegative, got {tol:g}"):
+        run_algorithm3(scenario, COMPLETE_2, stream, init=init, tol=tol)
+    assert stream.pulled == 0
+
+
 @st.composite
 def gossip_runs(draw):
     """(scenario, init, graph, events, max_events) of a random gossip run: a
@@ -838,7 +854,7 @@ def test_alg3_matches_the_event_by_event_loop_on_random_streams(case):
     else:
         runs, pulled = run_both(scenario, graph, events, init, 1e-3, max_events)
         assert_same_run(*runs)
-        assert pulled[0] == pulled[1] == min(len(events), max_events + 1)
+        assert pulled[0] == pulled[1] == min(len(events), max_events)
 
 
 # --- one projection call per synchronous round ----------------------------------

@@ -1,7 +1,9 @@
 """The benchmark still runs on the package: every workload of bench/run.py,
-at its smoke sizes, completes and passes its own output checks. The bench
-and the sources are copied out first, so the run writes nothing into the
-checkout."""
+at its smoke sizes, untraced and traced, completes and passes its own
+output checks. The traced run is the one whose wrappers read the
+projection's outputs and the trace's derived bills and aggregates. The
+bench and the sources are copied out first, so the run writes nothing into
+the checkout."""
 
 import json
 import shutil
@@ -24,11 +26,15 @@ def bench_copy(tmp_path_factory):
     return root
 
 
-@pytest.mark.parametrize("workload", WORKLOADS)
-def test_benchmark_runs_every_workload_at_smoke_size(bench_copy, workload):
+@pytest.mark.parametrize(
+    "workload, trace",
+    [pytest.param(w, "0", id=w) for w in WORKLOADS]
+    + [pytest.param(w, "1", id=f"{w}-traced") for w in WORKLOADS],
+)
+def test_benchmark_runs_every_workload_at_smoke_size(bench_copy, workload, trace):
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1",
-         "--seconds", "0", "--trace", "0", "--smoke"],
+         "--seconds", "0", "--trace", trace, "--smoke"],
         cwd=bench_copy, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]

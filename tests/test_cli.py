@@ -15,7 +15,7 @@ from dsmgame.cli import main
 from dsmgame.feasible import ConsumerSpec
 from dsmgame.model import PriceCurve
 from dsmgame.scenario import load_scenario, save_scenario
-from conftest import REPO, make_toy_game, src_env
+from conftest import AVX2_ENV, REPO, make_toy_game, src_env
 from oracles import reference_start_point
 
 
@@ -693,6 +693,23 @@ def test_convergence_report_names_a_bad_consumers_entry(tmp_path, capsys, consum
     assert not out.exists()
 
 
+def test_convergence_report_refuses_a_consumers_entry_past_the_digit_limit(
+    tmp_path, capsys
+):
+    # refused by its length, as the file readers refuse such an integer,
+    # quoting only its first characters
+    out = tmp_path / "conv.csv"
+    assert run_cli(
+        "report", "--kind", "convergence", "--trace", tmp_path / "t.csv",
+        "--consumers", "2," + "1" * 5000, "-o", out,
+    ) == 1
+    assert capsys.readouterr().err == (
+        "error: --consumers entry 111111111111... is 5000 characters long, past the "
+        "limit of 4300 digits for an integer\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "text, consumers, message",
     [
@@ -940,6 +957,36 @@ def test_module_invocation(tmp_path):
 # --- canonical-study script ------------------------------------------------------
 
 
+#: sha256 of each file of the N = 8 study, `--max-events 300`: the byte contract
+CANONICAL_STUDY_DIGESTS = {
+    "scenario.json": "a6d6643e5010edede86989b28dd07afdf8e8cf2a8f8b5651e941e73f3bc9ef45",
+    "trace1.csv": "e61d4d58cb099861663bb68c376dd42ac43d0fa3a42646a14f3cf6b053c0af8e",
+    "summary1.json": "dc30a8538885962d4d6e52b095a17b92bfc3f1585bffcf721d430c0fef43428e",
+    "trace2.csv": "e0ba319767bf439dc82774cd6e619cd5a5ec6adca57ccdcabe382f596b498a98",
+    "summary2.json": "4bf2d876d9fc1c1bf670916e350ead0bbf30d1a3660c0c9c16d02f0c02a66f21",
+    "trace3.csv": "b7695f06ef9f328608ff01ee3f0b3dbc6463eb73e984f94e717c88efb1919913",
+    "summary3.json": "d927fb33a3c619fcb95571952937193ee5349b2eb637aa46c73514dac89d6ce2",
+    "welfare.json": "981bb76bfbd38a13e52c023179361683481b6167e633e4d35e9665386d3b6258",
+    "par.json": "abaccab98406812160584b498164386b949fd7b2237df09418c0f641e44b5c5d",
+    "fairness.json": "69e0ce14d7b8e8eee84bffe75ac7409ec04f3a7d5b3ebf33f4177e629b8ec54a",
+    "gap.json": "676e1edc22a9df8fef9441ada72dacc5632588da659702f61795f81c1466dd6e",
+    "costs.csv": "61fa604e61e37dd120d28584ce42404a8dbfd7b138690deac3327cdfed3ed7d1",
+}
+
+
+def run_canonical_study(outdir, extra_env=None):
+    """Run the study script as README prints it, from a checkout with
+    dsmgame neither installed nor on PYTHONPATH; returns the process."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    return subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "canonical_study.py"),
+     "--outdir", str(outdir), "--n", "8", "--max-events", "300"],
+        capture_output=True,
+        text=True,
+        env={**env, **(extra_env or {})},
+    )
+
+
 def test_canonical_study_script_is_reproducible(tmp_path):
     # run as README prints it: from a checkout, dsmgame neither installed
     # nor on PYTHONPATH
@@ -948,7 +995,7 @@ def test_canonical_study_script_is_reproducible(tmp_path):
     for run in ("first", "second"):
         proc = subprocess.run(
             [sys.executable, str(REPO / "scripts" / "canonical_study.py"),
-             "--outdir", str(tmp_path / run), "--n", "8", "--max-events", "300"],
+         "--outdir", str(tmp_path / run), "--n", "8", "--max-events", "300"],
             capture_output=True,
             text=True,
             env=env,
@@ -960,23 +1007,26 @@ def test_canonical_study_script_is_reproducible(tmp_path):
     assert "alg 2: converged after 417 iterations" in proc.stderr
     assert "alg 3: not converged after 300 iterations" in proc.stderr
     assert list(digests[0]) == [
-        "scenario.json", "trace1.csv", "summary1.json", "trace2.csv",
-        "summary2.json", "trace3.csv", "summary3.json", "welfare.json",
-        "par.json", "fairness.json", "gap.json", "costs.csv",
+    "scenario.json", "trace1.csv", "summary1.json", "trace2.csv",
+    "summary2.json", "trace3.csv", "summary3.json", "welfare.json",
+    "par.json", "fairness.json", "gap.json", "costs.csv",
     ]
     assert digests[0] == digests[1]
     # the byte contract itself, so a drift shared by both runs fails too
-    assert digests[0] == {
-        "scenario.json": "a6d6643e5010edede86989b28dd07afdf8e8cf2a8f8b5651e941e73f3bc9ef45",
-        "trace1.csv": "e61d4d58cb099861663bb68c376dd42ac43d0fa3a42646a14f3cf6b053c0af8e",
-        "summary1.json": "dc30a8538885962d4d6e52b095a17b92bfc3f1585bffcf721d430c0fef43428e",
-        "trace2.csv": "e0ba319767bf439dc82774cd6e619cd5a5ec6adca57ccdcabe382f596b498a98",
-        "summary2.json": "4bf2d876d9fc1c1bf670916e350ead0bbf30d1a3660c0c9c16d02f0c02a66f21",
-        "trace3.csv": "b7695f06ef9f328608ff01ee3f0b3dbc6463eb73e984f94e717c88efb1919913",
-        "summary3.json": "d927fb33a3c619fcb95571952937193ee5349b2eb637aa46c73514dac89d6ce2",
-        "welfare.json": "981bb76bfbd38a13e52c023179361683481b6167e633e4d35e9665386d3b6258",
-        "par.json": "abaccab98406812160584b498164386b949fd7b2237df09418c0f641e44b5c5d",
-        "fairness.json": "69e0ce14d7b8e8eee84bffe75ac7409ec04f3a7d5b3ebf33f4177e629b8ec54a",
-        "gap.json": "676e1edc22a9df8fef9441ada72dacc5632588da659702f61795f81c1466dd6e",
-        "costs.csv": "61fa604e61e37dd120d28584ce42404a8dbfd7b138690deac3327cdfed3ed7d1",
-    }
+    assert digests[0] == CANONICAL_STUDY_DIGESTS
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: numpy's AVX2 loops round power, log, exp and cbrt "
+    "differently from its AVX-512 ones, so the pinned digests hold on one path only",
+)
+def test_canonical_study_digests_hold_on_the_avx2_code_path(tmp_path):
+    proc = run_canonical_study(tmp_path, AVX2_ENV)
+    assert proc.returncode == 0, proc.stderr
+    digests = json.loads(proc.stdout)
+    moved = [
+        name for name, digest in CANONICAL_STUDY_DIGESTS.items()
+        if digests.get(name) != digest
+    ]
+    assert not moved, f"files whose digest moves on the AVX2 path: {', '.join(moved)}"

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from dsmgame.algorithms import Scenario, _check_init
 from dsmgame.feasible import (
     ConsumerSpec,
     InvalidSetError,
@@ -15,6 +16,7 @@ from dsmgame.feasible import (
     project_rows,
     sample_feasible,
 )
+from dsmgame.model import PriceCurve
 from oracles import project_qp_oracle, reference_project_rows, reference_set_error
 
 
@@ -308,7 +310,9 @@ def test_qp_oracle_separates_active_sets_closer_than_rounding():
     # them apart; its multiplier signs are wrong, which rules it out
     args = (np.ones(2), np.zeros(2), np.full(2, 1e-8), 1e-8)
     np.testing.assert_allclose(project_qp_oracle(*args), [5e-9, 5e-9], rtol=1e-6)
-    np.testing.assert_allclose(project_rows(*args)[0], [5e-9, 5e-9], rtol=1e-6)
+    v, q_min, q_max, energy = args
+    got = project_rows(v[None], q_min[None], q_max[None], np.array([energy]))[0]
+    np.testing.assert_allclose(got, [5e-9, 5e-9], rtol=1e-6)
 
 
 @settings(max_examples=200, deadline=None)
@@ -340,7 +344,8 @@ def test_project_rows_row_does_not_depend_on_its_batch():
             q_max.sum(axis=1) - q_min.sum(axis=1)
         )
         v = rng.uniform(-4.0, 6.0, (n, h)) * rng.choice([1.0, 1e3], (n, 1))
-        alone = [project_rows(v[r], q_min[r], q_max[r], budgets[r])[0] for r in range(n)]
+        one_rows = [slice(r, r + 1) for r in range(n)]
+        alone = [project_rows(v[r], q_min[r], q_max[r], budgets[r])[0] for r in one_rows]
         for size in (2, 5, 6, 7, 12, n):
             for start in range(0, n - size + 1, size):
                 rows = slice(start, start + size)
@@ -349,21 +354,77 @@ def test_project_rows_row_does_not_depend_on_its_batch():
                     assert got.tobytes() == alone[r].tobytes(), (h, size, r)
 
 
-@pytest.mark.parametrize("n, h", [(3, 4), (12, 24)])  # plain-float, numpy form
-def test_project_rows_shared_bounds_match_explicit_rows_bit_for_bit(n, h):
-    rng = np.random.default_rng(n * h)
-    q_min = rng.uniform(0.0, 1.0, h)
-    q_max = q_min + rng.uniform(0.5, 2.0, h)
-    energy = float(q_min.sum() + 0.4 * (q_max - q_min).sum())
-    v = rng.uniform(-3.0, 5.0, (n, h))
-    shared = project_rows(v, q_min, q_max, energy)
-    explicit = project_rows(
-        v, np.tile(q_min, (n, 1)), np.tile(q_max, (n, 1)), np.full(n, energy)
-    )
-    np.testing.assert_array_equal(shared, explicit)
-    np.testing.assert_array_equal(
-        project_rows(v[0], q_min, q_max, energy), explicit[:1]
-    )
+def ulps_from(x: float, k: int) -> float:
+    """The float k representable steps above x (below it for k < 0)."""
+    for _ in range(abs(k)):
+        x = np.nextafter(x, np.inf if k > 0 else -np.inf)
+    return float(x)
+
+
+@st.composite
+def one_consumer_cases(draw):
+    """(tol, rows) of 1 to 4 consumers of one horizon of 1 to 24 slots: rows
+    of (q_min, q_max, energy, profile, point, seed). Each profile lies a few
+    ulps either side of one tolerance edge: a slot at q_min - tol or
+    q_max + tol, or its sum at its budget - tol or + tol."""
+    tol = draw(st.sampled_from([1e-9, 1e-6, 0.0]))
+    h = draw(st.integers(1, 24))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        q_min = rng.uniform(0.1, 1.0, h)
+        q_max = q_min + rng.uniform(0.5, 2.0, h)
+        q = rng.uniform(q_min, q_max)
+        edge = draw(st.sampled_from(["q_min", "q_max", "budget"]))
+        ulps = draw(st.integers(-3, 3))
+        sign = draw(st.sampled_from([-1.0, 1.0]))
+        if edge == "budget":
+            energy = ulps_from(q.sum() + sign * tol, ulps)
+        else:
+            k = draw(st.integers(0, h - 1))
+            bound = q_min[k] - tol if edge == "q_min" else q_max[k] + tol
+            q[k] = ulps_from(bound, ulps)
+            energy = float(q.sum())
+        # a one-slot set admits no budget off its box
+        energy = min(max(energy, q_min.sum()), q_max.sum())
+        point = rng.uniform(-4.0, 6.0, h) * rng.choice([1.0, 1e3])
+        rows.append((q_min, q_max, energy, q, point, draw(st.integers(0, 2**32 - 1))))
+    return tol, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=one_consumer_cases())
+def test_one_consumer_functions_are_one_row_calls_of_the_row_wise_rules(case):
+    # project and sample_feasible give project_rows' bits on one-row arrays;
+    # is_feasible and the runners' initial-profile check accept and refuse
+    # the points that the box and budget formulas do, at the tolerance edges
+    tol, rows = case
+    first_refused = None
+    for n, (q_min, q_max, energy, q, point, seed) in enumerate(rows):
+        spec = ConsumerSpec(q_min, q_max, energy)
+        one_row = (q_min[None], q_max[None], np.array([energy]))
+        projected = project_rows(point[None], *one_row)[0]
+        assert project(point, spec).tobytes() == projected.tobytes()
+        draw = np.random.default_rng(seed).uniform(q_min, q_max)
+        sample = sample_feasible(spec, np.random.default_rng(seed))
+        assert sample.tobytes() == project_rows(draw[None], *one_row)[0].tobytes()
+        inside = not (np.any(q < q_min - tol) or np.any(q > q_max + tol))
+        assert is_feasible(q, spec, tol) == (inside and abs(q.sum() - energy) <= tol)
+        refused = (
+            np.any(q < q_min - 1e-9) or np.any(q > q_max + 1e-9)
+            or abs(q.sum() - energy) > 1e-9
+        )
+        if refused and first_refused is None:
+            first_refused = n
+    horizon = rows[0][0].shape[0]
+    curve = PriceCurve(np.ones(horizon), np.ones(horizon), np.zeros(horizon))
+    scenario = Scenario(tuple(ConsumerSpec(*row[:3]) for row in rows), curve)
+    profiles = np.array([row[3] for row in rows])
+    if first_refused is None:
+        np.testing.assert_array_equal(_check_init(scenario, profiles), profiles)
+    else:
+        with pytest.raises(ValueError, match=f"consumer {first_refused + 1} is infeasible"):
+            _check_init(scenario, profiles)
 
 
 @st.composite

@@ -226,6 +226,17 @@ def test_iteration_rejects_failed_certificate():
         nash_best_response_iteration(Scenario(specs, curve))
 
 
+@pytest.mark.parametrize("tol", [np.nan, -1.0])
+def test_oracles_refuse_a_tol_no_change_can_meet(monkeypatch, tol):
+    # refused before any work: the welfare descent never starts
+    scenario, init = make_toy_game(303)
+    monkeypatch.setattr(oracle, "_descend", None)
+    with pytest.raises(ValueError, match=f"tol must be nonnegative, got {tol:g}"):
+        nash_best_response_iteration(scenario, tol=tol, init=init)
+    with pytest.raises(ValueError, match=f"tol must be nonnegative, got {tol:g}"):
+        social_welfare_optimum(scenario, tol=tol)
+
+
 def test_iteration_raises_instead_of_returning_unconverged(monkeypatch):
     scenario, init = make_toy_game(303)
     monkeypatch.setattr(oracle, "_NASH_SWEEPS", 1)
