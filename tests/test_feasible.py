@@ -354,6 +354,26 @@ def test_project_rows_row_does_not_depend_on_its_batch():
                     assert got.tobytes() == alone[r].tobytes(), (h, size, r)
 
 
+@pytest.mark.parametrize("n, h", [(3, 4), (12, 24)])  # plain-float, numpy form
+def test_project_rows_shared_bounds_match_explicit_rows_bit_for_bit(n, h):
+    # consumers that share one spec: the (N, H) batch of its tiled bounds
+    # gives each row the bits that project gives that row alone
+    rng = np.random.default_rng(n * h)
+    q_min = rng.uniform(0.0, 1.0, h)
+    q_max = q_min + rng.uniform(0.5, 2.0, h)
+    energy = float(q_min.sum() + 0.4 * (q_max - q_min).sum())
+    v = rng.uniform(-3.0, 5.0, (n, h))
+    explicit = project_rows(
+        v, np.tile(q_min, (n, 1)), np.tile(q_max, (n, 1)), np.full(n, energy)
+    )
+    spec = ConsumerSpec(q_min, q_max, energy)
+    shared = np.array([project(row, spec) for row in v])
+    np.testing.assert_array_equal(shared, explicit)
+    np.testing.assert_array_equal(
+        project_rows(v[:1], q_min[None], q_max[None], np.array([energy])), explicit[:1]
+    )
+
+
 def ulps_from(x: float, k: int) -> float:
     """The float k representable steps above x (below it for k < 0)."""
     for _ in range(abs(k)):
