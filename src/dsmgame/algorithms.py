@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .feasible import ConsumerSpec, first_infeasible, project_rows
-from .model import Certificate, PriceCurve, mapping_profiles, uniqueness_certificate
+from .model import Certificate, PriceCurve, bills, mapping_profiles, uniqueness_certificate
 from .network import CommGraph, GossipEvent, check_weights, mix
 
 #: section-VII defaults for the algorithm parameters
@@ -75,9 +75,8 @@ class Scenario:
         q_max = self.q_max_matrix
         with np.errstate(over="ignore"):
             peak = q_max.sum(axis=0)
-            price = self.curve._price(peak)
-            mapping = self.curve._slope(peak) * q_max.max(axis=0) + price
-            cost = np.cumsum(price * peak)
+            mapping = mapping_profiles(q_max.max(axis=0), peak, self.curve)
+            cost = np.cumsum(self.curve.price_vector(peak) * peak)
         # a price that overflows makes its mapping overflow too
         overflow = ~(np.isfinite(mapping) & np.isfinite(cost))
         if overflow.any():
@@ -176,11 +175,9 @@ class RunTrace:
 
     def _priced(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Yield each recorded state's profiles, as `_walk` yields them, with
-        its bills: every consumer's profile priced at the state's aggregate,
-        ``q @ p(sum_n q_n)`` (the runners record nonnegative profiles only)."""
-        price = self.curve._price
+        its `model.bills` (the runners record nonnegative profiles only)."""
         for q, _ in self._walk(estimates=False):
-            yield q, q @ price(q.sum(axis=0))
+            yield q, bills(q, self.curve)
 
     @property
     def bills(self) -> list[np.ndarray]:
@@ -309,9 +306,10 @@ def _check_init(scenario: Scenario, init) -> np.ndarray:
 
 
 def check_tol(tol: float) -> None:
-    """Refuse a tolerance that no residual can meet: NaN or negative."""
-    if not tol >= 0:
-        raise ValueError(f"tol must be nonnegative, got {tol:g}")
+    """Refuse a tolerance that no residual can meet, NaN or negative, and
+    one that every residual meets at once, infinity."""
+    if not 0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and nonnegative, got {tol:g}")
 
 
 def _check_graph(scenario: Scenario, graph: CommGraph) -> None:

@@ -68,13 +68,9 @@ class PriceCurve:
             ab = a * b
         if not np.isfinite(ab).all():
             raise ValueError("price slopes a_h * b_h overflow")
-        # derived constants of the kernels; the b_h = 1 slots use exponent 0
-        # so the derivative never evaluates 0**0 on its discarded branch
-        linear = b == 1.0
-        for arr, name in (
-            (a, "a"), (b, "b"), (c, "c"), (linear, "_linear"),
-            (np.where(linear, 0.0, b - 1.0), "_powers"), (ab, "_ab"),
-        ):
+        # derived constants of the slope kernel: a b_h = 1 slot has exponent
+        # 0, and L**0.0 is exactly 1.0 for every L, so its slope is a_h
+        for arr, name in ((a, "a"), (b, "b"), (c, "c"), (b - 1.0, "_powers"), (ab, "_ab")):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -89,7 +85,7 @@ class PriceCurve:
         return self._price(loads)
 
     def price_derivative_vector(self, loads) -> np.ndarray:
-        """p_h'(L_h) = a_h b_h L^(b_h - 1); the b_h = 1 branch avoids 0**0."""
+        """p_h'(L_h) = a_h b_h L^(b_h - 1)."""
         loads = np.asarray(loads, dtype=float)
         self._check_loads(loads)
         return self._slope(loads)
@@ -100,7 +96,7 @@ class PriceCurve:
         return self.a * loads**self.b + self.c
 
     def _slope(self, loads: np.ndarray) -> np.ndarray:
-        return np.where(self._linear, self.a, self._ab * loads**self._powers)
+        return self._ab * loads**self._powers
 
     def _check_loads(self, loads: np.ndarray) -> None:
         if loads.shape[-1:] != (self.horizon,):
@@ -119,7 +115,14 @@ class PriceCurve:
 def grid_cost(q_sigma, curve: PriceCurve) -> float:
     """Total grid cost sum_h p_h(aggregate_h) * aggregate_h."""
     q_sigma = as_profile(q_sigma, curve.horizon)
-    return float(curve.price_vector(q_sigma) @ q_sigma)
+    return float(curve._price(q_sigma) @ q_sigma)
+
+
+def bills(profiles: np.ndarray, curve: PriceCurve) -> np.ndarray:
+    """Every consumer's bill under instantaneous-load billing: each row of
+    the (N, H) float `profiles` priced at their aggregate, q_n . p(sum_m q_m).
+    Unchecked: callers pass nonnegative profiles."""
+    return profiles @ curve._price(profiles.sum(axis=0))
 
 
 def mapping_profiles(profiles, aggregates, curve: PriceCurve) -> np.ndarray:

@@ -6,8 +6,8 @@ These deliberately avoid the algorithm runners' code paths (fixed step
 schedules, consensus estimates). The Nash oracle shares only the price
 curve with them: each best response solves its KKT conditions by
 water-filling in plain floats, with no projection. The welfare optimum
-shares the price and projection layers. So agreement between the two
-routes is a real check.
+shares the price, mapping and projection layers. So agreement between the
+two routes is a real check.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .algorithms import Scenario, check_tol
 from .feasible import ConsumerSpec, first_failure
-from .model import PriceCurve
+from .model import PriceCurve, bills, grid_cost, mapping_profiles
 
 _BACKTRACK_LIMIT = 60
 _STEP_GROWTH = 1.25
@@ -279,16 +279,18 @@ def social_welfare_optimum(
     the optimal split between consumers need not be.
     """
     check_tol(tol)
+    # the descent has no budget to run to, only a cap to fail at
+    if tol == 0:
+        raise ValueError("tol must be positive for the welfare optimum, got 0")
     curve = scenario.curve
 
     def joint_cost(profiles: np.ndarray) -> float:
-        sigma = profiles.sum(axis=0)
-        return float(curve._price(sigma) @ sigma)
+        return grid_cost(profiles.sum(axis=0), curve)
 
     def joint_grad(profiles: np.ndarray) -> np.ndarray:
+        # the marginal grid cost is the mapping at own load sigma
         sigma = profiles.sum(axis=0)
-        row = curve._slope(sigma) * sigma + curve._price(sigma)
-        return np.broadcast_to(row, profiles.shape)
+        return np.broadcast_to(mapping_profiles(sigma, sigma, curve), profiles.shape)
 
     return _descend(
         joint_cost,
@@ -332,13 +334,11 @@ def fairness_comparison(profiles, scenario: Scenario) -> FairnessReport:
         raise ValueError(f"consumer {n + 1}, slot {h + 1}: load {q[n, h]:g} {problem}")
     # par's H * max / sum, row by row
     consumer_par = q.shape[1] * q.max(axis=1) / totals
-    sigma = q.sum(axis=0)
-    prices = scenario.curve._price(sigma)
-    cost = float(prices @ sigma)
+    cost = grid_cost(q.sum(axis=0), scenario.curve)
     budgets = scenario.budgets
     return FairnessReport(
         budgets=budgets.copy(),
-        instantaneous_bills=q @ prices,
+        instantaneous_bills=bills(q, scenario.curve),
         total_load_bills=budgets / budgets.sum() * cost,
         consumer_par=consumer_par,
     )

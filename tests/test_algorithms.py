@@ -165,10 +165,13 @@ def test_schedule_rejects_bad_parameters():
     for p in (-1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="step exponent"):
             run_algorithm1(scenario, step_exponent=p, init=init)
-    # a tolerance no change can meet would spend the whole budget
-    for tol in (np.nan, -1.0):
+    # a tolerance no change can meet would spend the whole budget, and an
+    # infinite one would be met at the first check
+    for tol in (np.nan, -1.0, np.inf):
         for run in synchronous_runs(scenario, init):
-            with pytest.raises(ValueError, match=f"tol must be nonnegative, got {tol:g}"):
+            with pytest.raises(
+                ValueError, match=f"tol must be finite and nonnegative, got {tol:g}"
+            ):
                 run(1.0, tol=tol)
 
 
@@ -793,11 +796,11 @@ def test_alg3_rejects_max_events_below_one_before_pulling(max_events):
     assert stream.pulled == 0
 
 
-@pytest.mark.parametrize("tol", [np.nan, -1.0])
+@pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
 def test_alg3_rejects_a_tol_no_residual_can_meet_before_pulling(tol):
     scenario, init = make_toy_game(909)
     stream = CountingStream(gossip_stream(COMPLETE_2, np.random.default_rng(4), 5))
-    with pytest.raises(ValueError, match=f"tol must be nonnegative, got {tol:g}"):
+    with pytest.raises(ValueError, match=f"tol must be finite and nonnegative, got {tol:g}"):
         run_algorithm3(scenario, COMPLETE_2, stream, init=init, tol=tol)
     assert stream.pulled == 0
 
@@ -1434,3 +1437,49 @@ def test_invariants_hold_at_any_n(n, h, b, seed):
         max_q = max(float(np.abs(q).max()) for q, _ in trace.states())
         bound = CONSERVATION_ULPS * n * np.finfo(float).eps * max_q
         assert trace.max_conservation_gap() <= bound
+
+
+# --- the convergence verdict under a change of price unit ---------------------
+
+
+@pytest.fixture(scope="module")
+def small_equilibrium():
+    scenario, init = generate(4, seed=3)
+    return scenario, init, nash_best_response_iteration(scenario, tol=1e-10)
+
+
+VERDICT_XFAIL = pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 3: at price scale 1e-3 every step is small, so the runs "
+    "report converged far from the equilibrium",
+)
+
+
+@pytest.mark.parametrize("k", [pytest.param(1e-3, marks=VERDICT_XFAIL), 1.0, 1e3])
+@pytest.mark.parametrize("alg", [1, 2, 3])
+def test_a_converged_run_ends_near_the_equilibrium_at_any_price_scale(
+    small_equilibrium, alg, k
+):
+    # a change of price unit scales a and c by k and leaves the equilibrium
+    # where it was, so "converged" must keep meaning "near q*"
+    scenario, init, q_star = small_equilibrium
+    curve = scenario.curve
+    scaled = Scenario(scenario.specs, PriceCurve(k * curve.a, curve.b, k * curve.c))
+    graph = generate_topology(4, 3.0, np.random.default_rng(0))
+    if alg == 1:
+        result, _ = run_algorithm1(scaled, init=init, tol=1e-4, max_iter=500)
+    elif alg == 2:
+        result, _ = run_algorithm2(
+            scaled, graph, build_weights(graph, 0.5), init=init, tol=1e-4, max_iter=500
+        )
+    else:
+        result, _ = run_algorithm3(
+            scaled, graph, gossip_stream(graph, np.random.default_rng(1), 5000),
+            init=init, tol=1e-4, max_events=5000,
+        )
+    if result.converged:
+        distance = float(np.abs(result.final_profiles - q_star).max())
+        assert distance <= 1e-3, (
+            f"alg {alg} at k = {k:g} reports converged after {result.iterations} "
+            f"iterations, {distance:.2g} from q*"
+        )

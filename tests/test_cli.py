@@ -1030,3 +1030,27 @@ def test_canonical_study_digests_hold_on_the_avx2_code_path(tmp_path):
         if digests.get(name) != digest
     ]
     assert not moved, f"files whose digest moves on the AVX2 path: {', '.join(moved)}"
+
+
+# --- trace-digest script ---------------------------------------------------------
+
+
+#: sha256 of the alg 1-3 trace CSVs that `scripts/trace_digests.py` writes at N = 50
+TRACE_DIGESTS_N50 = {
+    "alg1": "66cbfc49c73de6ec610ee312e562f147bc3310c6519e8398edf69895ebdf3c33",
+    "alg2": "d6fa14d60eabcd7402a1496cba9f18331f86529a6ba72a43d23fc0b6bb271fae",
+    "alg3": "efc36faf3ed2143c05fe685b1bf12963f70105781e17513f7820ca6f0f87eaa8",
+}
+
+
+def test_trace_digests_script_prints_the_pinned_n50_digests():
+    # run from a checkout, dsmgame neither installed nor on PYTHONPATH
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "trace_digests.py"), "--n", "50"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"50": TRACE_DIGESTS_N50}

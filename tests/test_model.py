@@ -11,6 +11,7 @@ from dsmgame.feasible import ConsumerSpec
 from dsmgame.model import (
     PriceCurve,
     aggregate,
+    bills,
     grid_cost,
     jacobian_slot_matrix,
     kappa_margin,
@@ -285,6 +286,12 @@ def test_price_kernels_match_the_formulas_bit_for_bit(seed):
         np.testing.assert_array_equal(
             mapping_profiles(own, x, curve), own * slope_ref + price_ref
         )
+        if x.ndim == 1:
+            assert grid_cost(x, curve) == float(price_ref @ x)
+        else:
+            # the rows' aggregate keeps the zero last slot
+            sigma = x.sum(axis=0)
+            np.testing.assert_array_equal(bills(x, curve), x @ (a * sigma**b + c))
 
 
 # --- convexity ------------------------------------------------------------

@@ -226,15 +226,29 @@ def test_iteration_rejects_failed_certificate():
         nash_best_response_iteration(Scenario(specs, curve))
 
 
-@pytest.mark.parametrize("tol", [np.nan, -1.0])
+@pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
 def test_oracles_refuse_a_tol_no_change_can_meet(monkeypatch, tol):
-    # refused before any work: the welfare descent never starts
+    # refused before any work: no sweep runs and the welfare descent never starts
+    scenario, init = make_toy_game(303)
+    monkeypatch.setattr(oracle, "best_response", None)
+    monkeypatch.setattr(oracle, "_descend", None)
+    message = f"tol must be finite and nonnegative, got {tol:g}"
+    with pytest.raises(ValueError, match=message):
+        nash_best_response_iteration(scenario, tol=tol, init=init)
+    with pytest.raises(ValueError, match=message):
+        social_welfare_optimum(scenario, tol=tol)
+
+
+def test_welfare_optimum_refuses_tol_zero_before_descending(monkeypatch):
+    # the descent has no budget to run to; the Nash iteration keeps tol = 0
+    # and runs to its sweep cap
     scenario, init = make_toy_game(303)
     monkeypatch.setattr(oracle, "_descend", None)
-    with pytest.raises(ValueError, match=f"tol must be nonnegative, got {tol:g}"):
-        nash_best_response_iteration(scenario, tol=tol, init=init)
-    with pytest.raises(ValueError, match=f"tol must be nonnegative, got {tol:g}"):
-        social_welfare_optimum(scenario, tol=tol)
+    with pytest.raises(ValueError, match="tol must be positive for the welfare optimum"):
+        social_welfare_optimum(scenario, tol=0.0)
+    monkeypatch.setattr(oracle, "_NASH_SWEEPS", 1)
+    with pytest.raises(ConvergenceError, match="not within 0 after 1 sweeps"):
+        nash_best_response_iteration(scenario, tol=0.0, init=init)
 
 
 def test_iteration_raises_instead_of_returning_unconverged(monkeypatch):
