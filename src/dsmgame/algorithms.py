@@ -102,6 +102,26 @@ class Scenario:
         """Row-wise projection of an N x H array onto the consumers' sets."""
         return project_rows(points, self.q_min_matrix, self.q_max_matrix, self.budgets)
 
+    def profile_array(self, values, what: str) -> np.ndarray:
+        """`values` as a float (N, H) array of finite loads, without a copy
+        where they already are one; a ValueError naming `what` otherwise."""
+        shape = (self.n_consumers, self.horizon)
+        try:
+            q = np.asarray(values, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            q = None
+        if q is None or q.shape != shape:
+            got = "" if q is None else f", got shape {q.shape}"
+            raise ValueError(f"{what} must be an array of numbers of shape {shape}{got}")
+        finite = np.isfinite(q)
+        if not finite.all():
+            # argmin over the flat array: the first non-finite entry, row-major
+            n, h = divmod(int(finite.argmin()), self.horizon)
+            raise ValueError(
+                f"{what}: consumer {n + 1}, slot {h + 1}: load {q[n, h]:g} is non-finite"
+            )
+        return q
+
 
 @dataclass
 class RunTrace:
@@ -279,7 +299,7 @@ class SolveResult:
 def fixed_point_residual(profiles, scenario: Scenario) -> float:
     """Natural-map residual max_n ||q_n - proj(q_n - F_n)||_inf at probe
     step 1; zero exactly at the equilibrium."""
-    q = np.atleast_2d(np.asarray(profiles, dtype=float))
+    q = scenario.profile_array(profiles, "profiles")
     grad = mapping_profiles(q, q.sum(axis=0), scenario.curve)
     probe = scenario.project(q - grad)
     return float(np.max(np.abs(q - probe)))
@@ -288,14 +308,7 @@ def fixed_point_residual(profiles, scenario: Scenario) -> float:
 def _check_init(scenario: Scenario, init) -> np.ndarray:
     if init is None:
         raise ValueError("initial profiles are required")
-    q = np.atleast_2d(np.asarray(init, dtype=float))
-    if q.shape != (scenario.n_consumers, scenario.horizon):
-        raise ValueError(
-            f"initial profiles must have shape ({scenario.n_consumers}, "
-            f"{scenario.horizon}), got {q.shape}"
-        )
-    if not np.isfinite(q).all():
-        raise ValueError("profile contains non-finite entries")
+    q = scenario.profile_array(init, "initial profiles")
     found = first_infeasible(
         q, scenario.q_min_matrix, scenario.q_max_matrix, scenario.budgets
     )

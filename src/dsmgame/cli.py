@@ -88,23 +88,6 @@ def _number(payload: dict, flag: str, path, field: str, positive: bool = False):
     return value
 
 
-def _final_profiles(summary: dict, path, shape: tuple[int, int]) -> np.ndarray:
-    """The `final_profiles` of a run summary, refused unless they form an
-    array of numbers of the given shape."""
-    try:
-        profiles = np.array(summary["final_profiles"], dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        profiles = None
-    if profiles is None or profiles.shape != shape:
-        got = "" if profiles is None else f", got shape {profiles.shape}"
-        raise CliError(
-            f"--summary {path}: final_profiles must be an array of numbers of "
-            f"shape {shape}{got}",
-            1,
-        )
-    return profiles
-
-
 def _check_seed(args) -> None:
     # numpy's own refusal names neither the flag nor the value
     if args.seed < 0:
@@ -334,8 +317,8 @@ def cmd_report(args) -> int:
         if summary["scenario_hash"] != loaded.content_hash:
             raise CliError(f"--summary {args.summary} is from another scenario file", 1)
         scenario = loaded.scenario
-        profiles = _final_profiles(
-            summary, args.summary, (scenario.n_consumers, scenario.horizon)
+        profiles = scenario.profile_array(
+            summary["final_profiles"], f"--summary {args.summary}: final_profiles"
         )
         try:
             report = oracle.fairness_comparison(profiles, scenario)

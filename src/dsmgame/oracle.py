@@ -75,11 +75,12 @@ def _descend(objective, gradient, proj, q, tol, max_iter, what):
 
 
 def _start(scenario: Scenario, init) -> np.ndarray:
-    """Joint starting profiles: a copy of `init`, else each consumer's box
-    midpoint projected onto its set."""
+    """Joint starting profiles: a copy of `init`, refused unless it is a
+    finite (N, H) array, else each consumer's box midpoint projected onto
+    its set."""
     if init is None:
         return scenario.project(0.5 * (scenario.q_min_matrix + scenario.q_max_matrix))
-    return np.atleast_2d(np.asarray(init, dtype=float)).copy()
+    return scenario.profile_array(init, "init").copy()
 
 
 def _marginal(x: float, a: float, b: float, c: float, o: float) -> tuple[float, float]:
@@ -313,25 +314,20 @@ class FairnessReport:
 
 def fairness_comparison(profiles, scenario: Scenario) -> FairnessReport:
     """Compare instantaneous-load and total-load billing at given profiles."""
-    q = np.atleast_2d(np.asarray(profiles, dtype=float))
-    if q.shape != (scenario.n_consumers, scenario.horizon):
-        raise ValueError(
-            f"profiles must have shape ({scenario.n_consumers}, {scenario.horizon})"
-        )
-    # every row must be a valid par argument: finite, nonnegative entries
-    # and a positive total. A row holding inf and -inf sums to NaN; the
-    # finite check names it first
-    with np.errstate(invalid="ignore"):
-        totals = q.sum(axis=1)
-    finite, negative = np.isfinite(q), q < 0
-    found = first_failure((~finite.all(axis=1), negative.any(axis=1), ~(totals > 0)))
+    q = scenario.profile_array(profiles, "profiles")
+    # every row must be a valid par argument: nonnegative entries and a
+    # positive total
+    totals = q.sum(axis=1)
+    negative = q < 0
+    found = first_failure((negative.any(axis=1), ~(totals > 0)))
     if found is not None:
         n, check = found
-        if check == 2:
+        if check == 1:
             raise ValueError(f"consumer {n + 1}: total load must be positive")
-        h = int((~finite[n] if check == 0 else negative[n]).argmax())
-        problem = "is non-finite" if check == 0 else "must be nonnegative"
-        raise ValueError(f"consumer {n + 1}, slot {h + 1}: load {q[n, h]:g} {problem}")
+        h = int(negative[n].argmax())
+        raise ValueError(
+            f"consumer {n + 1}, slot {h + 1}: load {q[n, h]:g} must be nonnegative"
+        )
     # par's H * max / sum, row by row
     consumer_par = q.shape[1] * q.max(axis=1) / totals
     cost = grid_cost(q.sum(axis=0), scenario.curve)

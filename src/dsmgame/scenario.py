@@ -151,7 +151,9 @@ class LoadedScenario(NamedTuple):
 
 
 def scenario_payload(scenario: Scenario, initial_profiles=None) -> dict:
-    """JSON-ready dict for a scenario (plus optional initial profiles)."""
+    """JSON-ready dict for a scenario (plus optional initial profiles,
+    refused unless they form a finite (N, H) array, as `load_scenario`
+    refuses them)."""
     payload = {
         "schema_version": SCHEMA_VERSION,
         "horizon": scenario.horizon,
@@ -170,7 +172,8 @@ def scenario_payload(scenario: Scenario, initial_profiles=None) -> dict:
         ],
     }
     if initial_profiles is not None:
-        payload["initial_profiles"] = np.asarray(initial_profiles).tolist()
+        initials = scenario.profile_array(initial_profiles, "initial_profiles")
+        payload["initial_profiles"] = initials.tolist()
     return payload
 
 
@@ -373,11 +376,9 @@ def load_scenario(path) -> LoadedScenario:
     initials = None
     if "initial_profiles" in payload:
         try:
-            initials = np.array(payload["initial_profiles"], dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ScenarioFormatError(f"{path}: initial_profiles: {exc}") from exc
-        if initials.shape != (scenario.n_consumers, horizon):
-            raise ScenarioFormatError(
-                f"{path}: initial_profiles must be {scenario.n_consumers} x {horizon}"
+            initials = scenario.profile_array(
+                payload["initial_profiles"], f"{path}: initial_profiles"
             )
+        except ValueError as exc:
+            raise ScenarioFormatError(str(exc)) from exc
     return LoadedScenario(scenario, initials, payload_hash(payload))

@@ -1054,3 +1054,25 @@ def test_trace_digests_script_prints_the_pinned_n50_digests():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"50": TRACE_DIGESTS_N50}
+
+
+#: the same digests at N = 500, where the synchronous runs project 1000-row
+#: calls and the gossip windows hold 500 events, which N = 50 does not reach;
+#: like the N = 50 pin they hold on numpy's AVX-512 loops (ROADMAP item 1)
+TRACE_DIGESTS_N500 = {
+    "alg1": "06c5f11ed3fcb85b225371018bcbb709144064a2f9fd8ff3303428f755209f0b",
+    "alg2": "51837e8a3c640f90b5f485afbef5068f461af9d8af5332673aee77c870d67431",
+    "alg3": "14a48a9be0bb3fd5822f8758b0cd24a73d3c7fc5db19b3e72437aae79cf5d8f2",
+}
+
+
+def test_trace_digests_script_prints_the_pinned_n500_digests():
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "trace_digests.py"), "--n", "500"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"500": TRACE_DIGESTS_N500}
