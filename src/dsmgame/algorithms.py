@@ -9,13 +9,15 @@ from the round-t snapshot, never from freshly updated peers.
 
 from __future__ import annotations
 
+import json
 from array import array
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice, repeat
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
+from ._numtext import CHUNK, float_texts
 from .feasible import ConsumerSpec, first_infeasible, project_rows
 from .model import Certificate, PriceCurve, bills, mapping_profiles, uniqueness_certificate
 from .network import CommGraph, GossipEvent, check_weights, mix
@@ -28,6 +30,35 @@ DEFAULT_TOL = 1e-6
 
 #: consecutive sub-tolerance residual readings that declare gossip convergence
 GOSSIP_WINDOW = 5
+
+
+_NOT_NUMBERS = {str, bool}
+
+
+def non_number(values, where: str) -> str | None:
+    """None unless a string or a boolean sits where `values`, a number or
+    lists of them nested to any depth, should hold numbers, as a JSON
+    reader hands them over; else a message naming the first one,
+    `where[i][j]: "1.5" is not a number`, though `float()` would read it.
+    One type pass per nesting level decides; only a refusal walks to the
+    entry."""
+    types, level = {type(values)}, iter([values])
+    while not types & _NOT_NUMBERS:
+        if list not in types:
+            return None
+        lists = [item for item in level if type(item) is list]
+        types = set(map(type, chain.from_iterable(lists)))
+        level = chain.from_iterable(lists)
+    stack = [(where, values)]
+    while stack:
+        place, item = stack.pop()
+        if type(item) in _NOT_NUMBERS:
+            text = json.dumps(item)
+            text = text if len(text) <= 40 else text[:36] + "...\""
+            return f"{place}: {text} is not a number"
+        if type(item) is list:
+            stack.extend((f"{place}[{i}]", x) for i, x in reversed(list(enumerate(item))))
+    raise AssertionError("unreachable")
 
 
 @dataclass(frozen=True)
@@ -104,8 +135,13 @@ class Scenario:
 
     def profile_array(self, values, what: str) -> np.ndarray:
         """`values` as a float (N, H) array of finite loads, without a copy
-        where they already are one; a ValueError naming `what` otherwise."""
+        where they already are one; a ValueError naming `what` otherwise,
+        and naming the entry where a list holds a string or a boolean."""
         shape = (self.n_consumers, self.horizon)
+        if not isinstance(values, np.ndarray):
+            refused = non_number(values, what)
+            if refused is not None:
+                raise ValueError(refused)
         try:
             q = np.asarray(values, dtype=float)
         except (TypeError, ValueError, OverflowError):
@@ -235,53 +271,88 @@ class RunTrace:
             for q, est in self._walk()
         )
 
+    def _changes(
+        self,
+    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]]:
+        """Yield, per recorded state: the flat row-major indices of its
+        profile values whose bits differ from the state before (all of
+        them in the first state), those values, the consumers they belong
+        to, the state's bills and its residual."""
+        bits = None
+        for (q, bills), res in zip(self._priced(), self.residuals):
+            # compare bits, not values: -0.0 == 0.0 but their reprs differ
+            state_bits = q.view(np.uint64)
+            if bits is None:
+                bits = state_bits.copy()
+                moved = np.ones(q.shape, dtype=bool)
+            else:
+                moved = state_bits != bits
+                bits[...] = state_bits
+            yield (
+                moved.ravel().nonzero()[0],
+                q[moved],
+                moved.any(axis=1).nonzero()[0],
+                np.asarray(bills, dtype=np.float64),
+                res,
+            )
+
+    def _blocks(self) -> Iterator[list]:
+        """`_changes` in runs of states whose values to format number at
+        most `CHUNK`, or of one state that has more."""
+        block, size = [], 0
+        for change in self._changes():
+            _, moved, _, bills, _ = change
+            n_values = moved.size + bills.size + 1
+            if block and size + n_values > CHUNK:
+                yield block
+                block, size = [], 0
+            block.append(change)
+            size += n_values
+        if block:
+            yield block
+
     def to_csv(self, path) -> None:
         """Write the long-form trace: t,n,cost,residual,q1..qH (1-based ids),
         the cost being each state's bills as `bills` derives them.
 
         Lines end in ``\\r\\n``; `t` and `n` are integers and every float
-        field is Python's shortest round-trip ``repr``. Each profile value is
-        formatted once and its string reused while its bits stay unchanged,
-        and a consumer's ``q1..qH`` segment is re-joined only when one of its
-        values changed: each state from `_walk` is compared with the one
-        before it, so slots pinned at a bound and the rows a gossip event
-        leaves alone cost a comparison, not a ``repr``.
+        field is Python's shortest round-trip ``repr``: `float_texts` writes
+        those bytes, for a block of states at a time (`_blocks`), their
+        moved profile values, bills and residuals in one call. Each profile
+        value's text is reused while its bits stay unchanged, and a
+        consumer's ``q1..qH`` segment is re-joined only when one of its
+        values changed, so slots pinned at a bound and the rows a gossip
+        event leaves alone cost a comparison, not a format.
         """
-        horizon = self.profiles[0].shape[1]
+        n_rows, horizon = self.profiles[0].shape
         header = ",".join(
             ["t", "n", "cost", "residual"] + [f"q{h}" for h in range(1, horizon + 1)]
         )
-        # the previous state's bits, and per consumer: ",n," and the
-        # "q1,...,qH\r\n" line tail joined from `cells`, the repr of every
-        # profile value in row-major order
-        bits = None
+        ids = [f",{n}," for n in range(1, n_rows + 1)]
+        # the text of every profile value in row-major order, and per
+        # consumer the "q1,...,qH\r\n" line tail joined from it
+        cells = np.empty(n_rows * horizon, dtype=object)
+        rows = cells.reshape(n_rows, horizon)
+        tails = [""] * n_rows
+        t = 0
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(header + "\r\n")
-            for t, ((q, bills), res) in enumerate(zip(self._priced(), self.residuals)):
-                # compare bits, not values: -0.0 == 0.0 but their reprs differ
-                state_bits = q.view(np.uint64)
-                if bits is None:
-                    n_rows = len(q)
-                    bits = state_bits.copy()
-                    ids = [f",{n}," for n in range(1, n_rows + 1)]
-                    cells = list(map(repr, q.ravel().tolist()))
-                    tails = [""] * n_rows
-                    stale = range(n_rows)
-                else:
-                    moved = state_bits != bits
-                    bits[...] = state_bits
-                    flat = moved.ravel().nonzero()[0]
-                    for k, value in zip(flat.tolist(), q[moved].tolist()):
-                        cells[k] = repr(value)
-                    stale = moved.any(axis=1).nonzero()[0].tolist()
-                for n in stale:
-                    tails[n] = ",".join(cells[n * horizon : (n + 1) * horizon]) + "\r\n"
-                t_s, res_s = str(t + 1), f",{float(res)!r},"
-                costs = np.asarray(bills, dtype=np.float64).tolist()
-                fh.write("".join([
-                    f"{t_s}{n_s}{cost!r}{res_s}{tail}"
-                    for n_s, cost, tail in zip(ids, costs, tails)
-                ]))
+            for block in self._blocks():
+                values = [a for _, moved, _, bills, res in block for a in (moved, bills, [res])]
+                texts = np.array(float_texts(np.concatenate(values)), dtype=object)
+                pos = 0
+                for flat, _, stale, _, _ in block:
+                    t += 1
+                    cells[flat] = texts[pos : pos + flat.size]
+                    pos += flat.size
+                    for n, row in zip(stale.tolist(), rows[stale].tolist()):
+                        tails[n] = ",".join(row) + "\r\n"
+                    costs = texts[pos : pos + n_rows].tolist()
+                    res_s = f",{texts[pos + n_rows]},"
+                    pos += n_rows + 1
+                    fh.write("".join(chain.from_iterable(
+                        zip(repeat(str(t)), ids, costs, repeat(res_s), tails)
+                    )))
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algorithms import Scenario
+from .algorithms import Scenario, non_number
 from .feasible import ConsumerSpec, InvalidSetError
 from .model import PriceCurve
 from .network import parse_int
@@ -281,6 +281,12 @@ def save_scenario(path, scenario: Scenario, initial_profiles=None) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def _check_numbers(values, where: str) -> None:
+    message = non_number(values, where)
+    if message is not None:
+        raise ScenarioFormatError(message)
+
+
 def _reject_unknown(fields: dict, allowed: set, where: str) -> None:
     unknown = set(fields) - allowed
     if unknown:
@@ -293,11 +299,16 @@ def _consumer_specs(path, consumers: list) -> tuple[ConsumerSpec, ...]:
     """The specs of the `consumers` entries, checked in one pass over their
     (N, H) bounds. Entries that do not form such arrays are read one at a
     time instead, so the error names the first bad entry as that pass would."""
-    if all(type(entry) is dict and entry.keys() == _CONSUMER_FIELDS for entry in consumers):
+    batch = all(type(entry) is dict and entry.keys() == _CONSUMER_FIELDS for entry in consumers)
+    if batch:
+        columns = {name: [entry[name] for entry in consumers] for name in _CONSUMER_FIELDS}
+        # the one-at-a-time pass names a string or a boolean
+        batch = not any(non_number(column, "") for column in columns.values())
+    if batch:
         try:
-            q_min = np.array([entry["q_min"] for entry in consumers], dtype=float)
-            q_max = np.array([entry["q_max"] for entry in consumers], dtype=float)
-            energy = [float(entry["energy"]) for entry in consumers]
+            q_min = np.array(columns["q_min"], dtype=float)
+            q_max = np.array(columns["q_max"], dtype=float)
+            energy = [float(e) for e in columns["energy"]]
         except (TypeError, ValueError, OverflowError):
             pass
         else:
@@ -313,6 +324,8 @@ def _consumer_specs(path, consumers: list) -> tuple[ConsumerSpec, ...]:
         if not isinstance(entry, dict):
             raise ScenarioFormatError(f"{path}: consumers[{idx}] must be an object")
         _reject_unknown(entry, _CONSUMER_FIELDS, f"{path}: consumers[{idx}]")
+        for name in ("q_min", "q_max", "energy"):
+            _check_numbers(entry.get(name), f"{path}: consumers[{idx}]: {name}")
         try:
             specs.append(
                 ConsumerSpec(
@@ -341,7 +354,7 @@ def load_scenario(path) -> LoadedScenario:
     for name in ("schema_version", "horizon", "price", "consumers"):
         if name not in payload:
             raise ScenarioFormatError(f"{path}: missing field {name!r}")
-    if payload["schema_version"] != SCHEMA_VERSION:
+    if type(payload["schema_version"]) is bool or payload["schema_version"] != SCHEMA_VERSION:
         raise ScenarioFormatError(
             f"{path}: unsupported schema_version {payload['schema_version']!r}"
         )
@@ -351,6 +364,8 @@ def load_scenario(path) -> LoadedScenario:
     if not isinstance(consumers, list):
         raise ScenarioFormatError(f"{path}: consumers must be a list")
     _reject_unknown(price, _PRICE_FIELDS, f"{path}: price")
+    for name in ("a", "b", "c"):
+        _check_numbers(price.get(name), f"{path}: price: {name}")
     try:
         curve = PriceCurve(
             np.array(price["a"], dtype=float),

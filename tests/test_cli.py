@@ -569,10 +569,12 @@ def two_by_two_run(tmp_path):
     "profiles, problem",
     [
         ([[1.0, 1.0], [1.0]], " must be an array of numbers of shape (2, 2)"),
-        ([[1.0, "x"], [1.0, 1.0]], " must be an array of numbers of shape (2, 2)"),
+        ([[1.0, "x"], [1.0, 1.0]], '[0][1]: "x" is not a number'),
+        ([[1.0, 1.0], ["1.0", 1.0]], '[1][0]: "1.0" is not a number'),
+        ([[1.0, 1.0], [1.0, True]], "[1][1]: true is not a number"),
         ([[1.0, {}], [1.0, 1.0]], " must be an array of numbers of shape (2, 2)"),
         ([[1.0, 10**400], [1.0, 1.0]], " must be an array of numbers of shape (2, 2)"),
-        ("x", " must be an array of numbers of shape (2, 2)"),
+        ("x", ': "x" is not a number'),
         (3.0, " must be an array of numbers of shape (2, 2), got shape ()"),
         ([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]], " must be an array of numbers of shape (2, 2), got shape (2, 3)"),
         ([1.0, 1.0], " must be an array of numbers of shape (2, 2), got shape (2,)"),
@@ -582,7 +584,8 @@ def two_by_two_run(tmp_path):
         ([[0.0, 0.0], [1.0, 0.5]], ": consumer 1: total load must be positive"),
     ],
     ids=[
-        "ragged", "text", "object", "huge-int", "string", "scalar", "wide", "flat",
+        "ragged", "text", "numeric-text", "bool", "object", "huge-int", "string", "scalar",
+        "wide", "flat",
         "negative", "nan", "minus-inf", "zero-row",
     ],
 )
@@ -1076,3 +1079,25 @@ def test_trace_digests_script_prints_the_pinned_n500_digests():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"500": TRACE_DIGESTS_N500}
+
+
+#: the same digests at N = 2000 (about 5 s), whose 48,000-value states each
+#: span many of the trace writer's blocks and formatting chunks, which the
+#: N = 50 and N = 500 pins do not reach
+TRACE_DIGESTS_N2000 = {
+    "alg1": "eaaac49deb3695e68fefa0ecbecef4df1aef3f7b7999c935c124212512e67b01",
+    "alg2": "6e1ec838b0b2c08de6745b6e73c9f553225560cee365acb76a88d92d9fa45f31",
+    "alg3": "5cda813acab0a22bb85bb59ed55359b9748330711bb2944da13748885cb7e641",
+}
+
+
+def test_trace_digests_script_prints_the_pinned_n2000_digests():
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "trace_digests.py"), "--n", "2000"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"2000": TRACE_DIGESTS_N2000}

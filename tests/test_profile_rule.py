@@ -40,7 +40,12 @@ CASES = {
     "wrong-n": (INIT[:2].tolist(), f" {SHAPE}, got shape (2, 24)"),
     "wrong-h": (INIT[:, :10].tolist(), f" {SHAPE}, got shape (3, 10)"),
     "ragged": (INIT.tolist()[:2] + [INIT[2, :23].tolist()], f" {SHAPE}"),
-    "text": (_with(1, 4, "x"), f" {SHAPE}"),
+    # a string or a boolean is named where it sits, even one that float()
+    # would read
+    "text": (_with(1, 4, "x"), '[1][4]: "x" is not a number'),
+    "numeric-text": (_with(0, 23, "0.5"), '[0][23]: "0.5" is not a number'),
+    "bool": (_with(2, 7, True), "[2][7]: true is not a number"),
+    "text-row": (INIT.tolist()[:2] + ["0.5"], '[2]: "0.5" is not a number'),
     "nan": (_with(1, 5, float("nan")), ": consumer 2, slot 6: load nan is non-finite"),
     "minus-inf": (_with(2, 0, float("-inf")), ": consumer 3, slot 1: load -inf is non-finite"),
 }

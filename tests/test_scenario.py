@@ -230,6 +230,61 @@ def test_budget_above_box_is_a_format_error_naming_the_consumer(tmp_path):
         load_scenario(path)
 
 
+def _put(*keys):
+    """An edit that replaces the payload's number at `keys` by `value(it)`."""
+    def edit(payload, value):
+        *inner, last = keys
+        for key in inner:
+            payload = payload[key]
+        payload[last] = value(payload[last])
+    return edit
+
+
+#: a string or boolean where the schema wants a number: the place, the new
+#: value from the old one, and the refusal after the file's path
+NON_NUMBERS = {
+    "price-a-text": (_put("price", "a", 0), str, 'price: a[0]: "{old}" is not a number'),
+    "price-b-true": (_put("price", "b", 5), lambda _: True, "price: b[5]: true is not a number"),
+    "q_min-text": (_put("consumers", 1, "q_min", 4), str, "consumers[1]: q_min[4]: \"{old}\""),
+    "q_min-true": (_put("consumers", 0, "q_min", 0), lambda _: True, "consumers[0]: q_min[0]: true"),
+    "q_max-false": (_put("consumers", 1, "q_max", 23), lambda _: False, "consumers[1]: q_max[23]: false"),
+    "energy-text": (_put("consumers", 0, "energy"), str, "consumers[0]: energy: \"{old}\""),
+    "initial-text": (_put("initial_profiles", 1, 7), str, "initial_profiles[1][7]: \"{old}\""),
+    "initial-row-text": (_put("initial_profiles", 0), lambda _: "0.5", 'initial_profiles[0]: "0.5"'),
+    "schema-true": (_put("schema_version"), lambda _: True, "unsupported schema_version True"),
+}
+
+
+@pytest.mark.parametrize("case", list(NON_NUMBERS))
+def test_a_string_or_boolean_is_not_read_as_a_number(tmp_path, case):
+    # float() reads "0.003" and True as numbers; the file's reader does not
+    scenario, init = generate(n_consumers=2, seed=1)
+    payload = scenario_payload(scenario, init)
+    edit, value, expected = NON_NUMBERS[case]
+    old = []
+    edit(payload, lambda number: old.append(number) or value(number))
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ScenarioFormatError) as info:
+        load_scenario(path)
+    message = str(info.value)
+    assert message.startswith(f"{path}: " + expected.format(old=old[0]))
+    assert "\n" not in message
+
+
+def test_written_files_and_json_integers_still_load(tmp_path):
+    # the file as written loads and keeps its hash, and a JSON integer is
+    # a number
+    scenario, init = generate(n_consumers=2, seed=1)
+    path = tmp_path / "s.json"
+    sha = save_scenario(path, scenario, init)
+    assert load_scenario(path).content_hash == sha
+    payload = json.loads(path.read_text())
+    payload["price"]["c"] = [0] * 24
+    path.write_text(json.dumps(payload))
+    assert load_scenario(path).scenario.curve.c.tolist() == [0.0] * 24
+
+
 def test_initial_par_in_documented_range():
     # the shipped base curve is calibrated so the pre-scheduling PAR lands
     # near the literature's reported order of magnitude (~2.3)
@@ -292,11 +347,6 @@ def _nest(entry):
     return _numpy_error(entry["q_max"])
 
 
-def _text(entry):
-    entry["q_min"][3] = "x"
-    return _numpy_error(entry["q_min"])
-
-
 #: one spoiled consumer entry: the spoiler edits the entry and returns the
 #: message after `consumers[k]: `, or the expected text is given here
 BAD_CONSUMERS = {
@@ -311,8 +361,14 @@ BAD_CONSUMERS = {
     "short-q_min": (_shorten("q_min"), "q_min and q_max must have equal length"),
     "long-q_max": (_set("q_max", slice(24, 24), [1.0]), "q_min and q_max must have equal length"),
     "nested-q_max": (_nest, None),
-    "text-q_min": (_text, None),
-    "text-energy": (_set("energy", None, "abc"), "could not convert string to float: 'abc'"),
+    # a JSON string or boolean is refused where a number belongs, even one
+    # that float() would read
+    "text-q_min": (_set("q_min", 3, "x"), 'q_min[3]: "x" is not a number'),
+    "numeric-text-q_max": (_set("q_max", 0, "1.5"), 'q_max[0]: "1.5" is not a number'),
+    "true-q_min": (_set("q_min", 23, True), "q_min[23]: true is not a number"),
+    "text-energy": (_set("energy", None, "abc"), 'energy: "abc" is not a number'),
+    "numeric-text-energy": (_set("energy", None, "15.0"), 'energy: "15.0" is not a number'),
+    "false-energy": (_set("energy", None, False), "energy: false is not a number"),
     "list-energy": (
         _set("energy", None, [1.0]),
         "float() argument must be a string or a real number, not 'list'",
