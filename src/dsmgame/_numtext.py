@@ -10,8 +10,7 @@ are the digits `repr` writes (as Ryu's are, U. Adams, PLDI 2018). The
 digits and the fixed notation are assembled in uint8 matrices and split
 into strings once per chunk of at most `CHUNK` values. Zeros, subnormals,
 inf and nan and the values `repr` writes in exponent notation go through
-`repr` itself, as do calls of fewer than `MIN_FAST` values and chunks with
-fewer than `MIN_FAST` values for the fast path.
+`repr` itself.
 """
 
 from __future__ import annotations
@@ -20,9 +19,6 @@ import numpy as np
 
 #: values formatted per pass of the fast path; bounds its uint8 matrices
 CHUNK = 2048
-#: calls of fewer values go through `repr`, which is cheaper than the fast
-#: path's fixed cost of some sixty numpy calls
-MIN_FAST = 512
 
 _U64 = np.uint64
 _MANTISSA = _U64((1 << 52) - 1)
@@ -118,8 +114,6 @@ _KEEP, _FILL = _text_masks()
 def float_texts(values) -> list[str]:
     """`repr` of every value of the float64 array `values`, in order."""
     x = np.asarray(values, dtype=np.float64).ravel()
-    if x.size < MIN_FAST:
-        return _repr_texts(x)
     texts: list[str] = []
     for start in range(0, x.size, CHUNK):
         texts += _chunk_texts(x[start : start + CHUNK])
@@ -136,7 +130,7 @@ def _chunk_texts(x: np.ndarray) -> list[str]:
     fast = (magnitude >= 1e-4) & (magnitude < 1e16)
     if fast.all():
         return _fixed_texts(x)
-    if np.count_nonzero(fast) < MIN_FAST:
+    if not fast.any():
         return _repr_texts(x)
     texts = np.empty(x.size, dtype=object)
     texts[fast] = _object_array(_fixed_texts(x[fast]))

@@ -1083,7 +1083,8 @@ def test_trace_digests_script_prints_the_pinned_n500_digests():
 
 #: the same digests at N = 2000 (about 5 s), whose 48,000-value states each
 #: span many of the trace writer's blocks and formatting chunks, which the
-#: N = 50 and N = 500 pins do not reach
+#: N = 50 and N = 500 pins do not reach; like those pins they hold on
+#: numpy's AVX-512 loops (ROADMAP item 1)
 TRACE_DIGESTS_N2000 = {
     "alg1": "eaaac49deb3695e68fefa0ecbecef4df1aef3f7b7999c935c124212512e67b01",
     "alg2": "6e1ec838b0b2c08de6745b6e73c9f553225560cee365acb76a88d92d9fa45f31",

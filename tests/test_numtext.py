@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import dsmgame._numtext as numtext
 import dsmgame.algorithms as algorithms
-from dsmgame._numtext import CHUNK, MIN_FAST, float_texts
+from dsmgame._numtext import CHUNK, float_texts
 from dsmgame.algorithms import run_algorithm1
 from dsmgame.scenario import generate
 from conftest import AVX2_ENV, src_env
@@ -24,10 +24,10 @@ def bits_of(value: float) -> int:
     return int(np.float64(value).view(np.uint64))
 
 
-#: array sizes on both sides of the `repr` threshold and of a chunk, both
-#: a few thousand values
-assert MIN_FAST < CHUNK <= 8192
-SIZES = (1, MIN_FAST - 1, MIN_FAST, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3)
+#: array sizes from a single value to a few chunks, on both sides of a
+#: chunk's end, a few thousand values at most
+assert CHUNK <= 8192
+SIZES = (1, 2, 17, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3)
 
 #: any 64-bit pattern, and one of a value the fast path takes, either sign
 RAW = st.integers(0, 2**64 - 1)
@@ -100,9 +100,10 @@ def test_float_texts_is_repr_on_the_avx2_code_path():
 
 
 def test_float_texts_takes_any_shape_and_list():
-    x = np.arange(1.0, 1 + 2 * MIN_FAST).reshape(2, -1) / 7
+    x = np.arange(1.0, 1 + 2 * CHUNK).reshape(2, -1) / 7
     assert float_texts(x) == reprs(x.ravel())
     assert float_texts([0.1, 2.5, -0.0]) == ["0.1", "2.5", "-0.0"]
+    assert float_texts([0.0, 1e-20, np.nan]) == ["0.0", "1e-20", "nan"]
     assert float_texts(np.empty(0)) == []
 
 
