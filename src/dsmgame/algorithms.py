@@ -35,20 +35,30 @@ GOSSIP_WINDOW = 5
 _NOT_NUMBERS = {str, bool}
 
 
-def non_number(values, where: str) -> str | None:
+def number_types(values) -> set[type]:
+    """The types of what `values`, a number or lists of them nested to any
+    depth as a JSON reader hands them over, holds apart from its lists:
+    one type pass per nesting level, which stops at the first level that
+    holds a string or a boolean. `{float}` where every number is a float."""
+    seen, types, level = set(), {type(values)}, iter([values])
+    while True:
+        seen |= types
+        if list not in types or types & _NOT_NUMBERS:
+            return seen - {list}
+        lists = [item for item in level if type(item) is list]
+        types = set(map(type, chain.from_iterable(lists)))
+        level = chain.from_iterable(lists)
+
+
+def non_number(values, where: str, types: set[type] | None = None) -> str | None:
     """None unless a string or a boolean sits where `values`, a number or
     lists of them nested to any depth, should hold numbers, as a JSON
     reader hands them over; else a message naming the first one,
     `where[i][j]: "1.5" is not a number`, though `float()` would read it.
-    One type pass per nesting level decides; only a refusal walks to the
-    entry."""
-    types, level = {type(values)}, iter([values])
-    while not types & _NOT_NUMBERS:
-        if list not in types:
-            return None
-        lists = [item for item in level if type(item) is list]
-        types = set(map(type, chain.from_iterable(lists)))
-        level = chain.from_iterable(lists)
+    The `number_types` of `values` decide (pass them as `types` where the
+    caller has them); only a refusal walks to the entry."""
+    if not (number_types(values) if types is None else types) & _NOT_NUMBERS:
+        return None
     stack = [(where, values)]
     while stack:
         place, item = stack.pop()
@@ -133,13 +143,14 @@ class Scenario:
         """Row-wise projection of an N x H array onto the consumers' sets."""
         return project_rows(points, self.q_min_matrix, self.q_max_matrix, self.budgets)
 
-    def profile_array(self, values, what: str) -> np.ndarray:
+    def profile_array(self, values, what: str, types: set[type] | None = None) -> np.ndarray:
         """`values` as a float (N, H) array of finite loads, without a copy
         where they already are one; a ValueError naming `what` otherwise,
-        and naming the entry where a list holds a string or a boolean."""
+        and naming the entry where a list holds a string or a boolean.
+        `types`, where given, are the `number_types` of the lists `values`."""
         shape = (self.n_consumers, self.horizon)
         if not isinstance(values, np.ndarray):
-            refused = non_number(values, what)
+            refused = non_number(values, what, types)
             if refused is not None:
                 raise ValueError(refused)
         try:

@@ -218,7 +218,7 @@ def cmd_run(args) -> int:
         initial_par=initial_par,
         final_par=final_par,
         total_cost=grid_cost(aggregate(final), scenario.curve),
-        final_profiles=final.tolist(),
+        final_profiles=final,
     )
     status = "converged" if result.converged else "not converged"
     print(
@@ -251,7 +251,7 @@ def cmd_oracle(args) -> int:
         extra = {}
     _write_artifact(
         args.out, args, loaded.content_hash,
-        profiles=profiles.tolist(), total_cost=cost, **extra,
+        profiles=profiles, total_cost=cost, **extra,
     )
     print(f"{args.kind} oracle: total cost {cost:.6f}")
     return 0
@@ -327,10 +327,10 @@ def cmd_report(args) -> int:
         _write_artifact(
             args.out, args, loaded.content_hash,
             consumer=list(range(1, scenario.n_consumers + 1)),
-            energy_budget=report.budgets.tolist(),
-            instantaneous_bill=report.instantaneous_bills.tolist(),
-            total_load_bill=report.total_load_bills.tolist(),
-            consumer_par=report.consumer_par.tolist(),
+            energy_budget=report.budgets,
+            instantaneous_bill=report.instantaneous_bills,
+            total_load_bill=report.total_load_bills,
+            consumer_par=report.consumer_par,
         )
         print(f"fairness table for {scenario.n_consumers} consumers written")
     elif args.kind == "welfare-gap":

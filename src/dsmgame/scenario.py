@@ -21,11 +21,12 @@ import hashlib
 import json
 import math
 from json.encoder import encode_basestring_ascii
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .algorithms import Scenario, non_number
+from ._numtext import CHUNK, float_texts
+from .algorithms import Scenario, non_number, number_types
 from .feasible import ConsumerSpec, InvalidSetError
 from .model import PriceCurve
 from .network import parse_int
@@ -150,39 +151,6 @@ class LoadedScenario(NamedTuple):
     content_hash: str
 
 
-def scenario_payload(scenario: Scenario, initial_profiles=None) -> dict:
-    """JSON-ready dict for a scenario (plus optional initial profiles,
-    refused unless they form a finite (N, H) array, as `load_scenario`
-    refuses them)."""
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "horizon": scenario.horizon,
-        "price": {
-            "a": scenario.curve.a.tolist(),
-            "b": scenario.curve.b.tolist(),
-            "c": scenario.curve.c.tolist(),
-        },
-        "consumers": [
-            {
-                "q_min": spec.q_min.tolist(),
-                "q_max": spec.q_max.tolist(),
-                "energy": spec.energy,
-            }
-            for spec in scenario.specs
-        ],
-    }
-    if initial_profiles is not None:
-        initials = scenario.profile_array(initial_profiles, "initial_profiles")
-        payload["initial_profiles"] = initials.tolist()
-    return payload
-
-
-def payload_hash(payload: dict) -> str:
-    """Content hash of the canonical (sorted, compact) JSON encoding."""
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
 def _json_scalar(item) -> str | None:
     """None, a bool, an int or a float as json writes it; None for any
     other object."""
@@ -205,28 +173,60 @@ def _json_scalar(item) -> str | None:
     return None
 
 
-def _number_list_text(items) -> str | None:
-    """The items of a list (or tuple) of plain ints and finite floats as
-    `repr` writes them, "a, b, c", or None for any other list."""
-    if not set(map(type, items)) <= {int, float}:
-        return None
-    text = repr(items if type(items) is list else list(items))[1:-1]
-    # "inf" and "nan" are the only number texts with an "n"
-    return None if "n" in text else text
+#: the texts `float_texts` gives the non-finite floats, as json writes them
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _json_text(obj, indent: int | None = None, sort_keys: bool = False,
-               numbers: dict | None = None) -> str:
+def _row_texts(values: np.ndarray) -> list[str]:
+    """Each row (along the last axis) of the float64 array `values` as its
+    numbers' JSON texts joined by commas. `float_texts` formats a block of
+    rows of at most about `CHUNK` values at a time, which are joined into
+    row texts at once, so only that many number strings live together."""
+    width = values.shape[-1]
+    rows = values.reshape(math.prod(values.shape[:-1]), width)
+    if not width:
+        return [""] * len(rows)
+    step = max(1, CHUNK // width)
+    texts = []
+    for start in range(0, len(rows), step):
+        block = float_texts(rows[start : start + step])
+        texts += [",".join(block[i : i + width]) for i in range(0, len(block), width)]
+    # "nan" and "inf" are the only number texts with an "n"
+    return [
+        ",".join(_NON_FINITE.get(t, t) for t in text.split(",")) if "n" in text else text
+        for text in texts
+    ]
+
+
+def _enclose(texts: Iterable[str], nl: str, inner: str, brackets: str) -> Iterator[str]:
+    """A JSON list or object, `brackets` "[]" or "{}", of the item texts
+    `texts`, in parts of one item each, laid out as `json.dumps` lays it
+    out: each item after the line break and indent `inner`, the closing
+    bracket after `nl`; both are "" in the compact layout."""
+    sep = brackets[0] + inner
+    for text in texts:
+        yield sep + text
+        sep = "," + inner
+    yield brackets if sep[0] == brackets[0] else nl + brackets[1]
+
+
+def _number_list(row: str, nl: str, inner: str) -> str:
+    """The JSON list of a `_row_texts` row, laid out as `_enclose` lays
+    out a list."""
+    if not row:
+        return "[]"
+    return "[" + inner + (row.replace(",", "," + inner) if inner else row) + nl + "]"
+
+
+def _json_text(obj, indent: int | None = None, sort_keys: bool = False) -> str:
     """`obj` as JSON text, byte for byte `json.dumps(obj, indent=indent,
     sort_keys=sort_keys)`; with `indent` None, the compact
     `json.dumps(obj, sort_keys=sort_keys, separators=(",", ":"))`.
 
-    Each list of plain ints and finite floats is formatted by one `repr` of
-    the list. `numbers` maps the id of each list of `obj` to that text, or
-    to None for any other list; a second rendering of the same `obj` (in the
-    other layout, say) that is passed the same dict formats no number again.
+    An ndarray is written as its `.tolist()` would be; a float64 one's
+    numbers are formatted by `float_texts` (`_row_texts`), not by one
+    `repr` each.
     """
-    numbers = {} if numbers is None else numbers
     pad = "" if indent is None else " " * indent
     colon = ":" if indent is None else ": "
 
@@ -238,6 +238,13 @@ def _json_text(obj, indent: int | None = None, sort_keys: bool = False,
             )
         return encode_basestring_ascii(text)
 
+    def array(shape: tuple, rows: Iterator[str], nl: str) -> str:
+        inner = nl + pad
+        if len(shape) == 1:
+            return _number_list(next(rows), nl, inner)
+        items = (array(shape[1:], rows, inner) for _ in range(shape[0]))
+        return "".join(_enclose(items, nl, inner, "[]"))
+
     def encode(item, nl: str) -> str:
         if isinstance(item, str):
             return encode_basestring_ascii(item)
@@ -245,46 +252,135 @@ def _json_text(obj, indent: int | None = None, sort_keys: bool = False,
         if scalar is not None:
             return scalar
         inner = nl + pad
+        if isinstance(item, np.ndarray):
+            if item.dtype != np.float64 or not item.ndim:
+                return encode(item.tolist(), nl)
+            return array(item.shape, iter(_row_texts(item)), nl)
         if isinstance(item, (list, tuple)):
-            if not item:
-                return "[]"
-            if id(item) not in numbers:
-                numbers[id(item)] = _number_list_text(item)
-            text = numbers[id(item)]
-            if text is not None:
-                body = text.replace(", ", "," + inner)
-            else:
-                body = ("," + inner).join(encode(x, inner) for x in item)
-            return "[" + inner + body + nl + "]"
+            return "".join(_enclose((encode(x, inner) for x in item), nl, inner, "[]"))
         if isinstance(item, dict):
-            if not item:
-                return "{}"
             pairs = sorted(item.items()) if sort_keys else item.items()
-            body = ("," + inner).join(
-                key_text(k) + colon + encode(v, inner) for k, v in pairs
-            )
-            return "{" + inner + body + nl + "}"
+            texts = (key_text(k) + colon + encode(v, inner) for k, v in pairs)
+            return "".join(_enclose(texts, nl, inner, "{}"))
         raise TypeError(f"Object of type {type(item).__name__} is not JSON serializable")
 
     return encode(obj, "" if indent is None else "\n")
 
 
+class _Texts(NamedTuple):
+    """A scenario's numbers as JSON texts; a list's texts are joined by
+    commas, and the bounds and start hold one such row per consumer."""
+
+    schema_version: str
+    horizon: str
+    price: tuple[str, str, str]  # a, b, c
+    q_min: list[str]
+    q_max: list[str]
+    energy: list[str]
+    initial: list[str] | None
+
+
+def _scenario_parts(texts: _Texts, canonical: bool) -> Iterator[str]:
+    """The scenario JSON from its number texts, byte for byte `json.dumps`
+    of the payload: as `save_scenario` writes it (`indent=2`, keys in the
+    schema's order) or, `canonical`, as the content hash reads it (compact,
+    keys sorted). It comes in parts of at most one consumer or one row of
+    `initial_profiles` each, so the whole text is never held at once."""
+    nl = [""] * 5 if canonical else ["\n" + "  " * depth for depth in range(5)]
+    colon = ":" if canonical else ": "
+
+    def items(texts: Iterable[str], depth: int, brackets: str) -> Iterator[str]:
+        return _enclose(texts, nl[depth], nl[depth + 1], brackets)
+
+    def numbers(row: str, depth: int) -> str:
+        return _number_list(row, nl[depth], nl[depth + 1])
+
+    def fields(pairs: dict, depth: int) -> Iterator[str]:
+        keys = sorted(pairs) if canonical else pairs
+        return items((f'"{key}"{colon}{pairs[key]}' for key in keys), depth, "{}")
+
+    price = "".join(fields({key: numbers(row, 2) for key, row in zip("abc", texts.price)}, 1))
+    consumers = (
+        "".join(fields({"q_min": numbers(low, 3), "q_max": numbers(high, 3), "energy": energy}, 2))
+        for low, high, energy in zip(texts.q_min, texts.q_max, texts.energy)
+    )
+    # each key's value as parts; the two lists stream one item at a time
+    top = {
+        "schema_version": [texts.schema_version],
+        "horizon": [texts.horizon],
+        "price": [price],
+        "consumers": items(consumers, 1, "[]"),
+    }
+    if texts.initial is not None:
+        rows = (numbers(row, 2) for row in texts.initial)
+        top["initial_profiles"] = items(rows, 1, "[]")
+    sep = "{" + nl[1]
+    for key in sorted(top) if canonical else top:
+        yield f'{sep}"{key}"{colon}'
+        yield from top[key]
+        sep = "," + nl[1]
+    yield nl[0] + "}"
+
+
+def _content_hash(texts: _Texts) -> str:
+    """SHA-256 of the compact, sorted-key JSON of the payload."""
+    digest = hashlib.sha256()
+    for part in _scenario_parts(texts, canonical=True):
+        digest.update(part.encode("ascii"))
+    return digest.hexdigest()
+
+
 def save_scenario(path, scenario: Scenario, initial_profiles=None) -> str:
-    """Write the scenario JSON; returns its content hash, `payload_hash` of
-    the payload, built from the number texts the file was written with."""
-    payload = scenario_payload(scenario, initial_profiles)
-    numbers: dict = {}
-    text = _json_text(payload, indent=2, numbers=numbers)
+    """Write the scenario JSON, with the optional initial profiles (refused
+    unless they form a finite (N, H) array, as `load_scenario` refuses
+    them); returns its content hash.
+
+    `_row_texts` formats the numbers from the scenario's arrays, a block
+    of rows at a time, and `_scenario_parts` writes the file and the
+    content hash's text from those same texts. The file holds the bytes of
+    `json.dumps(payload, indent=2)`, and a newline.
+    """
+    initials = None
+    if initial_profiles is not None:
+        initials = _row_texts(scenario.profile_array(initial_profiles, "initial_profiles"))
+    curve = scenario.curve
+    texts = _Texts(
+        str(SCHEMA_VERSION),
+        str(scenario.horizon),
+        tuple(_row_texts(np.stack([curve.a, curve.b, curve.c]))),
+        _row_texts(scenario.q_min_matrix),
+        _row_texts(scenario.q_max_matrix),
+        _row_texts(scenario.budgets[:, None]),
+        initials,
+    )
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
-    blob = _json_text(payload, sort_keys=True, numbers=numbers)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        fh.writelines(_scenario_parts(texts, canonical=False))
+        fh.write("\n")
+    return _content_hash(texts)
 
 
-def _check_numbers(values, where: str) -> None:
-    message = non_number(values, where)
+def _number_texts(rows: list, array: np.ndarray, types: set[type] | None) -> list[str]:
+    """The JSON texts of the parsed `rows`, each a list of numbers or one
+    number, that hold the rows of the 2-D `array`, a row's texts joined by
+    commas: from the array where `types`, the `number_types` of `rows`,
+    say that every number is a float; else item by item, so that an int
+    keeps its text."""
+    if types == {float}:
+        return _row_texts(array)
+    return [
+        ",".join(map(_json_scalar, row)) if type(row) is list else _json_scalar(row)
+        for row in rows
+    ]
+
+
+def _check_numbers(values, where: str) -> set[type]:
+    """The `number_types` of `values`; a ScenarioFormatError naming the
+    first string or boolean among them."""
+    types = number_types(values)
+    message = non_number(values, where, types)
     if message is not None:
         raise ScenarioFormatError(message)
+    return types
 
 
 def _reject_unknown(fields: dict, allowed: set, where: str) -> None:
@@ -295,15 +391,18 @@ def _reject_unknown(fields: dict, allowed: set, where: str) -> None:
         )
 
 
-def _consumer_specs(path, consumers: list) -> tuple[ConsumerSpec, ...]:
+def _consumer_specs(path, consumers: list) -> tuple[tuple[ConsumerSpec, ...], dict]:
     """The specs of the `consumers` entries, checked in one pass over their
-    (N, H) bounds. Entries that do not form such arrays are read one at a
-    time instead, so the error names the first bad entry as that pass would."""
+    (N, H) bounds, and the `number_types` of each field's column of values.
+    Entries that do not form such arrays are read one at a time instead, so
+    the error names the first bad entry as that pass would; their types are
+    then not known (an empty dict)."""
     batch = all(type(entry) is dict and entry.keys() == _CONSUMER_FIELDS for entry in consumers)
     if batch:
         columns = {name: [entry[name] for entry in consumers] for name in _CONSUMER_FIELDS}
+        types = {name: number_types(column) for name, column in columns.items()}
         # the one-at-a-time pass names a string or a boolean
-        batch = not any(non_number(column, "") for column in columns.values())
+        batch = not any(non_number(columns[name], "", types[name]) for name in columns)
     if batch:
         try:
             q_min = np.array(columns["q_min"], dtype=float)
@@ -314,7 +413,7 @@ def _consumer_specs(path, consumers: list) -> tuple[ConsumerSpec, ...]:
         else:
             if q_min.ndim == q_max.ndim == 2:
                 try:
-                    return ConsumerSpec.from_rows(q_min, q_max, energy)
+                    return ConsumerSpec.from_rows(q_min, q_max, energy), types
                 except InvalidSetError as exc:
                     raise ScenarioFormatError(
                         f"{path}: consumers[{exc.row}]: {exc}"
@@ -336,11 +435,20 @@ def _consumer_specs(path, consumers: list) -> tuple[ConsumerSpec, ...]:
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ScenarioFormatError(f"{path}: consumers[{idx}]: {exc}") from exc
-    return tuple(specs)
+    return tuple(specs), {}
 
 
 def load_scenario(path) -> LoadedScenario:
-    """Read a scenario JSON file; strict schema, round-trip exact."""
+    """Read a scenario JSON file; strict schema, round-trip exact.
+
+    The content hash is the SHA-256 of the payload's compact, sorted-key
+    JSON, `json.dumps(payload, sort_keys=True, separators=(",", ":"))`,
+    as `save_scenario` returns it. `_scenario_text` composes that text
+    from the arrays the file was read into, with `_row_texts`, where the
+    type pass that refuses a string or a boolean found only floats in a
+    list; a list holding an int (`"c": [0, 0]`) keeps its int texts, item
+    by item, and `"schema_version": 1.0` keeps its float text.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh, parse_int=parse_int)
@@ -364,8 +472,7 @@ def load_scenario(path) -> LoadedScenario:
     if not isinstance(consumers, list):
         raise ScenarioFormatError(f"{path}: consumers must be a list")
     _reject_unknown(price, _PRICE_FIELDS, f"{path}: price")
-    for name in ("a", "b", "c"):
-        _check_numbers(price.get(name), f"{path}: price: {name}")
+    price_types = [_check_numbers(price.get(name), f"{path}: price: {name}") for name in "abc"]
     try:
         curve = PriceCurve(
             np.array(price["a"], dtype=float),
@@ -383,17 +490,35 @@ def load_scenario(path) -> LoadedScenario:
         raise ScenarioFormatError(
             f"{path}: price arrays have length {curve.horizon}, horizon says {horizon}"
         )
-    specs = _consumer_specs(path, consumers)
+    specs, types = _consumer_specs(path, consumers)
     try:
         scenario = Scenario(specs, curve)
     except ValueError as exc:
         raise ScenarioFormatError(f"{path}: {exc}") from exc
-    initials = None
+    initials = initial_texts = None
     if "initial_profiles" in payload:
+        rows = payload["initial_profiles"]
+        row_types = number_types(rows)
         try:
-            initials = scenario.profile_array(
-                payload["initial_profiles"], f"{path}: initial_profiles"
-            )
+            initials = scenario.profile_array(rows, f"{path}: initial_profiles", row_types)
         except ValueError as exc:
             raise ScenarioFormatError(str(exc)) from exc
-    return LoadedScenario(scenario, initials, payload_hash(payload))
+        initial_texts = _number_texts(rows, initials, row_types)
+    texts = _Texts(
+        _json_scalar(payload["schema_version"]),
+        _json_scalar(horizon),
+        tuple(
+            _number_texts([price[name]], getattr(curve, name)[None], kinds)[0]
+            for name, kinds in zip("abc", price_types)
+        ),
+        *(
+            _number_texts([entry[name] for entry in consumers], array, types.get(name))
+            for name, array in (
+                ("q_min", scenario.q_min_matrix),
+                ("q_max", scenario.q_max_matrix),
+                ("energy", scenario.budgets[:, None]),
+            )
+        ),
+        initial_texts,
+    )
+    return LoadedScenario(scenario, initials, _content_hash(texts))

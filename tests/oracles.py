@@ -3,7 +3,8 @@ checks of a consumer spec, an active-set QP projection oracle, a grid-search and
 finite differences, and plain reference versions of the projection's numpy
 form, the scenario generator's and `run`'s start-point draws (one consumer
 at a time), the topology generator, the trace writer, the synchronous loop
-and the gossip loop.
+and the gossip loop; and the scenario file's payload and content hash as
+the C `json` encoder defines them.
 
 These deliberately re-derive results from first principles rather than
 calling the library's own solution paths; the exceptions are the two loops,
@@ -15,7 +16,9 @@ and projection: a second route to the water-filling best response.
 """
 
 import csv
+import hashlib
 import itertools
+import json
 
 import numpy as np
 
@@ -31,7 +34,39 @@ from dsmgame.feasible import project_rows, sample_feasible
 from dsmgame.model import mapping_profiles
 from dsmgame.network import mix
 from dsmgame.oracle import _descend
-from dsmgame.scenario import BASE_HIGH, BASE_LOW, OFF_PEAK, OFFPEAK_QMAX_RANGE, SEGMENTS
+from dsmgame.scenario import (
+    BASE_HIGH,
+    BASE_LOW,
+    OFF_PEAK,
+    OFFPEAK_QMAX_RANGE,
+    SCHEMA_VERSION,
+    SEGMENTS,
+)
+
+
+def reference_payload(scenario, initial_profiles=None) -> dict:
+    """The JSON payload of a scenario file, as plain lists: what
+    `save_scenario` writes, in its key order."""
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "horizon": scenario.horizon,
+        "price": {name: getattr(scenario.curve, name).tolist() for name in "abc"},
+        "consumers": [
+            {"q_min": spec.q_min.tolist(), "q_max": spec.q_max.tolist(), "energy": spec.energy}
+            for spec in scenario.specs
+        ],
+    }
+    if initial_profiles is not None:
+        payload["initial_profiles"] = np.asarray(initial_profiles, dtype=float).tolist()
+    return payload
+
+
+def reference_hash(payload) -> str:
+    """The scenario content hash by its definition: the SHA-256 of the
+    compact, sorted-key encoding of the parsed payload by the C `json`
+    encoder, one `repr` per float."""
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def reference_set_error(q_min, q_max, energy: float) -> str | None:

@@ -14,7 +14,7 @@ from dsmgame.algorithms import Scenario
 from dsmgame.cli import main
 from dsmgame.feasible import ConsumerSpec
 from dsmgame.model import PriceCurve
-from dsmgame.scenario import load_scenario, save_scenario
+from dsmgame.scenario import generate, load_scenario, save_scenario
 from conftest import AVX2_ENV, REPO, make_toy_game, src_env
 from oracles import reference_start_point
 
@@ -77,6 +77,39 @@ def test_generate_n2000_scenario_bytes(tmp_path):
     assert load_scenario(out).content_hash == (
         "910181ebc649a64c83768ef67f4d643953085d5f36c7c03d6df3c45ebd26ddba"
     )
+    # the hash save_scenario returns, from the texts it writes the file with
+    assert save_scenario(tmp_path / "saved.json", *generate(2000, seed=7)) == (
+        "910181ebc649a64c83768ef67f4d643953085d5f36c7c03d6df3c45ebd26ddba"
+    )
+
+
+#: sha256 of the N = 2000 artifacts whose numbers come from arrays: a 20-round
+#: alg 1 summary (48,000 final profile values) and its fairness report. Like
+#: the trace pins they hold on numpy's AVX-512 loops (ROADMAP item 1)
+ARTIFACT_DIGESTS_N2000 = {
+    "summary1.json": "084d3c4e0962f1223eb07e135b98a91d23296785c9c40aec0e1b9222f21b37b9",
+    "fairness.json": "0c656734b081b9d03cc8801b0beda77818962bb26e330f7f83f1728f4c04873f",
+}
+
+
+def test_n2000_summary_and_fairness_bytes(tmp_path, monkeypatch):
+    # relative paths in a fresh directory, as the N = 8 study runs, since
+    # the artifacts echo the paths as typed
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("generate", "--n", "2000", "--seed", "7", "-o", "scenario.json") == 0
+    assert run_cli(
+        "run", "scenario.json", "--alg", "1", "--max-iter", "20",
+        "--trace", "trace1.csv", "--summary", "summary1.json",
+    ) == 0
+    assert run_cli(
+        "report", "--kind", "fairness", "--scenario", "scenario.json",
+        "--summary", "summary1.json", "-o", "fairness.json",
+    ) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ARTIFACT_DIGESTS_N2000
+    }
+    assert digests == ARTIFACT_DIGESTS_N2000
 
 
 def test_generate_deterministic(tmp_path):

@@ -22,8 +22,8 @@ from dsmgame.scenario import (
     generate,
     load_scenario,
     save_scenario,
-    scenario_payload,
 )
+from oracles import reference_payload
 
 SCENARIO, INIT = generate(3, seed=3)
 SHAPE = "must be an array of numbers of shape (3, 24)"
@@ -100,7 +100,7 @@ def test_save_refuses_the_start_that_load_refuses(tmp_path, case):
     path = tmp_path / "s.json"
     assert _refusal(lambda: save_scenario(path, SCENARIO, bad)) == "initial_profiles" + problem
     assert not path.exists()
-    payload = scenario_payload(SCENARIO)
+    payload = reference_payload(SCENARIO)
     payload["initial_profiles"] = bad
     path.write_text(json.dumps(payload))
     with pytest.raises(ScenarioFormatError) as info:

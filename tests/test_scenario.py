@@ -23,12 +23,10 @@ from dsmgame.scenario import (
     ScenarioFormatError,
     generate,
     load_scenario,
-    payload_hash,
     save_scenario,
-    scenario_payload,
     _json_text,
 )
-from oracles import reference_generate
+from oracles import reference_generate, reference_hash, reference_payload
 
 
 # --- segments ----------------------------------------------------------------
@@ -186,7 +184,7 @@ def test_unknown_field_is_rejected_by_name(tmp_path):
     import json
 
     scenario, _ = generate(n_consumers=3, seed=13)
-    payload = scenario_payload(scenario)
+    payload = reference_payload(scenario)
     payload["surprise"] = 1
     path = tmp_path / "s.json"
     path.write_text(json.dumps(payload))
@@ -198,7 +196,7 @@ def test_unknown_consumer_field_is_rejected(tmp_path):
     import json
 
     scenario, _ = generate(n_consumers=3, seed=14)
-    payload = scenario_payload(scenario)
+    payload = reference_payload(scenario)
     payload["consumers"][1]["comment"] = "hi"
     path = tmp_path / "s.json"
     path.write_text(json.dumps(payload))
@@ -210,7 +208,7 @@ def test_missing_field_is_rejected(tmp_path):
     import json
 
     scenario, _ = generate(n_consumers=3, seed=15)
-    payload = scenario_payload(scenario)
+    payload = reference_payload(scenario)
     del payload["price"]
     path = tmp_path / "s.json"
     path.write_text(json.dumps(payload))
@@ -222,7 +220,7 @@ def test_budget_above_box_is_a_format_error_naming_the_consumer(tmp_path):
     import json
 
     scenario, init = generate(n_consumers=3, seed=16)
-    payload = scenario_payload(scenario, init)
+    payload = reference_payload(scenario, init)
     payload["consumers"][0]["energy"] = sum(payload["consumers"][0]["q_max"]) + 1.0
     path = tmp_path / "s.json"
     path.write_text(json.dumps(payload))
@@ -259,7 +257,7 @@ NON_NUMBERS = {
 def test_a_string_or_boolean_is_not_read_as_a_number(tmp_path, case):
     # float() reads "0.003" and True as numbers; the file's reader does not
     scenario, init = generate(n_consumers=2, seed=1)
-    payload = scenario_payload(scenario, init)
+    payload = reference_payload(scenario, init)
     edit, value, expected = NON_NUMBERS[case]
     old = []
     edit(payload, lambda number: old.append(number) or value(number))
@@ -392,7 +390,7 @@ BAD_CONSUMERS = {
 @pytest.fixture(scope="module")
 def payload_300():
     scenario, init = generate(n_consumers=300, seed=21)
-    return json.dumps(scenario_payload(scenario, init))
+    return json.dumps(reference_payload(scenario, init))
 
 
 @pytest.mark.parametrize("idx", [0, 150, 299])
@@ -472,7 +470,7 @@ WRONG_TYPES = ("x", {}, None, [])
 def _base_payload(n: int) -> dict:
     if n not in _BASE_PAYLOADS:
         scenario, init = generate(n_consumers=n, seed=n)
-        _BASE_PAYLOADS[n] = json.dumps(scenario_payload(scenario, init))
+        _BASE_PAYLOADS[n] = json.dumps(reference_payload(scenario, init))
     return json.loads(_BASE_PAYLOADS[n])
 
 
@@ -627,10 +625,137 @@ def test_the_renderer_refuses_what_json_refuses():
 
 def test_save_hashes_the_text_it_writes(tmp_path):
     # the hash comes from the number texts of the file, and is the hash
-    # of the C encoder that load_scenario uses
+    # that the C encoder gives the payload by definition, as load_scenario
+    # computes it too
     scenario, init = generate(n_consumers=4, seed=2)
     path = tmp_path / "s.json"
     sha = save_scenario(path, scenario, init)
-    payload = scenario_payload(scenario, init)
+    payload = reference_payload(scenario, init)
     assert path.read_text(encoding="utf-8") == json.dumps(payload, indent=2) + "\n"
-    assert sha == payload_hash(payload) == load_scenario(path).content_hash
+    assert sha == reference_hash(payload) == load_scenario(path).content_hash
+
+
+#: float arrays' edge values: signed zeros, the least subnormal, exponent
+#: notation on both sides of the fixed range and the non-finite values
+ARRAY_EDGES = (-0.0, 0.0, 5e-324, 1e-5, 1e-4, 1e16, 1e22, 0.1, float("nan"), float("inf"), float("-inf"))
+
+
+@pytest.mark.parametrize("shape", [(0,), (1,), (11,), (0, 3), (3, 0), (4, 11), (2, 3, 11), (300, 24)])
+def test_the_renderer_writes_float_arrays_as_json_dumps_writes_their_lists(shape):
+    # (300, 24) spans several formatting blocks of rows
+    rng = np.random.default_rng(len(shape))
+    values = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 18, size=shape)
+    flat = values.reshape(-1)
+    flat[: len(ARRAY_EDGES)] = ARRAY_EDGES[: flat.size]
+    for obj in (values, {"b": values, "a": [values, 1.5]}):
+        listed = values.tolist()
+        as_lists = listed if obj is values else {"b": listed, "a": [listed, 1.5]}
+        for sort_keys in (False, True):
+            assert _json_text(obj, indent=2, sort_keys=sort_keys) == json.dumps(
+                as_lists, indent=2, sort_keys=sort_keys
+            )
+            assert _json_text(obj, sort_keys=sort_keys) == json.dumps(
+                as_lists, sort_keys=sort_keys, separators=(",", ":")
+            )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    values=st.lists(st.one_of(st.floats(), st.sampled_from(ARRAY_EDGES)), max_size=60),
+    width=st.integers(1, 7),
+)
+def test_the_renderer_writes_any_float_matrix_as_json_dumps_writes_its_lists(values, width):
+    rows = np.array(values[: len(values) // width * width], dtype=float).reshape(-1, width)
+    for indent in (None, 2):
+        separators = (",", ":") if indent is None else None
+        assert _json_text(rows, indent=indent) == json.dumps(
+            rows.tolist(), indent=indent, separators=separators
+        )
+
+
+def test_the_renderer_writes_other_arrays_as_their_lists():
+    for values in (np.arange(4), np.float64(0.1), np.array(2.5), np.array([True, False])):
+        assert _json_text(values, indent=2) == json.dumps(values.tolist(), indent=2)
+
+
+#: per schema number, hand-written values that keep the file valid: ints
+#: beside floats, and floats on the edges of `repr`'s fixed notation
+HAND_WRITTEN = {
+    "a": (1, 2, 1e-5, 0.25),
+    "b": (1, 2, 1.0),
+    "c": (0, 3, -0.0, 5e-324, 1e-5, 1e16),
+    "q_min": (0, -0.0, 5e-324, 1e-5),
+    "q_max": (2, 10**20, 1e16, 1e22),
+    "initial": (0, 1, -0.0, 5e-324, 1e-5, 1e16, 10**20, 1e22),
+}
+
+
+def _shuffled(draw, obj):
+    """`obj` with the keys of every object in an order drawn."""
+    if isinstance(obj, dict):
+        keys = draw(st.permutations(list(obj)))
+        return {key: _shuffled(draw, obj[key]) for key in keys}
+    if isinstance(obj, list):
+        return [_shuffled(draw, item) for item in obj]
+    return obj
+
+
+@st.composite
+def hand_written_files(draw) -> str:
+    """The text of a valid scenario file as a person might write it: ints
+    and floats mixed in any list, edge values, `"schema_version": 1.0`,
+    keys in any order and any whitespace."""
+    n = draw(st.integers(1, 3))
+    payload = _base_payload(n)
+    consumers = payload["consumers"]
+    places = {
+        "a": [(payload["price"]["a"], h) for h in range(24)],
+        "b": [(payload["price"]["b"], h) for h in range(24)],
+        "c": [(payload["price"]["c"], h) for h in range(24)],
+        "q_min": [(c["q_min"], h) for c in consumers for h in range(24)],
+        "q_max": [(c["q_max"], h) for c in consumers for h in range(24)],
+        "initial": [(row, h) for row in payload["initial_profiles"] for h in range(24)],
+    }
+    for _ in range(draw(st.integers(1, 12))):
+        field = draw(st.sampled_from(sorted(places)))
+        row, h = draw(st.sampled_from(places[field]))
+        row[h] = draw(st.sampled_from(HAND_WRITTEN[field]))
+    for consumer in draw(st.lists(st.sampled_from(consumers), max_size=2)):
+        # an int budget in the middle of the box, far inside it
+        consumer["energy"] = round((sum(consumer["q_min"]) + sum(consumer["q_max"])) / 2)
+    if draw(st.booleans()):
+        payload["schema_version"] = 1.0
+    if draw(st.booleans()):
+        del payload["initial_profiles"]
+    indent = draw(st.sampled_from([None, 0, 1, 4, "\t"]))
+    separators = draw(st.sampled_from([None, (",", ":"), (" , ", " : ")]))
+    return json.dumps(_shuffled(draw, payload), indent=indent, separators=separators)
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=hand_written_files())
+def test_a_hand_written_file_keeps_the_hash_of_its_payload(fuzz_dir, text):
+    # the content hash is the C encoder's compact, sorted-key JSON of the
+    # parsed payload, whatever the file's layout and number types
+    path = fuzz_dir / "hand.json"
+    path.write_text(text)
+    assert load_scenario(path).content_hash == reference_hash(json.loads(text))
+
+
+def test_the_hash_keeps_each_numbers_type(tmp_path):
+    # an int, a float of an integral value and 1.0 for the schema version
+    # give three different texts, so three different hashes
+    payload = _base_payload(2)
+    hashes = set()
+    for edit in (
+        lambda p: None,
+        lambda p: p["price"]["c"].__setitem__(0, 0),
+        lambda p: p.__setitem__("schema_version", 1.0),
+    ):
+        edit(payload)
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(payload))
+        got = load_scenario(path).content_hash
+        assert got == reference_hash(payload)
+        hashes.add(got)
+    assert len(hashes) == 3
