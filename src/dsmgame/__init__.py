@@ -28,7 +28,6 @@ from .network import (
     generate_topology,
     gossip_stream,
     load_edge_list,
-    save_edge_list,
 )
 from .oracle import (
     ConvergenceError,

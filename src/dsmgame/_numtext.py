@@ -1,5 +1,5 @@
 """Python's float `repr`, for whole float64 arrays, in numpy integer
-arithmetic.
+arithmetic, and the one opener of the package's output files.
 
 `float_texts(values)` returns `list(map(repr, values.tolist()))`. The values
 `repr` writes in fixed notation, 1e-4 <= |x| < 1e16, take a vectorised path:
@@ -11,9 +11,24 @@ digits and the fixed notation are assembled in uint8 matrices and split
 into strings once per chunk of at most `CHUNK` values. Zeros, subnormals,
 inf and nan and the values `repr` writes in exponent notation go through
 `repr` itself.
+
+`open_output(path, newline=None)` is the one way the package opens a file
+to write: the trace CSV, scenario files, JSON artifacts and reports all go
+through it. It opens as `open(path, "w")` does, but without `O_TRUNC`: a
+file that exists is overwritten in place, and on every exit, normal or by
+an exception, a regular file is cut at the last byte written. Truncating
+a large file to zero first makes the filesystem free its blocks and then
+write into fresh ones, which costs more than the write itself when a
+command is rerun into the same paths. A FIFO, a tty or `/dev/null` is
+written and never cut.
 """
 
 from __future__ import annotations
+
+import os
+import stat
+from contextlib import contextmanager
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -285,3 +300,22 @@ def _text_matrix(x: np.ndarray) -> np.ndarray:
     text &= _KEEP[:, cols].take(mask, axis=0)
     text |= _FILL[:, cols].take(mask, axis=0)
     return text
+
+
+@contextmanager
+def open_output(path, newline: str | None = None) -> Iterator[TextIO]:
+    """A UTF-8 text file open for writing at `path`, as `open(path, "w",
+    newline=newline)` gives, except that an existing file keeps its bytes
+    until they are overwritten and is cut to the written length on exit.
+    Hard links, symlinks and the file's permissions are kept as `open`
+    keeps them."""
+    with open(
+        path, "w", encoding="utf-8", newline=newline,
+        opener=lambda name, flags: os.open(name, flags & ~os.O_TRUNC, 0o666),
+    ) as fh:
+        regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+        try:
+            yield fh
+        finally:
+            if regular:
+                fh.truncate()

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from ._numtext import CHUNK, float_texts
+from ._numtext import CHUNK, float_texts, open_output
 from .feasible import ConsumerSpec, first_infeasible, project_rows
 from .model import Certificate, PriceCurve, bills, mapping_profiles, uniqueness_certificate
 from .network import CommGraph, GossipEvent, check_weights, mix
@@ -346,7 +346,7 @@ class RunTrace:
         rows = cells.reshape(n_rows, horizon)
         tails = [""] * n_rows
         t = 0
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with open_output(path, newline="") as fh:
             fh.write(header + "\r\n")
             for block in self._blocks():
                 values = [a for _, moved, _, bills, res in block for a in (moved, bills, [res])]

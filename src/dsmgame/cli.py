@@ -11,11 +11,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 
 import numpy as np
 
 from . import algorithms, network, oracle, scenario as scen
+from ._numtext import open_output
 from .model import aggregate, grid_cost, par
 
 
@@ -48,7 +50,7 @@ def _write_artifact(path, args, scenario_hash: str, **fields) -> None:
     if "kind" in flags:
         header["kind"] = args.kind
     text = scen._json_text({**header, **fields}, indent=2, sort_keys=True)
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         fh.write(text + "\n")
 
 
@@ -357,7 +359,7 @@ def cmd_report(args) -> int:
                     f"the n column of {args.trace}",
                     1,
                 )
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        with open_output(args.out, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t", "n", "cost"])
             writer.writerows(rows)
@@ -426,6 +428,26 @@ _REQUIRED_INPUTS = {
 }
 
 
+#: each command's output options, as (flag, attribute)
+_OUTPUTS = {
+    "generate": (("-o", "out"),),
+    "run": (("--trace", "trace"), ("--summary", "summary")),
+    "oracle": (("-o", "out"),),
+    "report": (("-o", "out"),),
+}
+
+
+def _check_output_dirs(args) -> None:
+    # refused before any input is read, so that a typo in an output path
+    # does not cost a whole solve before the write fails
+    for flag, name in _OUTPUTS[args.command]:
+        path = getattr(args, name)
+        parent = os.path.dirname(path) or "."
+        if not os.path.isdir(parent):
+            what = "is not a directory" if os.path.exists(parent) else "does not exist"
+            raise CliError(f"{flag} {path}: the directory {parent} {what}", 1)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -444,6 +466,7 @@ def main(argv=None) -> int:
                 raise CliError(
                     f"report --kind {args.kind} needs {', '.join(missing)}", 1
                 )
+        _check_output_dirs(args)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

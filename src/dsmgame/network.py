@@ -180,13 +180,6 @@ def generate_topology(
     return CommGraph(n, frozenset(edges))
 
 
-def save_edge_list(graph: CommGraph, path) -> None:
-    """Write the 1-based "n k" edge-list text format."""
-    lines = [f"{n + 1} {k + 1}" for n, k in sorted(graph.edges)]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 class DigitLimitError(ValueError):
     """An integer numeral longer than Python's limit on the digits of int()."""
 

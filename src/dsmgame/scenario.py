@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from ._numtext import CHUNK, float_texts
+from ._numtext import CHUNK, float_texts, open_output
 from .algorithms import Scenario, non_number, number_types
 from .feasible import ConsumerSpec, InvalidSetError
 from .model import PriceCurve
@@ -353,7 +353,7 @@ def save_scenario(path, scenario: Scenario, initial_profiles=None) -> str:
         _row_texts(scenario.budgets[:, None]),
         initials,
     )
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         fh.writelines(_scenario_parts(texts, canonical=False))
         fh.write("\n")
     return _content_hash(texts)

@@ -3,8 +3,8 @@ checks of a consumer spec, an active-set QP projection oracle, a grid-search and
 finite differences, and plain reference versions of the projection's numpy
 form, the scenario generator's and `run`'s start-point draws (one consumer
 at a time), the topology generator, the trace writer, the synchronous loop
-and the gossip loop; and the scenario file's payload and content hash as
-the C `json` encoder defines them.
+and the gossip loop; the edge-list writer; and the scenario file's payload
+and content hash as the C `json` encoder defines them.
 
 These deliberately re-derive results from first principles rather than
 calling the library's own solution paths; the exceptions are the two loops,
@@ -280,6 +280,14 @@ def reference_trace_csv(trace, path):
                     [t_idx, n + 1, repr(float(bills[n])), repr(float(res))]
                     + [repr(float(x)) for x in q[n]]
                 )
+
+
+def save_edge_list(graph, path) -> None:
+    """Write the 1-based "n k" edge-list text format that
+    `load_edge_list` reads."""
+    lines = [f"{n + 1} {k + 1}" for n, k in sorted(graph.edges)]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def slot_rows(graph):

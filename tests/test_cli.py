@@ -150,6 +150,26 @@ def test_generate_refuses_a_jitter_that_overflows_the_prices_in_one_line(tmp_pat
     assert not out.exists()
 
 
+def bad_directory(tmp_path, missing: bool):
+    """A directory path that does not exist, or that names a file."""
+    if missing:
+        return tmp_path / "missing"
+    (tmp_path / "file").write_text("")
+    return tmp_path / "file"
+
+
+def dir_error(flag, path, missing: bool) -> str:
+    what = "does not exist" if missing else "is not a directory"
+    return f"error: {flag} {path}: the directory {path.parent} {what}\n"
+
+
+@pytest.mark.parametrize("missing", [True, False])
+def test_generate_refuses_a_bad_output_directory(tmp_path, capsys, missing):
+    out = bad_directory(tmp_path, missing) / "s.json"
+    assert run_cli("generate", "--n", "3", "-o", out) == 1
+    assert capsys.readouterr().err == dir_error("-o", out, missing)
+
+
 # --- run ------------------------------------------------------------------------
 
 
@@ -420,7 +440,8 @@ def test_option_prefixes_are_refused(toy_file, tmp_path, capsys):
 
 
 def test_run_alg2_with_graph_file(small_canonical, tmp_path):
-    from dsmgame.network import generate_topology, save_edge_list
+    from dsmgame.network import generate_topology
+    from oracles import save_edge_list
     import numpy as np
 
     graph = generate_topology(8, 3.0, np.random.default_rng(2))
@@ -464,6 +485,23 @@ def test_run_names_the_flag_of_a_bad_solver_setting_before_loading(
     )
     assert code == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("flag, missing", [
+    ("--trace", True), ("--trace", False), ("--summary", True), ("--summary", False),
+])
+def test_run_refuses_a_bad_output_directory_before_loading(tmp_path, capsys, flag, missing):
+    # the scenario file does not exist: the output is refused before it is
+    # read, and the other output is not written
+    outputs = {"--trace": tmp_path / "t.csv", "--summary": tmp_path / "s.json"}
+    outputs[flag] = bad_directory(tmp_path, missing) / outputs[flag].name
+    code = run_cli(
+        "run", tmp_path / "missing.json", "--alg", "1",
+        *(part for pair in outputs.items() for part in pair),
+    )
+    assert code == 1
+    assert capsys.readouterr().err == dir_error(flag, outputs[flag], missing)
+    assert not any(path.exists() for path in outputs.values())
 
 
 def _scenario_without_start(path, horizon, n=8, seed=5):
@@ -543,6 +581,14 @@ def test_oracle_welfare_completes_on_large_instance(small_canonical, tmp_path):
     out = tmp_path / "welfare.json"
     assert run_cli("oracle", small_canonical, "--kind", "welfare", "-o", out) == 0
     assert json.loads(out.read_text())["total_cost"] > 0
+
+
+@pytest.mark.parametrize("missing", [True, False])
+def test_oracle_refuses_a_bad_output_directory_before_loading(tmp_path, capsys, missing):
+    out = bad_directory(tmp_path, missing) / "o.json"
+    code = run_cli("oracle", tmp_path / "missing.json", "--kind", "welfare", "-o", out)
+    assert code == 1
+    assert capsys.readouterr().err == dir_error("-o", out, missing)
 
 
 # --- reports --------------------------------------------------------------------
@@ -905,6 +951,14 @@ def test_reports_refuse_a_field_that_is_not_a_usable_number(
 def test_report_missing_inputs_is_usage_error(capsys):
     assert main(["report", "--kind", "par", "-o", "x.json"]) == 1
     assert "--summary" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("missing", [True, False])
+def test_report_refuses_a_bad_output_directory_before_reading(tmp_path, capsys, missing):
+    out = bad_directory(tmp_path, missing) / "par.json"
+    code = run_cli("report", "--kind", "par", "--summary", tmp_path / "missing.json", "-o", out)
+    assert code == 1
+    assert capsys.readouterr().err == dir_error("-o", out, missing)
 
 
 # --- provenance header ------------------------------------------------------------

@@ -18,10 +18,9 @@ from dsmgame.network import (
     load_edge_list,
     mix,
     parse_int,
-    save_edge_list,
 )
 from conftest import AVX2_ENV, STAR_5, src_env
-from oracles import dense_weights, reference_topology_edges, slot_weights
+from oracles import dense_weights, reference_topology_edges, save_edge_list, slot_weights
 
 
 # --- construction and connectivity ------------------------------------------
