@@ -16,11 +16,16 @@ inf and nan and the values `repr` writes in exponent notation go through
 to write: the trace CSV, scenario files, JSON artifacts and reports all go
 through it. It opens as `open(path, "w")` does, but without `O_TRUNC`: a
 file that exists is overwritten in place, and on every exit, normal or by
-an exception, a regular file is cut at the last byte written. Truncating
-a large file to zero first makes the filesystem free its blocks and then
-write into fresh ones, which costs more than the write itself when a
-command is rerun into the same paths. A FIFO, a tty or `/dev/null` is
-written and never cut.
+an exception, a regular file is cut at the last byte the system took. On a
+rewrite of a large file, truncating it to zero first makes the filesystem
+free its blocks and then write into fresh ones, which costs more than the
+write itself. Before it writes, the opener puts `STALE_MARK`, a NUL, over
+an existing file's last byte. New bytes that reach that far overwrite it,
+and the cut removes it otherwise, so a file that still ends in it was not
+written to its end (the process was killed mid-write) and holds an older
+file's tail after its new bytes; `ends_unfinished(path)` tells, and the
+trace reader refuses such a file. A FIFO, a tty or `/dev/null` is written
+and never marked or cut.
 """
 
 from __future__ import annotations
@@ -302,20 +307,50 @@ def _text_matrix(x: np.ndarray) -> np.ndarray:
     return text
 
 
+#: what `open_output` writes over an existing file's last byte before any
+#: new byte; no output of the package ends in it
+STALE_MARK = b"\0"
+
+
 @contextmanager
 def open_output(path, newline: str | None = None) -> Iterator[TextIO]:
     """A UTF-8 text file open for writing at `path`, as `open(path, "w",
     newline=newline)` gives, except that an existing file keeps its bytes
-    until they are overwritten and is cut to the written length on exit.
-    Hard links, symlinks and the file's permissions are kept as `open`
-    keeps them."""
+    until they are overwritten, its last byte is `STALE_MARK` until the new
+    bytes reach it, and it is cut to the written length on exit. Hard
+    links, symlinks and the file's permissions are kept as `open` keeps
+    them."""
     with open(
         path, "w", encoding="utf-8", newline=newline,
         opener=lambda name, flags: os.open(name, flags & ~os.O_TRUNC, 0o666),
     ) as fh:
-        regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+        fd = fh.fileno()
+        st = os.fstat(fd)
+        regular = stat.S_ISREG(st.st_mode)
+        if regular and st.st_size:
+            os.pwrite(fd, STALE_MARK, st.st_size - 1)
         try:
             yield fh
         finally:
             if regular:
-                fh.truncate()
+                try:
+                    fh.flush()
+                finally:
+                    # at the descriptor's offset, which counts the bytes the
+                    # system took even where the flush failed partway
+                    os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+
+
+def ends_unfinished(path) -> bool:
+    """Whether the file at `path` ends in `STALE_MARK`: an overwrite by
+    `open_output` stopped before its end and left an older file's tail.
+    Anything but a regular file, which the opener never marks, is not
+    opened, so that a FIFO's one reader is not used up."""
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        return False
+    with open(path, "rb") as fh:
+        size = fh.seek(0, os.SEEK_END)
+        if not size:
+            return False
+        fh.seek(size - 1)
+        return fh.read(1) == STALE_MARK

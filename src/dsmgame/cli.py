@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import algorithms, network, oracle, scenario as scen
-from ._numtext import open_output
+from ._numtext import ends_unfinished, open_output
 from .model import aggregate, grid_cost, par
 
 
@@ -33,6 +33,13 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         kwargs.setdefault("allow_abbrev", False)
         super().__init__(*args, **kwargs)
+        #: the output options, as (flag, attribute), that `main` checks
+        self.outputs: list[tuple[str, str]] = []
+
+    def add_output(self, *flags, **kwargs) -> None:
+        """A required output path option."""
+        action = self.add_argument(*flags, required=True, **kwargs)
+        self.outputs.append((flags[0], action.dest))
 
     # argparse exits with status 2 on usage errors; the artifact reserves 2
     # for runtime failures, so remap.
@@ -262,6 +269,12 @@ def cmd_oracle(args) -> int:
 def _read_costs(path, wanted: set[int] | None) -> list[list[str]]:
     """The t, n and cost fields of a trace CSV's rows: all of them, or those
     of the consumers `wanted`."""
+    if ends_unfinished(path):
+        raise CliError(
+            f"--trace {path} was not written to its end: it ends in the NUL byte "
+            "that an overwrite stopped midway leaves, after an older file's tail",
+            1,
+        )
     with open(path, "r", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -375,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=50, help="number of consumers")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--jitter", type=float, default=0.1)
-    p.add_argument("-o", "--out", required=True, help="output scenario JSON")
+    p.add_output("-o", "--out", help="output scenario JSON")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("run", help="run one of the solvers on a scenario")
@@ -393,8 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", help="edge-list file for algorithms 2/3")
     p.add_argument("--topology", choices=("random",), help="generate a topology")
     p.add_argument("--degree", type=float, default=3.0)
-    p.add_argument("--trace", required=True, help="output trace CSV")
-    p.add_argument("--summary", required=True, help="output summary JSON")
+    p.add_output("--trace", help="output trace CSV")
+    p.add_output("--summary", help="output summary JSON")
     p.add_argument("--strict", action="store_true")
     p.set_defaults(func=cmd_run)
 
@@ -402,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario")
     p.add_argument("--kind", choices=("nash", "welfare"), required=True)
     p.add_argument("--tol", type=float, default=1e-7)
-    p.add_argument("-o", "--out", required=True)
+    p.add_output("-o", "--out")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("report", help="derive report data from run artifacts")
@@ -415,8 +428,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", help="welfare oracle JSON (welfare-gap)")
     p.add_argument("--trace", help="trace CSV (convergence)")
     p.add_argument("--consumers", help="comma-separated 1-based ids (convergence)")
-    p.add_argument("-o", "--out", required=True)
+    p.add_output("-o", "--out")
     p.set_defaults(func=cmd_report)
+    parser.outputs_of = {name: p.outputs for name, p in sub.choices.items()}
     return parser
 
 
@@ -428,19 +442,10 @@ _REQUIRED_INPUTS = {
 }
 
 
-#: each command's output options, as (flag, attribute)
-_OUTPUTS = {
-    "generate": (("-o", "out"),),
-    "run": (("--trace", "trace"), ("--summary", "summary")),
-    "oracle": (("-o", "out"),),
-    "report": (("-o", "out"),),
-}
-
-
-def _check_output_dirs(args) -> None:
+def _check_output_dirs(outputs, args) -> None:
     # refused before any input is read, so that a typo in an output path
     # does not cost a whole solve before the write fails
-    for flag, name in _OUTPUTS[args.command]:
+    for flag, name in outputs:
         path = getattr(args, name)
         parent = os.path.dirname(path) or "."
         if not os.path.isdir(parent):
@@ -466,7 +471,7 @@ def main(argv=None) -> int:
                 raise CliError(
                     f"report --kind {args.kind} needs {', '.join(missing)}", 1
                 )
-        _check_output_dirs(args)
+        _check_output_dirs(parser.outputs_of[args.command], args)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

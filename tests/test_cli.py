@@ -805,6 +805,10 @@ def test_convergence_report_refuses_a_consumers_entry_past_the_digit_limit(
                      "line 3 has 2 fields, the header 3", id="short-row"),
         pytest.param("t,n,cost\r\n1,1," + "5" * 131_073 + "\r\n", None,
                      "line 2: field larger than field limit (131072)", id="long-field"),
+        pytest.param("t,n,cost\r\n1,1,0.5\r\0", None,
+                     "was not written to its end: it ends in the NUL byte that an "
+                     "overwrite stopped midway leaves, after an older file's tail",
+                     id="unfinished"),
     ],
 )
 def test_convergence_report_names_a_malformed_trace(

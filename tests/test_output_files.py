@@ -1,18 +1,24 @@
 """Output files are overwritten in place through one opener,
 `_numtext.open_output`: each writer leaves exactly its new bytes over a
 longer or a shorter old file, writes through links, leaves no stale tail
-when it fails partway, and is never bypassed by a plain `open`."""
+when it fails partway, marks the old end so that a write killed midway is
+refused when read, and is never bypassed by a plain `open`."""
 
 import ast
+import errno
 import os
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from dsmgame import algorithms
+from dsmgame._numtext import STALE_MARK, ends_unfinished, open_output
 from dsmgame.cli import main
-from dsmgame.scenario import generate
-from conftest import REPO
+from dsmgame.scenario import generate, load_scenario
+from conftest import REPO, src_env
 
 
 def run_cli(*argv):
@@ -119,6 +125,114 @@ def test_run_writes_to_the_null_device(tmp_path):
         "--trace", os.devnull, "--summary", os.devnull,
     )
     assert code == 0
+
+
+def test_an_overwrite_marks_the_old_end_until_the_new_bytes_reach_it(tmp_path):
+    out = tmp_path / "out"
+    out.write_bytes(b"x" * 100)
+    with open_output(out) as fh:
+        assert out.read_bytes() == b"x" * 99 + STALE_MARK
+        fh.write("y" * 60)
+        fh.flush()
+        assert out.read_bytes() == b"y" * 60 + b"x" * 39 + STALE_MARK
+        assert ends_unfinished(out)
+        fh.write("y" * 40)
+        fh.flush()
+        assert not ends_unfinished(out)
+    assert out.read_bytes() == b"y" * 100
+
+
+_KILLED_MIDWAY = """
+import os, signal, sys
+from dsmgame import algorithms
+from dsmgame.cli import main
+float_texts, calls = algorithms.float_texts, []
+def die_on_the_second_block(values):
+    calls.append(len(values))
+    if len(calls) == 2:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return float_texts(values)
+algorithms.float_texts = die_on_the_second_block
+main(sys.argv[1:])
+"""
+
+
+def test_a_trace_killed_midway_over_an_older_one_is_refused_by_the_report(
+    tmp_path, monkeypatch, capsys
+):
+    # the old trace is another scenario's, longer than the new one; a kill
+    # runs no clean-up, so its tail stays after the new bytes
+    monkeypatch.chdir(tmp_path)
+    for seed in (3, 4):
+        assert run_cli("generate", "--n", "8", "--seed", seed, "-o", f"s{seed}.json") == 0
+    run = ("--alg", "1", "--tol", "1e-12", "--summary", "summary.json")
+    assert run_cli("run", "s4.json", *run, "--max-iter", "80", "--trace", "old.csv") == 0
+    assert run_cli("run", "s3.json", *run, "--max-iter", "40", "--trace", "full.csv") == 0
+    old, full = Path("old.csv").read_bytes(), Path("full.csv").read_bytes()
+    assert len(full) < len(old)
+    Path("out.csv").write_bytes(old)
+    proc = subprocess.run(
+        [sys.executable, "-c", _KILLED_MIDWAY, "run", "s3.json", *run,
+         "--max-iter", "40", "--trace", "out.csv"],
+        env=src_env(), capture_output=True,
+    )
+    assert proc.returncode == -signal.SIGKILL
+    data = Path("out.csv").read_bytes()
+    written = len(os.path.commonprefix([data, full]))
+    assert 0 < written < len(full)
+    assert data[written:] == old[written:-1] + STALE_MARK
+    capsys.readouterr()
+    assert run_cli("report", "--kind", "convergence", "--trace", "out.csv", "-o", "c.csv") == 1
+    assert "out.csv was not written to its end" in capsys.readouterr().err
+    assert not os.path.exists("c.csv")
+
+
+@pytest.mark.parametrize("kind", ["summary", "scenario"])
+def test_a_json_file_stopped_midway_over_an_older_one_is_refused(writers, capsys, kind):
+    # the state a kill leaves: the first half of the new bytes over the old
+    # file, here a rerun's same bytes, which would read as whole but for the
+    # mark over their last byte
+    new = fresh_bytes(writers[kind])
+    Path("out").write_bytes(new)
+    with open_output("out") as fh:
+        fh.write(new[: len(new) // 2].decode())
+        fh.flush()
+        if kind == "summary":
+            capsys.readouterr()
+            assert run_cli("report", "--kind", "par", "--summary", "out", "-o", "p.json") == 1
+            assert "error: --summary out is not JSON" in capsys.readouterr().err
+        else:
+            with pytest.raises(ValueError):
+                load_scenario("out")
+
+
+_FLUSH_FAILS = """
+import resource, signal, sys
+from dsmgame._numtext import open_output
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+limit = int(sys.argv[2])
+try:
+    with open_output(sys.argv[1]) as fh:
+        hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]
+        resource.setrlimit(resource.RLIMIT_FSIZE, (limit, hard))
+        fh.write("y" * limit)
+        fh.write("y" * 100)  # held in the buffers until the flush on exit
+except OSError as exc:
+    print(exc.errno)
+"""
+
+
+def test_a_write_whose_flush_fails_ends_at_the_last_byte_the_system_took(tmp_path):
+    # past the file-size limit every write fails, here the flush on exit;
+    # the file is still cut where the written bytes end, inside the old file
+    out, limit = tmp_path / "out", 2**16
+    out.write_bytes(b"x" * 3 * limit)
+    proc = subprocess.run(
+        [sys.executable, "-c", _FLUSH_FAILS, str(out), str(limit)],
+        env=src_env(), capture_output=True, text=True,
+    )
+    assert proc.stdout == f"{errno.EFBIG}\n", proc.stderr
+    assert out.read_bytes() == b"y" * limit
 
 
 # --- no writer bypasses the opener ------------------------------------------
