@@ -10,13 +10,23 @@ algorithms 1 and 2, E events for algorithm 3), writes each trace with
 JSON object, keyed by N and then by algorithm, to stdout. Two checkouts
 that print the same object wrote the same trace bytes.
 
+With `--cli` it runs the commands instead, through `dsmgame.cli.main`:
+`generate --n N --seed 7` and, on that file, `run --alg A --topology
+random --degree 3 --seed 0 --tol 1e-4` for the same budgets, and prints
+the digests of the scenario file and of each run's trace and summary.
+The commands run in the temporary directory on relative paths, which the
+summary records, so the digests do not depend on where it is.
+
 Usage:
-    python scripts/trace_digests.py [--n N ...]
+    python scripts/trace_digests.py [--n N ...] [--cli]
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -25,6 +35,7 @@ import numpy as np
 
 # this checkout's package, installed or not
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+from dsmgame.cli import main as cli_main  # noqa: E402
 from dsmgame import (  # noqa: E402
     build_weights,
     generate,
@@ -60,21 +71,57 @@ def digests(n: int, outdir: Path) -> dict:
     for name, run in runs.items():
         _, trace = run()
         trace.to_csv(path)
-        digest = hashlib.sha256()
-        with open(path, "rb") as fh:
-            for block in iter(lambda: fh.read(1 << 20), b""):
-                digest.update(block)
-        out[name] = digest.hexdigest()
+        out[name] = file_digest(path)
         path.unlink()
     return out
+
+
+def file_digest(path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def cli_digests(n: int, outdir: Path) -> dict:
+    rounds, events = BUDGETS[n]
+    budget = {1: ["--max-iter", str(rounds)], 2: ["--max-iter", str(rounds)],
+              3: ["--max-events", str(events)]}
+    cwd = os.getcwd()
+    os.chdir(outdir)
+    try:
+        commands = {"scenario": ["generate", "--n", str(n), "--seed", "7", "-o", "scenario.json"]}
+        for alg in (1, 2, 3):
+            commands[f"alg{alg}"] = [
+                "run", "scenario.json", "--alg", str(alg), "--topology", "random",
+                "--degree", "3", "--seed", "0", "--tol", str(TOL), *budget[alg],
+                "--trace", "trace.csv", "--summary", "summary.json",
+            ]
+        out = {}
+        for name, argv in commands.items():
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli_main(argv)
+            if code != 0:
+                raise SystemExit(f"dsmgame {' '.join(argv)} exited {code}")
+            if name == "scenario":
+                out[name] = file_digest("scenario.json")
+            else:
+                out[name] = {"trace": file_digest("trace.csv"),
+                             "summary": file_digest("summary.json")}
+        return out
+    finally:
+        os.chdir(cwd)
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--n", type=int, nargs="+", default=[50], choices=sorted(BUDGETS))
+    ap.add_argument("--cli", action="store_true", help="run the commands through cli.main")
     args = ap.parse_args()
+    run = cli_digests if args.cli else digests
     with tempfile.TemporaryDirectory() as tmp:
-        result = {str(n): digests(n, Path(tmp)) for n in args.n}
+        result = {str(n): run(n, Path(tmp)) for n in args.n}
     print(json.dumps(result, indent=2))
 
 

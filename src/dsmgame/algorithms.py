@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from ._numtext import CHUNK, float_texts, open_output
+from ._numtext import CHUNK, RowTexts, float_texts, json_rows, open_output
 from .feasible import ConsumerSpec, first_infeasible, project_rows
 from .model import Certificate, PriceCurve, bills, mapping_profiles, uniqueness_certificate
 from .network import CommGraph, GossipEvent, check_weights, mix
@@ -283,13 +283,14 @@ class RunTrace:
         )
 
     def _changes(
-        self,
-    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]]:
+        self, before: np.ndarray | None = None
+    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float, np.ndarray]]:
         """Yield, per recorded state: the flat row-major indices of its
         profile values whose bits differ from the state before (all of
-        them in the first state), those values, the consumers they belong
-        to, the state's bills and its residual."""
-        bits = None
+        them in the first state, or those that differ from `before`
+        where given), those values, the consumers they belong to, the
+        state's bills, its residual and its profiles."""
+        bits = None if before is None else before.view(np.uint64).copy()
         for (q, bills), res in zip(self._priced(), self.residuals):
             # compare bits, not values: -0.0 == 0.0 but their reprs differ
             state_bits = q.view(np.uint64)
@@ -305,14 +306,15 @@ class RunTrace:
                 moved.any(axis=1).nonzero()[0],
                 np.asarray(bills, dtype=np.float64),
                 res,
+                q,
             )
 
-    def _blocks(self) -> Iterator[list]:
+    def _blocks(self, before: np.ndarray | None = None) -> Iterator[list]:
         """`_changes` in runs of states whose values to format number at
         most `CHUNK`, or of one state that has more."""
         block, size = [], 0
-        for change in self._changes():
-            _, moved, _, bills, _ = change
+        for change in self._changes(before):
+            _, moved, _, bills, _, _ = change
             n_values = moved.size + bills.size + 1
             if block and size + n_values > CHUNK:
                 yield block
@@ -322,9 +324,10 @@ class RunTrace:
         if block:
             yield block
 
-    def to_csv(self, path) -> None:
+    def to_csv(self, path, first: RowTexts | None = None) -> RowTexts:
         """Write the long-form trace: t,n,cost,residual,q1..qH (1-based ids),
-        the cost being each state's bills as `bills` derives them.
+        the cost being each state's bills as `bills` derives them; return
+        the rows of the last state's profiles.
 
         Lines end in ``\\r\\n``; `t` and `n` are integers and every float
         field is Python's shortest round-trip ``repr``: `float_texts` writes
@@ -333,7 +336,12 @@ class RunTrace:
         value's text is reused while its bits stay unchanged, and a
         consumer's ``q1..qH`` segment is re-joined only when one of its
         values changed, so slots pinned at a bound and the rows a gossip
-        event leaves alone cost a comparison, not a format.
+        event leaves alone cost a comparison, not a format. `first`, the
+        rows of a finite array of the profiles' shape (finite, so that
+        their JSON texts are the `repr`s), stands for a state before the
+        first: the first state then formats only the values whose bits
+        differ from its array, none where they render the same state, as
+        the rows `load_scenario` kept render a run's initial profiles.
         """
         n_rows, horizon = self.profiles[0].shape
         header = ",".join(
@@ -345,14 +353,23 @@ class RunTrace:
         cells = np.empty(n_rows * horizon, dtype=object)
         rows = cells.reshape(n_rows, horizon)
         tails = [""] * n_rows
+        before = None
+        if (
+            first is not None
+            and first.values.shape == (n_rows, horizon)
+            and np.isfinite(first.values).all()
+        ):
+            before = first.values
+            cells[:] = ",".join(first.texts).split(",")
+            tails = [row + "\r\n" for row in first.texts]
         t = 0
         with open_output(path, newline="") as fh:
             fh.write(header + "\r\n")
-            for block in self._blocks():
-                values = [a for _, moved, _, bills, res in block for a in (moved, bills, [res])]
+            for block in self._blocks(before):
+                values = [a for _, moved, _, bills, res, _ in block for a in (moved, bills, [res])]
                 texts = np.array(float_texts(np.concatenate(values)), dtype=object)
                 pos = 0
-                for flat, _, stale, _, _ in block:
+                for flat, _, stale, _, _, last in block:
                     t += 1
                     cells[flat] = texts[pos : pos + flat.size]
                     pos += flat.size
@@ -364,6 +381,7 @@ class RunTrace:
                     fh.write("".join(chain.from_iterable(
                         zip(repeat(str(t)), ids, costs, repeat(res_s), tails)
                     )))
+        return RowTexts(last, json_rows([tail[:-2] for tail in tails]))
 
 
 @dataclass(frozen=True)
@@ -688,12 +706,15 @@ def run_algorithm3(
             converged = True
             break
 
-    final_residual = fixed_point_residual(q, scenario)
+    # a run that stopped at a residual check (every converged run, and any
+    # run whose budget is a multiple of N) has probed its final state
+    if events_used % n_consumers:
+        residual = fixed_point_residual(q, scenario)
     result = SolveResult(
         final_profiles=q,
         iterations=events_used,
         converged=converged,
-        residual=final_residual,
-        fixed_point_residual=final_residual,
+        residual=residual,
+        fixed_point_residual=residual,
     )
     return result, trace

@@ -113,20 +113,25 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _load_graph(args, loaded: scen.LoadedScenario, rng) -> network.CommGraph:
-    if args.graph:
-        return network.load_edge_list(args.graph, loaded.scenario.n_consumers)
-    if args.topology == "random":
-        if not 0 < args.degree < np.inf:
-            raise CliError(
-                f"--degree must be positive and finite, got {args.degree}", 1
-            )
-        return network.generate_topology(
-            loaded.scenario.n_consumers, args.degree, rng
+def _check_graph_flags(args) -> None:
+    # refused before the scenario is read, which alone takes 0.1-0.2 s at
+    # N = 2000, so that a flag typo costs no load
+    if args.alg == 1 or args.graph:
+        return
+    if args.topology != "random":
+        raise CliError(
+            "algorithms 2 and 3 need --graph PATH or --topology random [--degree D]", 1
         )
-    raise CliError(
-        "algorithms 2 and 3 need --graph PATH or --topology random [--degree D]", 1
-    )
+    if not 0 < args.degree < np.inf:
+        raise CliError(f"--degree must be positive and finite, got {args.degree}", 1)
+
+
+def _load_graph(args, n_consumers: int, rng) -> network.CommGraph:
+    """The graph of `--graph`, else the random topology of `--degree`
+    (`_check_graph_flags` has refused the flags that give neither)."""
+    if args.graph:
+        return network.load_edge_list(args.graph, n_consumers)
+    return network.generate_topology(n_consumers, args.degree, rng)
 
 
 def _check_tol(args) -> None:
@@ -172,6 +177,7 @@ def cmd_run(args) -> int:
             )
     if args.alg == 2 and not 0.0 < args.tau < 1.0:
         raise CliError(f"--tau must lie strictly in (0, 1), got {args.tau}", 1)
+    _check_graph_flags(args)
     loaded = scen.load_scenario(args.scenario)
     scenario = loaded.scenario
     rng = np.random.default_rng(args.seed)
@@ -190,7 +196,7 @@ def cmd_run(args) -> int:
             max_iter=args.max_iter,
         )
     elif args.alg == 2:
-        graph = _load_graph(args, loaded, rng)
+        graph = _load_graph(args, scenario.n_consumers, rng)
         weights = network.build_weights(graph, args.tau)
         result, trace = algorithms.run_algorithm2(
             scenario,
@@ -202,7 +208,7 @@ def cmd_run(args) -> int:
             max_iter=args.max_iter,
         )
     else:
-        graph = _load_graph(args, loaded, rng)
+        graph = _load_graph(args, scenario.n_consumers, rng)
         events = network.gossip_stream(graph, rng, args.max_events)
         result, trace = algorithms.run_algorithm3(
             scenario,
@@ -213,7 +219,9 @@ def cmd_run(args) -> int:
             max_events=args.max_events,
         )
 
-    trace.to_csv(args.trace)
+    # the trace reuses the rows the scenario's hash was composed from for
+    # the state they render, and the summary the rows of its last state
+    rows = trace.to_csv(args.trace, loaded.initial_rows)
     final = result.final_profiles
     initial_par, final_par = par(aggregate(init)), par(aggregate(final))
     _write_artifact(
@@ -227,7 +235,7 @@ def cmd_run(args) -> int:
         initial_par=initial_par,
         final_par=final_par,
         total_cost=grid_cost(aggregate(final), scenario.curve),
-        final_profiles=final,
+        final_profiles=rows if rows.render(final) else final,
     )
     status = "converged" if result.converged else "not converged"
     print(

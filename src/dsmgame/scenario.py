@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from ._numtext import CHUNK, float_texts, open_output
+from ._numtext import RowTexts, open_output, row_texts
 from .algorithms import Scenario, non_number, number_types
 from .feasible import ConsumerSpec, InvalidSetError
 from .model import PriceCurve
@@ -149,6 +149,9 @@ class LoadedScenario(NamedTuple):
     scenario: Scenario
     initial_profiles: np.ndarray | None
     content_hash: str
+    #: the rows of `initial_profiles` that the content hash was composed
+    #: from, where its list held only floats
+    initial_rows: RowTexts | None = None
 
 
 def _json_scalar(item) -> str | None:
@@ -173,31 +176,6 @@ def _json_scalar(item) -> str | None:
     return None
 
 
-#: the texts `float_texts` gives the non-finite floats, as json writes them
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _row_texts(values: np.ndarray) -> list[str]:
-    """Each row (along the last axis) of the float64 array `values` as its
-    numbers' JSON texts joined by commas. `float_texts` formats a block of
-    rows of at most about `CHUNK` values at a time, which are joined into
-    row texts at once, so only that many number strings live together."""
-    width = values.shape[-1]
-    rows = values.reshape(math.prod(values.shape[:-1]), width)
-    if not width:
-        return [""] * len(rows)
-    step = max(1, CHUNK // width)
-    texts = []
-    for start in range(0, len(rows), step):
-        block = float_texts(rows[start : start + step])
-        texts += [",".join(block[i : i + width]) for i in range(0, len(block), width)]
-    # "nan" and "inf" are the only number texts with an "n"
-    return [
-        ",".join(_NON_FINITE.get(t, t) for t in text.split(",")) if "n" in text else text
-        for text in texts
-    ]
-
-
 def _enclose(texts: Iterable[str], nl: str, inner: str, brackets: str) -> Iterator[str]:
     """A JSON list or object, `brackets` "[]" or "{}", of the item texts
     `texts`, in parts of one item each, laid out as `json.dumps` lays it
@@ -211,7 +189,7 @@ def _enclose(texts: Iterable[str], nl: str, inner: str, brackets: str) -> Iterat
 
 
 def _number_list(row: str, nl: str, inner: str) -> str:
-    """The JSON list of a `_row_texts` row, laid out as `_enclose` lays
+    """The JSON list of a `row_texts` row, laid out as `_enclose` lays
     out a list."""
     if not row:
         return "[]"
@@ -224,8 +202,8 @@ def _json_text(obj, indent: int | None = None, sort_keys: bool = False) -> str:
     `json.dumps(obj, sort_keys=sort_keys, separators=(",", ":"))`.
 
     An ndarray is written as its `.tolist()` would be; a float64 one's
-    numbers are formatted by `float_texts` (`_row_texts`), not by one
-    `repr` each.
+    numbers are formatted by `row_texts`, not by one `repr` each. A
+    `RowTexts` is written as its array, from its rows.
     """
     pad = "" if indent is None else " " * indent
     colon = ":" if indent is None else ": "
@@ -252,10 +230,12 @@ def _json_text(obj, indent: int | None = None, sort_keys: bool = False) -> str:
         if scalar is not None:
             return scalar
         inner = nl + pad
+        if isinstance(item, RowTexts):
+            return array(item.values.shape, iter(item.texts), nl)
         if isinstance(item, np.ndarray):
             if item.dtype != np.float64 or not item.ndim:
                 return encode(item.tolist(), nl)
-            return array(item.shape, iter(_row_texts(item)), nl)
+            return array(item.shape, iter(row_texts(item)), nl)
         if isinstance(item, (list, tuple)):
             return "".join(_enclose((encode(x, inner) for x in item), nl, inner, "[]"))
         if isinstance(item, dict):
@@ -335,22 +315,22 @@ def save_scenario(path, scenario: Scenario, initial_profiles=None) -> str:
     unless they form a finite (N, H) array, as `load_scenario` refuses
     them); returns its content hash.
 
-    `_row_texts` formats the numbers from the scenario's arrays, a block
+    `row_texts` formats the numbers from the scenario's arrays, a block
     of rows at a time, and `_scenario_parts` writes the file and the
     content hash's text from those same texts. The file holds the bytes of
     `json.dumps(payload, indent=2)`, and a newline.
     """
     initials = None
     if initial_profiles is not None:
-        initials = _row_texts(scenario.profile_array(initial_profiles, "initial_profiles"))
+        initials = row_texts(scenario.profile_array(initial_profiles, "initial_profiles"))
     curve = scenario.curve
     texts = _Texts(
         str(SCHEMA_VERSION),
         str(scenario.horizon),
-        tuple(_row_texts(np.stack([curve.a, curve.b, curve.c]))),
-        _row_texts(scenario.q_min_matrix),
-        _row_texts(scenario.q_max_matrix),
-        _row_texts(scenario.budgets[:, None]),
+        tuple(row_texts(np.stack([curve.a, curve.b, curve.c]))),
+        row_texts(scenario.q_min_matrix),
+        row_texts(scenario.q_max_matrix),
+        row_texts(scenario.budgets[:, None]),
         initials,
     )
     with open_output(path) as fh:
@@ -366,7 +346,7 @@ def _number_texts(rows: list, array: np.ndarray, types: set[type] | None) -> lis
     say that every number is a float; else item by item, so that an int
     keeps its text."""
     if types == {float}:
-        return _row_texts(array)
+        return row_texts(array)
     return [
         ",".join(map(_json_scalar, row)) if type(row) is list else _json_scalar(row)
         for row in rows
@@ -443,11 +423,13 @@ def load_scenario(path) -> LoadedScenario:
 
     The content hash is the SHA-256 of the payload's compact, sorted-key
     JSON, `json.dumps(payload, sort_keys=True, separators=(",", ":"))`,
-    as `save_scenario` returns it. `_scenario_text` composes that text
-    from the arrays the file was read into, with `_row_texts`, where the
+    as `save_scenario` returns it. `_scenario_parts` composes that text
+    from the arrays the file was read into, with `row_texts`, where the
     type pass that refuses a string or a boolean found only floats in a
     list; a list holding an int (`"c": [0, 0]`) keeps its int texts, item
-    by item, and `"schema_version": 1.0` keeps its float text.
+    by item, and `"schema_version": 1.0` keeps its float text. The rows
+    of an all-float `initial_profiles` come back as `initial_rows`, for
+    the trace of a run that starts from them.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -495,7 +477,7 @@ def load_scenario(path) -> LoadedScenario:
         scenario = Scenario(specs, curve)
     except ValueError as exc:
         raise ScenarioFormatError(f"{path}: {exc}") from exc
-    initials = initial_texts = None
+    initials = initial_texts = initial_rows = None
     if "initial_profiles" in payload:
         rows = payload["initial_profiles"]
         row_types = number_types(rows)
@@ -504,6 +486,9 @@ def load_scenario(path) -> LoadedScenario:
         except ValueError as exc:
             raise ScenarioFormatError(str(exc)) from exc
         initial_texts = _number_texts(rows, initials, row_types)
+        # an int's text ("1") is not its float's ("1.0")
+        if row_types == {float}:
+            initial_rows = RowTexts(initials, initial_texts)
     texts = _Texts(
         _json_scalar(payload["schema_version"]),
         _json_scalar(horizon),
@@ -521,4 +506,4 @@ def load_scenario(path) -> LoadedScenario:
         ),
         initial_texts,
     )
-    return LoadedScenario(scenario, initials, _content_hash(texts))
+    return LoadedScenario(scenario, initials, _content_hash(texts), initial_rows)

@@ -24,6 +24,7 @@ from dsmgame.algorithms import (
     run_algorithm2,
     run_algorithm3,
 )
+from dsmgame._numtext import RowTexts, float_texts, row_texts
 from dsmgame.feasible import ConsumerSpec, is_feasible, sample_feasible
 from dsmgame.model import PriceCurve, mapping_profiles
 from dsmgame.network import (
@@ -37,6 +38,7 @@ from dsmgame.network import (
 from dsmgame.oracle import nash_best_response_iteration
 from dsmgame.scenario import generate
 from conftest import AVX2_ENV, STAR_5, make_toy_game, src_env
+import oracles
 from oracles import (
     dense_weights,
     reference_gossip,
@@ -749,7 +751,8 @@ def dependency_depth(events):
 
 def test_alg3_projects_once_per_dependency_level(monkeypatch):
     # one projection call per level of each window of N events, plus the
-    # residual probes: the initial one, one per check and the final one
+    # residual probes: the initial one and one per check; the run stops at
+    # a check, whose probe is the final state's
     scenario, init, graph, events, tol = gossip_case("n50")
     n = scenario.n_consumers
     calls = []
@@ -767,7 +770,42 @@ def test_alg3_projects_once_per_dependency_level(monkeypatch):
     depths = [dependency_depth(window) for window in windows]
     # over four events per level on average
     assert sum(depths) < len(events) // 4
-    assert len(calls) == sum(depths) + 1 + len(windows) + 1
+    assert len(calls) == sum(depths) + 1 + len(windows)
+
+
+@pytest.mark.parametrize("name", ["n7", "n50", "n16"])
+def test_alg3_probes_its_final_state_once(monkeypatch, name):
+    # a run that stops at a residual check (n7 converges; n50's full
+    # budget is a multiple of N) reuses that check's probe, one projection
+    # fewer than the event-by-event loop, which probes the final state
+    # again; a run stopped off a check (n16, n50 one event short) probes
+    # it after the loop
+    scenario, init, graph, events, tol = gossip_case(name)
+    n = scenario.n_consumers
+    for max_events in (len(events), len(events) - 1):
+        calls, results = {}, {}
+        for module, runner in ((algorithms, run_algorithm3), (oracles, reference_gossip)):
+            calls[runner] = 0
+
+            def counting(*args, fn=fixed_point_residual, runner=runner):
+                calls[runner] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(module, "fixed_point_residual", counting)
+            results[runner], _ = runner(
+                scenario, graph, iter(events), init=init, tol=tol, max_events=max_events
+            )
+            monkeypatch.undo()
+        result = results[run_algorithm3]
+        at_check = result.iterations % n == 0
+        assert at_check == (result.converged or max_events % n == 0)
+        assert calls[run_algorithm3] == calls[reference_gossip] - at_check
+        assert calls[run_algorithm3] == 1 + result.iterations // n + (not at_check)
+        assert _same_bits(result.residual, results[reference_gossip].residual)
+        assert _same_bits(
+            result.fixed_point_residual,
+            fixed_point_residual(result.final_profiles, scenario),
+        )
 
 
 @pytest.mark.parametrize("pair", [(-1, 0), (0, -1), (4, 0), (7, 0), (0, 4)])
@@ -1022,9 +1060,50 @@ def test_trace_csv_format(tmp_path):
 
 def _assert_same_csv_bytes(trace, tmp_path):
     ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
-    trace.to_csv(ours)
+    rows = trace.to_csv(ours)
     reference_trace_csv(trace, ref)
     assert ours.read_bytes() == ref.read_bytes()
+    # it returns the rows of its last state
+    *_, (last, _) = trace.states()
+    assert rows.render(last) and rows.texts == row_texts(last)
+    # rows handed over for the first state give the same bytes: the
+    # values whose bits differ from theirs are formatted, and non-finite
+    # rows are not used
+    first, _ = next(trace.states())
+    other = first.copy()
+    other.view(np.uint64)[0, 0] ^= 1
+    for handed in (first, other):
+        trace.to_csv(ours, RowTexts(handed, row_texts(handed)))
+        assert ours.read_bytes() == ref.read_bytes()
+
+
+def test_trace_csv_formats_only_the_first_values_its_rows_do_not_render(
+    tmp_path, monkeypatch
+):
+    scenario, init = generate(n_consumers=8, seed=7)
+    _, trace = run_algorithm1(scenario, init=init, tol=1e-6, max_iter=30)
+    counts = []
+
+    def counted(values):
+        counts.append(np.size(values))
+        return float_texts(values)
+
+    monkeypatch.setattr(algorithms, "float_texts", counted)
+    other = init.copy()
+    other[2, 5] = np.nextafter(other[2, 5], 2.0)
+    # rows of another shape, or holding a non-finite value, are not used
+    handed = {
+        "none": None, "same": init, "other": other,
+        "short": init[:-1], "infinite": np.where(init > 0.5, np.inf, init),
+    }
+    formatted = {}
+    for name, rows in handed.items():
+        counts.clear()
+        trace.to_csv(tmp_path / "t.csv", None if rows is None else RowTexts(rows, row_texts(rows)))
+        formatted[name] = sum(counts)
+    assert formatted["none"] - formatted["same"] == init.size
+    assert formatted["none"] - formatted["other"] == init.size - 1
+    assert formatted["short"] == formatted["infinite"] == formatted["none"]
 
 
 @dataclass

@@ -10,11 +10,13 @@ import numpy as np
 import pytest
 
 from dsmgame import cli
-from dsmgame.algorithms import Scenario
+from dsmgame import scenario as scen
+from dsmgame._numtext import RowTexts, row_texts
+from dsmgame.algorithms import RunTrace, Scenario
 from dsmgame.cli import main
 from dsmgame.feasible import ConsumerSpec
 from dsmgame.model import PriceCurve
-from dsmgame.scenario import generate, load_scenario, save_scenario
+from dsmgame.scenario import _json_text, generate, load_scenario, save_scenario
 from conftest import AVX2_ENV, REPO, make_toy_game, src_env
 from oracles import reference_start_point
 
@@ -473,6 +475,8 @@ def test_run_refuses_a_negative_seed_naming_the_flag(toy_file, tmp_path, capsys)
     ("2", ("--step-exponent", "nan"), "--step-exponent must lie in (0.5, 1], got nan"),
     ("2", ("--tau", "1.5"), "--tau must lie strictly in (0, 1), got 1.5"),
     ("2", ("--tau", "0"), "--tau must lie strictly in (0, 1), got 0.0"),
+    ("2", ("--degree", "0"), "--degree must be positive and finite, got 0.0"),
+    ("3", ("--degree", "nan"), "--degree must be positive and finite, got nan"),
 ])
 def test_run_names_the_flag_of_a_bad_solver_setting_before_loading(
     tmp_path, capsys, alg, flags, message
@@ -485,6 +489,20 @@ def test_run_names_the_flag_of_a_bad_solver_setting_before_loading(
     )
     assert code == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("alg", ["2", "3"])
+def test_run_asks_for_a_graph_before_loading(tmp_path, capsys, alg):
+    # the scenario file does not exist: the missing graph is refused first
+    trace, summary = tmp_path / "t.csv", tmp_path / "s.json"
+    code = run_cli(
+        "run", tmp_path / "missing.json", "--alg", alg, "--degree", "0",
+        "--trace", trace, "--summary", summary,
+    )
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: algorithms 2 and 3 need --graph PATH or --topology random [--degree D]\n"
+    )
 
 
 @pytest.mark.parametrize("flag, missing", [
@@ -502,6 +520,148 @@ def test_run_refuses_a_bad_output_directory_before_loading(tmp_path, capsys, fla
     assert code == 1
     assert capsys.readouterr().err == dir_error(flag, outputs[flag], missing)
     assert not any(path.exists() for path in outputs.values())
+
+
+# --- rows rendered once per run ------------------------------------------------
+
+
+def run_keeping_the_trace(scenario_file, tmp_path, monkeypatch, alg):
+    """Run `alg` on `scenario_file` through the CLI; return its trace and
+    summary paths, the RunTrace it wrote, the rows it handed to `to_csv`
+    and the rows `to_csv` returned."""
+    kept = []
+    to_csv = RunTrace.to_csv
+
+    def keeping(trace, path, first=None):
+        rows = to_csv(trace, path, first)
+        kept.append((trace, first, rows))
+        return rows
+
+    monkeypatch.setattr(RunTrace, "to_csv", keeping)
+    trace_path, summary_path = tmp_path / f"t{alg}.csv", tmp_path / f"s{alg}.json"
+    assert run_cli(
+        "run", scenario_file, "--alg", alg, "--topology", "random", "--degree", "3",
+        "--tol", "1e-4", "--max-iter", "60", "--max-events", "600",
+        "--trace", trace_path, "--summary", summary_path,
+    ) == 0
+    monkeypatch.undo()
+    (trace, first, rows), = kept
+    return trace_path, summary_path, trace, first, rows
+
+
+def assert_written_as_without_rows(trace_path, summary_path, trace, tmp_path):
+    """The trace holds the bytes `to_csv` writes with no rows handed over,
+    and the summary the text `_json_text` gives its final profiles."""
+    fresh = tmp_path / "fresh.csv"
+    trace.to_csv(fresh)
+    assert trace_path.read_bytes() == fresh.read_bytes()
+    *_, (final, _) = trace.states()
+    text = summary_path.read_text(encoding="utf-8")
+    payload = {**json.loads(text), "final_profiles": final}
+    assert _json_text(payload, indent=2, sort_keys=True) + "\n" == text
+
+
+@pytest.mark.parametrize("alg", ["1", "2", "3"])
+def test_run_reuses_rows_and_writes_the_bytes_it_writes_without_them(
+    tmp_path, monkeypatch, alg
+):
+    scenario_file = tmp_path / "scenario.json"
+    assert run_cli("generate", "--n", "50", "--seed", "7", "-o", scenario_file) == 0
+    shapes = []
+
+    def recording(values):
+        shapes.append(np.shape(values))
+        return row_texts(values)
+
+    monkeypatch.setattr(scen, "row_texts", recording)
+    trace_path, summary_path, trace, first, rows = run_keeping_the_trace(
+        scenario_file, tmp_path, monkeypatch, alg
+    )
+    # the scenario's q_min, q_max and initial profiles are rendered, and
+    # the final profiles are not rendered again
+    assert shapes.count((50, 24)) == 3
+    # the rows the scenario's hash was composed from render the first
+    # state, and the rows returned the last one, the summary's
+    states = list(trace.states())
+    assert first.render(states[0][0]) and rows.render(states[-1][0])
+    assert first.texts == load_scenario(scenario_file).initial_rows.texts
+    assert_written_as_without_rows(trace_path, summary_path, trace, tmp_path)
+
+
+def test_run_writes_final_profiles_from_its_result_where_the_rows_are_not_theirs(
+    small_canonical, tmp_path, monkeypatch
+):
+    # rows that render another array are not written as the summary's
+    kept = []
+    to_csv = RunTrace.to_csv
+
+    def other_rows(trace, path, first=None):
+        values = to_csv(trace, path, first).values + 1.0
+        kept.append(trace)
+        return RowTexts(values, row_texts(values))
+
+    monkeypatch.setattr(RunTrace, "to_csv", other_rows)
+    trace_path, summary_path = tmp_path / "t.csv", tmp_path / "s.json"
+    assert run_cli(
+        "run", small_canonical, "--alg", "1", "--max-iter", "30",
+        "--trace", trace_path, "--summary", summary_path,
+    ) == 0
+    monkeypatch.undo()
+    assert_written_as_without_rows(trace_path, summary_path, kept[0], tmp_path)
+
+
+def _integral_scenario(path, n=30, horizon=24, pinned=()):
+    """A scenario of `n` consumers whose initial profiles are all 1.0 and
+    whose slots `pinned` (slot -> load) hold q_min = q_max = that load."""
+    rng = np.random.default_rng(8)
+    q_min = rng.uniform(0.2, 0.9, (n, horizon))
+    q_max = rng.uniform(1.1, 2.0, (n, horizon))
+    init = np.ones((n, horizon))
+    for slot, load in pinned:
+        q_min[:, slot] = q_max[:, slot] = init[:, slot] = load
+    curve = PriceCurve(rng.uniform(1.0, 2.2, horizon), np.full(horizon, 1.2), np.zeros(horizon))
+    scenario = Scenario(ConsumerSpec.from_rows(q_min, q_max, init.sum(axis=1)), curve)
+    save_scenario(path, scenario, init)
+
+
+def test_run_does_not_reuse_the_texts_of_integer_initial_profiles(tmp_path, monkeypatch):
+    # an int's text is "1", its float's "1.0": the hash keeps the file's
+    # text, the trace the float's
+    scenario_file = tmp_path / "scenario.json"
+    _integral_scenario(scenario_file)
+    payload = json.loads(scenario_file.read_text(encoding="utf-8"))
+    payload["initial_profiles"][0][0] = 1
+    scenario_file.write_text(json.dumps(payload, indent=2), encoding="utf-8")
+    loaded = load_scenario(scenario_file)
+    assert loaded.initial_rows is None
+    assert loaded.content_hash == hashlib.sha256(
+        json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+    ).hexdigest()
+    trace_path, summary_path, trace, first, _ = run_keeping_the_trace(
+        scenario_file, tmp_path, monkeypatch, "1"
+    )
+    assert first is None
+    line = trace_path.read_text().splitlines()[1]
+    assert line.startswith("1,1,") and line.endswith(",1.0,1.0")
+    assert_written_as_without_rows(trace_path, summary_path, trace, tmp_path)
+
+
+@pytest.mark.parametrize("alg", ["1", "3"])
+def test_run_writes_initial_and_final_loads_on_the_repr_path(tmp_path, monkeypatch, alg):
+    # every state holds 0.0 and 5e-05, which `repr` writes itself, so the
+    # rows of the initial and the final profiles go number by number
+    scenario_file = tmp_path / "scenario.json"
+    _integral_scenario(scenario_file, pinned=((0, 0.0), (1, 5e-05)))
+    assert load_scenario(scenario_file).initial_rows.texts[0].startswith("0.0,5e-05,1.0,")
+    trace_path, summary_path, trace, first, rows = run_keeping_the_trace(
+        scenario_file, tmp_path, monkeypatch, alg
+    )
+    assert first is not None
+    assert all(row.startswith("0.0,5e-05,") for row in rows.texts)
+    lines = trace_path.read_text().splitlines()
+    assert lines[1].endswith(",0.0,5e-05,1.0,1.0," + ",".join(["1.0"] * 20))
+    assert lines[-1].split(",")[4:6] == ["0.0", "5e-05"]
+    assert_written_as_without_rows(trace_path, summary_path, trace, tmp_path)
 
 
 def _scenario_without_start(path, horizon, n=8, seed=5):

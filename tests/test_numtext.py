@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import dsmgame._numtext as numtext
 import dsmgame.algorithms as algorithms
-from dsmgame._numtext import CHUNK, float_texts
+from dsmgame._numtext import CHUNK, REPR_BELOW, float_texts, row_texts
 from dsmgame.algorithms import run_algorithm1
 from dsmgame.scenario import generate
 from conftest import AVX2_ENV, src_env
@@ -24,10 +24,11 @@ def bits_of(value: float) -> int:
     return int(np.float64(value).view(np.uint64))
 
 
-#: array sizes from a single value to a few chunks, on both sides of a
-#: chunk's end, a few thousand values at most
-assert CHUNK <= 8192
-SIZES = (1, 2, 17, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3)
+#: array sizes from a single value to a few chunks, on both sides of the
+#: switch from `repr` to the fast path and of a chunk's end, a few
+#: thousand values at most
+assert REPR_BELOW < CHUNK <= 8192
+SIZES = (1, 2, 17, REPR_BELOW - 1, REPR_BELOW, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3)
 
 #: any 64-bit pattern, and one of a value the fast path takes, either sign
 RAW = st.integers(0, 2**64 - 1)
@@ -89,7 +90,8 @@ def test_float_texts_is_repr_on_the_avx2_code_path():
     # dispatch to other SIMD loops must not change a byte
     node = (
         f"{Path(__file__).name}::test_float_texts_is_repr_on_special_values "
-        f"{Path(__file__).name}::test_float_texts_is_repr_on_bit_patterns"
+        f"{Path(__file__).name}::test_float_texts_is_repr_on_bit_patterns "
+        f"{Path(__file__).name}::test_row_texts_are_the_rows_json_writes_on_bit_patterns"
     )
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *node.split()],
@@ -142,3 +144,72 @@ def test_the_fast_path_writes_every_power_of_two_it_takes():
     assert powers.size == 67
     x = np.concatenate((powers, -powers))
     assert numtext._fixed_texts(x) == reprs(x)
+
+
+def test_arrays_below_the_switch_go_to_repr(monkeypatch):
+    calls = []
+
+    def counted(x):
+        calls.append(x.size)
+        return fixed_texts(x)
+
+    fixed_texts = numtext._fixed_texts
+    monkeypatch.setattr(numtext, "_fixed_texts", counted)
+    x = np.linspace(0.1, 9.9, CHUNK + REPR_BELOW - 1)
+    for size in SIZES:
+        assert float_texts(x[:size]) == reprs(x[:size])
+    # a chunk's tail below the switch goes to repr too
+    assert float_texts(x) == reprs(x)
+    assert sorted(set(calls)) == [REPR_BELOW, CHUNK - 1, CHUNK]
+
+
+#: what JSON writes for the texts `repr` gives the non-finite values
+JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def json_rows(x: np.ndarray) -> list[str]:
+    return [",".join(JSON_NON_FINITE.get(t, t) for t in reprs(row)) for row in x]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    patterns=st.lists(st.one_of(RAW, FIXED), max_size=40),
+    specials=st.lists(st.sampled_from(special_values().tolist()), max_size=8),
+    width=st.sampled_from([1, 3, 24, CHUNK + 1]),
+    n_rows=st.sampled_from([1, 2, 11, 100, 400]),
+    background=st.sampled_from(["fixed", "bits"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_row_texts_are_the_rows_json_writes_on_bit_patterns(
+    patterns, specials, width, n_rows, background, seed
+):
+    # blocks below the switch to repr, blocks the fast path takes whole
+    # (their rows laid out in one text matrix) and blocks holding a value
+    # on the repr path: -0.0, subnormals, the 1e-4 and 1e16 edges, nan
+    # and the infinities as JSON writes them
+    rng = np.random.default_rng(seed)
+    n_rows = min(n_rows, max(1, 2 * CHUNK // width))
+    size = n_rows * width
+    if background == "fixed":
+        x = rng.uniform(0.0, 50.0, size) * rng.choice([-1.0, 1.0], size)
+    else:
+        x = rng.integers(0, 2**64, size, dtype=np.uint64, endpoint=False).view(np.float64)
+    drawn = np.concatenate((np.array(patterns, dtype=np.uint64).view(np.float64), specials))
+    drawn = drawn[:size]
+    x[rng.choice(size, drawn.size, replace=False)] = drawn
+    x = x.reshape(n_rows, width)
+    assert row_texts(x) == json_rows(x)
+
+
+def test_row_texts_lay_out_whole_fast_blocks_and_take_any_shape(monkeypatch):
+    # an all-fixed-notation block of rows never goes number by number
+    monkeypatch.setattr(numtext, "float_texts", None)
+    rng = np.random.default_rng(1)
+    x = rng.uniform(0.5, 20.0, (3, 150, 24)) * rng.choice([-1.0, 1.0], (3, 150, 24))
+    assert row_texts(x) == json_rows(x.reshape(-1, 24))
+    monkeypatch.undo()
+    x[1, 7, 3] = 0.0
+    assert row_texts(x) == json_rows(x.reshape(-1, 24))
+    assert row_texts(np.empty((4, 0))) == [""] * 4
+    assert row_texts(np.empty((0, 3))) == []
+    assert row_texts([[0.5, -0.0], [np.inf, 1e22]]) == ["0.5,-0.0", "Infinity,1e+22"]
