@@ -35,7 +35,6 @@ import numpy as np
 
 # this checkout's package, installed or not
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-from dsmgame.cli import main as cli_main  # noqa: E402
 from dsmgame import (  # noqa: E402
     build_weights,
     generate,
@@ -45,6 +44,7 @@ from dsmgame import (  # noqa: E402
     run_algorithm2,
     run_algorithm3,
 )
+from dsmgame.cli import main as cli_main  # noqa: E402
 
 #: N -> (rounds of algorithms 1 and 2, events of algorithm 3)
 BUDGETS = {50: (500, 5000), 500: (200, 2000), 2000: (40, 700)}

@@ -641,8 +641,8 @@ def test_run_does_not_reuse_the_texts_of_integer_initial_profiles(tmp_path, monk
         scenario_file, tmp_path, monkeypatch, "1"
     )
     assert first is None
-    line = trace_path.read_text().splitlines()[1]
-    assert line.startswith("1,1,") and line.endswith(",1.0,1.0")
+    line = trace_path.read_text().splitlines()[1].split(",")
+    assert line[:2] == ["1", "1"] and line[4:] == ["1.0"] * 24
     assert_written_as_without_rows(trace_path, summary_path, trace, tmp_path)
 
 
@@ -1308,6 +1308,29 @@ def test_trace_digests_script_prints_the_pinned_n50_digests():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"50": TRACE_DIGESTS_N50}
+
+
+def test_trace_digests_script_cli_runs_write_the_library_traces(tmp_path):
+    # `run --alg 1` and `--alg 2 --topology random --seed 0` on the
+    # generated file are the library runs of the default mode (the same
+    # start, topology and weights), so their traces match; alg 3 draws its
+    # events from the run's rng
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    script = str(REPO / "scripts" / "trace_digests.py")
+    printed = [
+        json.loads(subprocess.run(
+            [sys.executable, script, "--n", "50", *flags],
+            capture_output=True, text=True, env=env, check=True,
+        ).stdout)["50"]
+        for flags in ((), ("--cli",))
+    ]
+    library, commands = printed
+    assert {alg: commands[alg]["trace"] for alg in ("alg1", "alg2")} == {
+        alg: library[alg] for alg in ("alg1", "alg2")
+    }
+    assert run_cli("generate", "--n", "50", "--seed", "7", "-o", tmp_path / "s.json") == 0
+    assert commands["scenario"] == hashlib.sha256((tmp_path / "s.json").read_bytes()).hexdigest()
+    assert all(set(commands[alg]) == {"trace", "summary"} for alg in ("alg1", "alg2", "alg3"))
 
 
 #: the same digests at N = 500, where the synchronous runs project 1000-row
