@@ -33,8 +33,9 @@ an existing file's last byte. New bytes that reach that far overwrite it,
 and the cut removes it otherwise, so a file that still ends in it was not
 written to its end (the process was killed mid-write) and holds an older
 file's tail after its new bytes; `ends_unfinished(path)` tells, and the
-trace reader refuses such a file. A FIFO, a tty or `/dev/null` is written
-and never marked or cut.
+readers of traces, scenario files and JSON artifacts refuse such a file,
+in the words of `UNFINISHED`. A FIFO, a tty or `/dev/null` is written and
+never marked or cut.
 """
 
 from __future__ import annotations
@@ -425,6 +426,13 @@ def open_output(path, newline: str | None = None) -> Iterator[TextIO]:
                     # at the descriptor's offset, which counts the bytes the
                     # system took even where the flush failed partway
                     os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+
+
+#: why a reader refuses a file that `ends_unfinished`, after its path
+UNFINISHED = (
+    "was not written to its end: it ends in the NUL byte that an overwrite "
+    "stopped midway leaves, after an older file's tail"
+)
 
 
 def ends_unfinished(path) -> bool:

@@ -50,6 +50,14 @@ def number_types(values) -> set[type]:
         level = chain.from_iterable(lists)
 
 
+def quoted(value) -> str:
+    """`value`, as a JSON reader hands it over, in the JSON text that a
+    refusal echoes: cut to 40 characters, with "..." before its last one
+    (a string's closing quote, a list's bracket) where it is longer."""
+    text = json.dumps(value)
+    return text if len(text) <= 40 else text[:36] + "..." + text[-1]
+
+
 def non_number(values, where: str, types: set[type] | None = None) -> str | None:
     """None unless a string or a boolean sits where `values`, a number or
     lists of them nested to any depth, should hold numbers, as a JSON
@@ -63,9 +71,7 @@ def non_number(values, where: str, types: set[type] | None = None) -> str | None
     while stack:
         place, item = stack.pop()
         if type(item) in _NOT_NUMBERS:
-            text = json.dumps(item)
-            text = text if len(text) <= 40 else text[:36] + "...\""
-            return f"{place}: {text} is not a number"
+            return f"{place}: {quoted(item)} is not a number"
         if type(item) is list:
             stack.extend((f"{place}[{i}]", x) for i, x in reversed(list(enumerate(item))))
     raise AssertionError("unreachable")

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import algorithms, network, oracle, scenario as scen
-from ._numtext import ends_unfinished, open_output
+from ._numtext import UNFINISHED, ends_unfinished, open_output
 from .model import aggregate, grid_cost, par
 
 
@@ -56,14 +56,16 @@ def _write_artifact(path, args, scenario_hash: str, **fields) -> None:
     header = {"command": args.command, "scenario_hash": scenario_hash, "flags": flags}
     if "kind" in flags:
         header["kind"] = args.kind
-    text = scen._json_text({**header, **fields}, indent=2, sort_keys=True)
     with open_output(path) as fh:
-        fh.write(text + "\n")
+        fh.writelines(scen._json_parts({**header, **fields}, indent=2, sort_keys=True))
+        fh.write("\n")
 
 
 def _read_artifact(path, flag: str, command: str, kind: str | None, *fields) -> dict:
     """A JSON input of a report, refused unless its header names `command`
     and `kind` and it holds the scenario hash and the `fields` read from it."""
+    if ends_unfinished(path):
+        raise CliError(f"{flag} {path} {UNFINISHED}", 1)
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh, parse_int=network.parse_int)
@@ -93,7 +95,7 @@ def _number(payload: dict, flag: str, path, field: str, positive: bool = False):
     finite = is_number and abs(value) <= sys.float_info.max
     if not finite or (positive and value <= 0):
         wanted = "a positive finite number" if positive else "a finite number"
-        raise CliError(f"{flag} {path}: {field!r} is {value!r}, not {wanted}", 1)
+        raise CliError(f"{flag} {path}: {field!r} is {algorithms.quoted(value)}, not {wanted}", 1)
     return value
 
 
@@ -278,11 +280,7 @@ def _read_costs(path, wanted: set[int] | None) -> list[list[str]]:
     """The t, n and cost fields of a trace CSV's rows: all of them, or those
     of the consumers `wanted`."""
     if ends_unfinished(path):
-        raise CliError(
-            f"--trace {path} was not written to its end: it ends in the NUL byte "
-            "that an overwrite stopped midway leaves, after an older file's tail",
-            1,
-        )
+        raise CliError(f"--trace {path} {UNFINISHED}", 1)
     with open(path, "r", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:

@@ -21,12 +21,12 @@ import hashlib
 import json
 import math
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from ._numtext import RowTexts, open_output, row_texts
-from .algorithms import Scenario, non_number, number_types
+from ._numtext import UNFINISHED, RowTexts, ends_unfinished, open_output, row_texts
+from .algorithms import Scenario, non_number, number_types, quoted
 from .feasible import ConsumerSpec, InvalidSetError
 from .model import PriceCurve
 from .network import parse_int
@@ -140,9 +140,9 @@ def generate(
 
 # --- persistence -----------------------------------------------------------
 
-_TOP_FIELDS = {"schema_version", "horizon", "price", "consumers", "initial_profiles"}
-_PRICE_FIELDS = {"a", "b", "c"}
-_CONSUMER_FIELDS = {"q_min", "q_max", "energy"}
+#: the fields every scenario file holds, in their order
+_TOP_FIELDS = ("schema_version", "horizon", "price", "consumers")
+_CONSUMER_FIELDS = ("q_min", "q_max", "energy")
 
 
 class LoadedScenario(NamedTuple):
@@ -157,155 +157,145 @@ class LoadedScenario(NamedTuple):
 def _json_scalar(item) -> str | None:
     """None, a bool, an int or a float as json writes it; None for any
     other object."""
+    if isinstance(item, float):
+        if math.isfinite(item):
+            return float.__repr__(item)
+        return "NaN" if item != item else "Infinity" if item > 0 else "-Infinity"
     if item is None:
         return "null"
-    if item is True:
-        return "true"
-    if item is False:
-        return "false"
-    if isinstance(item, int):
-        return int.__repr__(item)
-    if isinstance(item, float):
-        if item != item:
-            return "NaN"
-        if item == math.inf:
-            return "Infinity"
-        if item == -math.inf:
-            return "-Infinity"
-        return float.__repr__(item)
-    return None
+    if isinstance(item, bool):
+        return "true" if item else "false"
+    return int.__repr__(item) if isinstance(item, int) else None
 
 
-def _enclose(texts: Iterable[str], nl: str, inner: str, brackets: str) -> Iterator[str]:
+def _enclose(texts: list[str], nl: str, inner: str, brackets: str) -> str:
     """A JSON list or object, `brackets` "[]" or "{}", of the item texts
-    `texts`, in parts of one item each, laid out as `json.dumps` lays it
-    out: each item after the line break and indent `inner`, the closing
-    bracket after `nl`; both are "" in the compact layout."""
-    sep = brackets[0] + inner
-    for text in texts:
-        yield sep + text
-        sep = "," + inner
-    yield brackets if sep[0] == brackets[0] else nl + brackets[1]
+    `texts`, laid out as `json.dumps` lays it out: each item after the
+    line break and indent `inner`, the closing bracket after `nl`; both
+    are "" in the compact layout."""
+    if not texts:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(texts) + nl + brackets[1]
 
 
-def _number_list(row: str, nl: str, inner: str) -> str:
-    """The JSON list of a `row_texts` row, laid out as `_enclose` lays
-    out a list."""
-    if not row:
-        return "[]"
-    return "[" + inner + (row.replace(",", "," + inner) if inner else row) + nl + "]"
+def _json_parts(obj, indent: int | None = None, sort_keys: bool = False) -> Iterator[str]:
+    """`obj` as JSON text, in parts that join to the bytes of
+    `json.dumps(obj, indent=indent, sort_keys=sort_keys)`; with `indent`
+    None, of the compact `json.dumps(obj, sort_keys=sort_keys,
+    separators=(",", ":"))`.
 
-
-def _json_text(obj, indent: int | None = None, sort_keys: bool = False) -> str:
-    """`obj` as JSON text, byte for byte `json.dumps(obj, indent=indent,
-    sort_keys=sort_keys)`; with `indent` None, the compact
-    `json.dumps(obj, sort_keys=sort_keys, separators=(",", ":"))`.
-
-    An ndarray is written as its `.tolist()` would be; a float64 one's
-    numbers are formatted by `row_texts`, not by one `repr` each. A
-    `RowTexts` is written as its array, from its rows.
+    The top level and each list, array or object in it come one item per
+    part, so a scenario's consumers and `initial_profiles` rows stream one
+    at a time. An ndarray is written as its `.tolist()` would be, a
+    float64 one from the rows of `row_texts`; a `RowTexts` is written as
+    its array, from its rows.
     """
     pad = "" if indent is None else " " * indent
     colon = ":" if indent is None else ": "
+    #: each str key's text and colon, composed once for all the consumers
+    heads: dict[str, str] = {}
 
     def key_text(key) -> str:
         text = key if isinstance(key, str) else _json_scalar(key)
         if text is None:
-            raise TypeError(
-                f"keys must be str, int, float, bool or None, not {type(key).__name__}"
-            )
-        return encode_basestring_ascii(text)
+            kind = type(key).__name__
+            raise TypeError(f"keys must be str, int, float, bool or None, not {kind}")
+        text = encode_basestring_ascii(text) + colon
+        if type(key) is str:
+            heads[key] = text
+        return text
+
+    def plain(item: np.ndarray):
+        """An ndarray as a `RowTexts` where it holds float64 rows, else as lists."""
+        if item.dtype == np.float64 and item.ndim:
+            return RowTexts(item, row_texts(item))
+        return item.tolist()
+
+    def numbers(row: str, nl: str) -> str:
+        """The JSON list of a `row_texts` row."""
+        if not row:
+            return "[]"
+        inner = nl + pad
+        return "[" + inner + (row.replace(",", "," + inner) if inner else row) + nl + "]"
 
     def array(shape: tuple, rows: Iterator[str], nl: str) -> str:
-        inner = nl + pad
         if len(shape) == 1:
-            return _number_list(next(rows), nl, inner)
-        items = (array(shape[1:], rows, inner) for _ in range(shape[0]))
-        return "".join(_enclose(items, nl, inner, "[]"))
+            return numbers(next(rows), nl)
+        inner = nl + pad
+        return _enclose([array(shape[1:], rows, inner) for _ in range(shape[0])], nl, inner, "[]")
 
     def encode(item, nl: str) -> str:
+        # the scenario's rows, consumers and energies first; a `RowTexts`
+        # is a tuple, so it goes before the lists
+        if isinstance(item, RowTexts):
+            return array(item.values.shape, iter(item.texts), nl)
+        inner = nl + pad
+        if isinstance(item, dict):
+            texts = []
+            for key in sorted(item) if sort_keys else item:
+                value = item[key]
+                # a consumer's bounds and energy, without a call each
+                if type(value) is RowTexts and value.values.ndim == 1:
+                    value = numbers(value.texts[0], inner)
+                elif type(value) is float and math.isfinite(value):
+                    value = float.__repr__(value)
+                else:
+                    value = encode(value, inner)
+                texts.append((heads.get(key) or key_text(key)) + value)
+            return _enclose(texts, nl, inner, "{}")
         if isinstance(item, str):
             return encode_basestring_ascii(item)
         scalar = _json_scalar(item)
         if scalar is not None:
             return scalar
-        inner = nl + pad
-        if isinstance(item, RowTexts):
-            return array(item.values.shape, iter(item.texts), nl)
         if isinstance(item, np.ndarray):
-            if item.dtype != np.float64 or not item.ndim:
-                return encode(item.tolist(), nl)
-            return array(item.shape, iter(row_texts(item)), nl)
+            return encode(plain(item), nl)
         if isinstance(item, (list, tuple)):
-            return "".join(_enclose((encode(x, inner) for x in item), nl, inner, "[]"))
-        if isinstance(item, dict):
-            pairs = sorted(item.items()) if sort_keys else item.items()
-            texts = (key_text(k) + colon + encode(v, inner) for k, v in pairs)
-            return "".join(_enclose(texts, nl, inner, "{}"))
+            return _enclose([encode(x, inner) for x in item], nl, inner, "[]")
         raise TypeError(f"Object of type {type(item).__name__} is not JSON serializable")
 
-    return encode(obj, "" if indent is None else "\n")
+    def parts(item, nl: str, depth: int) -> Iterator[str]:
+        inner = nl + pad
+        item = plain(item) if isinstance(item, np.ndarray) else item
+        # (key text, item text), or at depth 0 (key text, item parts)
+        if isinstance(item, RowTexts) and item.values.ndim > 1:
+            shape, rows = item.values.shape, iter(item.texts)
+            items = (("", array(shape[1:], rows, inner)) for _ in range(shape[0]))
+        elif isinstance(item, dict):
+            keys = sorted(item) if sort_keys else item
+            items = (
+                (heads.get(k) or key_text(k),
+                 encode(item[k], inner) if depth else parts(item[k], inner, 1))
+                for k in keys
+            )
+        elif isinstance(item, (list, tuple)) and not isinstance(item, RowTexts):
+            items = (("", encode(x, inner) if depth else parts(x, inner, 1)) for x in item)
+        else:
+            yield encode(item, nl)
+            return
+        brackets = "{}" if isinstance(item, dict) else "[]"
+        sep = brackets[0] + inner
+        for key, value in items:
+            if type(value) is str:
+                yield sep + key + value
+            else:
+                yield sep + key + next(value)
+                yield from value
+            sep = "," + inner
+        yield brackets if sep[0] == brackets[0] else nl + brackets[1]
+
+    return parts(obj, "" if indent is None else "\n", 0)
 
 
-class _Texts(NamedTuple):
-    """A scenario's numbers as JSON texts; a list's texts are joined by
-    commas, and the bounds and start hold one such row per consumer."""
-
-    schema_version: str
-    horizon: str
-    price: tuple[str, str, str]  # a, b, c
-    q_min: list[str]
-    q_max: list[str]
-    energy: list[str]
-    initial: list[str] | None
+def _line_rows(matrix: np.ndarray) -> list[RowTexts]:
+    """One `RowTexts` per row of the float64 `matrix`."""
+    return [RowTexts(row, [text]) for row, text in zip(matrix, row_texts(matrix))]
 
 
-def _scenario_parts(texts: _Texts, canonical: bool) -> Iterator[str]:
-    """The scenario JSON from its number texts, byte for byte `json.dumps`
-    of the payload: as `save_scenario` writes it (`indent=2`, keys in the
-    schema's order) or, `canonical`, as the content hash reads it (compact,
-    keys sorted). It comes in parts of at most one consumer or one row of
-    `initial_profiles` each, so the whole text is never held at once."""
-    nl = [""] * 5 if canonical else ["\n" + "  " * depth for depth in range(5)]
-    colon = ":" if canonical else ": "
-
-    def items(texts: Iterable[str], depth: int, brackets: str) -> Iterator[str]:
-        return _enclose(texts, nl[depth], nl[depth + 1], brackets)
-
-    def numbers(row: str, depth: int) -> str:
-        return _number_list(row, nl[depth], nl[depth + 1])
-
-    def fields(pairs: dict, depth: int) -> Iterator[str]:
-        keys = sorted(pairs) if canonical else pairs
-        return items((f'"{key}"{colon}{pairs[key]}' for key in keys), depth, "{}")
-
-    price = "".join(fields({key: numbers(row, 2) for key, row in zip("abc", texts.price)}, 1))
-    consumers = (
-        "".join(fields({"q_min": numbers(low, 3), "q_max": numbers(high, 3), "energy": energy}, 2))
-        for low, high, energy in zip(texts.q_min, texts.q_max, texts.energy)
-    )
-    # each key's value as parts; the two lists stream one item at a time
-    top = {
-        "schema_version": [texts.schema_version],
-        "horizon": [texts.horizon],
-        "price": [price],
-        "consumers": items(consumers, 1, "[]"),
-    }
-    if texts.initial is not None:
-        rows = (numbers(row, 2) for row in texts.initial)
-        top["initial_profiles"] = items(rows, 1, "[]")
-    sep = "{" + nl[1]
-    for key in sorted(top) if canonical else top:
-        yield f'{sep}"{key}"{colon}'
-        yield from top[key]
-        sep = "," + nl[1]
-    yield nl[0] + "}"
-
-
-def _content_hash(texts: _Texts) -> str:
+def _content_hash(payload: dict) -> str:
     """SHA-256 of the compact, sorted-key JSON of the payload."""
     digest = hashlib.sha256()
-    for part in _scenario_parts(texts, canonical=True):
+    for part in _json_parts(payload, sort_keys=True):
         digest.update(part.encode("ascii"))
     return digest.hexdigest()
 
@@ -315,42 +305,31 @@ def save_scenario(path, scenario: Scenario, initial_profiles=None) -> str:
     unless they form a finite (N, H) array, as `load_scenario` refuses
     them); returns its content hash.
 
-    `row_texts` formats the numbers from the scenario's arrays, a block
-    of rows at a time, and `_scenario_parts` writes the file and the
-    content hash's text from those same texts. The file holds the bytes of
-    `json.dumps(payload, indent=2)`, and a newline.
+    The payload holds each float row, the price curve's and each
+    consumer's bounds, as a `RowTexts`, and the initial profiles as one:
+    `row_texts` formats them once, a block of rows at a time, and
+    `_json_parts` writes the file and the content hash's text from those
+    same texts. The file holds the bytes of `json.dumps(payload,
+    indent=2)`, and a newline.
     """
-    initials = None
-    if initial_profiles is not None:
-        initials = row_texts(scenario.profile_array(initial_profiles, "initial_profiles"))
     curve = scenario.curve
-    texts = _Texts(
-        str(SCHEMA_VERSION),
-        str(scenario.horizon),
-        tuple(row_texts(np.stack([curve.a, curve.b, curve.c]))),
-        row_texts(scenario.q_min_matrix),
-        row_texts(scenario.q_max_matrix),
-        row_texts(scenario.budgets[:, None]),
-        initials,
-    )
+    bounds = zip(_line_rows(scenario.q_min_matrix), _line_rows(scenario.q_max_matrix))
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "horizon": scenario.horizon,
+        "price": dict(zip("abc", _line_rows(np.stack([curve.a, curve.b, curve.c])))),
+        "consumers": [
+            {"q_min": low, "q_max": high, "energy": energy}
+            for (low, high), energy in zip(bounds, scenario.budgets.tolist())
+        ],
+    }
+    if initial_profiles is not None:
+        initials = scenario.profile_array(initial_profiles, "initial_profiles")
+        payload["initial_profiles"] = RowTexts(initials, row_texts(initials))
     with open_output(path) as fh:
-        fh.writelines(_scenario_parts(texts, canonical=False))
+        fh.writelines(_json_parts(payload, indent=2))
         fh.write("\n")
-    return _content_hash(texts)
-
-
-def _number_texts(rows: list, array: np.ndarray, types: set[type] | None) -> list[str]:
-    """The JSON texts of the parsed `rows`, each a list of numbers or one
-    number, that hold the rows of the 2-D `array`, a row's texts joined by
-    commas: from the array where `types`, the `number_types` of `rows`,
-    say that every number is a float; else item by item, so that an int
-    keeps its text."""
-    if types == {float}:
-        return row_texts(array)
-    return [
-        ",".join(map(_json_scalar, row)) if type(row) is list else _json_scalar(row)
-        for row in rows
-    ]
+    return _content_hash(payload)
 
 
 def _check_numbers(values, where: str) -> set[type]:
@@ -363,12 +342,15 @@ def _check_numbers(values, where: str) -> set[type]:
     return types
 
 
-def _reject_unknown(fields: dict, allowed: set, where: str) -> None:
-    unknown = set(fields) - allowed
+def _check_fields(fields: dict, names, where: str, optional=()) -> None:
+    """A ScenarioFormatError naming a field of `fields` that is not one of
+    `names` or `optional`, or else one of `names` that is missing."""
+    unknown = set(fields).difference(names, optional)
     if unknown:
-        raise ScenarioFormatError(
-            f"{where}: unknown field(s) {sorted(unknown)} (strict schema)"
-        )
+        raise ScenarioFormatError(f"{where}: unknown field(s) {sorted(unknown)} (strict schema)")
+    for name in names:
+        if name not in fields:
+            raise ScenarioFormatError(f"{where}: missing field {name!r}")
 
 
 def _consumer_specs(path, consumers: list) -> tuple[tuple[ConsumerSpec, ...], dict]:
@@ -377,7 +359,8 @@ def _consumer_specs(path, consumers: list) -> tuple[tuple[ConsumerSpec, ...], di
     Entries that do not form such arrays are read one at a time instead, so
     the error names the first bad entry as that pass would; their types are
     then not known (an empty dict)."""
-    batch = all(type(entry) is dict and entry.keys() == _CONSUMER_FIELDS for entry in consumers)
+    fields = set(_CONSUMER_FIELDS)
+    batch = all(type(entry) is dict and entry.keys() == fields for entry in consumers)
     if batch:
         columns = {name: [entry[name] for entry in consumers] for name in _CONSUMER_FIELDS}
         types = {name: number_types(column) for name, column in columns.items()}
@@ -400,11 +383,12 @@ def _consumer_specs(path, consumers: list) -> tuple[tuple[ConsumerSpec, ...], di
                     ) from exc
     specs = []
     for idx, entry in enumerate(consumers):
+        where = f"{path}: consumers[{idx}]"
         if not isinstance(entry, dict):
-            raise ScenarioFormatError(f"{path}: consumers[{idx}] must be an object")
-        _reject_unknown(entry, _CONSUMER_FIELDS, f"{path}: consumers[{idx}]")
-        for name in ("q_min", "q_max", "energy"):
-            _check_numbers(entry.get(name), f"{path}: consumers[{idx}]: {name}")
+            raise ScenarioFormatError(f"{where} must be an object")
+        _check_fields(entry, _CONSUMER_FIELDS, where)
+        for name in _CONSUMER_FIELDS:
+            _check_numbers(entry[name], f"{where}: {name}")
         try:
             specs.append(
                 ConsumerSpec(
@@ -413,24 +397,28 @@ def _consumer_specs(path, consumers: list) -> tuple[tuple[ConsumerSpec, ...], di
                     float(entry["energy"]),
                 )
             )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ScenarioFormatError(f"{path}: consumers[{idx}]: {exc}") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ScenarioFormatError(f"{where}: {exc}") from exc
     return tuple(specs), {}
 
 
 def load_scenario(path) -> LoadedScenario:
     """Read a scenario JSON file; strict schema, round-trip exact.
 
-    The content hash is the SHA-256 of the payload's compact, sorted-key
-    JSON, `json.dumps(payload, sort_keys=True, separators=(",", ":"))`,
-    as `save_scenario` returns it. `_scenario_parts` composes that text
-    from the arrays the file was read into, with `row_texts`, where the
-    type pass that refuses a string or a boolean found only floats in a
-    list; a list holding an int (`"c": [0, 0]`) keeps its int texts, item
-    by item, and `"schema_version": 1.0` keeps its float text. The rows
-    of an all-float `initial_profiles` come back as `initial_rows`, for
-    the trace of a run that starts from them.
+    A file that ends in the mark of an overwrite stopped midway is refused
+    before it is parsed. The content hash is the SHA-256 of the parsed
+    payload's compact, sorted-key JSON, `json.dumps(payload,
+    sort_keys=True, separators=(",", ":"))`, as `save_scenario` returns
+    it; `_json_parts` composes it. Each list that the type pass, which
+    refuses a string or a boolean, found to hold only floats goes in as
+    the `RowTexts` of the array read from it, so `row_texts` formats its
+    numbers; every other value goes in as parsed, so a list holding an
+    int (`"c": [0, 0]`) keeps its int texts and `"schema_version": 1.0`
+    its float text. The rows of an all-float `initial_profiles` come back
+    as `initial_rows`, for the trace of a run that starts from them.
     """
+    if ends_unfinished(path):
+        raise ScenarioFormatError(f"{path} {UNFINISHED}")
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh, parse_int=parse_int)
@@ -440,34 +428,24 @@ def load_scenario(path) -> LoadedScenario:
             raise ScenarioFormatError(f"{path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise ScenarioFormatError(f"{path}: top level must be an object")
-    _reject_unknown(payload, _TOP_FIELDS, f"{path}")
-    for name in ("schema_version", "horizon", "price", "consumers"):
-        if name not in payload:
-            raise ScenarioFormatError(f"{path}: missing field {name!r}")
-    if type(payload["schema_version"]) is bool or payload["schema_version"] != SCHEMA_VERSION:
-        raise ScenarioFormatError(
-            f"{path}: unsupported schema_version {payload['schema_version']!r}"
-        )
+    _check_fields(payload, _TOP_FIELDS, f"{path}", ("initial_profiles",))
+    version = payload["schema_version"]
+    if type(version) is bool or version != SCHEMA_VERSION:
+        raise ScenarioFormatError(f"{path}: unsupported schema_version {quoted(version)}")
     price, consumers = payload["price"], payload["consumers"]
     if not isinstance(price, dict):
         raise ScenarioFormatError(f"{path}: price must be an object")
     if not isinstance(consumers, list):
         raise ScenarioFormatError(f"{path}: consumers must be a list")
-    _reject_unknown(price, _PRICE_FIELDS, f"{path}: price")
-    price_types = [_check_numbers(price.get(name), f"{path}: price: {name}") for name in "abc"]
+    _check_fields(price, "abc", f"{path}: price")
+    price_types = {name: _check_numbers(price[name], f"{path}: price: {name}") for name in "abc"}
     try:
-        curve = PriceCurve(
-            np.array(price["a"], dtype=float),
-            np.array(price["b"], dtype=float),
-            np.array(price["c"], dtype=float),
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        curve = PriceCurve(*(np.array(price[name], dtype=float) for name in "abc"))
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioFormatError(f"{path}: price: {exc}") from exc
     horizon = payload["horizon"]
     if isinstance(horizon, bool) or not isinstance(horizon, int):
-        raise ScenarioFormatError(
-            f"{path}: horizon must be an integer, got {json.dumps(horizon)}"
-        )
+        raise ScenarioFormatError(f"{path}: horizon must be an integer, got {quoted(horizon)}")
     if curve.horizon != horizon:
         raise ScenarioFormatError(
             f"{path}: price arrays have length {curve.horizon}, horizon says {horizon}"
@@ -477,7 +455,21 @@ def load_scenario(path) -> LoadedScenario:
         scenario = Scenario(specs, curve)
     except ValueError as exc:
         raise ScenarioFormatError(f"{path}: {exc}") from exc
-    initials = initial_texts = initial_rows = None
+    hashed = dict(payload)
+    hashed["price"] = {
+        name: RowTexts(values, row_texts(values)) if price_types[name] == {float} else price[name]
+        for name, values in zip("abc", (curve.a, curve.b, curve.c))
+    }
+    if types:
+        bounds = [
+            _line_rows(matrix) if types[name] == {float} else [entry[name] for entry in consumers]
+            for name, matrix in (("q_min", scenario.q_min_matrix), ("q_max", scenario.q_max_matrix))
+        ]
+        hashed["consumers"] = [
+            {"q_min": low, "q_max": high, "energy": entry["energy"]}
+            for entry, low, high in zip(consumers, *bounds)
+        ]
+    initials = initial_rows = None
     if "initial_profiles" in payload:
         rows = payload["initial_profiles"]
         row_types = number_types(rows)
@@ -485,25 +477,7 @@ def load_scenario(path) -> LoadedScenario:
             initials = scenario.profile_array(rows, f"{path}: initial_profiles", row_types)
         except ValueError as exc:
             raise ScenarioFormatError(str(exc)) from exc
-        initial_texts = _number_texts(rows, initials, row_types)
         # an int's text ("1") is not its float's ("1.0")
         if row_types == {float}:
-            initial_rows = RowTexts(initials, initial_texts)
-    texts = _Texts(
-        _json_scalar(payload["schema_version"]),
-        _json_scalar(horizon),
-        tuple(
-            _number_texts([price[name]], getattr(curve, name)[None], kinds)[0]
-            for name, kinds in zip("abc", price_types)
-        ),
-        *(
-            _number_texts([entry[name] for entry in consumers], array, types.get(name))
-            for name, array in (
-                ("q_min", scenario.q_min_matrix),
-                ("q_max", scenario.q_max_matrix),
-                ("energy", scenario.budgets[:, None]),
-            )
-        ),
-        initial_texts,
-    )
-    return LoadedScenario(scenario, initials, _content_hash(texts), initial_rows)
+            hashed["initial_profiles"] = initial_rows = RowTexts(initials, row_texts(initials))
+    return LoadedScenario(scenario, initials, _content_hash(hashed), initial_rows)

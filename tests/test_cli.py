@@ -12,11 +12,11 @@ import pytest
 from dsmgame import cli
 from dsmgame import scenario as scen
 from dsmgame._numtext import RowTexts, row_texts
-from dsmgame.algorithms import RunTrace, Scenario
+from dsmgame.algorithms import RunTrace, Scenario, quoted
 from dsmgame.cli import main
 from dsmgame.feasible import ConsumerSpec
 from dsmgame.model import PriceCurve
-from dsmgame.scenario import _json_text, generate, load_scenario, save_scenario
+from dsmgame.scenario import _json_parts, generate, load_scenario, save_scenario
 from conftest import AVX2_ENV, REPO, make_toy_game, src_env
 from oracles import reference_start_point
 
@@ -402,6 +402,13 @@ def test_tol_must_be_positive_and_finite(toy_file, tmp_path, capsys, tol):
                      id="horizon-null"),
         pytest.param("horizon", 2.0, "horizon must be an integer, got 2.0",
                      id="horizon-float"),
+        # a long value is quoted in 40 characters, not in 129 KB
+        pytest.param("horizon", [0.125] * 20_000,
+                     "horizon must be an integer, got [0.125, 0.125, 0.125, 0.125, 0.125, ...]\n",
+                     id="horizon-long-list"),
+        pytest.param("schema_version", [0.125] * 20_000,
+                     "unsupported schema_version [0.125, 0.125, 0.125, 0.125, 0.125, ...]\n",
+                     id="schema_version-long-list"),
     ],
 )
 def test_run_rejects_malformed_scenario_fields(
@@ -551,14 +558,14 @@ def run_keeping_the_trace(scenario_file, tmp_path, monkeypatch, alg):
 
 def assert_written_as_without_rows(trace_path, summary_path, trace, tmp_path):
     """The trace holds the bytes `to_csv` writes with no rows handed over,
-    and the summary the text `_json_text` gives its final profiles."""
+    and the summary the text `_json_parts` gives its final profiles."""
     fresh = tmp_path / "fresh.csv"
     trace.to_csv(fresh)
     assert trace_path.read_bytes() == fresh.read_bytes()
     *_, (final, _) = trace.states()
     text = summary_path.read_text(encoding="utf-8")
     payload = {**json.loads(text), "final_profiles": final}
-    assert _json_text(payload, indent=2, sort_keys=True) + "\n" == text
+    assert "".join(_json_parts(payload, indent=2, sort_keys=True)) + "\n" == text
 
 
 @pytest.mark.parametrize("alg", ["1", "2", "3"])
@@ -1087,6 +1094,7 @@ def test_inputs_that_fail_to_decode_are_refused_naming_the_file(
         pytest.param("par", "--summary", "initial_par", 10**400, id="initial_par-401-digits"),
         pytest.param("welfare-gap", "--oracle", "total_cost", -(10**400),
                      id="total_cost-401-digits"),
+        pytest.param("par", "--summary", "initial_par", [0.5] * 20_000, id="initial_par-long-list"),
     ],
 )
 def test_reports_refuse_a_field_that_is_not_a_usable_number(
@@ -1107,7 +1115,10 @@ def test_reports_refuse_a_field_that_is_not_a_usable_number(
                    "--oracle", paths["--oracle"], "-o", out)
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {flag} {paths[flag]}: {field!r} is {value!r}, not ")
+    # the value as JSON writes it, cut to 40 characters
+    head = f"error: {flag} {paths[flag]}: {field!r} is "
+    assert err.startswith(f"{head}{quoted(value)}, not ")
+    assert len(err) <= len(head) + 40 + len(", not a positive finite number\n")
     assert err.count("\n") == 1
     assert not out.exists()
 

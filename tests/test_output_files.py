@@ -200,9 +200,9 @@ def test_a_json_file_stopped_midway_over_an_older_one_is_refused(writers, capsys
         if kind == "summary":
             capsys.readouterr()
             assert run_cli("report", "--kind", "par", "--summary", "out", "-o", "p.json") == 1
-            assert "error: --summary out is not JSON" in capsys.readouterr().err
+            assert "error: --summary out was not written to its end" in capsys.readouterr().err
         else:
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="^out was not written to its end"):
                 load_scenario("out")
 
 

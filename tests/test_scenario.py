@@ -1,6 +1,7 @@
 """Scenario generation, the canonical day's segments, and persistence tests."""
 
 import io
+import itertools
 import json
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from dsmgame import feasible
 from dsmgame import scenario as scenario_module
+from dsmgame._numtext import RowTexts, row_texts
 from dsmgame.cli import main
 from dsmgame.feasible import is_feasible
 from dsmgame.scenario import (
@@ -24,7 +26,7 @@ from dsmgame.scenario import (
     generate,
     load_scenario,
     save_scenario,
-    _json_text,
+    _json_parts,
 )
 from oracles import reference_generate, reference_hash, reference_payload
 
@@ -205,15 +207,23 @@ def test_unknown_consumer_field_is_rejected(tmp_path):
 
 
 def test_missing_field_is_rejected(tmp_path):
-    import json
-
+    # at any depth, by name, not by the text of a KeyError
     scenario, _ = generate(n_consumers=3, seed=15)
-    payload = reference_payload(scenario)
-    del payload["price"]
     path = tmp_path / "s.json"
-    path.write_text(json.dumps(payload))
-    with pytest.raises(ScenarioFormatError, match="price"):
-        load_scenario(path)
+    for where, field, place in [
+        ((), "price", ""),
+        (("price",), "a", " price:"),
+        (("consumers", 1), "energy", " consumers[1]:"),
+    ]:
+        payload = reference_payload(scenario)
+        fields = payload
+        for key in where:
+            fields = fields[key]
+        del fields[field]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ScenarioFormatError) as info:
+            load_scenario(path)
+        assert str(info.value) == f"{path}:{place} missing field {field!r}"
 
 
 def test_budget_above_box_is_a_format_error_naming_the_consumer(tmp_path):
@@ -249,7 +259,7 @@ NON_NUMBERS = {
     "energy-text": (_put("consumers", 0, "energy"), str, "consumers[0]: energy: \"{old}\""),
     "initial-text": (_put("initial_profiles", 1, 7), str, "initial_profiles[1][7]: \"{old}\""),
     "initial-row-text": (_put("initial_profiles", 0), lambda _: "0.5", 'initial_profiles[0]: "0.5"'),
-    "schema-true": (_put("schema_version"), lambda _: True, "unsupported schema_version True"),
+    "schema-true": (_put("schema_version"), lambda _: True, "unsupported schema_version true"),
 }
 
 
@@ -383,7 +393,7 @@ BAD_CONSUMERS = {
     ),
     "budget-above": (_budget_outside("hi"), None),
     "budget-below": (_budget_outside("lo"), None),
-    "missing-energy": (_drop("energy"), "'energy'"),
+    "missing-energy": (_drop("energy"), "missing field 'energy'"),
 }
 
 
@@ -583,15 +593,27 @@ json_values = st.recursive(
 )
 
 
+def compose(obj, **kwargs) -> str:
+    """The text that `_json_parts` streams, whole."""
+    return "".join(_json_parts(obj, **kwargs))
+
+
+def placed(obj) -> tuple:
+    """`obj` at the top level, where its items stream one per part, inside
+    a streamed list, and below the streamed levels, where it comes whole."""
+    return obj, [obj], {"k": [obj, {"j": obj}]}
+
+
 @settings(max_examples=300, deadline=None)
 @given(obj=json_values, sort_keys=st.booleans())
 def test_the_renderer_writes_the_bytes_of_json_dumps(obj, sort_keys):
-    assert _json_text(obj, indent=2, sort_keys=sort_keys) == json.dumps(
-        obj, indent=2, sort_keys=sort_keys
-    )
-    assert _json_text(obj, sort_keys=sort_keys) == json.dumps(
-        obj, sort_keys=sort_keys, separators=(",", ":")
-    )
+    for value in placed(obj):
+        assert compose(value, indent=2, sort_keys=sort_keys) == json.dumps(
+            value, indent=2, sort_keys=sort_keys
+        )
+        assert compose(value, sort_keys=sort_keys) == json.dumps(
+            value, sort_keys=sort_keys, separators=(",", ":")
+        )
 
 
 @pytest.mark.parametrize("obj", [
@@ -604,14 +626,14 @@ def test_the_renderer_writes_the_bytes_of_json_dumps(obj, sort_keys):
     [np.float64(2.5), 3],
 ])
 def test_the_renderer_writes_the_bytes_of_json_dumps_on_edge_cases(obj):
-    for sort_keys in (False, True):
+    for value, sort_keys in itertools.product(placed(obj), (False, True)):
         try:
-            want = json.dumps(obj, indent=2, sort_keys=sort_keys)
+            want = json.dumps(value, indent=2, sort_keys=sort_keys)
         except TypeError:
             continue  # keys of mixed types do not sort
-        assert _json_text(obj, indent=2, sort_keys=sort_keys) == want
-        assert _json_text(obj, sort_keys=sort_keys) == json.dumps(
-            obj, sort_keys=sort_keys, separators=(",", ":")
+        assert compose(value, indent=2, sort_keys=sort_keys) == want
+        assert compose(value, sort_keys=sort_keys) == json.dumps(
+            value, sort_keys=sort_keys, separators=(",", ":")
         )
 
 
@@ -620,7 +642,7 @@ def test_the_renderer_refuses_what_json_refuses():
         with pytest.raises(TypeError):
             json.dumps(obj)
         with pytest.raises(TypeError):
-            _json_text(obj)
+            compose(obj)
 
 
 def test_save_hashes_the_text_it_writes(tmp_path):
@@ -635,6 +657,28 @@ def test_save_hashes_the_text_it_writes(tmp_path):
     assert sha == reference_hash(payload) == load_scenario(path).content_hash
 
 
+def test_a_saved_scenario_streams_one_consumer_or_row_per_part(tmp_path, monkeypatch):
+    # neither the file's text nor the hash's is held whole: each part holds
+    # at most one consumer object, with its two bounds, or one other list,
+    # such as a row of `initial_profiles`
+    streams = []
+
+    def spy(*args, **kwargs):
+        streams.append(list(_json_parts(*args, **kwargs)))
+        return iter(streams[-1])
+
+    monkeypatch.setattr(scenario_module, "_json_parts", spy)
+    scenario, init = generate(n_consumers=300, seed=4)
+    save_scenario(tmp_path / "s.json", scenario, init)
+    load_scenario(tmp_path / "s.json")
+    assert len(streams) == 3  # the file, its hash, the hash of the file read
+    for parts in streams:
+        assert len(parts) > 2 * 300
+        for part in parts:
+            consumers = part.count('"q_min"')
+            assert consumers <= 1 and part.count("]") <= 1 + consumers
+
+
 #: float arrays' edge values: signed zeros, the least subnormal, exponent
 #: notation on both sides of the fixed range and the non-finite values
 ARRAY_EDGES = (-0.0, 0.0, 5e-324, 1e-5, 1e-4, 1e16, 1e22, 0.1, float("nan"), float("inf"), float("-inf"))
@@ -647,14 +691,18 @@ def test_the_renderer_writes_float_arrays_as_json_dumps_writes_their_lists(shape
     values = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 18, size=shape)
     flat = values.reshape(-1)
     flat[: len(ARRAY_EDGES)] = ARRAY_EDGES[: flat.size]
-    for obj in (values, {"b": values, "a": [values, 1.5]}):
-        listed = values.tolist()
-        as_lists = listed if obj is values else {"b": listed, "a": [listed, 1.5]}
+    rows = RowTexts(values, row_texts(values))
+    listed = values.tolist()
+    for obj, as_lists in (
+        (values, listed),
+        (rows, listed),
+        ({"b": values, "a": [rows, 1.5]}, {"b": listed, "a": [listed, 1.5]}),
+    ):
         for sort_keys in (False, True):
-            assert _json_text(obj, indent=2, sort_keys=sort_keys) == json.dumps(
+            assert compose(obj, indent=2, sort_keys=sort_keys) == json.dumps(
                 as_lists, indent=2, sort_keys=sort_keys
             )
-            assert _json_text(obj, sort_keys=sort_keys) == json.dumps(
+            assert compose(obj, sort_keys=sort_keys) == json.dumps(
                 as_lists, sort_keys=sort_keys, separators=(",", ":")
             )
 
@@ -668,14 +716,14 @@ def test_the_renderer_writes_any_float_matrix_as_json_dumps_writes_its_lists(val
     rows = np.array(values[: len(values) // width * width], dtype=float).reshape(-1, width)
     for indent in (None, 2):
         separators = (",", ":") if indent is None else None
-        assert _json_text(rows, indent=indent) == json.dumps(
+        assert compose(rows, indent=indent) == json.dumps(
             rows.tolist(), indent=indent, separators=separators
         )
 
 
 def test_the_renderer_writes_other_arrays_as_their_lists():
     for values in (np.arange(4), np.float64(0.1), np.array(2.5), np.array([True, False])):
-        assert _json_text(values, indent=2) == json.dumps(values.tolist(), indent=2)
+        assert compose(values, indent=2) == json.dumps(values.tolist(), indent=2)
 
 
 #: per schema number, hand-written values that keep the file valid: ints
