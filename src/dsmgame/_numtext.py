@@ -13,13 +13,13 @@ inf and nan and the values `repr` writes in exponent notation go through
 `repr` itself, and so does an array of fewer than `REPR_BELOW` values,
 below which the fast path's fixed cost per call is more than `repr`'s.
 
-`row_texts(values)` renders each row of an array as one string, its
-numbers' texts joined by commas as JSON writes them (`NaN`, `Infinity`):
-the commas are laid into the fast path's padded text rows and a block of
-rows is compacted in one pass. `RowTexts` keeps such rows with the array
-they render, so a writer that has rendered an array once can hand its rows
-to the next writer of the same array, which compares the bits before it
-uses them.
+`row_reprs(values)` renders each row of an array as one string, its
+numbers' texts joined by commas: the commas are laid into the fast path's
+padded text rows and a block of rows is compacted in one pass.
+`row_texts(values)` gives the same rows as JSON writes them (`NaN`,
+`Infinity`). `RowTexts` keeps such rows with the array they render, so a
+writer that has rendered an array once can hand its rows to the next
+writer of the same array, which compares the bits before it uses them.
 
 `open_output(path, newline=None)` is the one way the package opens a file
 to write: the trace CSV, scenario files, JSON artifacts and reports all go
@@ -193,8 +193,14 @@ _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 def row_texts(values) -> list[str]:
     """Each row (along the last axis) of the float64 array `values` as its
-    numbers' texts joined by commas, `",".join(float_texts(row))` with
-    nan and the infinities written as JSON writes them.
+    numbers' texts joined by commas, as JSON writes them: the rows of
+    `row_reprs` with nan and the infinities as `NaN` and `Infinity`."""
+    return json_rows(row_reprs(values))
+
+
+def row_reprs(values) -> list[str]:
+    """Each row (along the last axis) of the float64 array `values` as
+    `",".join(float_texts(row))`.
 
     The rows are rendered a block of at most about `CHUNK` values at a
     time. A block that the fast path takes whole is laid out as one uint8
@@ -219,7 +225,7 @@ def row_texts(values) -> list[str]:
         text[:, -1] = ord(",")
         text[width - 1 :: width, -1] = ord("\n")
         texts += text.tobytes().translate(None, b" ").decode("ascii").split("\n")[:-1]
-    return json_rows(texts)
+    return texts
 
 
 def json_rows(texts: list[str]) -> list[str]:

@@ -12,12 +12,12 @@ from __future__ import annotations
 import json
 from array import array
 from dataclasses import dataclass, field
-from itertools import chain, islice, repeat
-from typing import Callable, Iterable, Iterator
+from itertools import chain, groupby, islice, repeat
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from ._numtext import CHUNK, RowTexts, float_texts, json_rows, open_output
+from ._numtext import CHUNK, RowTexts, float_texts, json_rows, open_output, row_reprs
 from .feasible import ConsumerSpec, first_infeasible, project_rows
 from .model import Certificate, PriceCurve, bills, mapping_profiles, uniqueness_certificate
 from .network import CommGraph, GossipEvent, check_weights, mix
@@ -176,6 +176,19 @@ class Scenario:
         return q
 
 
+class _PartialBlock(NamedTuple):
+    """Consecutive partial trace entries as `to_csv` writes them: per
+    entry its number of stored rows, the stored rows' indices entry after
+    entry, the bills of the states (m, N), their residuals and the full
+    state after the last entry."""
+
+    sizes: list[int]
+    rows: list[int]
+    bills: np.ndarray
+    residuals: list[float]
+    last: np.ndarray
+
+
 @dataclass
 class RunTrace:
     """Per-iteration snapshots of a solver run on the price curve `curve`:
@@ -187,12 +200,15 @@ class RunTrace:
     the rows that changed since entry t - 1, and their indices, in that
     order, are the entry's stretch of the flat `changed_rows`. Every
     synchronous round is full; a gossip event keeps the two rows of its
-    pair. Only `record` writes that layout and only `_walk` reads it:
-    `states()`, `to_csv`, `bills`, `aggregates` and the invariant checks see
-    full states. `residuals` holds the natural-map fixed-point residual at
-    each recorded state; the gossip runner refreshes it only at its periodic
-    checks and carries the last reading in between. `curve` prices each
-    state's bills on demand.
+    pair; the first entry is always full. Only `record` writes that layout,
+    and `_layout` checks it for its two readers: `_walk` rebuilds one state
+    after another, for `states()`, `bills`, `aggregates` and the invariant
+    checks, and `to_csv` writes a run of partial entries a block of states
+    at a time, each block's states gathered from its entries' rows in one
+    pass, with the rows it stores rendered whole. `residuals` holds the
+    natural-map fixed-point residual at each recorded state; the gossip
+    runner refreshes it only at its periodic checks and carries the last
+    reading in between. `curve` prices the states' bills on demand.
     """
 
     curve: PriceCurve
@@ -209,7 +225,13 @@ class RunTrace:
     def record(self, profiles, residual: float, estimates=None, rows=None):
         """Append `residual` and a copy of `profiles` (and of `estimates`):
         the full state, or with `rows` just the rows that changed since the
-        last entry, row k of each being the state's row `rows[k]`."""
+        last entry, row k of each being the state's row `rows[k]`. The first
+        entry must be a full state, and `rows` must name every row given."""
+        if rows is not None:
+            if not self.profiles:
+                raise ValueError("the first trace entry must be a full state, not rows")
+            if len(rows) != len(profiles):
+                raise ValueError(f"{len(rows)} row indices for {len(profiles)} rows")
         self.partial.append(rows is not None)
         if rows is not None:
             self.changed_rows.extend(rows)
@@ -220,24 +242,60 @@ class RunTrace:
                 self.estimates = []
             self.estimates.append(estimates.copy())
 
+    def _flags(self) -> bytes:
+        """Per entry, 1 where it is partial (0 past the end of `partial`)."""
+        flags = bytes(self.partial[: len(self.profiles)])
+        return flags + bytes(len(self.profiles) - len(flags))
+
+    def _layout(self) -> tuple[np.ndarray, np.ndarray]:
+        """`changed_rows` as an index array, and per entry where its stretch
+        of it starts: entry t's rows are `index[starts[t]:starts[t + 1]]`,
+        none for a full entry. A ValueError where the layout describes no
+        states: a partial first entry, more or fewer indices than stored
+        rows, or a row index out of range or repeated in its entry."""
+        flags = self._flags()
+        if flags[:1] == b"\x01":
+            raise ValueError("trace entry 0 is partial: a trace starts with a full state")
+        sizes = [len(entry) if part else 0 for entry, part in zip(self.profiles, flags)]
+        starts = np.zeros(len(sizes) + 1, dtype=np.intp)
+        np.cumsum(sizes, out=starts[1:])
+        index = np.array(self.changed_rows, dtype=np.intp)
+        if index.size != starts[-1]:
+            raise ValueError(
+                f"the partial trace entries store {starts[-1]} rows, but "
+                f"changed_rows holds {index.size} indices"
+            )
+        n_rows = len(self.profiles[0]) if self.profiles else 0
+        entry = np.repeat(np.arange(len(sizes)), sizes)
+        # one key per (entry, row), a distinct negative one per index out
+        # of range; a key met twice is a row repeated in its entry
+        outside = (index < 0) | (index >= n_rows)
+        key = np.where(outside, -1 - np.arange(index.size), entry * n_rows + index)
+        order = np.argsort(key, kind="stable")
+        bad = outside.copy()
+        bad[order[1:]] |= key[order[1:]] == key[order[:-1]]
+        if bad.any():
+            k = int(bad.argmax())
+            what = f"outside 0..{n_rows - 1}" if outside[k] else "repeated"
+            raise ValueError(f"trace entry {entry[k]}: row index {index[k]} is {what}")
+        return index, starts
+
     def _walk(
         self, estimates: bool = True
     ) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
         """Yield each recorded state as full float `(profiles, estimates)`
-        arrays (profiles C-ordered) in one working copy: a full entry (as is
-        every entry past the end of `partial`) replaces it, a partial entry
-        writes its rows into it. The arrays yielded are overwritten by later
-        partial entries; `estimates` is None for a run that does not track
-        them, and for a caller that passes `estimates=False`."""
-        index = np.array(self.changed_rows, dtype=np.intp)
+        arrays (profiles C-ordered) in one working copy: a full entry
+        replaces it, a partial entry writes its rows into it. The arrays
+        yielded are overwritten by later partial entries; `estimates` is
+        None for a run that does not track them, and for a caller that
+        passes `estimates=False`."""
+        index, starts = self._layout()
         est_entries = self.estimates if estimates else None
-        start = 0
         q = est = None
-        for t, entry in enumerate(self.profiles):
+        for t, (entry, part) in enumerate(zip(self.profiles, self._flags())):
             est_entry = None if est_entries is None else est_entries[t]
-            if t < len(self.partial) and self.partial[t]:
-                rows = index[start : start + len(entry)]
-                start += len(entry)
+            if part:
+                rows = index[starts[t] : starts[t + 1]]
                 q[rows] = entry
                 if est is not None:
                     est[rows] = est_entry
@@ -246,16 +304,19 @@ class RunTrace:
                 est = None if est_entry is None else np.array(est_entry, dtype=float)
             yield q, est
 
-    def _priced(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Yield each recorded state's profiles, as `_walk` yields them, with
-        its `model.bills` (the runners record nonnegative profiles only)."""
-        for q, _ in self._walk(estimates=False):
-            yield q, bills(q, self.curve)
+    def _state_bills(self, states: np.ndarray, start: int) -> np.ndarray:
+        """The bills (m, N) of `states`, the recorded states `start`,
+        `start` + 1, ... stacked (m, N, H): every reader prices states here,
+        with `model.bills` (the runners record nonnegative profiles only)."""
+        return bills(states, self.curve)
 
     @property
     def bills(self) -> list[np.ndarray]:
         """Every consumer's bill at each recorded state, derived on access."""
-        return [bills for _, bills in self._priced()]
+        return [
+            self._state_bills(q[None], t)[0]
+            for t, (q, _) in enumerate(self._walk(estimates=False))
+        ]
 
     @property
     def aggregates(self) -> list[np.ndarray]:
@@ -289,15 +350,16 @@ class RunTrace:
         )
 
     def _changes(
-        self, before: np.ndarray | None = None
+        self, start: int, stop: int, before: np.ndarray | None
     ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float, np.ndarray]]:
-        """Yield, per recorded state: the flat row-major indices of its
-        profile values whose bits differ from the state before (all of
-        them in the first state, or those that differ from `before`
-        where given), those values, the consumers they belong to, the
-        state's bills, its residual and its profiles."""
+        """Yield, per state of the full entries `start` .. `stop` - 1: the
+        flat row-major indices of its profile values whose bits differ
+        from the state before (from `before`, or all of them where it is
+        None), those values, the consumers they belong to, the state's
+        bills, its residual and its profiles."""
         bits = None if before is None else before.view(np.uint64).copy()
-        for (q, bills), res in zip(self._priced(), self.residuals):
+        for t in range(start, stop):
+            q = np.array(self.profiles[t], dtype=float, order="C")
             # compare bits, not values: -0.0 == 0.0 but their reprs differ
             state_bits = q.view(np.uint64)
             if bits is None:
@@ -310,25 +372,82 @@ class RunTrace:
                 moved.ravel().nonzero()[0],
                 q[moved],
                 moved.any(axis=1).nonzero()[0],
-                np.asarray(bills, dtype=np.float64),
-                res,
+                np.asarray(self._state_bills(q[None], t)[0], dtype=np.float64),
+                self.residuals[t],
                 q,
             )
 
-    def _blocks(self, before: np.ndarray | None = None) -> Iterator[list]:
-        """`_changes` in runs of states whose values to format number at
-        most `CHUNK`, or of one state that has more."""
-        block, size = [], 0
-        for change in self._changes(before):
-            _, moved, _, bills, _, _ = change
-            n_values = moved.size + bills.size + 1
-            if block and size + n_values > CHUNK:
-                yield block
+    def _partial_block(
+        self, q: np.ndarray, start: int, stop: int, rows: np.ndarray
+    ) -> _PartialBlock:
+        """The partial entries `start` .. `stop` - 1 after the state `q`,
+        whose stored rows are the consumers `rows`, their states priced in
+        one stacked call."""
+        entries = self.profiles[start:stop]
+        sizes = [len(entry) for entry in entries]
+        n_rows = len(q)
+        # the states as rows of `source`, the state before then the stored
+        # rows: each entry points its consumers at its rows, and a running
+        # maximum carries each consumer's latest writer to the states after
+        source = np.concatenate([q, *entries])
+        writer = np.zeros((stop - start, n_rows), dtype=np.intp)
+        writer[0] = np.arange(n_rows)
+        writer[np.repeat(np.arange(stop - start), sizes), rows] = np.arange(n_rows, len(source))
+        states = source.take(np.maximum.accumulate(writer, axis=0), axis=0)
+        return _PartialBlock(
+            sizes, rows.tolist(), self._state_bills(states, start),
+            self.residuals[start:stop], states[-1],
+        )
+
+    def _blocks(self, before: np.ndarray | None = None) -> Iterator[list | _PartialBlock]:
+        """The states `to_csv` formats together, in order. A run of full
+        entries gives `_changes` in lists of states whose values to format
+        number at most `CHUNK`, or of one state that has more; a run of
+        partial entries gives `_PartialBlock`s of states whose bills and
+        residuals number at most about `CHUNK`."""
+        index, starts = self._layout()
+        q = before
+        t = 0
+        for part, run in groupby(self._flags()):
+            stop = t + len(list(run))
+            if part:
+                step = max(1, CHUNK // (len(q) + 1))
+                for t0 in range(t, stop, step):
+                    t1 = min(t0 + step, stop)
+                    block = self._partial_block(q, t0, t1, index[starts[t0] : starts[t1]])
+                    q = block.last
+                    yield block
+            else:
                 block, size = [], 0
-            block.append(change)
-            size += n_values
-        if block:
-            yield block
+                for change in self._changes(t, stop, q):
+                    _, moved, _, bills, _, q = change
+                    n_values = moved.size + bills.size + 1
+                    if block and size + n_values > CHUNK:
+                        yield block
+                        block, size = [], 0
+                    block.append(change)
+                    size += n_values
+                yield block
+            t = stop
+
+    def _stored_rows(self, horizon: int) -> Iterator[str]:
+        """The rows the partial entries store, entry after entry, as
+        `row_reprs` renders them, about `CHUNK` values at a time: a window
+        sized apart from the blocks of states, so that it takes the fast
+        path where a block of a few states' rows would be too small."""
+        step = max(1, CHUNK // horizon)
+        pending, size = [], 0
+        for entry, part in zip(self.profiles, self._flags()):
+            if part:
+                pending.append(entry)
+                size += len(entry)
+            if size >= step:
+                rows = np.concatenate(pending)
+                cut = size - size % step
+                yield from row_reprs(rows[:cut])
+                pending, size = [rows[cut:]], size - cut
+        if size:
+            yield from row_reprs(np.concatenate(pending))
 
     def to_csv(self, path, first: RowTexts | None = None) -> RowTexts:
         """Write the long-form trace: t,n,cost,residual,q1..qH (1-based ids),
@@ -337,17 +456,20 @@ class RunTrace:
 
         Lines end in ``\\r\\n``; `t` and `n` are integers and every float
         field is Python's shortest round-trip ``repr``: `float_texts` writes
-        those bytes, for a block of states at a time (`_blocks`), their
-        moved profile values, bills and residuals in one call. Each profile
-        value's text is reused while its bits stay unchanged, and a
-        consumer's ``q1..qH`` segment is re-joined only when one of its
-        values changed, so slots pinned at a bound and the rows a gossip
-        event leaves alone cost a comparison, not a format. `first`, the
-        rows of a finite array of the profiles' shape (finite, so that
-        their JSON texts are the `repr`s), stands for a state before the
-        first: the first state then formats only the values whose bits
-        differ from its array, none where they render the same state, as
-        the rows `load_scenario` kept render a run's initial profiles.
+        those bytes, for a block of states at a time (`_blocks`). A block
+        of full entries formats its moved profile values, bills and
+        residuals in one call: each profile value's text is reused while
+        its bits stay unchanged, and a consumer's ``q1..qH`` segment is
+        re-joined only when one of its values changed, so slots pinned at
+        a bound cost a comparison, not a format. A block of partial
+        entries formats its bills and residuals in one call, and each
+        event swaps in just the segments of the rows it stores, rendered
+        whole by `_stored_rows`. `first`, the rows of a finite array of
+        the profiles' shape (finite, so that their JSON texts are the
+        `repr`s), stands for a state before the first: the first state
+        then formats only the values whose bits differ from its array,
+        none where they render the same state, as the rows `load_scenario`
+        kept render a run's initial profiles.
         """
         n_rows, horizon = self.profiles[0].shape
         header = ",".join(
@@ -368,25 +490,44 @@ class RunTrace:
             before = first.values
             cells[:] = ",".join(first.texts).split(",")
             tails = [row + "\r\n" for row in first.texts]
+        stored = self._stored_rows(horizon)
+        # whether partial entries have swapped tails since `cells` was read
+        cells_behind = False
         t = 0
         with open_output(path, newline="") as fh:
+
+            def write_state(costs: list[str], res: str) -> None:
+                nonlocal t
+                t += 1
+                fh.write("".join(chain.from_iterable(
+                    zip(repeat(str(t)), ids, costs, repeat(f",{res},"), tails)
+                )))
+
             fh.write(header + "\r\n")
             for block in self._blocks(before):
+                if isinstance(block, _PartialBlock):
+                    n_costs = block.bills.size
+                    texts = float_texts(np.concatenate((block.bills.ravel(), block.residuals)))
+                    consumers = iter(block.rows)
+                    for k, size in enumerate(block.sizes):
+                        for n in islice(consumers, size):
+                            tails[n] = next(stored) + "\r\n"
+                        write_state(texts[k * n_rows : (k + 1) * n_rows], texts[n_costs + k])
+                    last, cells_behind = block.last, True
+                    continue
+                if cells_behind:
+                    cells[:] = ",".join(tail[:-2] for tail in tails).split(",")
+                    cells_behind = False
                 values = [a for _, moved, _, bills, res, _ in block for a in (moved, bills, [res])]
                 texts = np.array(float_texts(np.concatenate(values)), dtype=object)
                 pos = 0
                 for flat, _, stale, _, _, last in block:
-                    t += 1
                     cells[flat] = texts[pos : pos + flat.size]
                     pos += flat.size
                     for n, row in zip(stale.tolist(), rows[stale].tolist()):
                         tails[n] = ",".join(row) + "\r\n"
-                    costs = texts[pos : pos + n_rows].tolist()
-                    res_s = f",{texts[pos + n_rows]},"
+                    write_state(texts[pos : pos + n_rows].tolist(), texts[pos + n_rows])
                     pos += n_rows + 1
-                    fh.write("".join(chain.from_iterable(
-                        zip(repeat(str(t)), ids, costs, repeat(res_s), tails)
-                    )))
         return RowTexts(last, json_rows([tail[:-2] for tail in tails]))
 
 

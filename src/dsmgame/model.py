@@ -121,8 +121,19 @@ def grid_cost(q_sigma, curve: PriceCurve) -> float:
 def bills(profiles: np.ndarray, curve: PriceCurve) -> np.ndarray:
     """Every consumer's bill under instantaneous-load billing: each row of
     the (N, H) float `profiles` priced at their aggregate, q_n . p(sum_m q_m).
-    Unchecked: callers pass nonnegative profiles."""
-    return profiles @ curve._price(profiles.sum(axis=0))
+    A stack (..., N, H) of such states gives each state's bills, (..., N),
+    with the bits of a call on that state alone. Unchecked: callers pass
+    nonnegative profiles."""
+    loads = profiles.sum(axis=-2)
+    if loads.ndim > 1 and curve.horizon == 1:
+        # stacked one-slot loads meet the exponent as a scalar, which
+        # numpy's power takes another way (2.0 as a square): one state at
+        # a time keeps each state's bits
+        prices = np.array([curve._price(load) for load in loads.reshape(-1, 1)])
+        prices = prices.reshape(loads.shape)
+    else:
+        prices = curve._price(loads)
+    return np.matmul(profiles, prices[..., None])[..., 0]
 
 
 def mapping_profiles(profiles, aggregates, curve: PriceCurve) -> np.ndarray:

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import dsmgame._numtext as numtext
 import dsmgame.algorithms as algorithms
 from dsmgame.algorithms import (
     DEFAULT_EXPONENT,
@@ -24,7 +25,7 @@ from dsmgame.algorithms import (
     run_algorithm2,
     run_algorithm3,
 )
-from dsmgame._numtext import RowTexts, float_texts, row_texts
+from dsmgame._numtext import CHUNK, RowTexts, float_texts, row_texts
 from dsmgame.feasible import ConsumerSpec, is_feasible, sample_feasible
 from dsmgame.model import PriceCurve, mapping_profiles
 from dsmgame.network import (
@@ -1115,9 +1116,8 @@ class HandPricedTrace(RunTrace):
     curve: PriceCurve | None = None
     costs: list = field(default_factory=list)
 
-    def _priced(self):
-        for (q, _), costs in zip(self._walk(estimates=False), self.costs):
-            yield q, costs
+    def _state_bills(self, states, start):
+        return np.array(self.costs[start : start + len(states)])
 
 
 @pytest.mark.parametrize("alg", [1, 2, 3])
@@ -1246,6 +1246,135 @@ def test_trace_csv_bytes_match_reference_under_row_subset_entries(
     rebuilt = [q for q, _ in trace.states()]
     assert [q.tobytes() for q in rebuilt] == [q.tobytes() for q in states]
     _assert_same_csv_bytes(trace, tmp_path_factory.mktemp("trace"))
+
+
+@pytest.mark.parametrize("n", [2, 50])
+def test_trace_csv_bytes_match_reference_on_gossip_edge_cases(tmp_path, n):
+    # pair entries over several blocks of states and windows of stored
+    # rows: a pair repeated at once, an event that moves nothing, a
+    # 0.0 -> -0.0 flip, stored rows holding a zero (a window that goes
+    # number by number), and a full entry after partial ones that moves
+    # one value back, so its other values reuse texts of partial entries
+    h = 24
+    rng = np.random.default_rng(n)
+    curve = PriceCurve(
+        rng.uniform(0.5, 2.0, h), rng.choice([1.0, 2.0, 2.5], h), rng.uniform(0.0, 1.0, h)
+    )
+    q = rng.uniform(0.1, 3.0, (n, h))
+    q[0, 0] = 0.0
+    trace = RunTrace(curve)
+    trace.record(q, 0.5)
+    residual = 0.5
+    pair = (0, 1)
+    for k in range(1, 151):
+        if k not in (10, 20):
+            pair = tuple(int(i) for i in rng.choice(n, 2, replace=False))
+        if k == 30:
+            pair = (0, n - 1)
+            q[0, 0] = -0.0
+        elif k != 20:
+            q[list(pair)] = rng.uniform(0.1, 3.0, (2, h))
+            q[0, 0] = -0.0 if k > 30 else 0.0
+        if k % 7 == 0:
+            residual = float(rng.uniform(0.0, 1.0))
+        trace.record(q[list(pair)], residual, rows=pair)
+        if k == 100:
+            q[0, 0] = 0.0
+            trace.record(q, residual)
+    assert trace.partial.count(0) == 2
+    _assert_same_csv_bytes(trace, tmp_path)
+
+
+def test_gossip_trace_csv_formats_a_block_of_states_per_call(canonical, tmp_path, monkeypatch):
+    # the writer formats the pair entries' bills and residuals a block of
+    # states at a time and their stored rows a window at a time: a few
+    # calls per CHUNK values, not one or more per event
+    scenario, init = canonical
+    (n, h), events = init.shape, 5000
+    graph = generate_topology(n, 3.0, np.random.default_rng(0))
+    stream = gossip_stream(graph, np.random.default_rng(1), events)
+    _, trace = run_algorithm3(scenario, graph, stream, init=init, tol=0.0, max_events=events)
+    assert trace.iterations == events + 1
+    sizes = []
+
+    def counted(function):
+        def call(values):
+            sizes.append(np.size(values))
+            return function(values)
+
+        return call
+
+    monkeypatch.setattr(algorithms, "float_texts", counted(algorithms.float_texts))
+    monkeypatch.setattr(numtext, "float_texts", counted(numtext.float_texts))
+    trace.to_csv(tmp_path / "trace.csv")
+    # the first state's values and bills, each state's bills and residual,
+    # and the two rows each event stores
+    values = n * h + (events + 1) * (n + 1) + 2 * events * h
+    assert len(sizes) <= values // CHUNK + 5
+    assert max(sizes) <= CHUNK
+
+
+def _three_row_trace():
+    scenario = box_scenario([0.5] * 3)
+    trace = RunTrace(scenario.curve)
+    trace.record(np.full((3, 2), 0.25), 0.0)
+    return trace
+
+
+def test_record_refuses_a_partial_first_entry():
+    trace = RunTrace(box_scenario([0.5] * 3).curve)
+    with pytest.raises(ValueError, match="first trace entry must be a full state"):
+        trace.record(np.zeros((1, 2)), 0.0, rows=(0,))
+    assert (trace.profiles, trace.residuals, trace.partial) == ([], [], bytearray())
+
+
+def test_record_refuses_rows_that_do_not_name_every_row_given():
+    # two rows under one index would shift every later entry's rows: the
+    # one-row entry after them would land on row 1, not row 2
+    trace = _three_row_trace()
+    with pytest.raises(ValueError, match="1 row indices for 2 rows"):
+        trace.record(np.full((2, 2), 0.5), 0.0, rows=(0,))
+    assert trace.iterations == 1 and not trace.changed_rows and trace.partial == bytearray([0])
+    trace.record(np.array([[0.0, 0.5]]), 0.0, rows=(2,))
+    *_, (last, _) = trace.states()
+    assert last.tolist() == [[0.25, 0.25], [0.25, 0.25], [0.0, 0.5]]
+
+
+@pytest.mark.parametrize("rows, message", [
+    ((0, 3), "trace entry 2: row index 3 is outside 0..2"),
+    ((-1, 0), "trace entry 2: row index -1 is outside 0..2"),
+    ((1, 1), "trace entry 2: row index 1 is repeated"),
+])
+def test_trace_readers_refuse_a_row_index_out_of_range_or_repeated(tmp_path, rows, message):
+    trace = _three_row_trace()
+    trace.record(np.full((2, 2), 0.5), 0.0, rows=(0, 1))
+    trace.record(np.full((2, 2), 0.5), 0.0, rows=rows)
+    readers = (lambda: list(trace.states()), lambda: trace.bills,
+               lambda: trace.to_csv(tmp_path / "trace.csv"))
+    for read in readers:
+        with pytest.raises(ValueError, match=message):
+            read()
+
+
+def test_trace_readers_refuse_a_layout_that_describes_no_states(tmp_path):
+    # built by hand past `record`: a partial first entry, and stored rows
+    # that outnumber their indices
+    curve = box_scenario([0.5] * 3).curve
+    rows = np.full((1, 2), 0.5)
+    broken = {
+        "starts with a full state": RunTrace(
+            curve, profiles=[rows], residuals=[0.0], changed_rows=array("q", [0]),
+            partial=bytearray([1]),
+        ),
+        "store 2 rows, but changed_rows holds 1 indices": RunTrace(
+            curve, profiles=[np.full((3, 2), 0.25), np.full((2, 2), 0.5)],
+            residuals=[0.0, 0.0], changed_rows=array("q", [0]), partial=bytearray([0, 1]),
+        ),
+    }
+    for message, trace in broken.items():
+        for read in (lambda: list(trace.states()), lambda: trace.to_csv(tmp_path / "t.csv")):
+            with pytest.raises(ValueError, match=message):
+                read()
 
 
 def _recorded_states(monkeypatch) -> list:

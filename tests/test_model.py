@@ -1,5 +1,9 @@
 """Price curve, billing, game mapping, and certificate tests."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import mpmath
 import numpy as np
 import pytest
@@ -22,6 +26,7 @@ from dsmgame.model import (
     uniqueness_certificate,
 )
 from dsmgame.oracle import fairness_comparison
+from conftest import AVX2_ENV, src_env
 from oracles import mapping_finite_difference
 
 
@@ -292,6 +297,39 @@ def test_price_kernels_match_the_formulas_bit_for_bit(seed):
             # the rows' aggregate keeps the zero last slot
             sigma = x.sum(axis=0)
             np.testing.assert_array_equal(bills(x, curve), x @ (a * sigma**b + c))
+
+
+@pytest.mark.parametrize("h", [1, 3, 24])
+@pytest.mark.parametrize("n", [1, 2, 50, 500])
+def test_stacked_bills_are_each_states_bills_bit_for_bit(n, h):
+    # a trace writer prices a block of states in one call: each state's
+    # aggregate and bills must keep the bits of a call on that state alone.
+    # An exponent of 2.0 is one numpy's power squares where it meets it as
+    # a scalar, which stacked one-slot loads would make it
+    rng = np.random.default_rng(100 * n + h)
+    b = rng.choice([1.0, 1.5, 2.0, 2.7], h)
+    b[0] = 2.0
+    curve = PriceCurve(rng.uniform(0.5, 2.0, h), b, rng.uniform(0.0, 1.0, h))
+    for m in (1, 2, 40):
+        states = rng.uniform(0.0, 3.0, (m, n, h)) * (rng.random((m, n, h)) < 0.8)
+        stacked = bills(states, curve)
+        assert stacked.shape == (m, n)
+        for q, got, load in zip(states, stacked, states.sum(axis=-2), strict=True):
+            assert load.tobytes() == q.sum(axis=0).tobytes()
+            assert got.tobytes() == (q @ curve._price(q.sum(axis=0))).tobytes()
+            assert bills(q, curve).tobytes() == got.tobytes()
+
+
+def test_stacked_bills_are_each_states_bills_on_the_avx2_kernels():
+    # numpy's AVX2 loops and OpenBLAS's Haswell kernel round `power` and
+    # the bill product their own way; a stack must still match there
+    node = f"{Path(__file__).name}::test_stacked_bills_are_each_states_bills_bit_for_bit"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", node],
+        cwd=Path(__file__).parent, capture_output=True, text=True,
+        env={**src_env(), **AVX2_ENV},
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 # --- convexity ------------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import dsmgame._numtext as numtext
 import dsmgame.algorithms as algorithms
-from dsmgame._numtext import CHUNK, REPR_BELOW, float_texts, row_texts
+from dsmgame._numtext import CHUNK, REPR_BELOW, float_texts, row_reprs, row_texts
 from dsmgame.algorithms import run_algorithm1
 from dsmgame.scenario import generate
 from conftest import AVX2_ENV, src_env
@@ -199,6 +199,7 @@ def test_row_texts_are_the_rows_json_writes_on_bit_patterns(
     x[rng.choice(size, drawn.size, replace=False)] = drawn
     x = x.reshape(n_rows, width)
     assert row_texts(x) == json_rows(x)
+    assert row_reprs(x) == [",".join(reprs(row)) for row in x]
 
 
 def test_row_texts_lay_out_whole_fast_blocks_and_take_any_shape(monkeypatch):
@@ -213,3 +214,4 @@ def test_row_texts_lay_out_whole_fast_blocks_and_take_any_shape(monkeypatch):
     assert row_texts(np.empty((4, 0))) == [""] * 4
     assert row_texts(np.empty((0, 3))) == []
     assert row_texts([[0.5, -0.0], [np.inf, 1e22]]) == ["0.5,-0.0", "Infinity,1e+22"]
+    assert row_reprs([[0.5, -0.0], [np.inf, np.nan]]) == ["0.5,-0.0", "inf,nan"]
