@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from array import array
 from dataclasses import dataclass, field
-from itertools import chain, groupby, islice, repeat
+from itertools import chain, groupby, islice
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -180,7 +180,8 @@ class _PartialBlock(NamedTuple):
     """Consecutive partial trace entries as `to_csv` writes them: per
     entry its number of stored rows, the stored rows' indices entry after
     entry, the bills of the states (m, N), their residuals and the full
-    state after the last entry."""
+    state after the last entry, a view that the run's next block
+    overwrites."""
 
     sizes: list[int]
     rows: list[int]
@@ -222,25 +223,45 @@ class RunTrace:
     def iterations(self) -> int:
         return len(self.profiles)
 
-    def record(self, profiles, residual: float, estimates=None, rows=None):
+    def record(self, profiles, residual, estimates=None, rows=None):
         """Append `residual` and a copy of `profiles` (and of `estimates`):
         the full state, or with `rows` just the rows that changed since the
-        last entry, row k of each being the state's row `rows[k]`. The first
-        entry must be a full state, and `rows` must name every row given."""
-        if rows is not None:
+        last entry, row k of each being the state's row `rows[k]`.
+
+        With `rows` of shape (m, k), m partial entries at once: `profiles`
+        (and `estimates`) are (m, k, H), entry e's rows being `rows[e]`,
+        and `residual` holds the m entries' residuals. The block is copied
+        once, and each entry is a view of its copy. One entry's `rows`
+        take that path as a block of one. The first entry must be a full
+        state, and each entry's `rows` must name every row given."""
+        if rows is None:
+            self.partial.append(0)
+            self.profiles.append(profiles.copy())
+            self.residuals.append(residual)
+            est_entries = None if estimates is None else [estimates.copy()]
+        else:
+            rows = np.asarray(rows)
+            if rows.ndim == 1:
+                rows, profiles, residual = rows[None], profiles[None], [residual]
+                estimates = None if estimates is None else estimates[None]
             if not self.profiles:
                 raise ValueError("the first trace entry must be a full state, not rows")
-            if len(rows) != len(profiles):
-                raise ValueError(f"{len(rows)} row indices for {len(profiles)} rows")
-        self.partial.append(rows is not None)
-        if rows is not None:
-            self.changed_rows.extend(rows)
-        self.profiles.append(profiles.copy())
-        self.residuals.append(residual)
-        if estimates is not None:
+            if not len(rows) == len(profiles) == len(residual):
+                raise ValueError(
+                    f"{len(rows)} entries of row indices for {len(profiles)} of rows "
+                    f"and {len(residual)} residuals"
+                )
+            if rows.shape[1] != profiles.shape[1]:
+                raise ValueError(f"{rows.shape[1]} row indices for {profiles.shape[1]} rows")
+            self.changed_rows.extend(rows.ravel().tolist())
+            self.partial.extend(b"\x01" * len(rows))
+            self.profiles.extend(profiles.copy())
+            self.residuals.extend(residual)
+            est_entries = None if estimates is None else estimates.copy()
+        if est_entries is not None:
             if self.estimates is None:
                 self.estimates = []
-            self.estimates.append(estimates.copy())
+            self.estimates.extend(est_entries)
 
     def _flags(self) -> bytes:
         """Per entry, 1 where it is partial (0 past the end of `partial`)."""
@@ -378,25 +399,33 @@ class RunTrace:
             )
 
     def _partial_block(
-        self, q: np.ndarray, start: int, stop: int, rows: np.ndarray
+        self, source: np.ndarray, states: np.ndarray, start: int, stop: int, rows: np.ndarray
     ) -> _PartialBlock:
-        """The partial entries `start` .. `stop` - 1 after the state `q`,
-        whose stored rows are the consumers `rows`, their states priced in
-        one stacked call."""
+        """The partial entries `start` .. `stop` - 1 after the state held in
+        the first N rows of `source`, whose stored rows are the consumers
+        `rows`, their states priced in one stacked call. `source` has room
+        for the entries' rows after the state, `states` for their states;
+        on return `source` holds the state after the block, which `last`
+        views."""
         entries = self.profiles[start:stop]
         sizes = [len(entry) for entry in entries]
-        n_rows = len(q)
+        n_rows = states.shape[1]
         # the states as rows of `source`, the state before then the stored
         # rows: each entry points its consumers at its rows, and a running
         # maximum carries each consumer's latest writer to the states after
-        source = np.concatenate([q, *entries])
+        stored = n_rows + len(rows)
+        np.concatenate(entries, out=source[n_rows:stored])
         writer = np.zeros((stop - start, n_rows), dtype=np.intp)
         writer[0] = np.arange(n_rows)
-        writer[np.repeat(np.arange(stop - start), sizes), rows] = np.arange(n_rows, len(source))
-        states = source.take(np.maximum.accumulate(writer, axis=0), axis=0)
+        writer[np.repeat(np.arange(stop - start), sizes), rows] = np.arange(n_rows, stored)
+        block = states[: stop - start]
+        # the writers are in range by construction; with out=, mode="raise"
+        # would copy through a temporary first
+        source.take(np.maximum.accumulate(writer, axis=0), axis=0, out=block, mode="clip")
+        source[rows] = block[-1, rows]
         return _PartialBlock(
-            sizes, rows.tolist(), self._state_bills(states, start),
-            self.residuals[start:stop], states[-1],
+            sizes, rows.tolist(), self._state_bills(block, start),
+            self.residuals[start:stop], source[:n_rows],
         )
 
     def _blocks(self, before: np.ndarray | None = None) -> Iterator[list | _PartialBlock]:
@@ -404,17 +433,25 @@ class RunTrace:
         entries gives `_changes` in lists of states whose values to format
         number at most `CHUNK`, or of one state that has more; a run of
         partial entries gives `_PartialBlock`s of states whose bills and
-        residuals number at most about `CHUNK`."""
+        residuals number at most about `CHUNK`, gathered into buffers that
+        the blocks of a run share."""
         index, starts = self._layout()
         q = before
         t = 0
         for part, run in groupby(self._flags()):
             stop = t + len(list(run))
             if part:
-                step = max(1, CHUNK // (len(q) + 1))
-                for t0 in range(t, stop, step):
-                    t1 = min(t0 + step, stop)
-                    block = self._partial_block(q, t0, t1, index[starts[t0] : starts[t1]])
+                n_rows, horizon = q.shape
+                step = max(1, CHUNK // (n_rows + 1))
+                bounds = [*range(t, stop, step), stop]
+                room = int(np.diff(starts[bounds]).max())
+                source = np.empty((n_rows + room, horizon))
+                source[:n_rows] = q
+                states = np.empty((min(step, stop - t), n_rows, horizon))
+                for t0, t1 in zip(bounds, bounds[1:]):
+                    block = self._partial_block(
+                        source, states, t0, t1, index[starts[t0] : starts[t1]]
+                    )
                     q = block.last
                     yield block
             else:
@@ -475,7 +512,6 @@ class RunTrace:
         header = ",".join(
             ["t", "n", "cost", "residual"] + [f"q{h}" for h in range(1, horizon + 1)]
         )
-        ids = [f",{n}," for n in range(1, n_rows + 1)]
         # the text of every profile value in row-major order, and per
         # consumer the "q1,...,qH\r\n" line tail joined from it
         cells = np.empty(n_rows * horizon, dtype=object)
@@ -493,15 +529,21 @@ class RunTrace:
         stored = self._stored_rows(horizon)
         # whether partial entries have swapped tails since `cells` was read
         cells_behind = False
+        # one state's lines as 5N pieces, t,n,cost,residual,tail per consumer,
+        # kept from state to state
+        line = [""] * (5 * n_rows)
+        line[1::5] = [f",{n}," for n in range(1, n_rows + 1)]
         t = 0
         with open_output(path, newline="") as fh:
 
             def write_state(costs: list[str], res: str) -> None:
                 nonlocal t
                 t += 1
-                fh.write("".join(chain.from_iterable(
-                    zip(repeat(str(t)), ids, costs, repeat(f",{res},"), tails)
-                )))
+                line[0::5] = [str(t)] * n_rows
+                line[2::5] = costs
+                line[3::5] = [f",{res},"] * n_rows
+                line[4::5] = tails
+                fh.write("".join(line))
 
             fh.write(header + "\r\n")
             for block in self._blocks(before):
@@ -792,9 +834,10 @@ def run_algorithm3(
     its new rows back. A node's events sit in strictly increasing levels,
     so each event reads the rows of the latest earlier event on its nodes,
     the rows the event-by-event loop gives it: the same bits. Each event's
-    trace entry is its pair's two rows of its level's result, recorded in
-    stream order; after a window's levels the state is the one after its
-    last event, the only one a residual check can fall on. The run pulls
+    trace entry is its pair's two rows of its level's result; one gather
+    stacks them in stream order, and one `record` call appends the
+    window's entries. After a window's levels the state is the one after
+    its last event, the only one a residual check can fall on. The run pulls
     from `event_stream` just the events it uses.
     """
     if max_events < 1:
@@ -813,7 +856,7 @@ def run_algorithm3(
     streak = 0
     events_used = 0
     for events, levels in _windows(event_stream, graph, max_events):
-        computed = []  # per level, its new q and est rows and its number of pairs
+        q_new, est_new = [], []  # per level, its new q and est rows
         for initiators, contacts in levels:
             n_pairs = len(initiators)
             rows = initiators + contacts
@@ -840,15 +883,33 @@ def run_algorithm3(
             )
             est_next = (avg + q_next.reshape(pair_shape) - q_pairs).reshape(q_rows.shape)
             q[idx], est[idx] = q_next, est_next
-            computed.append((q_next, est_next, n_pairs))
+            q_new.append(q_next)
+            est_new.append(est_next)
+        # event (i, j, level, m) has the rows m and n_pairs + m of its
+        # level's result: rows `first` and `first + n_pairs` of the levels'
+        # results stacked
+        starts, stacked = [], 0
+        for initiators, _ in levels:
+            starts.append(stacked)
+            stacked += 2 * len(initiators)
+        at, pairs = [], []
         for i, j, level, m in events:
-            q_new, est_new, p = computed[level]
-            events_used += 1
-            # only a window's last event can be a residual check
-            if events_used % n_consumers == 0:
-                residual = fixed_point_residual(q, scenario)
-                streak = streak + 1 if residual <= tol else 0
-            trace.record(q_new[m::p], residual, estimates=est_new[m::p], rows=(i, j))
+            first = starts[level] + m
+            at += (first, first + len(levels[level][0]))
+            pairs.append((i, j))
+        residuals = [residual] * len(events)
+        events_used += len(events)
+        # only a window's last event can be a residual check
+        if events_used % n_consumers == 0:
+            residual = residuals[-1] = fixed_point_residual(q, scenario)
+            streak = streak + 1 if residual <= tol else 0
+        block = (len(events), 2, horizon)
+        trace.record(
+            np.concatenate(q_new).take(at, axis=0).reshape(block),
+            residuals,
+            estimates=np.concatenate(est_new).take(at, axis=0).reshape(block),
+            rows=pairs,
+        )
         if streak >= GOSSIP_WINDOW:
             converged = True
             break

@@ -30,8 +30,8 @@ class CommGraph:
     `cols` and `starts` are the graph's slot table, built once: row i's
     slots are `cols[starts[i]:starts[i + 1]]` (the last row runs to the
     end), node i itself and then its neighbours in ascending order, N + 2|E|
-    slots in all. Mixing weights live on these slots; only this module reads
-    the table's layout.
+    slots in all, and `degrees[i]` is node i's number of neighbours. Mixing
+    weights live on these slots; only this module reads the table's layout.
     """
 
     n: int
@@ -39,6 +39,7 @@ class CommGraph:
     _neighbors: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     starts: np.ndarray = field(init=False, repr=False, compare=False)
     cols: np.ndarray = field(init=False, repr=False, compare=False)
+    degrees: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 2:
@@ -65,7 +66,8 @@ class CommGraph:
                     queue.append(other)
         if len(seen) < self.n:
             raise ValueError("graph is not connected")
-        sizes = np.array([1 + len(nbrs) for nbrs in neighbors])
+        degrees = np.array([len(nbrs) for nbrs in neighbors])
+        sizes = 1 + degrees
         starts = np.concatenate(([0], np.cumsum(sizes[:-1])))
         cols = np.fromiter(
             (k for i, nbrs in enumerate(neighbors) for k in (i, *nbrs)),
@@ -74,7 +76,7 @@ class CommGraph:
         )
         object.__setattr__(self, "edges", frozenset(edges))
         object.__setattr__(self, "_neighbors", neighbors)
-        for name, arr in (("starts", starts), ("cols", cols)):
+        for name, arr in (("starts", starts), ("cols", cols), ("degrees", degrees)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -88,10 +90,9 @@ def build_weights(graph: CommGraph, tau: float) -> np.ndarray:
     node's own slot."""
     if not 0.0 < tau < 1.0:
         raise ValueError(f"tau={tau:g} must lie strictly in (0, 1)")
-    degrees = np.diff(graph.starts, append=graph.cols.size) - 1
-    off = tau / degrees.max()
+    off = tau / graph.degrees.max()
     w = np.full(graph.cols.size, off)
-    w[graph.starts] = 1.0 - degrees * off
+    w[graph.starts] = 1.0 - graph.degrees * off
     return w
 
 
@@ -129,18 +130,92 @@ def mix(graph: CommGraph, weights: np.ndarray, values: np.ndarray, buf: np.ndarr
     return np.add.reduceat(buf, graph.starts, axis=0)
 
 
+#: the most events `gossip_stream` draws at once
+GOSSIP_BLOCK = 4096
+
+
+def lemire(draws: np.ndarray, bounds) -> tuple[np.ndarray, np.ndarray]:
+    """What `Generator.integers(bound)` makes of the generator's 32-bit
+    draws `draws` (a uint64 array), by numpy's rule for a bound below
+    2**32, Lemire's multiply-shift (Lemire 2019): per draw, the value
+    `draw * bound >> 32`, and whether numpy rejects the draw, which it
+    does where the low 32 bits of the product fall below 2**32 % bound;
+    it then takes the next draw for the same value. `bounds` are positive
+    and broadcast against `draws`. For a bound of 1 numpy takes no draw at
+    all: the value is 0, and never rejected."""
+    bounds = np.asarray(bounds, dtype=np.uint64)
+    product = draws * bounds
+    return product >> 32, (product & 0xFFFFFFFF) < 2**32 % bounds
+
+
+def _gossip_block(
+    graph: CommGraph, rng: np.random.Generator, count: int
+) -> tuple[list[int], list[int]]:
+    """The initiators and contacts of the next at most `count` events (at
+    least one), leaving `rng` where drawing them one by one with
+    `integers` leaves it.
+
+    One `integers(0, 2**32, dtype=np.uint32)` call hands out the
+    generator's next 2 * `count` 32-bit draws, enough for `count` events:
+    an event takes one draw for its initiator, and one for its contact
+    unless the initiator has a single neighbour. `lemire` maps them to
+    nodes. The block ends before the first event that meets a rejected
+    draw; the generator's state is then restored and just the draws used
+    are drawn again. An event that meets a rejected draw first in its
+    block is drawn by `integers` itself."""
+    bitgen = rng.bit_generator
+    saved = bitgen.state
+    draws = rng.integers(0, 2**32, size=2 * count, dtype=np.uint32).astype(np.uint64)
+    # every draw read as an initiator's, and the draws its event takes
+    initiators, rejected = lemire(draws, graph.n)
+    takes = (1 + (graph.degrees[initiators] > 1)).tolist()
+    starts, used = [], 0
+    while len(starts) < count:
+        starts.append(used)
+        used += takes[used]
+    at = np.array(starts)
+    initiators = initiators[at]
+    degrees = graph.degrees[initiators]
+    # a single neighbour's slot takes no draw: its bound of 1 reads the
+    # next event's draw, or past the end, as slot 0, never rejected
+    slots, refused = lemire(draws.take(at + 1, mode="clip"), degrees)
+    bad = np.flatnonzero(rejected[at] | refused)
+    if bad.size:
+        kept = int(bad[0])
+        used = starts[kept]
+        initiators, slots = initiators[:kept], slots[:kept]
+    if used < draws.size:
+        bitgen.state = saved
+        if not used:
+            initiator = int(rng.integers(graph.n))
+            nbrs = graph.neighbors(initiator)
+            return [initiator], [int(nbrs[rng.integers(len(nbrs))])]
+        rng.integers(0, 2**32, size=used, dtype=np.uint32)
+    contacts = graph.cols[graph.starts[initiators] + 1 + slots.astype(np.intp)]
+    return initiators.tolist(), contacts.tolist()
+
+
 def gossip_stream(
     graph: CommGraph, rng: np.random.Generator, count: int
 ) -> Iterator[GossipEvent]:
     """Yield `count` gossip events under the single-virtual-clock model:
-    initiators i.i.d. uniform over nodes, contacts uniform over neighbors."""
+    initiators i.i.d. uniform over nodes, contacts uniform over neighbors.
+
+    The events are the ones `rng.integers(N)` for the initiator and then
+    `rng.integers(degree)` for the contact's place among the initiator's
+    neighbours (no draw for a single neighbour) give, event after event.
+    They are drawn a block of up to GOSSIP_BLOCK events at a time, see
+    `_gossip_block`. So the generator's state matches the event-by-event
+    draws only at the end of each block and of the stream: a caller that
+    stops inside a block, or that draws from `rng` between pulls, sees
+    other numbers."""
     if count < 1:
         raise ValueError("count must be at least 1")
-    for t in range(1, count + 1):
-        initiator = int(rng.integers(graph.n))
-        nbrs = graph.neighbors(initiator)
-        contact = int(nbrs[rng.integers(len(nbrs))])
-        yield GossipEvent(t, initiator, contact)
+    t = 0
+    while t < count:
+        initiators, contacts = _gossip_block(graph, rng, min(GOSSIP_BLOCK, count - t))
+        yield from map(GossipEvent, range(t + 1, count + 1), initiators, contacts)
+        t += len(initiators)
 
 
 def generate_topology(

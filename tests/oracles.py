@@ -2,8 +2,8 @@
 checks of a consumer spec, an active-set QP projection oracle, a grid-search and a projected-gradient best response,
 finite differences, and plain reference versions of the projection's numpy
 form, the scenario generator's and `run`'s start-point draws (one consumer
-at a time), the topology generator, the trace writer, the synchronous loop
-and the gossip loop; the edge-list writer; and the scenario file's payload
+at a time), the topology generator, the gossip event stream (one event at
+a time), the trace writer, the synchronous loop and the gossip loop; the edge-list writer; and the scenario file's payload
 and content hash as the C `json` encoder defines them.
 
 These deliberately re-derive results from first principles rather than
@@ -32,7 +32,7 @@ from dsmgame.algorithms import (
 )
 from dsmgame.feasible import project_rows, sample_feasible
 from dsmgame.model import mapping_profiles
-from dsmgame.network import mix
+from dsmgame.network import GossipEvent, mix
 from dsmgame.oracle import _descend
 from dsmgame.scenario import (
     BASE_HIGH,
@@ -262,6 +262,19 @@ def reference_topology_edges(n, target_degree, rng):
     while non_edges and 2.0 * len(edges) / n < target_degree:
         edges.add(non_edges.pop())
     return frozenset((int(a), int(b)) for a, b in edges)
+
+
+def reference_gossip_stream(graph, rng, count):
+    """`gossip_stream` one event at a time: `rng.integers(N)` for the
+    initiator, then `rng.integers(degree)` for the contact's place among the
+    initiator's neighbours. The reference for the block draws."""
+    if count < 1:
+        raise ValueError("count must be at least 1")
+    for t in range(1, count + 1):
+        initiator = int(rng.integers(graph.n))
+        nbrs = graph.neighbors(initiator)
+        contact = int(nbrs[rng.integers(len(nbrs))])
+        yield GossipEvent(t, initiator, contact)
 
 
 def reference_trace_csv(trace, path):

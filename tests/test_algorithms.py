@@ -719,13 +719,14 @@ def test_alg3_non_edge_event_raises_where_the_event_loop_raises(monkeypatch, nam
         assert_same_run(*runs)
         assert pulled == [pulls, pulls]
     # before convergence both raise on pulling it, with every event before
-    # it applied and recorded
+    # it applied and recorded; a call may record several entries
     recorded = []
     record = RunTrace.record
 
     def counted(trace, *args, **kwargs):
-        recorded.append(1)
-        return record(trace, *args, **kwargs)
+        before = trace.iterations
+        record(trace, *args, **kwargs)
+        recorded.append(trace.iterations - before)
 
     monkeypatch.setattr(RunTrace, "record", counted)
     for at in (stop // 2, stop // 2 + 1, scenario.n_consumers):
@@ -736,7 +737,7 @@ def test_alg3_non_edge_event_raises_where_the_event_loop_raises(monkeypatch, nam
                 runner(scenario, graph, counting, init=init, tol=tol,
                        max_events=len(stream))
             assert counting.pulled == at + 1
-            assert len(recorded) == at + 1
+            assert sum(recorded) == at + 1
 
 
 def dependency_depth(events):
@@ -1249,12 +1250,14 @@ def test_trace_csv_bytes_match_reference_under_row_subset_entries(
 
 
 @pytest.mark.parametrize("n", [2, 50])
-def test_trace_csv_bytes_match_reference_on_gossip_edge_cases(tmp_path, n):
+def test_trace_csv_bytes_match_reference_on_gossip_edge_cases(tmp_path, monkeypatch, n):
     # pair entries over several blocks of states and windows of stored
     # rows: a pair repeated at once, an event that moves nothing, a
     # 0.0 -> -0.0 flip, stored rows holding a zero (a window that goes
     # number by number), and a full entry after partial ones that moves
-    # one value back, so its other values reuse texts of partial entries
+    # one value back, so its other values reuse texts of partial entries;
+    # at CHUNK values per block and at 60, where N = 50 writes one state
+    # per block, as N = 1024 and more do at CHUNK
     h = 24
     rng = np.random.default_rng(n)
     curve = PriceCurve(
@@ -1282,7 +1285,9 @@ def test_trace_csv_bytes_match_reference_on_gossip_edge_cases(tmp_path, n):
             q[0, 0] = 0.0
             trace.record(q, residual)
     assert trace.partial.count(0) == 2
-    _assert_same_csv_bytes(trace, tmp_path)
+    for chunk in (CHUNK, 60):
+        monkeypatch.setattr(algorithms, "CHUNK", chunk)
+        _assert_same_csv_bytes(trace, tmp_path)
 
 
 def test_gossip_trace_csv_formats_a_block_of_states_per_call(canonical, tmp_path, monkeypatch):
@@ -1338,6 +1343,48 @@ def test_record_refuses_rows_that_do_not_name_every_row_given():
     trace.record(np.array([[0.0, 0.5]]), 0.0, rows=(2,))
     *_, (last, _) = trace.states()
     assert last.tolist() == [[0.25, 0.25], [0.25, 0.25], [0.0, 0.5]]
+
+
+def test_record_of_a_window_equals_its_events_recorded_one_by_one():
+    # a gossip window recorded in one call keeps the bits, changed_rows,
+    # partial flags and residuals of its events recorded one at a time
+    rng = np.random.default_rng(5)
+    n, h, m = 6, 2, 9
+    q0, est0 = rng.random((n, h)), rng.random((n, h))
+    rows = np.array([rng.choice(n, 2, replace=False) for _ in range(m)])
+    rows[4] = rows[3]  # a pair met twice in a row
+    profiles, estimates = rng.random((m, 2, h)), rng.random((m, 2, h)) - 0.5
+    profiles[5, 1, 0] = -0.0
+    residuals = rng.random(m).tolist()
+    curve = box_scenario([0.5] * n).curve
+    window, events = RunTrace(curve), RunTrace(curve)
+    for trace in (window, events):
+        trace.record(q0, 0.5, estimates=est0)
+    window.record(profiles, residuals, estimates=estimates, rows=rows)
+    for k in range(m):
+        events.record(profiles[k], residuals[k], estimates=estimates[k], rows=tuple(rows[k]))
+    # the traces keep copies
+    profiles[...] = estimates[...] = 7.0
+    assert window.changed_rows == events.changed_rows == array("q", rows.ravel().tolist())
+    assert window.partial == events.partial == bytearray([0] + [1] * m)
+    assert window.residuals == events.residuals == [0.5, *residuals]
+    for name in ("profiles", "estimates"):
+        for a, b in zip(getattr(window, name), getattr(events, name), strict=True):
+            assert a.shape == b.shape and _same_bits(a, b)
+    for (q1, e1), (q2, e2) in zip(window.states(), events.states(), strict=True):
+        assert _same_bits(q1, q2) and _same_bits(e1, e2)
+
+
+def test_record_refuses_a_window_whose_parts_differ_in_length():
+    trace = _three_row_trace()
+    rows = np.array([[0, 1], [1, 2]])
+    with pytest.raises(ValueError, match="2 entries of row indices for 2 of rows and 1 residuals"):
+        trace.record(np.zeros((2, 2, 2)), [0.0], rows=rows)
+    with pytest.raises(ValueError, match="2 entries of row indices for 3 of rows and 2 residuals"):
+        trace.record(np.zeros((3, 2, 2)), [0.0, 0.0], rows=rows)
+    with pytest.raises(ValueError, match="2 row indices for 1 rows"):
+        trace.record(np.zeros((2, 1, 2)), [0.0, 0.0], rows=rows)
+    assert trace.iterations == 1 and not trace.changed_rows and trace.partial == bytearray([0])
 
 
 @pytest.mark.parametrize("rows, message", [
@@ -1442,8 +1489,9 @@ def test_trace_bills_are_the_bills_at_record_time(monkeypatch, canonical, alg):
 
     def watched_record(trace, *args, **kwargs):
         price_calls.clear()
+        before = trace.iterations
         record(trace, *args, **kwargs)
-        record_calls.append(list(price_calls))
+        record_calls.append((trace.iterations - before, list(price_calls)))
 
     monkeypatch.setattr(RunTrace, "record", watched_record)
     if alg == 1:
@@ -1457,7 +1505,9 @@ def test_trace_bills_are_the_bills_at_record_time(monkeypatch, canonical, alg):
         _, trace = run_algorithm3(
             scenario, graph, iter(events), init=init, tol=1e-9, max_events=300
         )
-    assert record_calls == [[]] * trace.iterations
+    # every call records at least one entry and prices nothing
+    assert sum(entries for entries, _ in record_calls) == trace.iterations
+    assert all(entries and not prices for entries, prices in record_calls)
     bills = trace.bills
     assert len(bills) == len(live_states) == trace.iterations
     for derived, (q, _) in zip(bills, live_states):

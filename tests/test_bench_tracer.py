@@ -60,8 +60,10 @@ def test_tracer_layer_metrics_count_every_runner(tmp_path):
     metrics = tracer_mod.layer_metrics(spans, 0, len(spans))
     runs = (r1, r2, r3)
     assert metrics["algorithms.iterations"] == sum(r.iterations for r in runs)
-    # one recorded state per round or event, plus the initial state
-    assert metrics["algorithms.record_calls"] == sum(r.iterations + 1 for r in runs)
+    # one record call per round, and per window of the gossip events
+    # between two residual checks (every N events), plus the initial state
+    windows = -(-r3.iterations // scenario.n_consumers)
+    assert metrics["algorithms.record_calls"] == r1.iterations + r2.iterations + windows + 3
     assert metrics["algorithms.residual_calls"] > 0
     assert metrics["algorithms.trace_mem_bytes"] > 0
     assert metrics["algorithms.trace_rows"] == t1.iterations * scenario.n_consumers

@@ -8,19 +8,28 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from dsmgame import network
 from dsmgame.network import (
+    GOSSIP_BLOCK,
     CommGraph,
     DigitLimitError,
     build_weights,
     check_weights,
     generate_topology,
     gossip_stream,
+    lemire,
     load_edge_list,
     mix,
     parse_int,
 )
 from conftest import AVX2_ENV, STAR_5, src_env
-from oracles import dense_weights, reference_topology_edges, save_edge_list, slot_weights
+from oracles import (
+    dense_weights,
+    reference_gossip_stream,
+    reference_topology_edges,
+    save_edge_list,
+    slot_weights,
+)
 
 
 # --- construction and connectivity ------------------------------------------
@@ -213,6 +222,90 @@ def test_gossip_stream_events_are_edges():
 def test_gossip_stream_rejects_zero_count():
     with pytest.raises(ValueError):
         next(gossip_stream(STAR_5, np.random.default_rng(0), 0))
+
+
+BIT_GENERATORS = [np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64]
+#: the canonical study's graph (nine of its nodes have a single neighbour),
+#: a star (four of five) and a path
+GOSSIP_GRAPHS = {
+    "random-50": generate_topology(50, 3.0, np.random.default_rng(0)),
+    "star": STAR_5,
+    "path": CommGraph(3, frozenset({(0, 1), (1, 2)})),
+}
+
+
+def same_state(a, b) -> bool:
+    """Whether two bit generator states, as `bit_generator.state` gives
+    them, are equal, arrays compared by value."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
+def assert_same_stream(graph, make_rng, count):
+    """`gossip_stream` and the event-by-event reference give the same
+    events on two generators from `make_rng`, and leave them in the same
+    state."""
+    rng, reference = make_rng(), make_rng()
+    events = list(gossip_stream(graph, rng, count))
+    assert events == list(reference_gossip_stream(graph, reference, count))
+    assert same_state(rng.bit_generator.state, reference.bit_generator.state)
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda bg: bg.__name__)
+@pytest.mark.parametrize("graph", GOSSIP_GRAPHS.values(), ids=GOSSIP_GRAPHS.keys())
+def test_gossip_block_draws_are_the_event_by_event_draws(bit_generator, graph):
+    for count in (1, GOSSIP_BLOCK - 1, GOSSIP_BLOCK, GOSSIP_BLOCK + 1):
+        assert_same_stream(graph, lambda: np.random.Generator(bit_generator(17)), count)
+
+
+def mt19937_with_zero_draws(seed: int) -> np.random.Generator:
+    """An MT19937 generator whose next 624 draws include many zeros. numpy
+    rejects a draw of 0 for every bound that is not a power of two."""
+    bit_generator = np.random.MT19937(seed)
+    state = bit_generator.state
+    key = state["state"]["key"].copy()
+    # an output is the tempered key word, and tempering maps 0 to 0
+    key[::5] = 0
+    key[1:60:3] = 0
+    state["state"].update(key=key, pos=0)
+    bit_generator.state = state
+    return np.random.Generator(bit_generator)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7, GOSSIP_BLOCK])
+@pytest.mark.parametrize("graph", GOSSIP_GRAPHS.values(), ids=GOSSIP_GRAPHS.keys())
+def test_gossip_block_draws_survive_rejected_draws(monkeypatch, block, graph):
+    # rejected draws end a block early, and one met first in its block
+    # leaves that event to integers() itself
+    drawn = mt19937_with_zero_draws(4).integers(0, 2**32, size=624, dtype=np.uint32)
+    assert (drawn == 0).sum() > 100
+    monkeypatch.setattr(network, "GOSSIP_BLOCK", block)
+    for count in (1, 2, 5, 400):
+        assert_same_stream(graph, lambda: mt19937_with_zero_draws(4), count)
+
+
+@pytest.mark.parametrize("bound", [1, 2, 50, 2**31 + 1])
+def test_lemire_is_what_integers_makes_of_the_draws(bound):
+    rng, reference = np.random.default_rng(21), np.random.default_rng(21)
+    draws = rng.integers(0, 2**32, size=2000, dtype=np.uint32).astype(np.uint64)
+    values, rejected = lemire(draws, bound)
+    if bound == 1:
+        # integers(1) takes no draw at all
+        assert int(reference.integers(1)) == 0
+        fresh = np.random.default_rng(21).bit_generator.state
+        assert same_state(reference.bit_generator.state, fresh)
+        assert not values.any() and not rejected.any()
+        return
+    kept = values[~rejected]
+    assert kept.tolist() == [int(reference.integers(bound)) for _ in kept]
+    # the values took the draws up to the last one kept
+    used = np.random.default_rng(21)
+    used.integers(0, 2**32, size=np.flatnonzero(~rejected)[-1] + 1, dtype=np.uint32)
+    assert same_state(used.bit_generator.state, reference.bit_generator.state)
+    if bound == 2**31 + 1:
+        # about half the draws fall below 2**32 % bound = 2**31 - 1
+        assert 800 < rejected.sum() < 1200
 
 
 # --- topology generation ----------------------------------------------------
