@@ -259,18 +259,36 @@ def test_gossip_block_draws_are_the_event_by_event_draws(bit_generator, graph):
         assert_same_stream(graph, lambda: np.random.Generator(bit_generator(17)), count)
 
 
-def mt19937_with_zero_draws(seed: int) -> np.random.Generator:
-    """An MT19937 generator whose next 624 draws include many zeros. numpy
-    rejects a draw of 0 for every bound that is not a power of two."""
+def untemper(output: int) -> int:
+    """The MT19937 state word whose tempered output is `output`."""
+    y = output ^ output >> 18
+    y ^= (y << 15) & 0xEFC60000
+    x = y
+    for _ in range(5):
+        x = y ^ ((x << 7) & 0x9D2C5680)
+    y = x & 0xFFFFFFFF
+    x = y
+    for _ in range(3):
+        x = y ^ (x >> 11)
+    return x
+
+
+def mt19937_drawing(seed: int, draws: dict[int, int]) -> np.random.Generator:
+    """An MT19937 generator whose next 624 32-bit draws are its seed's,
+    except `draws[k]` at each position k given."""
     bit_generator = np.random.MT19937(seed)
     state = bit_generator.state
     key = state["state"]["key"].copy()
-    # an output is the tempered key word, and tempering maps 0 to 0
-    key[::5] = 0
-    key[1:60:3] = 0
+    for k, value in draws.items():
+        key[k] = untemper(value)
     state["state"].update(key=key, pos=0)
     bit_generator.state = state
     return np.random.Generator(bit_generator)
+
+
+#: a 0 at about one draw in four of 624; numpy rejects a draw of 0 for
+#: every bound that is not a power of two
+ZERO_DRAWS = dict.fromkeys([*range(0, 624, 5), *range(1, 60, 3)], 0)
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 7, GOSSIP_BLOCK])
@@ -278,11 +296,26 @@ def mt19937_with_zero_draws(seed: int) -> np.random.Generator:
 def test_gossip_block_draws_survive_rejected_draws(monkeypatch, block, graph):
     # rejected draws end a block early, and one met first in its block
     # leaves that event to integers() itself
-    drawn = mt19937_with_zero_draws(4).integers(0, 2**32, size=624, dtype=np.uint32)
+    drawn = mt19937_drawing(4, ZERO_DRAWS).integers(0, 2**32, size=624, dtype=np.uint32)
     assert (drawn == 0).sum() > 100
     monkeypatch.setattr(network, "GOSSIP_BLOCK", block)
     for count in (1, 2, 5, 400):
-        assert_same_stream(graph, lambda: mt19937_with_zero_draws(4), count)
+        assert_same_stream(graph, lambda: mt19937_drawing(4, ZERO_DRAWS), count)
+
+
+@pytest.mark.parametrize("bound", [3, 50, 2**31 + 1])
+def test_lemire_keeps_and_rejects_the_draws_integers_does_at_the_threshold(bound):
+    # draws whose products' low 32 bits are 2**32 % bound, which numpy
+    # keeps, and the largest value below it, which it rejects
+    threshold = 2**32 % bound
+    step = bound & -bound  # the low bits of a product are multiples of it
+    inverse = pow(bound // step, -1, 2**32)
+    kept, rejected = (low // step * inverse % 2**32 for low in (threshold, threshold - step))
+    draws = [rejected, kept, kept, rejected, rejected, kept]
+    values, refused = lemire(np.array(draws, dtype=np.uint64), bound)
+    assert refused.tolist() == [True, False, False, True, True, False]
+    rng = mt19937_drawing(5, dict(enumerate(draws)))
+    assert [int(rng.integers(bound)) for _ in range(3)] == values[~refused].tolist()
 
 
 @pytest.mark.parametrize("bound", [1, 2, 50, 2**31 + 1])
