@@ -13,7 +13,7 @@ import json
 from array import array
 from dataclasses import dataclass, field
 from itertools import chain, groupby, islice
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -176,20 +176,6 @@ class Scenario:
         return q
 
 
-class _PartialBlock(NamedTuple):
-    """Consecutive partial trace entries as `to_csv` writes them: per
-    entry its number of stored rows, the stored rows' indices entry after
-    entry, the bills of the states (m, N), their residuals and the full
-    state after the last entry, a view that the run's next block
-    overwrites."""
-
-    sizes: list[int]
-    rows: list[int]
-    bills: np.ndarray
-    residuals: list[float]
-    last: np.ndarray
-
-
 @dataclass
 class RunTrace:
     """Per-iteration snapshots of a solver run on the price curve `curve`:
@@ -202,11 +188,9 @@ class RunTrace:
     order, are the entry's stretch of the flat `changed_rows`. Every
     synchronous round is full; a gossip event keeps the two rows of its
     pair; the first entry is always full. Only `record` writes that layout,
-    and `_layout` checks it for its two readers: `_walk` rebuilds one state
-    after another, for `states()`, `bills`, `aggregates` and the invariant
-    checks, and `to_csv` writes a run of partial entries a block of states
-    at a time, each block's states gathered from its entries' rows in one
-    pass, with the rows it stores rendered whole. `residuals` holds the
+    and only `_state_blocks` reads it, after `_layout` has checked it: it
+    rebuilds the states a block at a time for `states()`, `bills`,
+    `aggregates`, the invariant checks and `to_csv`. `residuals` holds the
     natural-map fixed-point residual at each recorded state; the gossip
     runner refreshes it only at its periodic checks and carries the last
     reading in between. `curve` prices the states' bills on demand.
@@ -301,29 +285,70 @@ class RunTrace:
             raise ValueError(f"trace entry {entry[k]}: row index {index[k]} is {what}")
         return index, starts
 
-    def _walk(
-        self, estimates: bool = True
-    ) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
-        """Yield each recorded state as full float `(profiles, estimates)`
-        arrays (profiles C-ordered) in one working copy: a full entry
-        replaces it, a partial entry writes its rows into it. The arrays
-        yielded are overwritten by later partial entries; `estimates` is
-        None for a run that does not track them, and for a caller that
-        passes `estimates=False`."""
+    def _state_blocks(
+        self, estimates: bool = False
+    ) -> Iterator[tuple[int, np.ndarray, np.ndarray | None, list[int] | None, np.ndarray | None]]:
+        """Yield the recorded states in order, a block of at most
+        `CHUNK` // (N + 1) of them at a time, as `(start, states,
+        estimates, sizes, rows)`: the block's first state number, its
+        states as one float (m, N, H) array and, for a caller that asks
+        and a run that tracks them, its estimates alike (None otherwise).
+        A block holds full entries or partial ones, never both; for a
+        partial block `sizes` are its entries' numbers of stored rows and
+        `rows` the consumers of those rows, entry after entry, and both
+        are None for a full block. The arrays are buffers that the next
+        block overwrites.
+
+        A full block copies its entries. A partial block is gathered from
+        the state before it in one pass: each entry points its consumers
+        at its stored rows, and a running maximum over those writers
+        carries each consumer's latest one to the states after it."""
         index, starts = self._layout()
-        est_entries = self.estimates if estimates else None
-        q = est = None
-        for t, (entry, part) in enumerate(zip(self.profiles, self._flags())):
-            est_entry = None if est_entries is None else est_entries[t]
+        if not self.profiles:
+            return
+        n_rows, horizon = np.shape(self.profiles[0])
+        step = max(1, CHUNK // (n_rows + 1))
+        shape = (min(step, len(self.profiles)), n_rows, horizon)
+        # the entries read, the profiles' and maybe the estimates', and the
+        # buffer each kind's blocks are rebuilt in
+        kinds = [(self.profiles, np.empty(shape))]
+        if estimates and self.estimates is not None:
+            kinds.append((self.estimates, np.empty(shape)))
+        t = 0
+        for part, run in groupby(self._flags()):
+            stop = t + len(list(run))
+            bounds = [*range(t, stop, step), stop]
             if part:
-                rows = index[starts[t] : starts[t + 1]]
-                q[rows] = entry
-                if est is not None:
-                    est[rows] = est_entry
-            else:
-                q = np.array(entry, dtype=float, order="C")
-                est = None if est_entry is None else np.array(est_entry, dtype=float)
-            yield q, est
+                # per kind, the state before the next block (at first the
+                # last of the full block before), then room for the stored
+                # rows of any block of the run
+                room = int(np.diff(starts[bounds]).max())
+                sources = [np.empty((n_rows + room, horizon)) for _ in kinds]
+                for source, (_, buffer) in zip(sources, kinds):
+                    source[:n_rows] = buffer[m - 1]
+            for t0, t1 in zip(bounds, bounds[1:]):
+                m = t1 - t0
+                blocks = [buffer[:m] for _, buffer in kinds]
+                sizes = rows = None
+                if not part:
+                    for (entries, _), block in zip(kinds, blocks):
+                        np.stack(entries[t0:t1], out=block)
+                else:
+                    rows = index[starts[t0] : starts[t1]]
+                    sizes = np.diff(starts[t0 : t1 + 1]).tolist()
+                    stored = n_rows + len(rows)
+                    writer = np.zeros((m, n_rows), dtype=np.intp)
+                    writer[0] = np.arange(n_rows)
+                    writer[np.repeat(np.arange(m), sizes), rows] = np.arange(n_rows, stored)
+                    writer = np.maximum.accumulate(writer, axis=0)
+                    for (entries, _), block, source in zip(kinds, blocks, sources):
+                        np.concatenate(entries[t0:t1], out=source[n_rows:stored])
+                        # the writers are in range by construction; with
+                        # out=, mode="raise" would copy through a temporary
+                        source.take(writer, axis=0, out=block, mode="clip")
+                        source[rows] = block[-1, rows]
+                yield t0, blocks[0], blocks[1] if len(blocks) > 1 else None, sizes, rows
+            t = stop
 
     def _state_bills(self, states: np.ndarray, start: int) -> np.ndarray:
         """The bills (m, N) of `states`, the recorded states `start`,
@@ -335,137 +360,46 @@ class RunTrace:
     def bills(self) -> list[np.ndarray]:
         """Every consumer's bill at each recorded state, derived on access."""
         return [
-            self._state_bills(q[None], t)[0]
-            for t, (q, _) in enumerate(self._walk(estimates=False))
+            state_bills
+            for start, states, *_ in self._state_blocks()
+            for state_bills in self._state_bills(states, start)
         ]
 
     @property
     def aggregates(self) -> list[np.ndarray]:
         """The aggregate load at each recorded state, derived on access."""
-        return [q.sum(axis=0) for q, _ in self._walk(estimates=False)]
+        return [q.sum(axis=0) for _, states, *_ in self._state_blocks() for q in states]
 
     def states(self) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
         """Yield each recorded state as fresh full `(profiles, estimates)`
         arrays; `estimates` is None for a run that does not track them."""
-        for q, est in self._walk():
-            yield q.copy(), None if est is None else est.copy()
+        for _, states, ests, _, _ in self._state_blocks(estimates=True):
+            for k, q in enumerate(states):
+                yield q.copy(), None if ests is None else ests[k].copy()
 
     def max_feasibility_violation(self, scenario: Scenario) -> float:
         """Worst bound/budget violation over every recorded profile."""
         worst = 0.0
-        for q, _ in self._walk(estimates=False):
-            below = np.max(scenario.q_min_matrix - q, initial=0.0)
-            above = np.max(q - scenario.q_max_matrix, initial=0.0)
-            budget = np.max(np.abs(q.sum(axis=1) - scenario.budgets))
+        for _, states, *_ in self._state_blocks():
+            below = np.max(scenario.q_min_matrix - states, initial=0.0)
+            above = np.max(states - scenario.q_max_matrix, initial=0.0)
+            budget = np.max(np.abs(states.sum(axis=2) - scenario.budgets))
             worst = max(worst, budget, below, above)
         return float(worst)
 
     def max_conservation_gap(self) -> float:
         """Worst |sum_n estimate_n - sum_n profile_n| over the run (the
-        dynamic-average identity preserved by mixing plus tracking)."""
+        dynamic-average identity preserved by mixing plus tracking); 0.0
+        for a run that does not track estimates, or records no state."""
         if self.estimates is None:
             return 0.0
         return max(
-            float(np.max(np.abs(est.sum(axis=0) - q.sum(axis=0))))
-            for q, est in self._walk()
+            (
+                float(np.max(np.abs(ests.sum(axis=1) - states.sum(axis=1))))
+                for _, states, ests, _, _ in self._state_blocks(estimates=True)
+            ),
+            default=0.0,
         )
-
-    def _changes(
-        self, start: int, stop: int, before: np.ndarray | None
-    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float, np.ndarray]]:
-        """Yield, per state of the full entries `start` .. `stop` - 1: the
-        flat row-major indices of its profile values whose bits differ
-        from the state before (from `before`, or all of them where it is
-        None), those values, the consumers they belong to, the state's
-        bills, its residual and its profiles."""
-        bits = None if before is None else before.view(np.uint64).copy()
-        for t in range(start, stop):
-            q = np.array(self.profiles[t], dtype=float, order="C")
-            # compare bits, not values: -0.0 == 0.0 but their reprs differ
-            state_bits = q.view(np.uint64)
-            if bits is None:
-                bits = state_bits.copy()
-                moved = np.ones(q.shape, dtype=bool)
-            else:
-                moved = state_bits != bits
-                bits[...] = state_bits
-            yield (
-                moved.ravel().nonzero()[0],
-                q[moved],
-                moved.any(axis=1).nonzero()[0],
-                np.asarray(self._state_bills(q[None], t)[0], dtype=np.float64),
-                self.residuals[t],
-                q,
-            )
-
-    def _partial_block(
-        self, source: np.ndarray, states: np.ndarray, start: int, stop: int, rows: np.ndarray
-    ) -> _PartialBlock:
-        """The partial entries `start` .. `stop` - 1 after the state held in
-        the first N rows of `source`, whose stored rows are the consumers
-        `rows`, their states priced in one stacked call. `source` has room
-        for the entries' rows after the state, `states` for their states;
-        on return `source` holds the state after the block, which `last`
-        views."""
-        entries = self.profiles[start:stop]
-        sizes = [len(entry) for entry in entries]
-        n_rows = states.shape[1]
-        # the states as rows of `source`, the state before then the stored
-        # rows: each entry points its consumers at its rows, and a running
-        # maximum carries each consumer's latest writer to the states after
-        stored = n_rows + len(rows)
-        np.concatenate(entries, out=source[n_rows:stored])
-        writer = np.zeros((stop - start, n_rows), dtype=np.intp)
-        writer[0] = np.arange(n_rows)
-        writer[np.repeat(np.arange(stop - start), sizes), rows] = np.arange(n_rows, stored)
-        block = states[: stop - start]
-        # the writers are in range by construction; with out=, mode="raise"
-        # would copy through a temporary first
-        source.take(np.maximum.accumulate(writer, axis=0), axis=0, out=block, mode="clip")
-        source[rows] = block[-1, rows]
-        return _PartialBlock(
-            sizes, rows.tolist(), self._state_bills(block, start),
-            self.residuals[start:stop], source[:n_rows],
-        )
-
-    def _blocks(self, before: np.ndarray | None = None) -> Iterator[list | _PartialBlock]:
-        """The states `to_csv` formats together, in order. A run of full
-        entries gives `_changes` in lists of states whose values to format
-        number at most `CHUNK`, or of one state that has more; a run of
-        partial entries gives `_PartialBlock`s of states whose bills and
-        residuals number at most about `CHUNK`, gathered into buffers that
-        the blocks of a run share."""
-        index, starts = self._layout()
-        q = before
-        t = 0
-        for part, run in groupby(self._flags()):
-            stop = t + len(list(run))
-            if part:
-                n_rows, horizon = q.shape
-                step = max(1, CHUNK // (n_rows + 1))
-                bounds = [*range(t, stop, step), stop]
-                room = int(np.diff(starts[bounds]).max())
-                source = np.empty((n_rows + room, horizon))
-                source[:n_rows] = q
-                states = np.empty((min(step, stop - t), n_rows, horizon))
-                for t0, t1 in zip(bounds, bounds[1:]):
-                    block = self._partial_block(
-                        source, states, t0, t1, index[starts[t0] : starts[t1]]
-                    )
-                    q = block.last
-                    yield block
-            else:
-                block, size = [], 0
-                for change in self._changes(t, stop, q):
-                    _, moved, _, bills, _, q = change
-                    n_values = moved.size + bills.size + 1
-                    if block and size + n_values > CHUNK:
-                        yield block
-                        block, size = [], 0
-                    block.append(change)
-                    size += n_values
-                yield block
-            t = stop
 
     def _stored_rows(self, horizon: int) -> Iterator[str]:
         """The rows the partial entries store, entry after entry, as
@@ -489,25 +423,30 @@ class RunTrace:
     def to_csv(self, path, first: RowTexts | None = None) -> RowTexts:
         """Write the long-form trace: t,n,cost,residual,q1..qH (1-based ids),
         the cost being each state's bills as `bills` derives them; return
-        the rows of the last state's profiles.
+        the rows of the last state's profiles. A ValueError, before the
+        file is opened, for a trace that holds no state.
 
         Lines end in ``\\r\\n``; `t` and `n` are integers and every float
         field is Python's shortest round-trip ``repr``: `float_texts` writes
-        those bytes, for a block of states at a time (`_blocks`). A block
-        of full entries formats its moved profile values, bills and
-        residuals in one call: each profile value's text is reused while
-        its bits stay unchanged, and a consumer's ``q1..qH`` segment is
-        re-joined only when one of its values changed, so slots pinned at
-        a bound cost a comparison, not a format. A block of partial
-        entries formats its bills and residuals in one call, and each
-        event swaps in just the segments of the rows it stores, rendered
-        whole by `_stored_rows`. `first`, the rows of a finite array of
-        the profiles' shape (finite, so that their JSON texts are the
-        `repr`s), stands for a state before the first: the first state
-        then formats only the values whose bits differ from its array,
-        none where they render the same state, as the rows `load_scenario`
-        kept render a run's initial profiles.
+        those bytes, for the states of a block (`_state_blocks`) at a time.
+        A full block formats the profile values that moved, each state's
+        against the bits of the state before it, with the bills and
+        residuals, in calls of at most `CHUNK` values or one state that
+        has more: each profile value's text is reused while its bits stay
+        unchanged, and a consumer's ``q1..qH`` segment is re-joined only
+        when one of its values changed, so slots pinned at a bound cost a
+        comparison, not a format. A partial block formats its bills and
+        residuals in one call, and each event swaps in just the segments
+        of the rows it stores, rendered whole by `_stored_rows`; the full
+        state after it formats every value. `first`, the rows of a finite
+        float64 array of the profiles' shape (finite, so that their JSON
+        texts are the `repr`s), stands for a state before the first: the
+        first state then formats only the values whose bits differ from
+        its array, none where they render the same state, as the rows
+        `load_scenario` kept render a run's initial profiles.
         """
+        if not self.profiles:
+            raise ValueError("the trace holds no state to write")
         n_rows, horizon = self.profiles[0].shape
         header = ",".join(
             ["t", "n", "cost", "residual"] + [f"q{h}" for h in range(1, horizon + 1)]
@@ -517,60 +456,78 @@ class RunTrace:
         cells = np.empty(n_rows * horizon, dtype=object)
         rows = cells.reshape(n_rows, horizon)
         tails = [""] * n_rows
-        before = None
+        # the bits of the state before, None where every value is to format
+        bits = None
         if (
             first is not None
+            and first.values.dtype == np.float64
             and first.values.shape == (n_rows, horizon)
             and np.isfinite(first.values).all()
         ):
-            before = first.values
+            bits = first.values.view(np.uint64).copy()
             cells[:] = ",".join(first.texts).split(",")
             tails = [row + "\r\n" for row in first.texts]
         stored = self._stored_rows(horizon)
-        # whether partial entries have swapped tails since `cells` was read
-        cells_behind = False
         # one state's lines as 5N pieces, t,n,cost,residual,tail per consumer,
         # kept from state to state
         line = [""] * (5 * n_rows)
         line[1::5] = [f",{n}," for n in range(1, n_rows + 1)]
-        t = 0
         with open_output(path, newline="") as fh:
 
-            def write_state(costs: list[str], res: str) -> None:
-                nonlocal t
-                t += 1
-                line[0::5] = [str(t)] * n_rows
+            def write_state(t: int, costs: list[str], res: str) -> None:
+                line[0::5] = [str(t + 1)] * n_rows
                 line[2::5] = costs
                 line[3::5] = [f",{res},"] * n_rows
                 line[4::5] = tails
                 fh.write("".join(line))
 
-            fh.write(header + "\r\n")
-            for block in self._blocks(before):
-                if isinstance(block, _PartialBlock):
-                    n_costs = block.bills.size
-                    texts = float_texts(np.concatenate((block.bills.ravel(), block.residuals)))
-                    consumers = iter(block.rows)
-                    for k, size in enumerate(block.sizes):
-                        for n in islice(consumers, size):
-                            tails[n] = next(stored) + "\r\n"
-                        write_state(texts[k * n_rows : (k + 1) * n_rows], texts[n_costs + k])
-                    last, cells_behind = block.last, True
-                    continue
-                if cells_behind:
-                    cells[:] = ",".join(tail[:-2] for tail in tails).split(",")
-                    cells_behind = False
-                values = [a for _, moved, _, bills, res, _ in block for a in (moved, bills, [res])]
+            def write_full(changes: list) -> None:
+                values = [
+                    a for _, _, moved, _, costs, res in changes for a in (moved, costs, [res])
+                ]
                 texts = np.array(float_texts(np.concatenate(values)), dtype=object)
                 pos = 0
-                for flat, _, stale, _, _, last in block:
+                for t, flat, _, stale, _, _ in changes:
                     cells[flat] = texts[pos : pos + flat.size]
                     pos += flat.size
                     for n, row in zip(stale.tolist(), rows[stale].tolist()):
                         tails[n] = ",".join(row) + "\r\n"
-                    write_state(texts[pos : pos + n_rows].tolist(), texts[pos + n_rows])
+                    write_state(t, texts[pos : pos + n_rows].tolist(), texts[pos + n_rows])
                     pos += n_rows + 1
-        return RowTexts(last, json_rows([tail[:-2] for tail in tails]))
+
+            fh.write(header + "\r\n")
+            for start, states, _, sizes, stored_at in self._state_blocks():
+                costs = np.asarray(self._state_bills(states, start), dtype=np.float64)
+                residuals = self.residuals[start : start + len(states)]
+                if sizes is not None:
+                    texts = float_texts(np.concatenate((costs.ravel(), residuals)))
+                    consumers = iter(stored_at.tolist())
+                    for k, size in enumerate(sizes):
+                        for n in islice(consumers, size):
+                            tails[n] = next(stored) + "\r\n"
+                        res = texts[costs.size + k]
+                        write_state(start + k, texts[k * n_rows : (k + 1) * n_rows], res)
+                    bits = None
+                    continue
+                changes, size = [], 0
+                for k, q in enumerate(states):
+                    # compare bits, not values: -0.0 == 0.0 but their reprs differ
+                    state_bits = q.view(np.uint64)
+                    if bits is None:
+                        bits = state_bits.copy()
+                        moved = np.ones(q.shape, dtype=bool)
+                    else:
+                        moved = state_bits != bits
+                        bits[...] = state_bits
+                    flat = moved.ravel().nonzero()[0]
+                    if changes and size + flat.size + n_rows + 1 > CHUNK:
+                        write_full(changes)
+                        changes, size = [], 0
+                    stale = moved.any(axis=1).nonzero()[0]
+                    changes.append((start + k, flat, q[moved], stale, costs[k], residuals[k]))
+                    size += flat.size + n_rows + 1
+                write_full(changes)
+        return RowTexts(states[-1].copy(), json_rows([tail[:-2] for tail in tails]))
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from hypothesis.extra.numpy import arrays
 
 import dsmgame._numtext as numtext
 import dsmgame.algorithms as algorithms
+import dsmgame.model as model
 from dsmgame.algorithms import (
     DEFAULT_EXPONENT,
     RunTrace,
@@ -1424,6 +1425,41 @@ def test_trace_readers_refuse_a_layout_that_describes_no_states(tmp_path):
                 read()
 
 
+@pytest.mark.parametrize("read, expected", [
+    pytest.param(lambda trace, _: list(trace.states()), [], id="states"),
+    pytest.param(lambda trace, _: trace.bills, [], id="bills"),
+    pytest.param(lambda trace, _: trace.aggregates, [], id="aggregates"),
+    pytest.param(
+        lambda trace, scenario: trace.max_feasibility_violation(scenario), 0.0,
+        id="max_feasibility_violation",
+    ),
+    pytest.param(lambda trace, _: trace.max_conservation_gap(), 0.0, id="max_conservation_gap"),
+])
+def test_a_trace_without_states_reads_as_empty(read, expected):
+    scenario = box_scenario([0.5] * 3)
+    assert read(RunTrace(scenario.curve, estimates=[]), scenario) == expected
+
+
+def test_a_trace_without_states_is_refused_before_its_file_is_opened(tmp_path):
+    out = tmp_path / "t.csv"
+    out.write_bytes(b"old")
+    with pytest.raises(ValueError, match="the trace holds no state"):
+        RunTrace(box_scenario([0.5] * 3).curve).to_csv(out)
+    assert out.read_bytes() == b"old"
+
+
+def test_trace_csv_leaves_first_rows_that_are_not_float64_unused(tmp_path):
+    # int64 zeros hold the bits of 0.0, but their texts "0" are not its
+    # repr; float32 rows have no uint64 view of the profiles' shape
+    trace = RunTrace(PriceCurve(np.ones(3), np.full(3, 1.2), np.zeros(3)))
+    trace.record(np.zeros((2, 3)), 0.5)
+    trace.record(np.array([[0.0, 0.25, 0.5], [1.0, 0.0, 0.75]]), 0.25)
+    trace.to_csv(tmp_path / "none.csv")
+    for dtype in (np.int64, np.float32):
+        trace.to_csv(tmp_path / "t.csv", RowTexts(np.zeros((2, 3), dtype=dtype), ["0,0,0"] * 2))
+        assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "none.csv").read_bytes()
+
+
 def _recorded_states(monkeypatch) -> list:
     """Patch `RunTrace.record` to keep copies of every state a synchronous
     runner hands it; returns the list they are appended to."""
@@ -1527,25 +1563,36 @@ def test_trace_bills_are_the_bills_at_record_time_on_the_avx2_kernels():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-@pytest.mark.parametrize("alg", [1, 3])
-def test_trace_states_are_the_recorded_states(monkeypatch, alg):
+@pytest.mark.parametrize("alg, tol, n_events", [
+    pytest.param(1, 1e-6, None, id="1"),
+    pytest.param(3, 1e-6, 300, id="3"),
+    # at tol 0 the run spends its budget: past 3 * CHUNK // (N + 1) events
+    # the partial entries span at least three blocks of gathered states
+    pytest.param(3, 0.0, "past three blocks", id="3-past-three-blocks"),
+])
+def test_trace_states_are_the_recorded_states(monkeypatch, alg, tol, n_events):
     scenario, init = make_toy_game(999)
     assert scenario.n_consumers > 2  # so an event's pair is not every row
     if alg == 1:
         received = _recorded_states(monkeypatch)
-        _, trace = run_algorithm1(scenario, init=init, tol=1e-6, max_iter=60)
+        _, trace = run_algorithm1(scenario, init=init, tol=tol, max_iter=60)
     else:
+        if n_events == "past three blocks":
+            n_events = 3 * CHUNK // (scenario.n_consumers + 1) + 1
         graph = toy_graph(scenario)
-        events = list(gossip_stream(graph, np.random.default_rng(3), 300))
-        received = _gossip_live_states(scenario, graph, events, init, 1e-6)
+        events = list(gossip_stream(graph, np.random.default_rng(3), n_events))
+        received = _gossip_live_states(scenario, graph, events, init, tol)
         _, trace = run_algorithm3(
-            scenario, graph, iter(events), init=init, tol=1e-6, max_events=300
+            scenario, graph, iter(events), init=init, tol=tol, max_events=n_events
         )
-        assert list(trace.partial) == [0] + [1] * (trace.iterations - 1)
+        assert list(trace.partial) == [0] + [1] * n_events
     states = list(trace.states())
     assert len(states) == len(received) == trace.iterations
     for (q, est), (q_in, est_in) in zip(states, received):
         assert _same_bits(q, q_in) and _same_bits(est, est_in)
+    for bill, aggregate, (q_in, _) in zip(trace.bills, trace.aggregates, received, strict=True):
+        assert _same_bits(bill, model.bills(q_in, scenario.curve))
+        assert _same_bits(aggregate, q_in.sum(axis=0))
 
 
 def test_record_keeps_a_copy_of_exactly_the_rows_given():
