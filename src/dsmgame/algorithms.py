@@ -10,9 +10,10 @@ from the round-t snapshot, never from freshly updated peers.
 from __future__ import annotations
 
 import json
+import sys
 from array import array
 from dataclasses import dataclass, field
-from itertools import chain, groupby, islice
+from itertools import chain, islice
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -182,26 +183,24 @@ class RunTrace:
     its states and nothing derived from them.
 
     Entry t of `profiles` (and of `estimates`, when the run tracks them)
-    holds state t + 1; entry 0 is the initial state. An entry is the full
-    N x H array, except where `partial[t]` is set: the entry then holds just
-    the rows that changed since entry t - 1, and their indices, in that
-    order, are the entry's stretch of the flat `changed_rows`. Every
-    synchronous round is full; a gossip event keeps the two rows of its
-    pair; the first entry is always full. Only `record` writes that layout,
-    and only `_state_blocks` reads it, after `_layout` has checked it: it
-    rebuilds the states a block at a time for `states()`, `bills`,
-    `aggregates`, the invariant checks and `to_csv`. `residuals` holds the
-    natural-map fixed-point residual at each recorded state; the gossip
-    runner refreshes it only at its periodic checks and carries the last
-    reading in between. `curve` prices the states' bills on demand.
+    holds state t + 1; entry 0 is the initial state. Every entry is a full
+    N x H state, as a synchronous round records, or, in a pair trace, every
+    entry after the first holds just the two rows of a gossip event's pair,
+    entry t's rows being `changed_rows[2t - 2 : 2t]` in that order; a trace
+    is a pair trace exactly when `changed_rows` is non-empty. Only `record`
+    writes that layout, and only `_state_blocks` reads it, to rebuild the
+    states for `states()`, `bills`, `aggregates`, the invariant checks and
+    `to_csv`. `residuals` holds the natural-map fixed-point residual at
+    each recorded state; the gossip runner refreshes it only at its
+    periodic checks and carries the last reading in between. `curve`
+    prices the states' bills on demand.
     """
 
     curve: PriceCurve
-    profiles: list[np.ndarray] = field(default_factory=list)
-    estimates: list[np.ndarray] | None = None
-    residuals: list[float] = field(default_factory=list)
-    changed_rows: array = field(default_factory=lambda: array("q"))
-    partial: bytearray = field(default_factory=bytearray)
+    profiles: list[np.ndarray] = field(init=False, default_factory=list)
+    estimates: list[np.ndarray] | None = field(init=False, default=None)
+    residuals: list[float] = field(init=False, default_factory=list)
+    changed_rows: array = field(init=False, default_factory=lambda: array("q"))
 
     @property
     def iterations(self) -> int:
@@ -209,26 +208,27 @@ class RunTrace:
 
     def record(self, profiles, residual, estimates=None, rows=None):
         """Append `residual` and a copy of `profiles` (and of `estimates`):
-        the full state, or with `rows` just the rows that changed since the
-        last entry, row k of each being the state's row `rows[k]`.
+        the full state, or with `rows` a pair's two rows, row k being the
+        state's row `rows[k]`.
 
-        With `rows` of shape (m, k), m partial entries at once: `profiles`
-        (and `estimates`) are (m, k, H), entry e's rows being `rows[e]`,
+        With `rows` of shape (m, 2), m pair entries at once: `profiles`
+        (and `estimates`) are (m, 2, H), entry e's rows being `rows[e]`,
         and `residual` holds the m entries' residuals. The block is copied
         once, and each entry is a view of its copy. One entry's `rows`
-        take that path as a block of one. The first entry must be a full
-        state, and each entry's `rows` must name every row given."""
-        if rows is None:
-            self.partial.append(0)
-            self.profiles.append(profiles.copy())
-            self.residuals.append(residual)
-            est_entries = None if estimates is None else [estimates.copy()]
-        else:
+        take that path as a block of one.
+
+        A ValueError naming the entry, before anything is appended, where
+        the trace would leave its two layouts or entry 0's N x H (a pair,
+        its H), or where an entry has estimates and entry 0 has none, or
+        the other way round. The checks take constant time; the pairs' row
+        indices are checked when the trace is read."""
+        t = len(self.profiles)
+        if rows is not None:
             rows = np.asarray(rows)
             if rows.ndim == 1:
                 rows, profiles, residual = rows[None], profiles[None], [residual]
                 estimates = None if estimates is None else estimates[None]
-            if not self.profiles:
+            if not t:
                 raise ValueError("the first trace entry must be a full state, not rows")
             if not len(rows) == len(profiles) == len(residual):
                 raise ValueError(
@@ -237,118 +237,97 @@ class RunTrace:
                 )
             if rows.shape[1] != profiles.shape[1]:
                 raise ValueError(f"{rows.shape[1]} row indices for {profiles.shape[1]} rows")
+            if rows.shape[1] != 2:
+                raise ValueError(f"trace entry {t}: {rows.shape[1]} rows, not a pair")
+        if t > 1 and (rows is None) == bool(self.changed_rows):
+            raise ValueError(
+                f"trace entry {t}: a {'full state' if rows is None else 'pair'}; "
+                "a trace is all full states, or one full state and then pairs"
+            )
+        tail = 2 if rows is None else 1  # a full state's N x H, a pair's H
+        if t and profiles.shape[-tail:] != self.profiles[0].shape[-tail:]:
+            raise ValueError(
+                f"trace entry {t}: shape {profiles.shape} does not fit entry 0's "
+                f"{self.profiles[0].shape}"
+            )
+        if t and (estimates is None) != (self.estimates is None):
+            has, other = ("no estimates", "them") if estimates is None else ("estimates", "none")
+            raise ValueError(f"trace entry {t}: {has}, but entry 0 has {other}")
+        if estimates is not None and estimates.shape != profiles.shape:
+            shapes = f"estimates {estimates.shape} for profiles {profiles.shape}"
+            raise ValueError(f"trace entry {t}: {shapes}")
+        if rows is None:
+            self.profiles.append(profiles.copy())
+            self.residuals.append(residual)
+            est_entries = None if estimates is None else [estimates.copy()]
+        else:
             self.changed_rows.extend(rows.ravel().tolist())
-            self.partial.extend(b"\x01" * len(rows))
             self.profiles.extend(profiles.copy())
             self.residuals.extend(residual)
             est_entries = None if estimates is None else estimates.copy()
         if est_entries is not None:
-            if self.estimates is None:
-                self.estimates = []
+            self.estimates = self.estimates or []
             self.estimates.extend(est_entries)
-
-    def _flags(self) -> bytes:
-        """Per entry, 1 where it is partial (0 past the end of `partial`)."""
-        flags = bytes(self.partial[: len(self.profiles)])
-        return flags + bytes(len(self.profiles) - len(flags))
-
-    def _layout(self) -> tuple[np.ndarray, np.ndarray]:
-        """`changed_rows` as an index array, and per entry where its stretch
-        of it starts: entry t's rows are `index[starts[t]:starts[t + 1]]`,
-        none for a full entry. A ValueError where the layout describes no
-        states: a partial first entry, more or fewer indices than stored
-        rows, or a row index out of range or repeated in its entry."""
-        flags = self._flags()
-        if flags[:1] == b"\x01":
-            raise ValueError("trace entry 0 is partial: a trace starts with a full state")
-        sizes = [len(entry) if part else 0 for entry, part in zip(self.profiles, flags)]
-        starts = np.zeros(len(sizes) + 1, dtype=np.intp)
-        np.cumsum(sizes, out=starts[1:])
-        index = np.array(self.changed_rows, dtype=np.intp)
-        if index.size != starts[-1]:
-            raise ValueError(
-                f"the partial trace entries store {starts[-1]} rows, but "
-                f"changed_rows holds {index.size} indices"
-            )
-        n_rows = len(self.profiles[0]) if self.profiles else 0
-        entry = np.repeat(np.arange(len(sizes)), sizes)
-        # one key per (entry, row), a distinct negative one per index out
-        # of range; a key met twice is a row repeated in its entry
-        outside = (index < 0) | (index >= n_rows)
-        key = np.where(outside, -1 - np.arange(index.size), entry * n_rows + index)
-        order = np.argsort(key, kind="stable")
-        bad = outside.copy()
-        bad[order[1:]] |= key[order[1:]] == key[order[:-1]]
-        if bad.any():
-            k = int(bad.argmax())
-            what = f"outside 0..{n_rows - 1}" if outside[k] else "repeated"
-            raise ValueError(f"trace entry {entry[k]}: row index {index[k]} is {what}")
-        return index, starts
 
     def _state_blocks(
         self, estimates: bool = False
-    ) -> Iterator[tuple[int, np.ndarray, np.ndarray | None, list[int] | None, np.ndarray | None]]:
+    ) -> Iterator[tuple[int, np.ndarray, np.ndarray | None, np.ndarray | None]]:
         """Yield the recorded states in order, a block of at most
         `CHUNK` // (N + 1) of them at a time, as `(start, states,
-        estimates, sizes, rows)`: the block's first state number, its
-        states as one float (m, N, H) array and, for a caller that asks
-        and a run that tracks them, its estimates alike (None otherwise).
-        A block holds full entries or partial ones, never both; for a
-        partial block `sizes` are its entries' numbers of stored rows and
-        `rows` the consumers of those rows, entry after entry, and both
-        are None for a full block. The arrays are buffers that the next
-        block overwrites.
-
-        A full block copies its entries. A partial block is gathered from
-        the state before it in one pass: each entry points its consumers
-        at its stored rows, and a running maximum over those writers
-        carries each consumer's latest one to the states after it."""
-        index, starts = self._layout()
+        estimates, pairs)`: the block's first state number, its states as
+        one float (m, N, H) array, its estimates alike for a caller that
+        asks and a run that tracks them (None otherwise), and for a block
+        of pair entries their (m, 2) rows (None for full entries; a pair
+        trace's entry 0 is a block of one). The arrays are buffers that
+        the next block overwrites. A full block copies its entries. A pair
+        block is gathered from the state before it in one pass: each entry
+        points its pair at its stored rows, and a running maximum over
+        those writers carries each consumer's latest one forward. A
+        ValueError, before the first block, where a pair's row index is
+        out of range or repeated."""
         if not self.profiles:
             return
-        n_rows, horizon = np.shape(self.profiles[0])
+        n_rows, horizon = self.profiles[0].shape
+        index = np.array(self.changed_rows, dtype=np.intp).reshape(-1, 2)
+        bad = (index < 0) | (index >= n_rows)
+        bad[:, 1] |= index[:, 0] == index[:, 1]
+        if bad.any():
+            k = int(bad.argmax())
+            row = index.flat[k]
+            what = "repeated" if 0 <= row < n_rows else f"outside 0..{n_rows - 1}"
+            raise ValueError(f"trace entry {k // 2 + 1}: row index {row} is {what}")
+        total = len(self.profiles)
+        full = 1 if len(index) else total  # the entries that are full states
         step = max(1, CHUNK // (n_rows + 1))
-        shape = (min(step, len(self.profiles)), n_rows, horizon)
-        # the entries read, the profiles' and maybe the estimates', and the
-        # buffer each kind's blocks are rebuilt in
-        kinds = [(self.profiles, np.empty(shape))]
-        if estimates and self.estimates is not None:
-            kinds.append((self.estimates, np.empty(shape)))
-        t = 0
-        for part, run in groupby(self._flags()):
-            stop = t + len(list(run))
-            bounds = [*range(t, stop, step), stop]
-            if part:
-                # per kind, the state before the next block (at first the
-                # last of the full block before), then room for the stored
-                # rows of any block of the run
-                room = int(np.diff(starts[bounds]).max())
-                sources = [np.empty((n_rows + room, horizon)) for _ in kinds]
-                for source, (_, buffer) in zip(sources, kinds):
-                    source[:n_rows] = buffer[m - 1]
-            for t0, t1 in zip(bounds, bounds[1:]):
-                m = t1 - t0
-                blocks = [buffer[:m] for _, buffer in kinds]
-                sizes = rows = None
-                if not part:
-                    for (entries, _), block in zip(kinds, blocks):
-                        np.stack(entries[t0:t1], out=block)
-                else:
-                    rows = index[starts[t0] : starts[t1]]
-                    sizes = np.diff(starts[t0 : t1 + 1]).tolist()
-                    stored = n_rows + len(rows)
-                    writer = np.zeros((m, n_rows), dtype=np.intp)
-                    writer[0] = np.arange(n_rows)
-                    writer[np.repeat(np.arange(m), sizes), rows] = np.arange(n_rows, stored)
-                    writer = np.maximum.accumulate(writer, axis=0)
-                    for (entries, _), block, source in zip(kinds, blocks, sources):
-                        np.concatenate(entries[t0:t1], out=source[n_rows:stored])
-                        # the writers are in range by construction; with
-                        # out=, mode="raise" would copy through a temporary
-                        source.take(writer, axis=0, out=block, mode="clip")
-                        source[rows] = block[-1, rows]
-                yield t0, blocks[0], blocks[1] if len(blocks) > 1 else None, sizes, rows
-            t = stop
+        # per kind read, the profiles and maybe the estimates: the buffer its
+        # blocks are rebuilt in and, for pair blocks, its source, the state
+        # before the next block (at first entry 0) and room for its rows
+        tracked = estimates and self.estimates is not None
+        kinds = [self.profiles, self.estimates] if tracked else [self.profiles]
+        buffers = [np.empty((min(step, total), n_rows, horizon)) for _ in kinds]
+        sources = [np.empty((n_rows + 2 * step, horizon)) for _ in kinds] if full < total else []
+        for source, entries in zip(sources, kinds):
+            source[:n_rows] = entries[0]
+        bounds = [*range(0, full, step), *range(full, total, step), total]
+        for t0, t1 in zip(bounds, bounds[1:]):
+            blocks = [buffer[: t1 - t0] for buffer in buffers]
+            pairs = None if t0 < full else index[t0 - 1 : t1 - 1]
+            if pairs is None:
+                for entries, block in zip(kinds, blocks):
+                    np.stack(entries[t0:t1], out=block)
+            else:
+                m, rows = t1 - t0, pairs.ravel()
+                writer = np.zeros((m, n_rows), dtype=np.intp)
+                writer[0] = np.arange(n_rows)
+                writer[np.arange(m).repeat(2), rows] = np.arange(n_rows, n_rows + 2 * m)
+                writer = np.maximum.accumulate(writer, axis=0)
+                for entries, block, source in zip(kinds, blocks, sources):
+                    np.concatenate(entries[t0:t1], out=source[n_rows : n_rows + 2 * m])
+                    # the writers are in range by construction; with out=,
+                    # mode="raise" would copy through a temporary
+                    source.take(writer, axis=0, out=block, mode="clip")
+                    source[rows] = block[-1, rows]
+            yield t0, blocks[0], blocks[1] if len(blocks) > 1 else None, pairs
 
     def _state_bills(self, states: np.ndarray, start: int) -> np.ndarray:
         """The bills (m, N) of `states`, the recorded states `start`,
@@ -373,7 +352,7 @@ class RunTrace:
     def states(self) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
         """Yield each recorded state as fresh full `(profiles, estimates)`
         arrays; `estimates` is None for a run that does not track them."""
-        for _, states, ests, _, _ in self._state_blocks(estimates=True):
+        for _, states, ests, _ in self._state_blocks(estimates=True):
             for k, q in enumerate(states):
                 yield q.copy(), None if ests is None else ests[k].copy()
 
@@ -396,29 +375,10 @@ class RunTrace:
         return max(
             (
                 float(np.max(np.abs(ests.sum(axis=1) - states.sum(axis=1))))
-                for _, states, ests, _, _ in self._state_blocks(estimates=True)
+                for _, states, ests, _ in self._state_blocks(estimates=True)
             ),
             default=0.0,
         )
-
-    def _stored_rows(self, horizon: int) -> Iterator[str]:
-        """The rows the partial entries store, entry after entry, as
-        `row_reprs` renders them, about `CHUNK` values at a time: a window
-        sized apart from the blocks of states, so that it takes the fast
-        path where a block of a few states' rows would be too small."""
-        step = max(1, CHUNK // horizon)
-        pending, size = [], 0
-        for entry, part in zip(self.profiles, self._flags()):
-            if part:
-                pending.append(entry)
-                size += len(entry)
-            if size >= step:
-                rows = np.concatenate(pending)
-                cut = size - size % step
-                yield from row_reprs(rows[:cut])
-                pending, size = [rows[cut:]], size - cut
-        if size:
-            yield from row_reprs(np.concatenate(pending))
 
     def to_csv(self, path, first: RowTexts | None = None) -> RowTexts:
         """Write the long-form trace: t,n,cost,residual,q1..qH (1-based ids),
@@ -435,14 +395,13 @@ class RunTrace:
         has more: each profile value's text is reused while its bits stay
         unchanged, and a consumer's ``q1..qH`` segment is re-joined only
         when one of its values changed, so slots pinned at a bound cost a
-        comparison, not a format. A partial block formats its bills and
-        residuals in one call, and each event swaps in just the segments
-        of the rows it stores, rendered whole by `_stored_rows`; the full
-        state after it formats every value. `first`, the rows of a finite
-        float64 array of the profiles' shape (finite, so that their JSON
-        texts are the `repr`s), stands for a state before the first: the
-        first state then formats only the values whose bits differ from
-        its array, none where they render the same state, as the rows
+        comparison, not a format. A pair block formats its bills and
+        residuals in one call, and each event swaps in the segments of its
+        pair's two rows, rendered whole in windows of pairs. `first`, the
+        rows of a finite float64 array of the profiles' shape (finite, so
+        that their JSON texts are the `repr`s), stands for a state before
+        the first: the first state then formats only the values whose bits
+        differ from it, none where they render the same state, as the rows
         `load_scenario` kept render a run's initial profiles.
         """
         if not self.profiles:
@@ -467,7 +426,15 @@ class RunTrace:
             bits = first.values.view(np.uint64).copy()
             cells[:] = ",".join(first.texts).split(",")
             tails = [row + "\r\n" for row in first.texts]
-        stored = self._stored_rows(horizon)
+        # a pair trace's rows, pair after pair, rendered in windows of about
+        # `CHUNK` values, apart from the blocks of states: so they take the
+        # fast path of `row_reprs` where a block's rows would be too few
+        window = max(1, CHUNK // (2 * horizon))
+        stored = (
+            row + "\r\n"
+            for t in range(1, len(self.profiles), window)
+            for row in row_reprs(np.concatenate(self.profiles[t : t + window]))
+        )
         # one state's lines as 5N pieces, t,n,cost,residual,tail per consumer,
         # kept from state to state
         line = [""] * (5 * n_rows)
@@ -496,18 +463,15 @@ class RunTrace:
                     pos += n_rows + 1
 
             fh.write(header + "\r\n")
-            for start, states, _, sizes, stored_at in self._state_blocks():
+            for start, states, _, pairs in self._state_blocks():
                 costs = np.asarray(self._state_bills(states, start), dtype=np.float64)
                 residuals = self.residuals[start : start + len(states)]
-                if sizes is not None:
+                if pairs is not None:
                     texts = float_texts(np.concatenate((costs.ravel(), residuals)))
-                    consumers = iter(stored_at.tolist())
-                    for k, size in enumerate(sizes):
-                        for n in islice(consumers, size):
-                            tails[n] = next(stored) + "\r\n"
+                    for k, (i, j) in enumerate(pairs.tolist()):
+                        tails[i], tails[j] = next(stored), next(stored)
                         res = texts[costs.size + k]
                         write_state(start + k, texts[k * n_rows : (k + 1) * n_rows], res)
-                    bits = None
                     continue
                 changes, size = [], 0
                 for k, q in enumerate(states):
@@ -797,8 +761,9 @@ def run_algorithm3(
     its last event, the only one a residual check can fall on. The run pulls
     from `event_stream` just the events it uses.
     """
-    if max_events < 1:
-        raise ValueError(f"max_events must be at least 1, got {max_events}")
+    if not 1 <= max_events <= sys.maxsize:
+        bound = "at least 1" if max_events < 1 else f"at most {sys.maxsize}"
+        raise ValueError(f"max_events must be {bound}, got {max_events}")
     check_tol(tol)
     _check_graph(scenario, graph)
     q = _check_init(scenario, init)

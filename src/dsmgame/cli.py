@@ -168,8 +168,10 @@ def cmd_run(args) -> int:
     _check_seed(args)
     if args.alg == 1 and not 0 < args.theta < np.inf:
         raise CliError(f"--theta must be positive and finite, got {args.theta}", 1)
-    if args.alg == 3 and args.max_events < 1:
-        raise CliError(f"--max-events must be at least 1, got {args.max_events}", 1)
+    if args.alg == 3 and not 1 <= args.max_events <= sys.maxsize:
+        # `islice` takes no larger stop
+        bound = "at least 1" if args.max_events < 1 else f"at most {sys.maxsize}"
+        raise CliError(f"--max-events must be {bound}, got {args.max_events}", 1)
     if args.alg in (1, 2):
         if args.max_iter < 1:
             raise CliError(f"--max-iter must be at least 1, got {args.max_iter}", 1)

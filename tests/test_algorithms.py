@@ -659,7 +659,6 @@ def assert_same_run(run, reference):
         for e1, e2 in zip(entries1 or (), entries2 or (), strict=True):
             assert _same_bits(e1, e2), name
     assert t1.changed_rows == t2.changed_rows
-    assert t1.partial == t2.partial
     for (q1, e1), (q2, e2) in zip(t1.states(), t2.states(), strict=True):
         assert _same_bits(q1, q2) and _same_bits(e1, e2)
 
@@ -833,6 +832,18 @@ def test_alg3_rejects_max_events_below_one_before_pulling(max_events):
     scenario, init = make_toy_game(909)
     stream = CountingStream(gossip_stream(COMPLETE_2, np.random.default_rng(4), 5))
     with pytest.raises(ValueError, match=f"max_events must be at least 1, got {max_events}"):
+        run_algorithm3(scenario, COMPLETE_2, stream, init=init, max_events=max_events)
+    assert stream.pulled == 0
+
+
+def test_alg3_rejects_max_events_above_sys_maxsize_before_pulling():
+    # `islice` takes no larger stop; the refusal names the budget instead
+    scenario, init = make_toy_game(909)
+    stream = CountingStream(gossip_stream(COMPLETE_2, np.random.default_rng(4), 5))
+    max_events = 10**20
+    with pytest.raises(
+        ValueError, match=f"max_events must be at most {sys.maxsize}, got {max_events}"
+    ):
         run_algorithm3(scenario, COMPLETE_2, stream, init=init, max_events=max_events)
     assert stream.pulled == 0
 
@@ -1122,6 +1133,14 @@ class HandPricedTrace(RunTrace):
         return np.array(self.costs[start : start + len(states)])
 
 
+def hand_priced(profiles, costs, residuals) -> HandPricedTrace:
+    """A `HandPricedTrace` of the full states `profiles`, recorded in turn."""
+    trace = HandPricedTrace(costs=costs)
+    for q, residual in zip(profiles, residuals, strict=True):
+        trace.record(q, residual)
+    return trace
+
+
 @pytest.mark.parametrize("alg", [1, 2, 3])
 def test_trace_csv_bytes_match_reference_writer(tmp_path, alg):
     # the toy game mostly moves whole rows; in the generated 24-slot game
@@ -1156,8 +1175,8 @@ def test_trace_csv_bytes_match_reference_on_edge_cases(tmp_path):
     q3[0, 0] = -0.0
     q4 = q3.copy()
     q4[1, 2] = 0.1 + 0.2
-    trace = HandPricedTrace(
-        profiles=[q1, q2, q3, q4],
+    trace = hand_priced(
+        [q1, q2, q3, q4],
         costs=[np.array([1.0, -2.5]), np.array([1.0, -2.5]),
                np.array([0.3, 1e20]), np.array([-0.0, np.inf])],
         residuals=[np.float64(0.5), 0.5, float("nan"), 1e-17],
@@ -1196,8 +1215,8 @@ def test_trace_csv_bytes_match_reference_under_value_changes(
         flipped = data.draw(mask)
         q[flipped] = -q[flipped]
         profiles.append(q)
-    trace = HandPricedTrace(
-        profiles=profiles,
+    trace = hand_priced(
+        profiles,
         costs=[data.draw(arrays(np.float64, (n,), elements=_TRACE_FLOATS))
                for _ in profiles],
         residuals=[data.draw(_TRACE_FLOATS) for _ in profiles],
@@ -1212,23 +1231,28 @@ def test_trace_csv_bytes_match_reference_under_value_changes(
 def test_trace_csv_bytes_match_reference_under_row_subset_entries(
     tmp_path_factory, n, h, steps, data
 ):
-    # entries after the first hold either a full state or a subset of rows
-    # in any order, as a gossip event stores its pair; inside the stored rows
-    # single values change or flip sign (0.0 -> -0.0), or nothing moves
+    # entries after the first hold either full states or (from two rows
+    # on) the two rows of a pair in either order, as a gossip event stores
+    # them; inside the stored rows single values change or flip sign
+    # (0.0 -> -0.0), or nothing moves
     values = arrays(np.float64, (n, h), elements=_TRACE_FLOATS)
     mask = arrays(np.bool_, (n, h))
+    pairs = n >= 2 and data.draw(st.booleans())
     state = data.draw(values)
-    states, entries = [state], [state]
-    changed_rows, partial = array("q"), bytearray([0])
-    for t in range(1, steps + 1):
+    states = [state]
+    trace = HandPricedTrace(
+        costs=[data.draw(arrays(np.float64, (n,), elements=_TRACE_FLOATS))
+               for _ in range(steps + 1)],
+    )
+    trace.record(state, data.draw(_TRACE_FLOATS))
+    for _ in range(steps):
         state = state.copy()
         rows = np.arange(n)
-        partial.append(data.draw(st.booleans()))
-        if partial[t]:
+        if pairs:
             rows = np.array(
-                data.draw(st.lists(st.integers(0, n - 1), unique=True)), dtype=np.intp
+                data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)),
+                dtype=np.intp,
             )
-            changed_rows.extend(rows.tolist())
         stored = state[rows]
         moved = data.draw(mask)[: len(rows)]
         stored[moved] = data.draw(values)[: len(rows)][moved]
@@ -1236,15 +1260,11 @@ def test_trace_csv_bytes_match_reference_under_row_subset_entries(
         stored[flipped] = -stored[flipped]
         state[rows] = stored
         states.append(state)
-        entries.append(stored if partial[t] else state)
-    trace = HandPricedTrace(
-        profiles=entries,
-        costs=[data.draw(arrays(np.float64, (n,), elements=_TRACE_FLOATS))
-               for _ in entries],
-        residuals=[data.draw(_TRACE_FLOATS) for _ in entries],
-        changed_rows=changed_rows,
-        partial=partial,
-    )
+        residual = data.draw(_TRACE_FLOATS)
+        if pairs:
+            trace.record(stored, residual, rows=rows)
+        else:
+            trace.record(state, residual)
     rebuilt = [q for q, _ in trace.states()]
     assert [q.tobytes() for q in rebuilt] == [q.tobytes() for q in states]
     _assert_same_csv_bytes(trace, tmp_path_factory.mktemp("trace"))
@@ -1254,11 +1274,9 @@ def test_trace_csv_bytes_match_reference_under_row_subset_entries(
 def test_trace_csv_bytes_match_reference_on_gossip_edge_cases(tmp_path, monkeypatch, n):
     # pair entries over several blocks of states and windows of stored
     # rows: a pair repeated at once, an event that moves nothing, a
-    # 0.0 -> -0.0 flip, stored rows holding a zero (a window that goes
-    # number by number), and a full entry after partial ones that moves
-    # one value back, so its other values reuse texts of partial entries;
-    # at CHUNK values per block and at 60, where N = 50 writes one state
-    # per block, as N = 1024 and more do at CHUNK
+    # 0.0 -> -0.0 flip, and stored rows holding a zero (a window that goes
+    # number by number); at CHUNK values per block and at 60, where N = 50
+    # writes one state per block, as N = 1024 and more do at CHUNK
     h = 24
     rng = np.random.default_rng(n)
     curve = PriceCurve(
@@ -1282,10 +1300,7 @@ def test_trace_csv_bytes_match_reference_on_gossip_edge_cases(tmp_path, monkeypa
         if k % 7 == 0:
             residual = float(rng.uniform(0.0, 1.0))
         trace.record(q[list(pair)], residual, rows=pair)
-        if k == 100:
-            q[0, 0] = 0.0
-            trace.record(q, residual)
-    assert trace.partial.count(0) == 2
+    assert len(trace.changed_rows) == 2 * 150
     for chunk in (CHUNK, 60):
         monkeypatch.setattr(algorithms, "CHUNK", chunk)
         _assert_same_csv_bytes(trace, tmp_path)
@@ -1331,24 +1346,24 @@ def test_record_refuses_a_partial_first_entry():
     trace = RunTrace(box_scenario([0.5] * 3).curve)
     with pytest.raises(ValueError, match="first trace entry must be a full state"):
         trace.record(np.zeros((1, 2)), 0.0, rows=(0,))
-    assert (trace.profiles, trace.residuals, trace.partial) == ([], [], bytearray())
+    assert (trace.profiles, trace.residuals, trace.changed_rows) == ([], [], array("q"))
 
 
 def test_record_refuses_rows_that_do_not_name_every_row_given():
     # two rows under one index would shift every later entry's rows: the
-    # one-row entry after them would land on row 1, not row 2
+    # pair after them would land on rows 0 and 2, not 2 and 0
     trace = _three_row_trace()
     with pytest.raises(ValueError, match="1 row indices for 2 rows"):
         trace.record(np.full((2, 2), 0.5), 0.0, rows=(0,))
-    assert trace.iterations == 1 and not trace.changed_rows and trace.partial == bytearray([0])
-    trace.record(np.array([[0.0, 0.5]]), 0.0, rows=(2,))
+    assert trace.iterations == 1 and not trace.changed_rows
+    trace.record(np.array([[0.0, 0.5], [0.5, 0.0]]), 0.0, rows=(2, 0))
     *_, (last, _) = trace.states()
-    assert last.tolist() == [[0.25, 0.25], [0.25, 0.25], [0.0, 0.5]]
+    assert last.tolist() == [[0.5, 0.0], [0.25, 0.25], [0.0, 0.5]]
 
 
 def test_record_of_a_window_equals_its_events_recorded_one_by_one():
-    # a gossip window recorded in one call keeps the bits, changed_rows,
-    # partial flags and residuals of its events recorded one at a time
+    # a gossip window recorded in one call keeps the bits, changed_rows
+    # and residuals of its events recorded one at a time
     rng = np.random.default_rng(5)
     n, h, m = 6, 2, 9
     q0, est0 = rng.random((n, h)), rng.random((n, h))
@@ -1367,7 +1382,6 @@ def test_record_of_a_window_equals_its_events_recorded_one_by_one():
     # the traces keep copies
     profiles[...] = estimates[...] = 7.0
     assert window.changed_rows == events.changed_rows == array("q", rows.ravel().tolist())
-    assert window.partial == events.partial == bytearray([0] + [1] * m)
     assert window.residuals == events.residuals == [0.5, *residuals]
     for name in ("profiles", "estimates"):
         for a, b in zip(getattr(window, name), getattr(events, name), strict=True):
@@ -1385,7 +1399,82 @@ def test_record_refuses_a_window_whose_parts_differ_in_length():
         trace.record(np.zeros((3, 2, 2)), [0.0, 0.0], rows=rows)
     with pytest.raises(ValueError, match="2 row indices for 1 rows"):
         trace.record(np.zeros((2, 1, 2)), [0.0, 0.0], rows=rows)
-    assert trace.iterations == 1 and not trace.changed_rows and trace.partial == bytearray([0])
+    assert trace.iterations == 1 and not trace.changed_rows
+
+
+def test_record_refuses_a_full_state_after_pairs():
+    # a pair trace is one full state and then pairs
+    trace = _three_row_trace()
+    trace.record(np.full((2, 2), 0.5), 0.0, rows=(0, 1))
+    with pytest.raises(ValueError, match="trace entry 2: a full state; a trace is all full"):
+        trace.record(np.full((3, 2), 0.5), 0.0)
+    assert trace.iterations == 2 and list(trace.changed_rows) == [0, 1]
+
+
+def test_record_refuses_pairs_after_two_full_states():
+    trace = _three_row_trace()
+    trace.record(np.full((3, 2), 0.5), 0.0)
+    with pytest.raises(ValueError, match="trace entry 2: a pair; a trace is all full states"):
+        trace.record(np.full((2, 2), 0.5), 0.0, rows=(0, 1))
+    with pytest.raises(ValueError, match="trace entry 2: a pair"):
+        trace.record(np.full((1, 2, 2), 0.5), [0.0], rows=[(0, 1)])
+    assert trace.iterations == 2 and not trace.changed_rows
+
+
+def test_record_refuses_an_entry_that_is_not_a_pair():
+    trace = _three_row_trace()
+    with pytest.raises(ValueError, match="trace entry 1: 3 rows, not a pair"):
+        trace.record(np.full((3, 2), 0.5), 0.0, rows=(0, 1, 2))
+    with pytest.raises(ValueError, match="trace entry 1: 1 rows, not a pair"):
+        trace.record(np.full((1, 2), 0.5), 0.0, rows=(2,))
+    assert trace.iterations == 1 and not trace.changed_rows
+
+
+def test_record_refuses_a_full_state_of_another_shape():
+    trace = _three_row_trace()
+    with pytest.raises(
+        ValueError, match=r"trace entry 1: shape \(2, 2\) does not fit entry 0's \(3, 2\)"
+    ):
+        trace.record(np.full((2, 2), 0.5), 0.0)
+    assert trace.iterations == 1
+
+
+def test_record_refuses_a_pair_of_another_horizon():
+    trace = _three_row_trace()
+    with pytest.raises(
+        ValueError, match=r"trace entry 1: shape \(1, 2, 3\) does not fit entry 0's \(3, 2\)"
+    ):
+        trace.record(np.full((2, 3), 0.5), 0.0, rows=(0, 1))
+    assert trace.iterations == 1 and not trace.changed_rows
+
+
+@pytest.mark.parametrize("first, then, message", [
+    (True, False, "trace entry 1: no estimates, but entry 0 has them"),
+    (False, True, "trace entry 1: estimates, but entry 0 has none"),
+])
+def test_record_refuses_estimates_on_only_some_entries(first, then, message):
+    # an entry has estimates exactly when entry 0 has them, so that every
+    # state has its estimates or none has
+    q = np.full((3, 2), 0.25)
+    for rows in (None, (0, 1)):
+        trace = RunTrace(box_scenario([0.5] * 3).curve)
+        trace.record(q, 0.0, estimates=q if first else None)
+        entry = q if rows is None else q[:2]
+        with pytest.raises(ValueError, match=message):
+            trace.record(entry, 0.0, estimates=entry if then else None, rows=rows)
+        assert trace.iterations == 1 and (trace.estimates is None) != first
+        assert len(list(trace.states())) == 1
+
+
+def test_record_refuses_estimates_of_another_shape_than_the_profiles():
+    trace = RunTrace(box_scenario([0.5] * 3).curve)
+    q = np.full((3, 2), 0.25)
+    with pytest.raises(ValueError, match=r"trace entry 0: estimates \(3, 3\) for profiles"):
+        trace.record(q, 0.0, estimates=np.zeros((3, 3)))
+    trace.record(q, 0.0, estimates=q)
+    with pytest.raises(ValueError, match=r"trace entry 1: estimates \(1, 2, 3\) for profiles"):
+        trace.record(q[:2], 0.0, estimates=np.zeros((2, 3)), rows=(0, 1))
+    assert trace.iterations == 1 and len(trace.estimates) == 1
 
 
 @pytest.mark.parametrize("rows, message", [
@@ -1404,27 +1493,6 @@ def test_trace_readers_refuse_a_row_index_out_of_range_or_repeated(tmp_path, row
             read()
 
 
-def test_trace_readers_refuse_a_layout_that_describes_no_states(tmp_path):
-    # built by hand past `record`: a partial first entry, and stored rows
-    # that outnumber their indices
-    curve = box_scenario([0.5] * 3).curve
-    rows = np.full((1, 2), 0.5)
-    broken = {
-        "starts with a full state": RunTrace(
-            curve, profiles=[rows], residuals=[0.0], changed_rows=array("q", [0]),
-            partial=bytearray([1]),
-        ),
-        "store 2 rows, but changed_rows holds 1 indices": RunTrace(
-            curve, profiles=[np.full((3, 2), 0.25), np.full((2, 2), 0.5)],
-            residuals=[0.0, 0.0], changed_rows=array("q", [0]), partial=bytearray([0, 1]),
-        ),
-    }
-    for message, trace in broken.items():
-        for read in (lambda: list(trace.states()), lambda: trace.to_csv(tmp_path / "t.csv")):
-            with pytest.raises(ValueError, match=message):
-                read()
-
-
 @pytest.mark.parametrize("read, expected", [
     pytest.param(lambda trace, _: list(trace.states()), [], id="states"),
     pytest.param(lambda trace, _: trace.bills, [], id="bills"),
@@ -1437,7 +1505,7 @@ def test_trace_readers_refuse_a_layout_that_describes_no_states(tmp_path):
 ])
 def test_a_trace_without_states_reads_as_empty(read, expected):
     scenario = box_scenario([0.5] * 3)
-    assert read(RunTrace(scenario.curve, estimates=[]), scenario) == expected
+    assert read(RunTrace(scenario.curve), scenario) == expected
 
 
 def test_a_trace_without_states_is_refused_before_its_file_is_opened(tmp_path):
@@ -1567,7 +1635,7 @@ def test_trace_bills_are_the_bills_at_record_time_on_the_avx2_kernels():
     pytest.param(1, 1e-6, None, id="1"),
     pytest.param(3, 1e-6, 300, id="3"),
     # at tol 0 the run spends its budget: past 3 * CHUNK // (N + 1) events
-    # the partial entries span at least three blocks of gathered states
+    # the pair entries span at least three blocks of gathered states
     pytest.param(3, 0.0, "past three blocks", id="3-past-three-blocks"),
 ])
 def test_trace_states_are_the_recorded_states(monkeypatch, alg, tol, n_events):
@@ -1585,7 +1653,7 @@ def test_trace_states_are_the_recorded_states(monkeypatch, alg, tol, n_events):
         _, trace = run_algorithm3(
             scenario, graph, iter(events), init=init, tol=tol, max_events=n_events
         )
-        assert list(trace.partial) == [0] + [1] * n_events
+        assert len(trace.changed_rows) == 2 * n_events
     states = list(trace.states())
     assert len(states) == len(received) == trace.iterations
     for (q, est), (q_in, est_in) in zip(states, received):
@@ -1617,7 +1685,6 @@ def test_record_keeps_a_copy_of_exactly_the_rows_given():
     for got, want in zip(trace.estimates, est_expected, strict=True):
         assert _same_bits(got, want)
     assert list(trace.changed_rows) == [2, 0]
-    assert list(trace.partial) == [0, 1]
     assert trace.residuals == [0.5, 0.25]
     second = expected[0].copy()
     second[[2, 0]] = expected[1]
@@ -1626,7 +1693,7 @@ def test_record_keeps_a_copy_of_exactly_the_rows_given():
 
 
 def test_trace_checks_see_the_states_of_partial_entries():
-    # a hand-built gossip-style trace whose bad states exist only in partial
+    # a recorded gossip-style trace whose bad states exist only in pair
     # entries: entry 1 moves row 0 below q_min (estimate in step); entry 2
     # shifts rows 1 and 2 against each other (sum q kept); entry 3 puts row
     # 2 back, so sum est = sum q breaks only in a state built from entries 2
@@ -1639,14 +1706,10 @@ def test_trace_checks_see_the_states_of_partial_entries():
              ((1, 2), [base[1] + shift, base[2] - shift], [base[1], base[2]]),
              ((2, 0), [base[2], low], [base[2], low]),
              ((0, 1), [base[0], base[1]], [base[0], base[1]])]
-    trace = RunTrace(
-        scenario.curve, profiles=[base], estimates=[base], partial=bytearray([0])
-    )
+    trace = RunTrace(scenario.curve)
+    trace.record(base, 0.0, estimates=base)
     for rows, q_rows, est_rows in pairs:
-        trace.changed_rows.extend(rows)
-        trace.partial.append(1)
-        trace.profiles.append(np.array(q_rows))
-        trace.estimates.append(np.array(est_rows))
+        trace.record(np.array(q_rows), 0.0, estimates=np.array(est_rows), rows=rows)
     assert trace.max_feasibility_violation(scenario) == delta
     assert trace.max_conservation_gap() == delta
     states = [q for q, _ in trace.states()]
@@ -1665,14 +1728,13 @@ def test_alg3_trace_keeps_only_the_pairs_rows(canonical):
     )
     assert result.iterations == events == trace.iterations - 1
     assert trace.profiles[0].shape == trace.estimates[0].shape == (n, h)
-    assert list(trace.partial) == [0] + [1] * events
     for entry, est in zip(trace.profiles[1:], trace.estimates[1:]):
         assert entry.shape == est.shape == (2, h)
     # the row indices take 16 bytes per event in one flat array
     assert len(trace.changed_rows) == 2 * events
     assert trace.changed_rows.itemsize == 8
     assert set(vars(trace)) == {
-        "profiles", "estimates", "residuals", "changed_rows", "partial", "curve"
+        "profiles", "estimates", "residuals", "changed_rows", "curve"
     }
     # the trace stores the full initial state, then 4H values and 16 bytes
     # of row indices per event: about 4% of a full copy per event here

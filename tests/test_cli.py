@@ -484,6 +484,7 @@ def test_run_refuses_a_negative_seed_naming_the_flag(toy_file, tmp_path, capsys)
     ("2", ("--tau", "0"), "--tau must lie strictly in (0, 1), got 0.0"),
     ("2", ("--degree", "0"), "--degree must be positive and finite, got 0.0"),
     ("3", ("--degree", "nan"), "--degree must be positive and finite, got nan"),
+    ("3", ("--max-events", str(10**20)), f"--max-events must be at most {sys.maxsize}, got {10**20}"),
 ])
 def test_run_names_the_flag_of_a_bad_solver_setting_before_loading(
     tmp_path, capsys, alg, flags, message
